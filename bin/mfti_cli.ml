@@ -1055,11 +1055,11 @@ let run_serve root socket tcp cache_mb workers queue request_timeout_ms
   report_quarantine server;
   let listen =
     match (socket, tcp) with
-    | Some path, None -> Some (Serve.Supervisor.Unix_path path)
+    | Some path, None -> Some (Serve.Listener.Unix_path path)
     | None, Some addr ->
-      (match Serve.Router.parse_addr addr with
-       | Serve.Supervisor.Tcp _ as l -> Some l
-       | Serve.Supervisor.Unix_path _ ->
+      (match Serve.Listener.parse_addr addr with
+       | Serve.Listener.Tcp _ as l -> Some l
+       | Serve.Listener.Unix_path _ ->
          invalid_arg "serve: --tcp wants HOST:PORT")
     | None, None -> None
     | Some _, Some _ -> assert false
@@ -1073,11 +1073,11 @@ let run_serve root socket tcp cache_mb workers queue request_timeout_ms
      in
      let sup = Serve.Supervisor.start ~config server ~listen in
      (match (listen, Serve.Supervisor.bound_port sup) with
-      | Serve.Supervisor.Tcp (host, _), Some port ->
+      | Serve.Listener.Tcp (host, _), Some port ->
         Printf.eprintf
           "mfti serve: listening on %s:%d (%d workers, queue %d)\n%!" host
           port workers queue
-      | Serve.Supervisor.Unix_path path, _ ->
+      | Serve.Listener.Unix_path path, _ ->
         Printf.eprintf
           "mfti serve: listening on %s (%d workers, queue %d)\n%!" path
           workers queue
@@ -1154,7 +1154,7 @@ let route_conns_arg =
 let run_route listen replicas vnodes probe_interval_ms fail_threshold
     max_failover request_timeout_ms coalesce_hold_ms max_conns =
   guarded @@ fun () ->
-  let listen = Serve.Router.parse_addr listen in
+  let listen = Serve.Listener.parse_addr listen in
   let config =
     { Serve.Router.default_config with
       vnodes; probe_interval_ms; fail_threshold; max_failover;
@@ -1162,10 +1162,10 @@ let run_route listen replicas vnodes probe_interval_ms fail_threshold
   in
   let rt = Serve.Router.start ~config ~listen ~replicas () in
   (match (listen, Serve.Router.bound_port rt) with
-   | Serve.Supervisor.Tcp (host, _), Some port ->
+   | Serve.Listener.Tcp (host, _), Some port ->
      Printf.eprintf "mfti route: listening on %s:%d over %d replicas\n%!"
        host port (List.length replicas)
-   | Serve.Supervisor.Unix_path p, _ ->
+   | Serve.Listener.Unix_path p, _ ->
      Printf.eprintf "mfti route: listening on %s over %d replicas\n%!" p
        (List.length replicas)
    | _ -> ());
@@ -1240,44 +1240,13 @@ let stream_fail message =
 let connect_with_retry ?(attempts = 5) ?(base_ms = 100) ?(cap_ms = 2_000)
     ~fail addr_s =
   let addr =
-    match Serve.Router.parse_addr addr_s with
+    match Serve.Listener.parse_addr addr_s with
     | a -> a
-    | exception Linalg.Mfti_error.Error _ ->
-      Serve.Supervisor.Unix_path addr_s
-  in
-  let close_quiet fd = try Unix.close fd with Unix.Unix_error _ -> () in
-  let try_once () =
-    match addr with
-    | Serve.Supervisor.Unix_path p ->
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      (match Unix.connect fd (Unix.ADDR_UNIX p) with
-       | () -> Ok fd
-       | exception Unix.Unix_error (e, _, _) ->
-         close_quiet fd;
-         Error (Unix.error_message e))
-    | Serve.Supervisor.Tcp (host, port) ->
-      let ip =
-        try Some (Unix.inet_addr_of_string host)
-        with Failure _ -> (
-          match Unix.gethostbyname host with
-          | { Unix.h_addr_list = [||]; _ } -> None
-          | h -> Some h.Unix.h_addr_list.(0)
-          | exception Not_found -> None)
-      in
-      (match ip with
-       | None -> Error ("cannot resolve host " ^ host)
-       | Some ip ->
-         let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-         (try Unix.setsockopt fd Unix.TCP_NODELAY true
-          with Unix.Unix_error _ -> ());
-         (match Unix.connect fd (Unix.ADDR_INET (ip, port)) with
-          | () -> Ok fd
-          | exception Unix.Unix_error (e, _, _) ->
-            close_quiet fd;
-            Error (Unix.error_message e)))
+    | exception Linalg.Mfti_error.Error _ -> Serve.Listener.Unix_path addr_s
   in
   let rec go n delay_ms =
-    match try_once () with
+    let timeout_s = float_of_int cap_ms /. 1000. in
+    match Serve.Listener.connect addr ~timeout_s with
     | Ok fd -> fd
     | Error msg ->
       if n >= attempts then

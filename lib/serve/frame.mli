@@ -16,9 +16,8 @@
     [{"ok":true,"op":"hello","frames":"binary"}] is sent in the {e old}
     framing and every subsequent frame in both directions uses the new
     one.  [{"op":"hello","frames":"json"}] switches back the same way.
-    Negotiation is handled by the concurrent transports ({!Supervisor},
-    {!Router}); the sequential stdio/socket loops in {!Server} stay
-    JSON-only.
+    Negotiation is handled by the socket transports ({!Listener}); the
+    stdio loop in {!Server} stays JSON-only.
 
     {2 Grid body layout}
 

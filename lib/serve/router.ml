@@ -8,10 +8,10 @@ open Linalg
    IEEE-754).
 
    Concurrency model: the router is IO-bound, so everything runs on
-   systhreads — one accept loop, one health prober, one thread per
-   client connection.  One global mutex [t.mu] guards the replica set,
-   the ring, the coalescing slots, the pools and every counter; all
-   network IO happens outside it. *)
+   systhreads — the {!Listener}'s accept loop and [max_conns] client
+   runners, plus one health prober.  One global mutex [t.mu] guards the
+   replica set, the ring, the coalescing slots, the pools and every
+   counter; all network IO happens outside it. *)
 
 (* ------------------------------------------------------------------ *)
 (* Consistent-hash ring *)
@@ -154,218 +154,34 @@ let validate_config c =
   if c.fail_threshold < 1 then bad "fail threshold must be >= 1";
   if c.max_failover < 0 then bad "max failover must be >= 0";
   if c.connect_timeout_ms < 1 then bad "connect timeout must be >= 1 ms";
-  if c.request_timeout_ms < 1 then bad "request timeout must be >= 1 ms";
-  if c.idle_timeout_ms < 1 then bad "idle timeout must be >= 1 ms";
   if c.max_conns < 1 then bad "connection cap must be >= 1";
-  if c.coalesce_hold_ms < 0 then bad "coalesce hold must be >= 0 ms";
-  if c.max_line_bytes < 2 then bad "frame cap must be >= 2 bytes"
+  if c.coalesce_hold_ms < 0 then bad "coalesce hold must be >= 0 ms"
 
-(* ------------------------------------------------------------------ *)
-(* Addresses *)
+(* Clients get [max_conns] runners and no queue, so the router sheds
+   exactly at the cap; runners restart on the replicas' backoff. *)
+let listener_config c =
+  { Listener.workers = c.max_conns;
+    queue = 0;
+    request_timeout_ms = c.request_timeout_ms;
+    idle_timeout_ms = c.idle_timeout_ms;
+    drain_ms = 2_000;
+    backoff_base_ms = c.backoff_base_ms;
+    backoff_cap_ms = c.backoff_cap_ms;
+    max_line_bytes = c.max_line_bytes }
 
-let parse_addr s =
-  let bad () =
-    Mfti_error.raise_error
-      (Mfti_error.Validation
-         { context = "router";
-           message =
-             Printf.sprintf
-               "malformed replica address %S (want host:port or a socket \
-                path)"
-               s })
-  in
-  if s = "" then bad ();
-  if String.contains s '/' || not (String.contains s ':') then
-    Supervisor.Unix_path s
-  else
-    match String.rindex_opt s ':' with
-    | None -> Supervisor.Unix_path s
-    | Some i ->
-      let host = String.sub s 0 i in
-      let port = String.sub s (i + 1) (String.length s - i - 1) in
-      (match int_of_string_opt port with
-       | Some p when p >= 0 && p <= 65535 && host <> "" ->
-         Supervisor.Tcp (host, p)
-       | _ -> bad ())
-
-(* ------------------------------------------------------------------ *)
-(* Low-level IO with deadlines *)
-
-let now () = Unix.gettimeofday ()
-let tick = 0.05
-let close_quiet fd = try Unix.close fd with Unix.Unix_error _ -> ()
-
-let write_all fd s ~deadline =
-  let len = String.length s in
-  let rec go off =
-    if off >= len then `Ok
-    else
-      let t = now () in
-      if t >= deadline then `Timeout
-      else
-        match Unix.select [] [ fd ] [] (Float.min tick (deadline -. t)) with
-        | _, [], _ -> go off
-        | _ ->
-          (match Unix.write_substring fd s off (len - off) with
-           | k -> go (off + k)
-           | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
-           | exception Unix.Unix_error _ -> `Closed)
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
-  in
-  go 0
-
-(* Pull one complete frame off [fd].  [stop] lets an idle client loop
-   notice a router drain between frames. *)
-let read_payload ?(stop = fun () -> false) fd reader chunk ~mode ~deadline
-    ~max_bytes =
-  let rec go () =
-    match Frame.Reader.next reader ~mode ~max_bytes with
-    | `Frame p -> `Payload p
-    | `Too_long -> `Err "frame exceeds the byte cap"
-    | `Bad m -> `Err ("malformed frame: " ^ m)
-    | `None ->
-      let t = now () in
-      if t >= deadline then
-        (if Frame.Reader.pending reader > 0 then `Timeout_partial
-         else `Timeout)
-      else if stop () && Frame.Reader.pending reader = 0 then `Eof
-      else (
-        match Unix.select [ fd ] [] [] (Float.min tick (deadline -. t)) with
-        | [], _, _ -> go ()
-        | _ ->
-          (match Unix.read fd chunk 0 (Bytes.length chunk) with
-           | 0 -> `Eof
-           | k ->
-             Frame.Reader.add reader chunk k;
-             go ()
-           | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-           | exception Unix.Unix_error _ -> `Err "connection error")
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ())
-  in
-  go ()
-
-let connect_addr addr ~timeout_s =
-  match addr with
-  | Supervisor.Unix_path p ->
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    (try
-       Unix.connect fd (Unix.ADDR_UNIX p);
-       `Ok fd
-     with Unix.Unix_error (e, _, _) ->
-       close_quiet fd;
-       `Err (Unix.error_message e))
-  | Supervisor.Tcp (host, port) ->
-    let ip =
-      try Some (Unix.inet_addr_of_string host)
-      with Failure _ -> (
-        match Unix.gethostbyname host with
-        | { Unix.h_addr_list = [||]; _ } -> None
-        | h -> Some h.Unix.h_addr_list.(0)
-        | exception Not_found -> None)
-    in
-    (match ip with
-     | None -> `Err ("cannot resolve host " ^ host)
-     | Some ip ->
-       let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-       (try Unix.setsockopt fd Unix.TCP_NODELAY true
-        with Unix.Unix_error _ -> ());
-       Unix.set_nonblock fd;
-       (match Unix.connect fd (Unix.ADDR_INET (ip, port)) with
-        | () ->
-          Unix.clear_nonblock fd;
-          `Ok fd
-        | exception Unix.Unix_error (Unix.EINPROGRESS, _, _) ->
-          (match Unix.select [] [ fd ] [] timeout_s with
-           | _, _ :: _, _ ->
-             (match Unix.getsockopt_error fd with
-              | None ->
-                Unix.clear_nonblock fd;
-                `Ok fd
-              | Some e ->
-                close_quiet fd;
-                `Err (Unix.error_message e))
-           | _ ->
-             close_quiet fd;
-             `Err "connect timed out"
-           | exception Unix.Unix_error (e, _, _) ->
-             close_quiet fd;
-             `Err (Unix.error_message e))
-        | exception Unix.Unix_error (e, _, _) ->
-          close_quiet fd;
-          `Err (Unix.error_message e)))
-
-(* ------------------------------------------------------------------ *)
-(* Upstream connections: pooled, binary-negotiated *)
-
-type rconn = {
-  u_fd : Unix.file_descr;
-  u_rd : Frame.Reader.t;
-  u_chunk : bytes;
-}
-
-let hello_binary_line =
-  Sjson.to_string
-    (Sjson.Obj
-       [ ("op", Sjson.Str "hello"); ("frames", Sjson.Str "binary") ])
-
-let open_rconn addr ~cfg =
-  let timeout_s = float_of_int cfg.connect_timeout_ms /. 1000. in
-  match connect_addr addr ~timeout_s with
-  | `Err m -> `Err m
-  | `Ok fd ->
-    let rc = { u_fd = fd; u_rd = Frame.Reader.create ();
-               u_chunk = Bytes.create 65536 } in
-    let deadline = now () +. timeout_s in
-    (match write_all fd (hello_binary_line ^ "\n") ~deadline with
-     | `Timeout | `Closed ->
-       close_quiet fd;
-       `Err "hello write failed"
-     | `Ok ->
-       (match
-          read_payload fd rc.u_rd rc.u_chunk ~mode:Frame.Json ~deadline
-            ~max_bytes:cfg.max_line_bytes
-        with
-        | `Payload (Frame.Json_text ack) ->
-          let ok =
-            match Sjson.parse ack with
-            | j -> Sjson.member "ok" j = Some (Sjson.Bool true)
-            | exception Sjson.Parse_error _ -> false
-          in
-          if ok then `Ok rc
-          else begin
-            close_quiet fd;
-            `Err "replica refused binary frames"
-          end
-        | _ ->
-          close_quiet fd;
-          `Err "no hello acknowledgement"))
-
-(* One request/response round trip over a binary-negotiated connection. *)
-let rconn_request rc line ~deadline ~max_bytes =
-  match write_all rc.u_fd (Frame.encode_json line) ~deadline with
-  | `Timeout -> `Timeout
-  | `Closed -> `Conn_err "write failed"
-  | `Ok ->
-    (match
-       read_payload rc.u_fd rc.u_rd rc.u_chunk ~mode:Frame.Binary ~deadline
-         ~max_bytes
-     with
-     | `Payload (Frame.Json_text s) -> `Json s
-     | `Payload (Frame.Grid_body b) -> `Grid b
-     | `Timeout | `Timeout_partial -> `Timeout
-     | `Eof -> `Conn_err "connection closed mid-response"
-     | `Err m -> `Conn_err m)
+let now = Listener.now
+let seconds ms = float_of_int ms /. 1000.
 
 (* ------------------------------------------------------------------ *)
 (* Replicas *)
 
 type replica = {
   r_name : string;
-  r_addr : Supervisor.listener;
+  r_addr : Listener.addr;
   r_faulted : bool;             (* first configured replica: chaos target *)
   mutable r_state : Health.state;
   mutable r_fails : int;
-  mutable r_pool : rconn list;
+  mutable r_pool : Listener.peer list;
   mutable r_next_attempt : float;
   mutable r_backoff_ms : int;
   mutable r_served : int;
@@ -424,28 +240,20 @@ type snapshot = {
 
 type t = {
   config : config;
-  listen : Supervisor.listener;
-  listen_fd : Unix.file_descr;
-  bound : int option;
+  front : Listener.t;                   (* the client-facing connections *)
   mu : Mutex.t;
   mutable replicas : replica list;      (* configured order *)
   mutable ring : Ring.t;
   slots : (string, slot) Hashtbl.t;
   mutable session_rr : int;             (* fit-open round-robin cursor *)
-  mutable stopping : bool;
-  mutable stopped : bool;
-  mutable conns : int;
   mutable c_requests : int;
   mutable c_forwarded : int;
   mutable c_failovers : int;
   mutable c_timeouts : int;
   mutable c_unavailable : int;
-  mutable c_shed : int;
   mutable c_batches : int;
   mutable c_hits : int;
   mutable c_probes : int;
-  mutable threads : Thread.t list;
-  mutable accept_thread : Thread.t option;
   mutable health_thread : Thread.t option;
 }
 
@@ -458,7 +266,7 @@ let find_replica t name =
 (* Health bookkeeping (callers hold t.mu) *)
 
 let flush_pool r =
-  List.iter (fun rc -> close_quiet rc.u_fd) r.r_pool;
+  List.iter Listener.hang_up r.r_pool;
   r.r_pool <- []
 
 let note_transition r was =
@@ -521,15 +329,17 @@ let take_conn t r =
           r.r_pool <- rest;
           Some c)
   with
-  | Some c -> `Ok c
-  | None -> open_rconn r.r_addr ~cfg:t.config
+  | Some c -> Ok c
+  | None ->
+    Listener.dial r.r_addr ~timeout_s:(seconds t.config.connect_timeout_ms)
+      ~max_bytes:t.config.max_line_bytes ~binary:true
 
-let put_conn t r rc =
+let put_conn t r p =
   locked t (fun () ->
-      if (not t.stopping) && List.length r.r_pool < pool_cap
+      if (not (Listener.draining t.front)) && List.length r.r_pool < pool_cap
          && r.r_state <> Health.Down
-      then r.r_pool <- rc :: r.r_pool
-      else close_quiet rc.u_fd)
+      then r.r_pool <- p :: r.r_pool
+      else Listener.hang_up p)
 
 (* One attempt against one replica: fault sites first, then the wire.
    [`Timeout] is terminal (no failover — the work may still land);
@@ -540,25 +350,23 @@ let call_replica t r line =
   else if r.r_faulted && Fault.armed "router.slow_replica" then `Timeout
   else
     match take_conn t r with
-    | `Err m -> `Conn_err m
-    | `Ok rc ->
-      let deadline =
-        now () +. (float_of_int t.config.request_timeout_ms /. 1000.)
-      in
-      (match
-         rconn_request rc line ~deadline ~max_bytes:t.config.max_line_bytes
-       with
-       | (`Json _ | `Grid _) as ok ->
-         put_conn t r rc;
+    | Error m -> `Conn_err m
+    | Ok p ->
+      let deadline = now () +. seconds t.config.request_timeout_ms in
+      (match Listener.call p ~deadline line with
+       | `Reply payload ->
+         put_conn t r p;
          locked t (fun () ->
              r.r_served <- r.r_served + 1;
              note_success r);
-         ok
+         (match payload with
+          | Frame.Json_text s -> `Json s
+          | Frame.Grid_body b -> `Grid b)
        | `Timeout ->
-         close_quiet rc.u_fd;
+         Listener.hang_up p;
          `Timeout
-       | `Conn_err m ->
-         close_quiet rc.u_fd;
+       | `Failed m ->
+         Listener.hang_up p;
          `Conn_err m)
 
 (* Route [line] by [key] along the ring with bounded failover. *)
@@ -775,18 +583,19 @@ let submit_grid t ~model ~freqs =
 (* Stats *)
 
 let stats t =
+  let l = Listener.stats t.front in
   locked t (fun () ->
       { rt_requests = t.c_requests;
         rt_forwarded = t.c_forwarded;
         rt_failovers = t.c_failovers;
         rt_timeouts = t.c_timeouts;
         rt_unavailable = t.c_unavailable;
-        rt_shed = t.c_shed;
+        rt_shed = l.shed;
         rt_coalesce_batches = t.c_batches;
         rt_coalesce_hits = t.c_hits;
         rt_probes = t.c_probes;
-        rt_conns = t.conns;
-        rt_draining = t.stopping;
+        rt_conns = l.in_flight;
+        rt_draining = Listener.draining t.front;
         rt_replicas =
           List.map
             (fun r ->
@@ -800,6 +609,7 @@ let stats t =
 
 let stats_json t =
   let s = stats t in
+  let l = Listener.stats t.front in
   let n x = Sjson.Num (float_of_int x) in
   Sjson.Obj
     [ ("ok", Sjson.Bool true);
@@ -812,6 +622,10 @@ let stats_json t =
             ("timeouts", n s.rt_timeouts);
             ("unavailable", n s.rt_unavailable);
             ("shed", n s.rt_shed);
+            ("accepted", n l.accepted);
+            ("idle_timeouts", n l.idle_timeouts);
+            ("read_timeouts", n l.read_timeouts);
+            ("restarts", n l.restarts);
             ("coalesce_batches", n s.rt_coalesce_batches);
             ("coalesce_hits", n s.rt_coalesce_hits);
             ("probes", n s.rt_probes);
@@ -844,47 +658,38 @@ let probe_replica t r =
     if odd then Health.Failed else Health.Ok
   end
   else begin
-    let timeout_s = float_of_int t.config.connect_timeout_ms /. 1000. in
-    match connect_addr r.r_addr ~timeout_s with
-    | `Err _ -> Health.Failed
-    | `Ok fd ->
-      let deadline = now () +. timeout_s in
-      let ping =
-        Sjson.to_string (Sjson.Obj [ ("op", Sjson.Str "ping") ]) ^ "\n"
-      in
+    let timeout_s = seconds t.config.connect_timeout_ms in
+    match
+      Listener.dial r.r_addr ~timeout_s ~max_bytes:t.config.max_line_bytes
+        ~binary:false
+    with
+    | Error _ -> Health.Failed
+    | Ok p ->
       let verdict =
-        match write_all fd ping ~deadline with
-        | `Timeout | `Closed -> Health.Failed
-        | `Ok ->
-          let rd = Frame.Reader.create () in
-          let chunk = Bytes.create 4096 in
-          (match
-             read_payload fd rd chunk ~mode:Frame.Json ~deadline
-               ~max_bytes:t.config.max_line_bytes
-           with
-           | `Payload (Frame.Json_text s) ->
-             (match Sjson.parse s with
-              | j when Sjson.member "ok" j = Some (Sjson.Bool true) ->
-                if Sjson.member "draining" j = Some (Sjson.Bool true) then
-                  Health.Ok_draining
-                else Health.Ok
-              | _ -> Health.Failed
-              | exception Sjson.Parse_error _ -> Health.Failed)
-           | _ -> Health.Failed)
+        let deadline = now () +. timeout_s in
+        match Listener.call p ~deadline {|{"op": "ping"}|} with
+        | `Reply (Frame.Json_text s) ->
+          (match Sjson.parse s with
+           | j when Sjson.member "ok" j = Some (Sjson.Bool true) ->
+             if Sjson.member "draining" j = Some (Sjson.Bool true) then
+               Health.Ok_draining
+             else Health.Ok
+           | _ | (exception Sjson.Parse_error _) -> Health.Failed)
+        | _ -> Health.Failed
       in
-      close_quiet fd;
+      Listener.hang_up p;
       verdict
   end
 
 let health_loop t () =
-  let interval = float_of_int t.config.probe_interval_ms /. 1000. in
+  let interval = seconds t.config.probe_interval_ms in
+  let stopping () = Listener.draining t.front in
   let rec go () =
-    if t.stopping then ()
-    else begin
+    if not (stopping ()) then begin
       let reps = locked t (fun () -> t.replicas) in
       List.iter
         (fun r ->
-          if not t.stopping then begin
+          if not (stopping ()) then begin
             let probe = probe_replica t r in
             locked t (fun () ->
                 t.c_probes <- t.c_probes + 1;
@@ -892,8 +697,8 @@ let health_loop t () =
           end)
         reps;
       let until = now () +. interval in
-      while now () < until && not t.stopping do
-        Unix.sleepf (Float.min tick (until -. now ()))
+      while now () < until && not (stopping ()) do
+        Unix.sleepf (Float.min 0.05 (until -. now ()))
       done;
       go ()
     end
@@ -903,39 +708,13 @@ let health_loop t () =
 (* ------------------------------------------------------------------ *)
 (* Client-facing dispatch *)
 
-type reply =
-  | Rtext of string
-  | Rgrid_meta of (string * Sjson.t) list * Cmat.t array
-  | Rgrid_body of string
+let text j = Server.Text (Sjson.to_string j)
 
-let reply_bytes ~mode = function
-  | Rtext s ->
-    (match mode with
-     | Frame.Json -> s ^ "\n"
-     | Frame.Binary -> Frame.encode_json s)
-  | Rgrid_meta (fields, grid) ->
-    (match mode with
-     | Frame.Binary ->
-       Frame.encode_grid (Frame.grid_body ~meta:(Sjson.Obj fields) ~grid)
-     | Frame.Json ->
-       Sjson.to_string
-         (Sjson.Obj (fields @ [ ("results", Frame.results_json grid) ]))
-       ^ "\n")
-  | Rgrid_body body ->
-    (match mode with
-     | Frame.Binary -> Frame.encode_grid body
-     | Frame.Json ->
-       (* a JSON client behind a binary upstream: re-render from bits *)
-       (match Frame.decode_grid_body body with
-        | Sjson.Obj fields, grid ->
-          Sjson.to_string
-            (Sjson.Obj (fields @ [ ("results", Frame.results_json grid) ]))
-          ^ "\n"
-        | _ | (exception Mfti_error.Error _) ->
-          Sjson.to_string
-            (Server.protocol_error ~op:"eval-grid" ~kind:"parse"
-               ~message:"replica grid body is damaged" ())
-          ^ "\n"))
+(* An eval-grid answer in the connection's rendering: raw IEEE-754 for a
+   binary client, JSON re-rendered from the bits for a JSON one. *)
+let grid_reply ~binary fields grid =
+  if binary then Server.Grid (Frame.grid_body ~meta:(Sjson.Obj fields) ~grid)
+  else text (Sjson.Obj (fields @ [ ("results", Frame.results_json grid) ]))
 
 let member_str req k =
   match Sjson.member k req with Some (Sjson.Str s) -> Some s | _ -> None
@@ -951,12 +730,18 @@ let freqs_of req =
     else None
   | _ -> None
 
-let upstream_reply ?op t = function
-  | `Json s -> Rtext s
-  | `Grid b -> Rgrid_body b
-  | `Timeout ->
-    Rtext (Sjson.to_string (timeout_resp ?op t.config.request_timeout_ms))
-  | `Unavailable tried -> Rtext (Sjson.to_string (unavailable_resp ?op tried))
+let upstream_reply ?op t ~binary = function
+  | `Json s -> Server.Text s
+  | `Grid body when binary -> Server.Grid body
+  | `Grid body ->
+    (match Frame.decode_grid_body body with
+     | Sjson.Obj fields, grid -> grid_reply ~binary fields grid
+     | _ | (exception Mfti_error.Error _) ->
+       text
+         (Server.protocol_error ~op:"eval-grid" ~kind:"parse"
+            ~message:"replica grid body is damaged" ()))
+  | `Timeout -> text (timeout_resp ?op t.config.request_timeout_ms)
+  | `Unavailable tried -> text (unavailable_resp ?op tried)
 
 let pick_session_replica t =
   locked t (fun () ->
@@ -978,14 +763,13 @@ let pick_session_replica t =
 let op_register t req =
   match member_str req "replica" with
   | None ->
-    Rtext
-      (Sjson.to_string
-         (Server.protocol_error ~op:"register" ~kind:"validation"
-            ~message:"register needs a \"replica\" address" ()))
+    text
+      (Server.protocol_error ~op:"register" ~kind:"validation"
+         ~message:"register needs a \"replica\" address" ())
   | Some addr_s ->
-    (match parse_addr addr_s with
+    (match Listener.parse_addr addr_s with
      | exception Mfti_error.Error e ->
-       Rtext (Sjson.to_string (Server.error_response ~op:"register" e))
+       text (Server.error_response ~op:"register" e)
      | addr ->
        let count =
          locked t (fun () ->
@@ -1004,217 +788,74 @@ let op_register t req =
                     (List.map (fun r -> r.r_name) t.replicas));
              List.length t.replicas)
        in
-       Rtext
-         (Sjson.to_string
-            (Sjson.Obj
-               [ ("ok", Sjson.Bool true);
-                 ("op", Sjson.Str "register");
-                 ("replicas", Sjson.Num (float_of_int count)) ])))
+       text
+         (Sjson.Obj
+            [ ("ok", Sjson.Bool true);
+              ("op", Sjson.Str "register");
+              ("replicas", Sjson.Num (float_of_int count)) ]))
 
-(* [pinned] is the connection's sticky session replica (set by the
-   first successful fit-open).  Returns the reply plus a stop flag. *)
-let dispatch t ~pinned line =
+(* The client-side request handler.  [pinned] is the connection's
+   sticky session replica (set by the first successful fit-open).
+   Returns the reply plus a drain flag. *)
+let dispatch t ~pinned ~binary line =
   locked t (fun () -> t.c_requests <- t.c_requests + 1);
+  let upstream ?op res = (upstream_reply ?op t ~binary res, false) in
   match Sjson.parse line with
   | exception Sjson.Parse_error _ ->
     (* let a replica render the typed parse error so clients see the
        exact same diagnostics with or without a router in front *)
-    (upstream_reply t (exec_upstream t ~key:"" line), false)
+    upstream (exec_upstream t ~key:"" line)
   | req ->
     let op = member_str req "op" in
     (match op with
      | Some "ping" ->
-       ( Rtext
-           (Sjson.to_string
-              (Sjson.Obj
-                 [ ("ok", Sjson.Bool true);
-                   ("op", Sjson.Str "ping");
-                   ("draining", Sjson.Bool t.stopping) ])),
+       ( text
+           (Sjson.Obj
+              [ ("ok", Sjson.Bool true);
+                ("op", Sjson.Str "ping");
+                ("draining", Sjson.Bool (Listener.draining t.front)) ]),
          false )
-     | Some "stats" -> (Rtext (Sjson.to_string (stats_json t)), false)
+     | Some "stats" -> (text (stats_json t), false)
      | Some "register" -> (op_register t req, false)
      | Some "shutdown" ->
-       ( Rtext
-           (Sjson.to_string
-              (Sjson.Obj
-                 [ ("ok", Sjson.Bool true); ("op", Sjson.Str "shutdown") ])),
+       ( text
+           (Sjson.Obj [ ("ok", Sjson.Bool true); ("op", Sjson.Str "shutdown") ]),
          true )
      | Some "eval-grid" ->
        (match (member_str req "model", freqs_of req) with
         | Some model, Some freqs ->
           (match submit_grid t ~model ~freqs with
-           | `Text s -> (Rtext s, false)
-           | `Grid_meta (fields, grid) -> (Rgrid_meta (fields, grid), false))
+           | `Text s -> (Server.Text s, false)
+           | `Grid_meta (fields, grid) ->
+             (grid_reply ~binary fields grid, false))
         | _ ->
           (* malformed eval-grid: forward for the replica's typed error *)
           let key = Option.value ~default:"" (member_str req "model") in
-          (upstream_reply ~op:"eval-grid" t (exec_upstream t ~key line), false))
+          upstream ~op:"eval-grid" (exec_upstream t ~key line))
      | Some o
        when String.length o >= 4 && String.sub o 0 4 = "fit-" ->
        (* session ops are connection-sticky *)
        (match !pinned with
         | Some name ->
           (match locked t (fun () -> find_replica t name) with
-           | Some r -> (upstream_reply ~op:o t (exec_on_replica t r line), false)
-           | None -> (Rtext (Sjson.to_string (unavailable_resp ~op:o 0)), false))
+           | Some r -> upstream ~op:o (exec_on_replica t r line)
+           | None -> upstream ~op:o (`Unavailable 0))
         | None ->
           if o = "fit-open" then (
             match pick_session_replica t with
-            | None ->
-              (Rtext (Sjson.to_string (unavailable_resp ~op:o 0)), false)
+            | None -> upstream ~op:o (`Unavailable 0)
             | Some r ->
               let res = exec_on_replica t r line in
               (match res with
                | `Json _ -> pinned := Some r.r_name
                | _ -> ());
-              (upstream_reply ~op:o t res, false))
+              upstream ~op:o res)
           else
             let key = Option.value ~default:"" (member_str req "session") in
-            (upstream_reply ~op:o t (exec_upstream ~attempts:1 t ~key line), false))
+            upstream ~op:o (exec_upstream ~attempts:1 t ~key line))
      | _ ->
        let key = Option.value ~default:"" (member_str req "model") in
-       (upstream_reply ?op t (exec_upstream t ~key line), false))
-
-(* ------------------------------------------------------------------ *)
-(* Drain *)
-
-let request_stop t =
-  locked t (fun () -> t.stopping <- true)
-
-(* ------------------------------------------------------------------ *)
-(* Client connections *)
-
-let client_loop t conn () =
-  let cfg = t.config in
-  let reader = Frame.Reader.create () in
-  let chunk = Bytes.create 65536 in
-  let mode = ref Frame.Json in
-  let pinned = ref None in
-  let idle_s = float_of_int cfg.idle_timeout_ms /. 1000. in
-  let req_s = float_of_int cfg.request_timeout_ms /. 1000. in
-  let send reply =
-    write_all conn (reply_bytes ~mode:!mode reply)
-      ~deadline:(now () +. req_s)
-  in
-  let rec loop () =
-    match
-      read_payload conn reader chunk ~mode:!mode
-        ~deadline:(now () +. idle_s) ~max_bytes:cfg.max_line_bytes
-        ~stop:(fun () -> t.stopping)
-    with
-    | `Eof | `Timeout -> ()          (* idle expiry / drain: silent close *)
-    | `Timeout_partial ->
-      ignore
-        (send
-           (Rtext
-              (Sjson.to_string
-                 (Server.protocol_error ~kind:"timeout"
-                    ~message:
-                      (Printf.sprintf "request frame deadline exceeded (%d ms)"
-                         cfg.idle_timeout_ms)
-                    ()))))
-    | `Err msg ->
-      ignore
-        (send
-           (Rtext
-              (Sjson.to_string
-                 (Server.protocol_error ~kind:"parse" ~message:msg ()))))
-    | `Payload (Frame.Grid_body _) ->
-      ignore
-        (send
-           (Rtext
-              (Sjson.to_string
-                 (Server.protocol_error ~kind:"parse"
-                    ~message:"grid frames are response-only" ()))))
-    | `Payload (Frame.Json_text "") -> loop ()
-    | `Payload (Frame.Json_text line) ->
-      (match Frame.is_hello line with
-       | Some frames ->
-         let reply, next_mode =
-           match frames with
-           | "binary" -> (Frame.hello_ack "binary", Some Frame.Binary)
-           | "json" -> (Frame.hello_ack "json", Some Frame.Json)
-           | other ->
-             ( Sjson.to_string
-                 (Server.protocol_error ~op:"hello" ~kind:"validation"
-                    ~message:
-                      (Printf.sprintf
-                         "unknown frames value %S (want \"json\" or \
-                          \"binary\")"
-                         other)
-                    ()),
-               None )
-         in
-         (match send (Rtext reply) with
-          | `Ok ->
-            (match next_mode with Some m -> mode := m | None -> ());
-            loop ()
-          | `Closed | `Timeout -> ())
-       | None ->
-         let reply, stop = dispatch t ~pinned line in
-         (match send reply with
-          | `Ok -> if stop then request_stop t else loop ()
-          | `Closed | `Timeout -> ()))
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      close_quiet conn;
-      locked t (fun () -> t.conns <- t.conns - 1))
-    loop
-
-(* ------------------------------------------------------------------ *)
-(* Accept loop *)
-
-let shed t conn =
-  locked t (fun () -> t.c_shed <- t.c_shed + 1);
-  ignore
-    (write_all conn
-       (Sjson.to_string
-          (Server.protocol_error ~kind:"overloaded"
-             ~message:"router connection cap reached; retry with backoff" ())
-        ^ "\n")
-       ~deadline:(now () +. 1.0));
-  close_quiet conn
-
-let accept_loop t () =
-  let rec go () =
-    if t.stopping then ()
-    else
-      match Unix.select [ t.listen_fd ] [] [] tick with
-      | [], _, _ -> go ()
-      | _ ->
-        (match Unix.accept t.listen_fd with
-         | conn, _ ->
-           (match t.listen with
-            | Supervisor.Tcp _ ->
-              (try Unix.setsockopt conn Unix.TCP_NODELAY true
-               with Unix.Unix_error _ -> ())
-            | Supervisor.Unix_path _ -> ());
-           let admitted =
-             locked t (fun () ->
-                 if t.stopping || t.conns >= t.config.max_conns then false
-                 else begin
-                   t.conns <- t.conns + 1;
-                   true
-                 end)
-           in
-           if admitted then begin
-             let th = Thread.create (client_loop t conn) () in
-             locked t (fun () -> t.threads <- th :: t.threads)
-           end
-           else shed t conn;
-           go ()
-         | exception
-             Unix.Unix_error
-               ( ( Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK
-                 | Unix.ECONNABORTED ),
-                 _,
-                 _ ) ->
-           go ())
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-  in
-  (try go () with _ -> ());
-  (try Unix.close t.listen_fd with Unix.Unix_error _ -> ())
+       upstream ?op (exec_upstream t ~key line))
 
 (* ------------------------------------------------------------------ *)
 (* Lifecycle *)
@@ -1236,73 +877,37 @@ let start ?(config = default_config) ~listen ~replicas () =
   let reps =
     List.mapi
       (fun i a ->
-        { r_name = a; r_addr = parse_addr a; r_faulted = i = 0;
+        { r_name = a; r_addr = Listener.parse_addr a; r_faulted = i = 0;
           r_state = Health.Up; r_fails = 0; r_pool = [];
           r_next_attempt = 0.; r_backoff_ms = 0; r_served = 0;
           r_errors = 0; r_rejoins = 0; r_flap = 0 })
       replicas
   in
-  let listen_fd, bound =
-    match listen with
-    | Supervisor.Unix_path path -> (Server.bind_unix ~path, None)
-    | Supervisor.Tcp (host, port) ->
-      let fd, p = Server.bind_tcp ~host ~port in
-      (fd, Some p)
+  let front =
+    Listener.create ~context:"router" (listener_config config) listen
   in
   let t =
-    { config; listen; listen_fd; bound;
+    { config; front;
       mu = Mutex.create ();
       replicas = reps;
       ring = Ring.make ~vnodes:config.vnodes replicas;
       slots = Hashtbl.create 32;
       session_rr = 0;
-      stopping = false; stopped = false;
-      conns = 0;
       c_requests = 0; c_forwarded = 0; c_failovers = 0; c_timeouts = 0;
-      c_unavailable = 0; c_shed = 0; c_batches = 0; c_hits = 0;
-      c_probes = 0;
-      threads = []; accept_thread = None; health_thread = None }
+      c_unavailable = 0; c_batches = 0; c_hits = 0; c_probes = 0;
+      health_thread = None }
   in
-  t.accept_thread <- Some (Thread.create (accept_loop t) ());
+  (* the router is IO-bound: systhread runners, one per client *)
+  Listener.start front ~runner:Listener.Threads ~on_conn:(fun _ ->
+      dispatch t ~pinned:(ref None));
   t.health_thread <- Some (Thread.create (health_loop t) ());
   t
 
-let bound_port t = t.bound
-
-let wait t =
-  let rec go () =
-    if not (locked t (fun () -> t.stopping)) then begin
-      Unix.sleepf tick;
-      go ()
-    end
-  in
-  go ()
+let bound_port t = Listener.bound_port t.front
+let wait t = Listener.wait t.front
 
 let stop t =
-  if t.stopped then ()
-  else begin
-    request_stop t;
-    (* let in-flight client connections notice the drain *)
-    let deadline = now () +. 2.0 in
-    let rec wait_conns () =
-      if locked t (fun () -> t.conns) > 0 && now () < deadline then begin
-        Unix.sleepf 0.02;
-        wait_conns ()
-      end
-    in
-    wait_conns ();
-    (match t.accept_thread with Some th -> Thread.join th | None -> ());
-    (match t.health_thread with Some th -> Thread.join th | None -> ());
-    List.iter Thread.join (locked t (fun () -> t.threads));
-    locked t (fun () -> List.iter flush_pool t.replicas);
-    (match t.listen with
-     | Supervisor.Unix_path path ->
-       (try Unix.unlink path with Unix.Unix_error _ -> ())
-     | Supervisor.Tcp _ -> ());
-    t.stopped <- true
-  end
-
-let run ?config ~listen ~replicas () =
-  let t = start ?config ~listen ~replicas () in
-  wait t;
-  stop t
+  Listener.stop t.front;
+  Option.iter Thread.join t.health_thread;
+  t.health_thread <- None;
+  locked t (fun () -> List.iter flush_pool t.replicas)

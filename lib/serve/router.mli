@@ -2,8 +2,11 @@
     servers.
 
     Clients speak the ordinary {!Server} protocol to the router (JSON
-    lines, or binary frames after a [hello] — see {!Frame}); the router
-    owns which replica answers:
+    lines, or binary frames after a [hello] — see {!Frame}) over the
+    {!Listener} connection layer, with [max_conns] systhread runners
+    and no queue: the router is IO-bound, so a cheap thread per client
+    connection, shed exactly at the cap.  The router owns which replica
+    answers:
 
     - {b Sharding}: models are spread over the replica fleet by
       consistent hashing on the model id ({!Ring}: FNV-1a over
@@ -56,9 +59,9 @@
     and will be refused by a replica that does not hold it — typed,
     never a hang.
 
-    Local ops (never forwarded): ["ping"], ["stats"] (router counters
-    plus per-replica health), ["register"], ["shutdown"] (drains the
-    router, not the replicas), and the [hello] negotiation.
+    Local ops (never forwarded): ["ping"], ["stats"] (router and
+    connection counters plus per-replica health), ["register"], and
+    ["shutdown"] (drains the router, not the replicas).
 
     Fault sites (see {!Linalg.Fault}), all targeting the {e first}
     configured replica so chaos runs replay exactly:
@@ -108,7 +111,7 @@ type config = {
   fail_threshold : int;      (** consecutive failures before [Down] *)
   max_failover : int;        (** extra candidates tried after the first *)
   connect_timeout_ms : int;  (** upstream connect / probe deadline *)
-  request_timeout_ms : int;  (** upstream request deadline *)
+  request_timeout_ms : int;  (** upstream, partial-frame and reply deadline *)
   idle_timeout_ms : int;     (** client keep-alive between frames *)
   max_conns : int;           (** client connection cap (then shed) *)
   coalesce_hold_ms : int;    (** hold a fresh batch open this long *)
@@ -147,20 +150,16 @@ type snapshot = {
   rt_replicas : replica_snapshot list;
 }
 
-(** [parse_addr s] reads a replica/listen address: [host:port] (no
-    [/]) is TCP, anything else a Unix socket path.  Raises
-    {!Linalg.Mfti_error.Error} ([Validation]) on a malformed port. *)
-val parse_addr : string -> Supervisor.listener
-
 type t
 
 (** [start ~listen ~replicas ()] binds the client listener, spawns the
-    accept loop and health prober, and returns immediately.  [replicas]
-    are addresses per {!parse_addr}; the list must be non-empty and
-    duplicate-free (typed [Validation] otherwise).  The {e first}
-    replica is the chaos target for the [router.*] fault sites. *)
+    client runners and health prober, and returns immediately.
+    [replicas] are addresses per {!Listener.parse_addr}; the list must
+    be non-empty and duplicate-free (typed [Validation] otherwise).
+    The {e first} replica is the chaos target for the [router.*] fault
+    sites. *)
 val start :
-  ?config:config -> listen:Supervisor.listener -> replicas:string list ->
+  ?config:config -> listen:Listener.addr -> replicas:string list ->
   unit -> t
 
 (** The actual TCP port bound ([None] for a Unix listener). *)
@@ -172,12 +171,7 @@ val stats : t -> snapshot
 (** Block until a client's [{"op":"shutdown"}] initiates the drain. *)
 val wait : t -> unit
 
-(** Stop accepting, let in-flight client connections finish briefly,
-    close upstream pools, join every thread.  Replicas are left
+(** Stop accepting, let in-flight client connections finish within
+    2 s, close upstream pools, join every thread.  Replicas are left
     running.  Idempotent. *)
 val stop : t -> unit
-
-(** [run ~listen ~replicas ()] is {!start}, {!wait}, then {!stop}. *)
-val run :
-  ?config:config -> listen:Supervisor.listener -> replicas:string list ->
-  unit -> unit

@@ -954,106 +954,3 @@ let serve_channels t ic oc =
     | exception End_of_file -> `Eof
   in
   loop ()
-
-(* Bind a listening Unix socket at [path] without the unlink-then-bind
-   race: blindly unlinking would delete a *live* server's socket.  A
-   pre-existing path is probed with [connect] — a successful connect
-   means someone is serving there (typed error); a refused connect
-   means a stale file from a dead process (safe to remove).  Only a
-   successful bind confers ownership of the path; callers release it
-   with [release_unix], which unlinks only what we bound. *)
-let bind_unix ~path =
-  (match Unix.stat path with
-   | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
-   | { Unix.st_kind = Unix.S_SOCK; _ } ->
-     let probe = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-     let live =
-       match Unix.connect probe (Unix.ADDR_UNIX path) with
-       | () -> true
-       | exception Unix.Unix_error _ -> false
-     in
-     (try Unix.close probe with Unix.Unix_error _ -> ());
-     if live then
-       invalid ("socket path " ^ path ^ " already has a live server")
-     else (try Unix.unlink path with Unix.Unix_error _ -> ())
-   | _ -> invalid ("socket path " ^ path ^ " exists and is not a socket"));
-  (* a client closing mid-response must surface as EPIPE, not kill the
-     process with SIGPIPE *)
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-   with Invalid_argument _ -> ());
-  let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  match
-    Unix.bind sock (Unix.ADDR_UNIX path);
-    Unix.listen sock 64
-  with
-  | () -> sock
-  | exception e ->
-    (try Unix.close sock with Unix.Unix_error _ -> ());
-    raise e
-
-let release_unix ~path sock =
-  (try Unix.close sock with Unix.Unix_error _ -> ());
-  try Unix.unlink path with Unix.Unix_error _ -> ()
-
-(* TCP listener beside the Unix-socket path.  Port 0 asks the kernel
-   for an ephemeral port; the actual bound port is returned so tests
-   and replica fleets can avoid collisions.  SO_REUSEADDR lets a
-   restarted replica rebind its address immediately — rejoin must not
-   wait out TIME_WAIT. *)
-let bind_tcp ~host ~port =
-  if port < 0 || port > 0xffff then
-    invalid (Printf.sprintf "tcp port %d out of range" port);
-  let addr =
-    match Unix.inet_addr_of_string host with
-    | a -> a
-    | exception Failure _ ->
-      (match Unix.gethostbyname host with
-       | { Unix.h_addr_list = [||]; _ } ->
-         invalid ("cannot resolve host " ^ host)
-       | h -> h.Unix.h_addr_list.(0)
-       | exception Not_found -> invalid ("cannot resolve host " ^ host))
-  in
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-   with Invalid_argument _ -> ());
-  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  match
-    Unix.setsockopt sock Unix.SO_REUSEADDR true;
-    Unix.bind sock (Unix.ADDR_INET (addr, port));
-    Unix.listen sock 64;
-    (match Unix.getsockname sock with
-     | Unix.ADDR_INET (_, p) -> p
-     | _ -> port)
-  with
-  | bound -> (sock, bound)
-  | exception Unix.Unix_error (Unix.EADDRINUSE, _, _) ->
-    (try Unix.close sock with Unix.Unix_error _ -> ());
-    invalid (Printf.sprintf "tcp address %s:%d already in use" host port)
-  | exception e ->
-    (try Unix.close sock with Unix.Unix_error _ -> ());
-    raise e
-
-let serve_unix_socket t ~path =
-  let sock = bind_unix ~path in
-  let rec accept_loop () =
-    let conn, _ = Unix.accept sock in
-    let ic = Unix.in_channel_of_descr conn in
-    let oc = Unix.out_channel_of_descr conn in
-    (* [Fun.protect] so an exception between accept and close cannot
-       leak the descriptor; closing the *channels* (out first) flushes
-       any buffered response bytes to a draining client.  Both channels
-       share the fd, so the second close reports EBADF — ignored. *)
-    let outcome =
-      Fun.protect
-        ~finally:(fun () ->
-          (try close_out oc with Sys_error _ -> ());
-          (try close_in ic with Sys_error _ -> ()))
-        (fun () ->
-          (* a client vanishing mid-response (EPIPE under the channel)
-             ends that connection, not the server *)
-          match serve_channels t ic oc with
-          | outcome -> outcome
-          | exception Sys_error _ -> `Eof)
-    in
-    match outcome with `Stop -> () | `Eof -> accept_loop ()
-  in
-  Fun.protect ~finally:(fun () -> release_unix ~path sock) accept_loop

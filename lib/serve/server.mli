@@ -3,8 +3,8 @@
     Serves a directory of packed artifacts ([<root>/<id>.mfti]) over a
     line-delimited-JSON protocol: one request object per line in, one
     response object per line out.  No external dependencies — the
-    transport is stdin/stdout ({!serve_channels}) or a Unix domain
-    socket ({!serve_unix_socket}).
+    transport is stdin/stdout ({!serve_channels}), or a Unix domain or
+    TCP socket through {!Supervisor}.
 
     {2 Protocol}
 
@@ -27,7 +27,7 @@
       its listener goes away.
     - [{"op":"shutdown"}] — acknowledge and stop the serve loop.
 
-    Connections through the concurrent transports ({!Supervisor},
+    Socket connections ({!Listener}, under {!Supervisor} and
     {!Router}) may additionally negotiate length-prefixed {b binary
     frames} with [{"op":"hello","frames":"binary"}] — see {!Frame}.
     The negotiation never reaches this module; {!handle_request} is
@@ -199,44 +199,12 @@ val protocol_error : ?op:string -> kind:string -> message:string -> unit -> Sjso
     every line.  Returns how the loop ended. *)
 val serve_channels : t -> in_channel -> out_channel -> [ `Eof | `Stop ]
 
-(** [bind_unix ~path] binds and listens on a Unix domain socket at
-    [path] without the unlink-then-bind race: if the path is currently
-    connectable (a live server owns it) the call fails with a typed
-    {!Linalg.Mfti_error.Validation} error instead of deleting the live
-    socket; a stale file from a dead process is removed and rebound.
-    SIGPIPE is set to ignore.  A successful bind confers ownership —
-    release with {!release_unix}. *)
-val bind_unix : path:string -> Unix.file_descr
-
-(** [release_unix ~path sock] closes the listening socket and unlinks
-    the path we own.  Never raises. *)
-val release_unix : path:string -> Unix.file_descr -> unit
-
-(** [bind_tcp ~host ~port] binds and listens on a TCP address and
-    returns the socket with the actual bound port (useful with
-    [~port:0], which picks an ephemeral port).  [SO_REUSEADDR] is set
-    so a restarted replica rebinds without waiting out TIME_WAIT; a
-    busy address or unresolvable host is a typed
-    {!Linalg.Mfti_error.Validation} error.  SIGPIPE is set to
-    ignore. *)
-val bind_tcp : host:string -> port:int -> Unix.file_descr * int
-
-(** Bind a Unix domain socket at [path] (via {!bind_unix}), accept
-    connections sequentially, and serve each until EOF.  Per-connection
-    channels are closed through [Fun.protect] (output first, flushing
-    buffered bytes) so an error between accept and close can never leak
-    the descriptor.  Returns after a shutdown request; the socket file
-    is removed.  For concurrent serving with deadlines and load
-    shedding use {!Supervisor} instead. *)
-val serve_unix_socket : t -> path:string -> unit
-
 (** Counters snapshot: total/per-op request counts, error count,
     latency totals and maxima (seconds), bytes in/out, cache
     hits/misses/evictions/residency, uptime. *)
 val stats_json : t -> Sjson.t
 
 (** Record a client vanishing mid-response (EPIPE / reset during a
-    write).  The channel loops count their own; the {!Supervisor} and
-    {!Router} transports call this so ["conn_drops"] in {!stats_json}
-    covers every transport. *)
+    write).  The channel loop counts its own; {!Supervisor} calls this
+    so ["conn_drops"] in {!stats_json} covers every transport. *)
 val note_conn_drop : t -> unit

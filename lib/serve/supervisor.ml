@@ -1,18 +1,8 @@
 open Linalg
 
-(* Supervised concurrent serving.
-
-   One accept loop owns the listening socket and dispatches each
-   connection into a bounded admission queue; a fixed set of workers
-   (OCaml 5 domains, falling back to threads when the domain budget is
-   exhausted) pops connections and serves them with per-connection
-   idle/frame deadlines and a per-request deadline.  When the queue is
-   full the accept loop sheds: the client gets a typed "overloaded"
-   response immediately instead of waiting in an unbounded backlog.
-   A worker whose connection handler dies is restarted with
-   exponential backoff; a shutdown request drains gracefully — stop
-   accepting, finish in-flight work under a drain deadline, then
-   force-close stragglers and join everything.
+(* Supervised concurrent serving: the {!Listener} connection layer on
+   domain runners, plus this request handler — fault sites, the request
+   deadline and per-worker latency stats.
 
    Workers run their evaluations under [Parallel.with_sequential]:
    the domain pool's submission protocol assumes one submitting domain
@@ -20,7 +10,7 @@ open Linalg
    pool, not from the kernels.  (Thread-fallback workers share the
    spawning domain's sequential flag; they too evaluate inline.) *)
 
-type config = {
+type config = Listener.config = {
   workers : int;
   queue : int;
   request_timeout_ms : int;
@@ -43,10 +33,8 @@ let default_config =
 
 type worker_stat = {
   mutable served : int;
-  mutable conns : int;
   mutable w_total_s : float;
   mutable w_max_s : float;
-  mutable w_restarts : int;
 }
 
 type worker_snapshot = {
@@ -74,479 +62,81 @@ type snapshot = {
   per_worker : worker_snapshot array;
 }
 
-type runner = Dom of unit Domain.t | Thr of Thread.t
-
-type listener = Unix_path of string | Tcp of string * int
+type listener = Listener.addr = Unix_path of string | Tcp of string * int
 
 type t = {
   server : Server.t;
   config : config;
-  listen : listener;
-  bound : int option;                   (* actual TCP port *)
-  listen_fd : Unix.file_descr;
-  mu : Mutex.t;
-  nonempty : Condition.t;               (* queue gained work, or draining *)
-  queue : Unix.file_descr Queue.t;
-  active : (int, Unix.file_descr) Hashtbl.t;  (* worker index -> live conn *)
+  front : Listener.t;
+  mu : Mutex.t;                         (* guards the counters below *)
   wstats : worker_stat array;
-  mutable s_accepted : int;
-  mutable s_dispatched : int;
-  mutable s_shed : int;
-  mutable s_idle_timeouts : int;
-  mutable s_read_timeouts : int;
-  mutable s_request_timeouts : int;
-  mutable s_restarts : int;
-  mutable s_queue_max : int;
-  mutable s_in_flight : int;
-  mutable stopping : bool;              (* drain initiated *)
-  mutable accept_done : bool;
-  mutable stopped : bool;               (* joined and cleaned up *)
-  mutable runners : runner list;
-  mutable accept_runner : runner option;
+  mutable request_timeouts : int;
 }
 
 (* ------------------------------------------------------------------ *)
-(* Low-level socket I/O with deadlines (wall-clock seconds) *)
+(* Request handler (runs on worker [i]) *)
 
-let now () = Unix.gettimeofday ()
+let request_op line =
+  match Sjson.member "op" (Sjson.parse line) with
+  | Some (Sjson.Str op) -> Some op
+  | _ | (exception Sjson.Parse_error _) -> None
 
-(* Ticked select so the loop notices [stopping] and forced shutdowns
-   promptly; the tick is coarse enough to stay off the profile. *)
-let tick = 0.05
-
-let write_all_deadline fd s ~deadline =
-  let len = String.length s in
-  let rec go off =
-    if off >= len then `Ok
-    else
-      let t = now () in
-      if t >= deadline then `Timeout
-      else
-        match Unix.select [] [ fd ] [] (Float.min tick (deadline -. t)) with
-        | _, [], _ -> go off
-        | _ ->
-          (match Unix.write_substring fd s off (len - off) with
-           | k -> go (off + k)
-           | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _)
-             -> `Closed)
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
+let handle t i ~binary line =
+  let req_timeout_s = float_of_int t.config.request_timeout_ms /. 1000. in
+  let t0 = Listener.now () in
+  (* deterministic chaos: a handler that dies mid-connection; the
+     listener counts a restart and backs off *)
+  Fault.check "serve.conn_drop";
+  (* deterministic chaos: a request that blows its deadline *)
+  if Fault.armed "serve.stall" then Unix.sleepf (2. *. req_timeout_s);
+  let reply, stop =
+    Parallel.with_sequential (fun () ->
+        Server.handle_request t.server ~binary line)
   in
-  go 0
-
-(* ------------------------------------------------------------------ *)
-(* Frame reader: accumulate bytes, hand out complete frames under the
-   connection's negotiated mode — newline-delimited JSON lines, or
-   length-prefixed binary frames ({!Frame.Reader} owns the buffering
-   and extraction for both).
-
-   Deadline policy: an *idle* connection (no partial frame pending) may
-   sit for [idle_timeout_ms]; once the first byte of a frame arrives,
-   the rest must follow within [request_timeout_ms] — a slow client
-   cannot hold a worker hostage for the idle window.  The
-   ["serve.slow_client"] fault site forces the partial-frame expiry
-   deterministically, without real clock time. *)
-
-type frame =
-  [ `Line of string      (* complete request payload (JSON text) *)
-  | `Timeout_idle        (* keep-alive expired with no frame pending *)
-  | `Timeout_partial     (* client stalled mid-frame *)
-  | `Eof
-  | `Too_long
-  | `Bad of string       (* malformed binary frame; stream is lost *)
-  | `Drain ]             (* draining and nothing buffered *)
-
-let read_frame t conn reader chunk ~mode : frame =
-  let cfg = t.config in
-  let started = now () in
-  let idle_deadline = started +. (float_of_int cfg.idle_timeout_ms /. 1000.) in
-  let frame_deadline = ref None in      (* set when the frame starts *)
-  let rec go () =
-    match Frame.Reader.next reader ~mode ~max_bytes:cfg.max_line_bytes with
-    | `Frame (Frame.Json_text line) -> `Line line
-    | `Frame (Frame.Grid_body _) -> `Bad "grid frames are response-only"
-    | `Too_long -> `Too_long
-    | `Bad m -> `Bad m
-    | `None ->
-      begin
-        let partial = Frame.Reader.pending reader > 0 in
-        if partial && !frame_deadline = None then
-          frame_deadline :=
-            Some (now () +. (float_of_int cfg.request_timeout_ms /. 1000.));
-        if partial && Fault.armed "serve.slow_client" then `Timeout_partial
-        else begin
-          let deadline =
-            match !frame_deadline with
-            | Some d -> Float.min d idle_deadline
-            | None -> idle_deadline
-          in
-          let t' = now () in
-          if t' >= deadline then
-            (if partial then `Timeout_partial else `Timeout_idle)
-          else if t.stopping && not partial then `Drain
-          else
-            match Unix.select [ conn ] [] [] (Float.min tick (deadline -. t')) with
-            | [], _, _ -> go ()
-            | _ ->
-              (match Unix.read conn chunk 0 (Bytes.length chunk) with
-               | 0 ->
-                 (* EOF with a trailing unterminated JSON line: serve
-                    it, the way [input_line] would on the stdio
-                    transport.  A truncated binary frame at EOF is just
-                    EOF — its length prefix promised bytes that never
-                    came. *)
-                 if partial && mode = Frame.Json then
-                   `Line (Frame.Reader.take_rest reader)
-                 else `Eof
-               | k ->
-                 Frame.Reader.add reader chunk k;
-                 go ()
-               | exception
-                   Unix.Unix_error
-                     ((Unix.ECONNRESET | Unix.EPIPE | Unix.EBADF), _, _) ->
-                 `Eof)
-            | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-        end
-      end
-  in
-  go ()
-
-(* ------------------------------------------------------------------ *)
-(* Typed protocol responses for supervisor-level conditions *)
-
-(* Render a reply under the connection's frame mode.  JSON-lines mode
-   never sees [Server.Grid] — {!Server.handle_request} only produces it
-   when asked for binary rendering. *)
-let reply_bytes ~mode (reply : Server.reply) =
-  match (mode, reply) with
-  | Frame.Json, Server.Text s -> s ^ "\n"
-  | Frame.Binary, Server.Text s -> Frame.encode_json s
-  | Frame.Binary, Server.Grid body -> Frame.encode_grid body
-  | Frame.Json, Server.Grid _ -> assert false
-
-let send_reply conn ~mode ~deadline reply =
-  write_all_deadline conn (reply_bytes ~mode reply) ~deadline
-
-let send_response ?(mode = Frame.Json) conn ~deadline json =
-  ignore (send_reply conn ~mode ~deadline (Server.Text (Sjson.to_string json)))
-
-let overloaded_response queue =
-  Server.protocol_error ~kind:"overloaded"
-    ~message:
-      (Printf.sprintf
-         "admission queue full (%d waiting); retry with backoff" queue)
-    ()
-
-let timeout_response ?op what ms =
-  Server.protocol_error ?op ~kind:"timeout"
-    ~message:(Printf.sprintf "%s deadline exceeded (%d ms)" what ms)
-    ()
-
-(* ------------------------------------------------------------------ *)
-(* Drain initiation *)
-
-let request_stop t =
-  Mutex.lock t.mu;
-  let first = not t.stopping in
-  if first then begin
-    t.stopping <- true;
-    Condition.broadcast t.nonempty
-  end;
-  Mutex.unlock t.mu;
-  (* new fit sessions are refused for the whole drain window; sessions
-     already open keep streaming until their connection finishes *)
-  if first then Server.set_draining t.server true
-
-(* ------------------------------------------------------------------ *)
-(* Connection handler (runs on a worker) *)
-
-let handle_conn t i conn =
-  Parallel.with_sequential @@ fun () ->
-  let cfg = t.config in
-  let ws = t.wstats.(i) in
-  let reader = Frame.Reader.create () in
-  let chunk = Bytes.create 4096 in
-  let mode = ref Frame.Json in
-  let req_timeout_s = float_of_int cfg.request_timeout_ms /. 1000. in
-  let rec serve_loop () =
-    match read_frame t conn reader chunk ~mode:!mode with
-    | `Drain | `Eof -> ()
-    | `Too_long ->
-      send_response ~mode:!mode conn ~deadline:(now () +. req_timeout_s)
-        (Server.protocol_error ~kind:"validation"
-           ~message:
-             (Printf.sprintf "request frame exceeds the %d-byte cap"
-                cfg.max_line_bytes)
-           ())
-    | `Bad msg ->
-      (* the stream is desynchronized past a malformed binary frame:
-         answer with a typed error and close *)
-      send_response ~mode:!mode conn ~deadline:(now () +. req_timeout_s)
-        (Server.protocol_error ~kind:"parse"
-           ~message:("malformed frame: " ^ msg) ())
-    | `Timeout_idle ->
-      Mutex.lock t.mu;
-      t.s_idle_timeouts <- t.s_idle_timeouts + 1;
-      Mutex.unlock t.mu
-      (* silent close: an idle keep-alive expiry is not an error *)
-    | `Timeout_partial ->
-      Mutex.lock t.mu;
-      t.s_read_timeouts <- t.s_read_timeouts + 1;
-      Mutex.unlock t.mu;
-      send_response ~mode:!mode conn ~deadline:(now () +. req_timeout_s)
-        (timeout_response "request frame" cfg.request_timeout_ms)
-    | `Line "" -> serve_loop ()       (* blank keep-alive lines *)
-    | `Line line ->
-      (match Frame.is_hello line with
-       | Some frames ->
-         (* frame negotiation is transport-level: ack in the old mode,
-            then switch.  An unknown value is a typed refusal and the
-            mode stays put. *)
-         let reply, next_mode =
-           match frames with
-           | "binary" -> (Frame.hello_ack "binary", Some Frame.Binary)
-           | "json" -> (Frame.hello_ack "json", Some Frame.Json)
-           | other ->
-             ( Sjson.to_string
-                 (Server.protocol_error ~op:"hello" ~kind:"validation"
-                    ~message:
-                      (Printf.sprintf
-                         "unknown frames value %S (want \"json\" or \
-                          \"binary\")"
-                         other)
-                    ()),
-               None )
-         in
-         (match
-            send_reply conn ~mode:!mode
-              ~deadline:(now () +. req_timeout_s)
-              (Server.Text reply)
-          with
-          | `Ok ->
-            (match next_mode with Some m -> mode := m | None -> ());
-            serve_loop ()
-          | `Closed -> Server.note_conn_drop t.server
-          | `Timeout -> ())
-       | None ->
-         let t0 = now () in
-         (* deterministic chaos: a handler that dies mid-connection; the
-            worker's supervisor loop catches, counts a restart, and
-            backs off *)
-         Fault.check "serve.conn_drop";
-         (* deterministic chaos: a request that blows its deadline *)
-         if Fault.armed "serve.stall" then Unix.sleepf (2. *. req_timeout_s);
-         let reply, stop =
-           Server.handle_request t.server
-             ~binary:(!mode = Frame.Binary) line
-         in
-         let dt = now () -. t0 in
-         let reply =
-           if dt > req_timeout_s then begin
-             Mutex.lock t.mu;
-             t.s_request_timeouts <- t.s_request_timeouts + 1;
-             Mutex.unlock t.mu;
-             let op =
-               match Sjson.parse line with
-               | req ->
-                 (match Sjson.member "op" req with
-                  | Some (Sjson.Str op) -> Some op
-                  | _ -> None)
-               | exception Sjson.Parse_error _ -> None
-             in
-             Server.Text
-               (Sjson.to_string
-                  (timeout_response ?op "request" cfg.request_timeout_ms))
-           end
-           else reply
-         in
-         Mutex.lock t.mu;
-         ws.served <- ws.served + 1;
-         ws.w_total_s <- ws.w_total_s +. dt;
-         if dt > ws.w_max_s then ws.w_max_s <- dt;
-         Mutex.unlock t.mu;
-         (match
-            send_reply conn ~mode:!mode reply
-              ~deadline:(now () +. req_timeout_s)
-          with
-          | `Ok -> if stop then request_stop t else serve_loop ()
-          | `Closed ->
-            (* the client vanished mid-response: typed, counted *)
-            Server.note_conn_drop t.server
-          | `Timeout ->
-            (* client stopped reading: count it as a read-side stall *)
-            Mutex.lock t.mu;
-            t.s_read_timeouts <- t.s_read_timeouts + 1;
-            Mutex.unlock t.mu))
-  in
-  serve_loop ()
-
-(* ------------------------------------------------------------------ *)
-(* Worker supervision *)
-
-let worker_loop t i clean =
-  let rec next () =
-    Mutex.lock t.mu;
-    while Queue.is_empty t.queue && not t.stopping do
-      Condition.wait t.nonempty t.mu
-    done;
-    if Queue.is_empty t.queue then
-      (* stopping and drained *)
-      Mutex.unlock t.mu
-    else begin
-      let conn = Queue.pop t.queue in
-      t.s_dispatched <- t.s_dispatched + 1;
-      t.s_in_flight <- t.s_in_flight + 1;
-      t.wstats.(i).conns <- t.wstats.(i).conns + 1;
-      Hashtbl.replace t.active i conn;
-      Mutex.unlock t.mu;
-      Fun.protect
-        ~finally:(fun () ->
-          Mutex.lock t.mu;
-          Hashtbl.remove t.active i;
-          t.s_in_flight <- t.s_in_flight - 1;
-          Mutex.unlock t.mu;
-          try Unix.close conn with Unix.Unix_error _ -> ())
-        (fun () -> handle_conn t i conn);
-      clean := true;
-      next ()
-    end
-  in
-  next ()
-
-(* A worker that dies is restarted with exponential backoff; the
-   attempt counter resets after any cleanly-finished connection, so a
-   persistent crash loop backs off to the cap while a one-off failure
-   recovers at the base delay. *)
-let worker_life t i () =
-  let rec live attempt =
-    let clean = ref false in
-    match worker_loop t i clean with
-    | () -> ()
-    | exception _ ->
-      Mutex.lock t.mu;
-      t.s_restarts <- t.s_restarts + 1;
-      t.wstats.(i).w_restarts <- t.wstats.(i).w_restarts + 1;
-      let stop_now = t.stopping && Queue.is_empty t.queue in
-      Mutex.unlock t.mu;
-      if stop_now then ()
-      else begin
-        let attempt = if !clean then 0 else attempt + 1 in
-        let ms =
-          Stdlib.min t.config.backoff_cap_ms
-            (t.config.backoff_base_ms * (1 lsl Stdlib.min attempt 16))
-        in
-        Unix.sleepf (float_of_int ms /. 1000.);
-        live attempt
-      end
-  in
-  live (-1)
-
-(* ------------------------------------------------------------------ *)
-(* Accept loop *)
-
-let shed t conn =
-  let qlen = Mutex.protect t.mu (fun () -> Queue.length t.queue) in
-  send_response conn
-    ~deadline:(now () +. 1.0)
-    (overloaded_response qlen);
-  try Unix.close conn with Unix.Unix_error _ -> ()
-
-let accept_loop t () =
-  let rec go () =
-    if t.stopping then ()
-    else
-      match Unix.select [ t.listen_fd ] [] [] tick with
-      | [], _, _ -> go ()
-      | _ ->
-        (match Unix.accept t.listen_fd with
-         | conn, _ ->
-           (* request/response protocol: Nagle would add 40 ms stalls *)
-           (match t.listen with
-            | Tcp _ ->
-              (try Unix.setsockopt conn Unix.TCP_NODELAY true
-               with Unix.Unix_error _ -> ())
-            | Unix_path _ -> ());
-           Mutex.lock t.mu;
-           t.s_accepted <- t.s_accepted + 1;
-           let decision =
-             if t.stopping then `Draining
-             else if Queue.length t.queue >= t.config.queue then begin
-               t.s_shed <- t.s_shed + 1;
-               `Shed
-             end
-             else begin
-               Queue.push conn t.queue;
-               if Queue.length t.queue > t.s_queue_max then
-                 t.s_queue_max <- Queue.length t.queue;
-               Condition.signal t.nonempty;
-               `Queued
-             end
-           in
-           Mutex.unlock t.mu;
-           (match decision with
-            | `Queued -> ()
-            | `Shed -> shed t conn
-            | `Draining ->
-              send_response conn ~deadline:(now () +. 1.0)
-                (Server.protocol_error ~kind:"overloaded"
-                   ~message:"server is draining" ());
-              (try Unix.close conn with Unix.Unix_error _ -> ()));
-           go ()
-         | exception Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN
-                                      | Unix.EWOULDBLOCK | Unix.ECONNABORTED),
-                                      _, _) -> go ())
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-  in
-  (* restart the accept loop too if something unexpected escapes — the
-     listening socket is the one resource the server cannot lose *)
-  let rec supervise attempt =
-    match go () with
-    | () -> ()
-    | exception _ ->
-      Mutex.lock t.mu;
-      t.s_restarts <- t.s_restarts + 1;
-      let stop_now = t.stopping in
-      Mutex.unlock t.mu;
-      if not stop_now then begin
-        let ms =
-          Stdlib.min t.config.backoff_cap_ms
-            (t.config.backoff_base_ms * (1 lsl Stdlib.min attempt 16))
-        in
-        Unix.sleepf (float_of_int ms /. 1000.);
-        supervise (attempt + 1)
-      end
-  in
-  supervise 0;
-  (* close the listening socket as soon as accepting stops so new
-     connects are refused during the drain, not parked in the backlog *)
-  (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
-  Mutex.lock t.mu;
-  t.accept_done <- true;
-  Mutex.unlock t.mu
+  let dt = Listener.now () -. t0 in
+  let late = dt > req_timeout_s in
+  Mutex.protect t.mu (fun () ->
+      let ws = t.wstats.(i) in
+      ws.served <- ws.served + 1;
+      ws.w_total_s <- ws.w_total_s +. dt;
+      if dt > ws.w_max_s then ws.w_max_s <- dt;
+      if late then t.request_timeouts <- t.request_timeouts + 1);
+  if not late then (reply, stop)
+  else
+    ( Server.Text
+        (Sjson.to_string
+           (Server.protocol_error ?op:(request_op line) ~kind:"timeout"
+              ~message:
+                (Printf.sprintf "request deadline exceeded (%d ms)"
+                   t.config.request_timeout_ms)
+              ())),
+      stop )
 
 (* ------------------------------------------------------------------ *)
 (* Stats *)
 
 let stats t =
+  let l = Listener.stats t.front in
   Mutex.protect t.mu (fun () ->
       { sn_workers = t.config.workers;
         sn_queue_capacity = t.config.queue;
-        accepted = t.s_accepted;
-        dispatched = t.s_dispatched;
-        shed = t.s_shed;
-        idle_timeouts = t.s_idle_timeouts;
-        read_timeouts = t.s_read_timeouts;
-        request_timeouts = t.s_request_timeouts;
-        restarts = t.s_restarts;
-        queue_depth = Queue.length t.queue;
-        queue_max = t.s_queue_max;
-        in_flight = t.s_in_flight;
-        draining = t.stopping;
+        accepted = l.accepted;
+        dispatched = l.dispatched;
+        shed = l.shed;
+        idle_timeouts = l.idle_timeouts;
+        read_timeouts = l.read_timeouts;
+        request_timeouts = t.request_timeouts;
+        restarts = l.restarts;
+        queue_depth = l.queue_depth;
+        queue_max = l.queue_max;
+        in_flight = l.in_flight;
+        draining = Listener.draining t.front;
         per_worker =
-          Array.map
-            (fun w ->
-              { ws_served = w.served; ws_conns = w.conns;
+          Array.mapi
+            (fun i w ->
+              { ws_served = w.served; ws_conns = l.runner_conns.(i);
                 ws_total_s = w.w_total_s; ws_max_s = w.w_max_s;
-                ws_restarts = w.w_restarts })
+                ws_restarts = l.runner_restarts.(i) })
             t.wstats })
 
 let stats_fields t =
@@ -583,110 +173,29 @@ let stats_fields t =
 (* ------------------------------------------------------------------ *)
 (* Lifecycle *)
 
-(* Workers prefer domains; when the domain budget is exhausted (OCaml
-   caps the live-domain count) fall back to systhreads, which share
-   the spawning domain. *)
-let spawn f =
-  match Domain.spawn f with
-  | d -> Dom d
-  | exception _ -> Thr (Thread.create f ())
-
-let join = function Dom d -> Domain.join d | Thr th -> Thread.join th
-
-let validate_config c =
-  let bad what = Mfti_error.raise_error
-      (Mfti_error.Validation { context = "supervisor"; message = what }) in
-  if c.workers < 1 then bad "workers must be >= 1";
-  if c.queue < 1 then bad "queue capacity must be >= 1";
-  if c.request_timeout_ms < 1 then bad "request timeout must be >= 1 ms";
-  if c.idle_timeout_ms < 1 then bad "idle timeout must be >= 1 ms";
-  if c.drain_ms < 0 then bad "drain deadline must be >= 0 ms";
-  if c.max_line_bytes < 2 then bad "frame cap must be >= 2 bytes"
-
 let start ?(config = default_config) server ~listen =
-  validate_config config;
-  let listen_fd, bound =
-    match listen with
-    | Unix_path path -> (Server.bind_unix ~path, None)
-    | Tcp (host, port) ->
-      let fd, p = Server.bind_tcp ~host ~port in
-      (fd, Some p)
-  in
+  if config.queue < 1 then
+    Mfti_error.raise_error
+      (Mfti_error.Validation
+         { context = "supervisor"; message = "queue capacity must be >= 1" });
+  let front = Listener.create ~context:"supervisor" config listen in
   let t =
-    { server; config; listen; bound; listen_fd;
+    { server; config; front;
       mu = Mutex.create ();
-      nonempty = Condition.create ();
-      queue = Queue.create ();
-      active = Hashtbl.create 8;
       wstats =
         Array.init config.workers (fun _ ->
-            { served = 0; conns = 0; w_total_s = 0.; w_max_s = 0.;
-              w_restarts = 0 });
-      s_accepted = 0; s_dispatched = 0; s_shed = 0;
-      s_idle_timeouts = 0; s_read_timeouts = 0; s_request_timeouts = 0;
-      s_restarts = 0; s_queue_max = 0; s_in_flight = 0;
-      stopping = false; accept_done = false; stopped = false;
-      runners = []; accept_runner = None }
+            { served = 0; w_total_s = 0.; w_max_s = 0. });
+      request_timeouts = 0 }
   in
   Server.set_stats_hook server (fun () -> stats_fields t);
-  t.runners <- List.init config.workers (fun i -> spawn (worker_life t i));
-  t.accept_runner <- Some (spawn (accept_loop t));
+  (* new fit sessions are refused for the whole drain window; sessions
+     already open keep streaming until their connection finishes *)
+  Listener.start front ~runner:Listener.Domains
+    ~on_drain:(fun () -> Server.set_draining server true)
+    ~on_drop:(fun () -> Server.note_conn_drop server)
+    ~on_conn:(fun i -> handle t i);
   t
 
-let stop t =
-  if t.stopped then ()
-  else begin
-    request_stop t;
-    (* graceful drain: let in-flight connections finish *)
-    let deadline = now () +. (float_of_int t.config.drain_ms /. 1000.) in
-    let rec wait_drain () =
-      let busy =
-        Mutex.protect t.mu (fun () ->
-            t.s_in_flight > 0 || Queue.length t.queue > 0
-            || not t.accept_done)
-      in
-      if busy && now () < deadline then begin
-        Unix.sleepf 0.01;
-        wait_drain ()
-      end
-    in
-    wait_drain ();
-    (* past the drain deadline: force.  Shut down live connections so
-       blocked readers see EOF, and close connections still queued —
-       they were admitted but will never be served. *)
-    Mutex.lock t.mu;
-    Hashtbl.iter
-      (fun _ fd -> try Unix.shutdown fd Unix.SHUTDOWN_ALL
-        with Unix.Unix_error _ -> ())
-      t.active;
-    Queue.iter
-      (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
-      t.queue;
-    Queue.clear t.queue;
-    Condition.broadcast t.nonempty;
-    Mutex.unlock t.mu;
-    (match t.accept_runner with Some r -> join r | None -> ());
-    List.iter join t.runners;
-    (match t.listen with
-     | Unix_path path -> (try Unix.unlink path with Unix.Unix_error _ -> ())
-     | Tcp _ -> ());
-    t.stopped <- true
-  end
-
-let bound_port t = t.bound
-
-(* block until a shutdown request initiates the drain *)
-let wait t =
-  let rec go () =
-    let stopping = Mutex.protect t.mu (fun () -> t.stopping) in
-    if not stopping then begin
-      Unix.sleepf tick;
-      go ()
-    end
-  in
-  go ()
-
-let run ?config server ~listen =
-  let t = start ?config server ~listen in
-  wait t;
-  stop t
+let bound_port t = Listener.bound_port t.front
+let wait t = Listener.wait t.front
+let stop t = Listener.stop t.front

@@ -1,35 +1,17 @@
-(** Supervised concurrent serving over a Unix domain socket or TCP.
+(** Supervised concurrent serving over a Unix domain socket or TCP:
+    the {!Listener} connection layer (accept loop, bounded admission
+    queue with typed shedding, deadlines, [hello] negotiation, runner
+    restarts, drain — see there) on {b domain} workers, each serving
+    requests through {!Server.handle_request}:
 
-    {!Server.serve_unix_socket} serves one connection at a time with no
-    deadlines; this module is the production tier on top of the same
-    {!Server.handle_request} core:
-
-    - one accept loop owns the listening socket — a Unix domain path
-      (bound race-free via {!Server.bind_unix}) or a TCP address
-      ({!Server.bind_tcp}; [~port:0] picks an ephemeral port, reported
-      by {!bound_port}) — and feeds a {b bounded admission queue};
-    - a fixed pool of workers — OCaml 5 domains, falling back to
-      threads when the domain budget is exhausted — pops connections
-      and serves them, each evaluation wrapped in
-      {!Linalg.Parallel.with_sequential} so worker domains never race
-      on the kernel pool's submission protocol;
-    - when the queue is full the accept loop {b sheds}: the client
-      immediately receives the typed
-      [{"ok":false,"error":{"kind":"overloaded",...}}] response instead
-      of waiting in an unbounded backlog;
-    - {b deadlines}: an idle connection may sit [idle_timeout_ms]
-      between frames (expiry closes it silently); once the first byte
-      of a frame arrives the rest must land within
-      [request_timeout_ms], and a request whose evaluation blows that
-      budget gets a ["timeout"] response instead of its (discarded)
-      result;
-    - a worker whose handler raises is {b restarted} with exponential
-      backoff ([backoff_base_ms] doubling up to [backoff_cap_ms],
-      reset after a cleanly-finished connection);
-    - {!stop} {b drains gracefully}: stop accepting (the socket closes
-      immediately so new connects are refused), let in-flight
-      connections finish within [drain_ms], then force-close the
-      stragglers and join every runner.
+    - workers are OCaml 5 domains, falling back to threads when the
+      domain budget is exhausted, because evaluation is CPU-bound; each
+      evaluation runs under {!Linalg.Parallel.with_sequential} so worker
+      domains never race on the kernel pool's submission protocol;
+    - a request whose evaluation blows [request_timeout_ms] gets a
+      ["timeout"] response instead of its (discarded) result;
+    - initiating a drain flips {!Server.set_draining}, and a client
+      vanishing mid-reply counts in the server's ["conn_drops"].
 
     The certification {!Server.admission} policy is inherited from the
     wrapped server: a supervisor over a [Strict] server refuses
@@ -44,19 +26,12 @@
     lock inside {!Server} — so a streaming client always observes its
     appends in order, and two clients racing one id apply in some
     serial order instead of corrupting the fit.  Drain semantics:
-    initiating a drain (a ["shutdown"] request or {!stop}) flips
-    {!Server.set_draining}, refusing new [fit-open] requests
-    immediately, while connections already streaming a session keep
-    their worker until they finish or the [drain_ms] deadline
-    force-closes them — an in-flight [fit-finalize] either lands a
-    complete artifact or leaves none (the artifact write is atomic).
-
-    {b Frame negotiation}: every connection starts in JSON-lines mode;
-    a [{"op":"hello","frames":"binary"}] request is intercepted here
-    (it never reaches the server), acknowledged in the old framing, and
-    switches the connection to length-prefixed binary frames — see
-    {!Frame}.  Under binary framing a successful [eval-grid] response
-    carries its matrices as raw IEEE-754 instead of JSON text.
+    initiating a drain (a ["shutdown"] request or {!stop}) refuses new
+    [fit-open] requests immediately, while connections already
+    streaming a session keep their worker until they finish or the
+    [drain_ms] deadline force-closes them — an in-flight
+    [fit-finalize] either lands a complete artifact or leaves none (the
+    artifact write is atomic).
 
     Fault sites (see {!Linalg.Fault}) exercised by the chaos suite:
     ["serve.slow_client"] forces the partial-frame deadline,
@@ -68,10 +43,10 @@
     with queue depth, sheds, timeouts, restarts and per-worker
     latency. *)
 
-type config = {
+type config = Listener.config = {
   workers : int;             (** worker pool size (>= 1) *)
-  queue : int;               (** admission queue capacity (>= 1) *)
-  request_timeout_ms : int;  (** per-request / partial-frame deadline *)
+  queue : int;               (** connections waiting for a busy pool (>= 1) *)
+  request_timeout_ms : int;  (** per-request, partial-frame and reply deadline *)
   idle_timeout_ms : int;     (** keep-alive between frames *)
   drain_ms : int;            (** graceful-drain budget in {!stop} *)
   backoff_base_ms : int;     (** first restart delay *)
@@ -110,9 +85,8 @@ type snapshot = {
   per_worker : worker_snapshot array;
 }
 
-(** Where to listen: a Unix domain socket path, or a TCP host/port
-    (host resolved by {!Server.bind_tcp}; port [0] = ephemeral). *)
-type listener = Unix_path of string | Tcp of string * int
+(** Where to listen (port [0] = ephemeral). *)
+type listener = Listener.addr = Unix_path of string | Tcp of string * int
 
 (** [start server ~listen] binds the listener (race-free, typed error
     if the address is taken), spawns the accept loop and workers,
@@ -135,6 +109,3 @@ val wait : t -> unit
 (** Graceful drain then forced shutdown; joins every runner and removes
     the socket file (Unix listeners).  Idempotent. *)
 val stop : t -> unit
-
-(** [run server ~listen] is {!start}, {!wait}, then {!stop}. *)
-val run : ?config:config -> Server.t -> listen:listener -> unit

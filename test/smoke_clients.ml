@@ -10,11 +10,13 @@
    typed "gave up after N attempts" diagnostic, so a briefly-restarting
    server does not flake the suite.
 
-   Default mode attacks a running server with four concurrent clients:
-   one stalls mid-frame (and must be timed out with a typed "timeout"
-   response), three issue well-formed requests (and must all
-   complete).  A final client checks the stats op reports the timeout,
-   then sends the shutdown request so the server drains.
+   Default mode attacks a running server — a supervised replica, or a
+   router in front of one — with four concurrent clients: one stalls
+   mid-frame (and must be timed out with a typed "timeout" response),
+   three issue well-formed requests (and must all complete).  A final
+   client checks the stats op reports the timeout (in the "supervisor"
+   or the "router" object), then sends the shutdown request so the
+   server drains.
 
    --lines is a plain pipe client: each stdin line is sent over one
    connection and the response line printed to stdout — the socket
@@ -212,8 +214,8 @@ let () =
   send_raw last "{\"op\":\"stats\"}\n";
   let stats = recv_line last "stats" in
   expect_ok "stats" stats;
-  if not (contains stats "\"supervisor\"") then
-    die "stats: missing supervisor block: %s" stats;
+  if not (contains stats "\"supervisor\"" || contains stats "\"router\"") then
+    die "stats: missing supervisor or router block: %s" stats;
   if contains stats "\"read_timeouts\": 0," then
     die "stats: slow-client timeout not recorded: %s" stats;
   send_raw last "{\"op\":\"shutdown\"}\n";

@@ -265,6 +265,15 @@ let test_engine_strategy_mismatch () =
   Alcotest.(check int) "krylov on touchstone exits 64" 64 code;
   check_contains "mismatch" "not a" text
 
+(* fit-stream to an address nobody serves: retries with backoff, then a
+   typed diagnostic, never a raw Unix error *)
+let test_fit_stream_gives_up () =
+  let sock = Filename.concat (Filename.get_temp_dir_name ()) "mfti_cli_nobody.sock" in
+  let code, text = run (Printf.sprintf "fit-stream %s --socket %s" workload sock) in
+  Alcotest.(check int) "exits 64" 64 code;
+  check_contains "diagnostic" "gave up connecting to" text;
+  check_contains "attempts" "after 5 attempts" text
+
 let test_diagnostics_reported () =
   let code, text = run (Printf.sprintf "fit %s" workload) in
   Alcotest.(check int) "exit code" 0 code;
@@ -294,4 +303,6 @@ let () =
          Alcotest.test_case "engine strategy mismatch" `Quick
            test_engine_strategy_mismatch;
          Alcotest.test_case "diagnostics reported" `Quick
-           test_diagnostics_reported ]) ]
+           test_diagnostics_reported;
+         Alcotest.test_case "fit-stream gives up connecting" `Quick
+           test_fit_stream_gives_up ]) ]

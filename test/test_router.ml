@@ -33,10 +33,10 @@ let fresh_dir =
     (try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
     d
 
-let save_model root id =
+let save_model ?(ports = 2) root id =
   Artifact.save
     (Filename.concat root (id ^ ".mfti"))
-    (Artifact.v ~name:id (model_of (Random_sys.generate (spec 2))))
+    (Artifact.v ~name:id (model_of (Random_sys.generate (spec ports))))
 
 let sup_config =
   { Supervisor.default_config with
@@ -60,7 +60,8 @@ type fleet = {
 }
 
 (* a root with [models], [n] replica supervisors over it, one router *)
-let with_fleet ?(config = router_config) ~n ~models f =
+let with_fleet ?(config = router_config) ?(sup_config = sup_config) ~n ~models
+    f =
   let root = fresh_dir () in
   List.iter (save_model root) models;
   let sock_dir = fresh_dir () in
@@ -314,16 +315,16 @@ let test_health_step () =
     (step Draining 0 Ok = (Up, 0))
 
 let test_parse_addr () =
-  (match Router.parse_addr "/tmp/x.sock" with
+  (match Listener.parse_addr "/tmp/x.sock" with
    | Supervisor.Unix_path "/tmp/x.sock" -> ()
    | _ -> Alcotest.fail "path not parsed as unix socket");
-  (match Router.parse_addr "127.0.0.1:7070" with
+  (match Listener.parse_addr "127.0.0.1:7070" with
    | Supervisor.Tcp ("127.0.0.1", 7070) -> ()
    | _ -> Alcotest.fail "host:port not parsed as tcp");
-  (match Router.parse_addr "localhost:0" with
+  (match Listener.parse_addr "localhost:0" with
    | Supervisor.Tcp ("localhost", 0) -> ()
    | _ -> Alcotest.fail "port 0 not accepted");
-  (match Router.parse_addr "host:notaport" with
+  (match Listener.parse_addr "host:notaport" with
    | _ -> Alcotest.fail "bad port accepted"
    | exception Mfti_error.Error (Mfti_error.Validation _) -> ())
 
@@ -626,6 +627,227 @@ let test_register_replica () =
         (expect_ok "post-register" (ask fleet.router_path (grid_req "alpha"))))
 
 (* ------------------------------------------------------------------ *)
+(* Connection layer: the supervisor and the router share one, so one
+   table of transport cases must come out the same on both fronts. *)
+
+(* A front under test: where clients connect, and how many connections
+   it is serving or holding in its queue right now. *)
+type front = { path : string; load : unit -> int }
+
+let parity_timeout_ms = 500
+
+let parity_sup_config =
+  { sup_config with workers = 1; queue = 1;
+    request_timeout_ms = parity_timeout_ms; max_line_bytes = 4096 }
+
+let parity_router_config =
+  { router_config with max_conns = 2; probe_interval_ms = 60_000;
+    request_timeout_ms = parity_timeout_ms; max_line_bytes = 4096 }
+
+let send_raw fd s =
+  let off = ref 0 in
+  while !off < String.length s do
+    off := !off + Unix.write_substring fd s !off (String.length s - !off)
+  done
+
+(* the next frame, or how the connection ended instead *)
+let read_payload ?(timeout = 5.0) fd r ~mode =
+  let deadline = Unix.gettimeofday () +. timeout in
+  let chunk = Bytes.create 4096 in
+  let rec go () =
+    match Frame.Reader.next r ~mode ~max_bytes:(1 lsl 24) with
+    | `Frame p -> `Frame p
+    | `Too_long | `Bad _ -> Alcotest.fail "client reader: undecodable frame"
+    | `None ->
+      let left = deadline -. Unix.gettimeofday () in
+      if left <= 0. then `No_reply
+      else (
+        match Unix.select [ fd ] [] [] left with
+        | [], _, _ -> go ()
+        | _ ->
+          (match Unix.read fd chunk 0 (Bytes.length chunk) with
+           | 0 -> `Eof
+           | k ->
+             Frame.Reader.add r chunk k;
+             go ()
+           | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> `Eof)
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ())
+  in
+  go ()
+
+(* "ok", the typed error kind, or how the connection ended *)
+let outcome = function
+  | `Frame (Frame.Json_text l) ->
+    let j = parse l in
+    if Sjson.member "ok" j = Some (Sjson.Bool true) then "ok"
+    else (
+      match Option.bind (Sjson.member "error" j) (Sjson.member "kind") with
+      | Some (Sjson.Str k) -> k
+      | _ -> "untyped error: " ^ l)
+  | `Frame (Frame.Grid_body _) -> "grid frame"
+  | `Eof -> "eof"
+  | `No_reply -> "no reply"
+
+let with_client path f =
+  let fd = connect path in
+  Fun.protect ~finally:(fun () -> close_quiet fd) (fun () ->
+      f fd (Frame.Reader.create ()))
+
+let hello_binary fd r =
+  send_line fd "{\"op\": \"hello\", \"frames\": \"binary\"}";
+  Alcotest.(check string) "hello ack" "ok"
+    (outcome (read_payload fd r ~mode:Frame.Json))
+
+let parity_table : (string * (front -> unit)) list =
+  let expect what kind res = Alcotest.(check string) what kind (outcome res) in
+  [ ( "unknown hello: validation, connection usable",
+      fun f ->
+        with_client f.path @@ fun fd r ->
+        send_line fd "{\"op\": \"hello\", \"frames\": \"morse\"}";
+        expect "refusal" "validation" (read_payload fd r ~mode:Frame.Json);
+        send_line fd "{\"op\": \"ping\"}";
+        expect "still usable" "ok" (read_payload fd r ~mode:Frame.Json) );
+    ( "oversized frame: validation",
+      fun f ->
+        with_client f.path @@ fun fd r ->
+        send_line fd (String.make 5000 'x');
+        expect "refusal" "validation" (read_payload fd r ~mode:Frame.Json) );
+    ( "malformed binary frame: parse, then closed",
+      fun f ->
+        with_client f.path @@ fun fd r ->
+        hello_binary fd r;
+        send_raw fd "\000\000\000\002Xy";
+        expect "refusal" "parse" (read_payload fd r ~mode:Frame.Binary);
+        expect "closed" "eof" (read_payload fd r ~mode:Frame.Binary) );
+    ( "client grid frame: parse",
+      fun f ->
+        with_client f.path @@ fun fd r ->
+        hello_binary fd r;
+        send_raw fd (Frame.encode_grid "not a request");
+        expect "refusal" "parse" (read_payload fd r ~mode:Frame.Binary) );
+    ( "half a frame: timeout within the request deadline",
+      fun f ->
+        with_client f.path @@ fun fd r ->
+        let t0 = Unix.gettimeofday () in
+        send_raw fd "{\"op\": \"pi";
+        expect "refusal" "timeout" (read_payload fd r ~mode:Frame.Json);
+        let waited = Unix.gettimeofday () -. t0 in
+        if waited > (float_of_int parity_timeout_ms /. 1000.) +. 1.5 then
+          Alcotest.failf "partial frame timed out after %.2fs" waited );
+    ( "unterminated last line at EOF: answered",
+      fun f ->
+        with_client f.path @@ fun fd r ->
+        send_raw fd "{\"op\": \"list-models\"}";
+        Unix.shutdown fd Unix.SHUTDOWN_SEND;
+        expect "answer" "ok" (read_payload fd r ~mode:Frame.Json) );
+    ( "at capacity: overloaded",
+      fun f ->
+        wait_for "front idle" (fun () -> f.load () = 0);
+        (* fill it one connection at a time *)
+        let held =
+          List.init 2 (fun i ->
+              let fd = connect f.path in
+              wait_for "connection admitted" (fun () -> f.load () = i + 1);
+              fd)
+        in
+        Fun.protect ~finally:(fun () -> List.iter close_quiet held) @@ fun () ->
+        with_client f.path @@ fun fd r ->
+        expect "refusal" "overloaded" (read_payload fd r ~mode:Frame.Json) ) ]
+
+(* every row runs; the failure names each one that broke *)
+let run_parity front =
+  let failed =
+    List.filter_map
+      (fun (row, case) ->
+        match case front with
+        | () -> None
+        | exception e -> Some (row ^ ": " ^ Printexc.to_string e))
+      parity_table
+  in
+  if failed <> [] then
+    Alcotest.failf "%d parity rows failed:\n%s" (List.length failed)
+      (String.concat "\n" failed)
+
+let test_parity_supervisor () =
+  let root = fresh_dir () in
+  let path = Filename.concat (fresh_dir ()) "p.sock" in
+  let sup =
+    Supervisor.start ~config:parity_sup_config (Server.create ~root ())
+      ~listen:(Supervisor.Unix_path path)
+  in
+  Fun.protect ~finally:(fun () -> Supervisor.stop sup) @@ fun () ->
+  run_parity
+    { path;
+      load =
+        (fun () ->
+          let s = Supervisor.stats sup in
+          s.Supervisor.in_flight + s.Supervisor.queue_depth) }
+
+let test_parity_router () =
+  with_fleet ~config:parity_router_config ~sup_config:parity_sup_config ~n:1
+    ~models:[] @@ fun fleet ->
+  run_parity
+    { path = fleet.router_path;
+      load = (fun () -> (Router.stats fleet.router).Router.rt_conns) }
+
+(* Write deadline: a client asks for a multi-MiB JSON grid and never
+   reads it.  The front must cut it off at the request deadline — a
+   read timeout, and the connection gone — instead of a runner blocked
+   in write(2) until the client closes. *)
+
+let deadline_ms = 2_000
+
+let big_grid_req =
+  Printf.sprintf "{\"op\": \"eval-grid\", \"model\": \"wide\", \"freqs\": [%s]}"
+    (String.concat ", "
+       (List.init 4096 (fun i -> Printf.sprintf "%d" (1000 + (97 * i)))))
+
+let check_write_deadline ~path ~block ~in_flight =
+  with_client path @@ fun fd _ ->
+  let t0 = Unix.gettimeofday () in
+  send_line fd big_grid_req;
+  let limit = t0 +. (3. *. float_of_int deadline_ms /. 1000.) in
+  let rec poll () =
+    let j = expect_ok "stats" (ask path "{\"op\": \"stats\"}") in
+    let b =
+      match Sjson.member block j with
+      | Some b -> b
+      | None -> Alcotest.failf "stats missing %S" block
+    in
+    (* the asking connection is the only one left in flight *)
+    if j_num block "read_timeouts" b >= 1. && j_num block in_flight b = 1. then
+      ()
+    else if Unix.gettimeofday () >= limit then
+      Alcotest.failf "unread reply still pinned a runner after %.1fs: %s"
+        (Unix.gettimeofday () -. t0) (Sjson.to_string b)
+    else begin
+      Unix.sleepf 0.1;
+      poll ()
+    end
+  in
+  poll ()
+
+let deadline_sup_config = { sup_config with request_timeout_ms = deadline_ms }
+
+let test_write_deadline_supervisor () =
+  let root = fresh_dir () in
+  save_model ~ports:4 root "wide";
+  let path = Filename.concat (fresh_dir ()) "w.sock" in
+  let sup =
+    Supervisor.start ~config:deadline_sup_config (Server.create ~root ())
+      ~listen:(Supervisor.Unix_path path)
+  in
+  Fun.protect ~finally:(fun () -> Supervisor.stop sup) @@ fun () ->
+  check_write_deadline ~path ~block:"supervisor" ~in_flight:"in_flight"
+
+let test_write_deadline_router () =
+  let config = { router_config with request_timeout_ms = deadline_ms } in
+  with_fleet ~config ~sup_config:deadline_sup_config ~n:1 ~models:[]
+  @@ fun fleet ->
+  save_model ~ports:4 fleet.root "wide";
+  check_write_deadline ~path:fleet.router_path ~block:"router" ~in_flight:"conns"
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "router"
@@ -659,4 +881,13 @@ let () =
         [ Alcotest.test_case "identical requests byte-identical" `Quick
             test_coalescing_byte_identical;
           Alcotest.test_case "mixed grids demux correctly" `Quick
-            test_coalescing_demux_subsets ] ) ]
+            test_coalescing_demux_subsets ] );
+      ( "listener",
+        [ Alcotest.test_case "transport parity: supervisor" `Quick
+            test_parity_supervisor;
+          Alcotest.test_case "transport parity: router" `Quick
+            test_parity_router;
+          Alcotest.test_case "write deadline: supervisor" `Quick
+            test_write_deadline_supervisor;
+          Alcotest.test_case "write deadline: router" `Quick
+            test_write_deadline_router ] ) ]

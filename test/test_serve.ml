@@ -680,25 +680,26 @@ let test_server_startup_recovery () =
 let test_bind_unix_race () =
   let dir = fresh_dir () in
   let path = Filename.concat dir "sock" in
-  let fd = Server.bind_unix ~path in
+  let addr = Listener.Unix_path path in
+  let fd, _ = Listener.bind addr in
   (* a live socket must be refused with a typed error, not unlinked *)
-  (match Server.bind_unix ~path with
+  (match Listener.bind addr with
    | _ -> Alcotest.fail "second bind on a live socket succeeded"
    | exception Mfti_error.Error (Mfti_error.Validation _) -> ());
   Alcotest.(check bool) "live socket not deleted" true (Sys.file_exists path);
-  Server.release_unix ~path fd;
+  Listener.release addr fd;
   Alcotest.(check bool) "release removes the path" false
     (Sys.file_exists path);
   (* a stale file from a dead process is cleaned up and rebound *)
-  let fd2 = Server.bind_unix ~path in
-  Server.release_unix ~path fd2;
+  let fd2, _ = Listener.bind addr in
+  Listener.release addr fd2;
   (* a non-socket at the path is never deleted *)
   let oc = open_out path in
   output_string oc "not a socket";
   close_out oc;
-  (match Server.bind_unix ~path with
-   | fd3 ->
-     Server.release_unix ~path fd3;
+  (match Listener.bind addr with
+   | fd3, _ ->
+     Listener.release addr fd3;
      Alcotest.fail "bound over a regular file"
    | exception Mfti_error.Error (Mfti_error.Validation _) -> ());
   Alcotest.(check bool) "regular file preserved" true (Sys.file_exists path)
