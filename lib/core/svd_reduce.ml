@@ -21,30 +21,53 @@ let default_backend = Auto
    GEMMs. *)
 let randomized_cutoff = 96
 
-(* Decompose through the selected backend.  Returns the factorization
-   plus a certified bound on every singular value a truncated
-   (randomized) spectrum cut off, for the tail-aware rank rules. *)
-let decompose_backend backend a =
-  let exact_auto x = (Svd.decompose x, None) in
+(* Factor through the selected backend.  [exact algorithm x] is the
+   exact factorization and [of_sketch] adapts a certified randomized
+   one to the same shape, so Pencil mode (both sides) and Stacked mode
+   (right vectors only) share the backend choice and the fallback.
+   Returns the factorization plus a certified bound on every singular
+   value a truncated (randomized) spectrum cut off, for the tail-aware
+   rank rules. *)
+let factor_backend ~exact ~of_sketch backend a =
   let randomized x =
     let r = Rsvd.decompose_adaptive x in
-    if r.Rsvd.certified then (r.Rsvd.svd, Some r.Rsvd.residual)
+    if r.Rsvd.certified then (of_sketch r.Rsvd.svd, Some r.Rsvd.residual)
     else begin
+      (* An uncertified sketch narrower than the spectrum with a finite
+         residual stopped at its half-width cap: the spectrum is a
+         noise floor.  A poisoned residual is the degrade fault. *)
+      let why =
+        if r.Rsvd.sketch < r.Rsvd.total && Float.is_finite r.Rsvd.residual
+        then " capped at n/2,"
+        else ""
+      in
       Diag.record ~site:"svd.rsvd.fallback"
         (Printf.sprintf
-           "sketch %d/%d residual %.3g not certified; exact cascade"
-           r.Rsvd.sketch r.Rsvd.total r.Rsvd.residual);
+           "sketch %d/%d%s residual %.3g not certified; exact cascade"
+           r.Rsvd.sketch r.Rsvd.total why r.Rsvd.residual);
       Diag.incr_retries ();
-      exact_auto x
+      (exact Svd.Auto x, None)
     end
   in
   match backend with
-  | Jacobi -> (Svd.decompose ~algorithm:Svd.Blocked_jacobi a, None)
-  | Gk -> (Svd.decompose ~algorithm:Svd.Golub_kahan a, None)
+  | Jacobi -> (exact Svd.Blocked_jacobi a, None)
+  | Gk -> (exact Svd.Golub_kahan a, None)
   | Randomized -> randomized a
   | Auto ->
     let m, n = Cmat.dims a in
-    if Stdlib.min m n >= randomized_cutoff then randomized a else exact_auto a
+    if Stdlib.min m n >= randomized_cutoff then randomized a
+    else (exact Svd.Auto a, None)
+
+(* Both singular subspaces, for Pencil mode. *)
+let decompose_backend =
+  factor_backend ~exact:(fun algorithm x -> Svd.decompose ~algorithm x)
+    ~of_sketch:Fun.id
+
+(* [(sigma, v)] only, for Stacked mode: {!Svd.right} never forms the U
+   that Stacked mode would discard. *)
+let right_backend =
+  factor_backend ~exact:(fun algorithm x -> Svd.right ~algorithm x)
+    ~of_sketch:(fun d -> (d.Svd.sigma, d.Svd.v))
 
 let pick_rank ?tail_bound rule (d : Svd.t) =
   let n = Array.length d.Svd.sigma in
@@ -94,9 +117,15 @@ let reduce ?(mode = default_mode) ?(rank_rule = default_rank_rule)
       let d, tb = decompose_backend backend p in
       (d.Svd.u, d.Svd.v, d.Svd.sigma, tb)
     | Stacked ->
-      let row, tb = decompose_backend backend (Cmat.hcat t.Loewner.ll t.Loewner.sll) in
-      let col, _ = decompose_backend backend (Cmat.vcat t.Loewner.ll t.Loewner.sll) in
-      (row.Svd.u, col.Svd.v, row.Svd.sigma, tb)
+      (* Y is the left vectors of [LL sLL], i.e. the right vectors of
+         its tall conjugate transpose; X is the right vectors of
+         [LL; sLL]. *)
+      let (sigma, y), tb =
+        right_backend backend
+          (Cmat.ctranspose (Cmat.hcat t.Loewner.ll t.Loewner.sll))
+      in
+      let (_, x), _ = right_backend backend (Cmat.vcat t.Loewner.ll t.Loewner.sll) in
+      (y, x, sigma, tb)
   in
   let rank =
     let d_for_rank = { Svd.u = y; sigma; v = x } in

@@ -16,7 +16,9 @@ type mode =
   | Stacked
       (** [Y] from svd [[LL sLL]], [X] from svd [[LL; sLL]] — the
           Lefteriu-Antoulas practical variant; keeps realified pencils
-          real. *)
+          real.  Each side needs one set of singular vectors only, so
+          the exact path runs {!Linalg.Svd.right} on [[LL sLL]^H] and
+          [[LL; sLL]] and never forms the other set. *)
 
 (** How many singular values to keep. *)
 type rank_rule =
@@ -37,10 +39,12 @@ type backend =
           low-rank (Lemma 3.3) and a Gaussian sketch wins *)
   | Randomized
       (** adaptive {!Linalg.Rsvd} range finder; when the residual
-          certificate fails (sketch missed part of the range, or the
-          ["svd.rsvd.degrade"] fault poisoned it) the exact cascade
+          certificate fails (the sketch reached its half-width cap
+          without capturing the range, as on a noise-floor spectrum,
+          or the ["svd.rsvd.degrade"] fault poisoned it) the exact SVD
           reruns and ["svd.rsvd.fallback"] is recorded in the ambient
-          {!Linalg.Diag} collector *)
+          {!Linalg.Diag} collector, its detail saying ["capped at n/2"]
+          in the first case *)
   | Jacobi
       (** exact blocked one-sided Jacobi
           ({!Linalg.Svd.algorithm.Blocked_jacobi}) — the parallel

@@ -75,13 +75,12 @@ let project_out q y =
   let y = Cmat.sub y (Cmat.mul q (Cmat.mul_cn q y)) in
   Cmat.sub y (Cmat.mul q (Cmat.mul_cn q y))
 
-(* Finish: small dense SVD of B = Q* A (sketch x n), lift U back
-   through Q, and certify via the exact Frobenius identity
+(* Certify the basis via the exact Frobenius identity
    |A - Q Q* A|_F^2 = |A|_F^2 - |Q* A|_F^2 (Q has orthonormal
-   columns, so no error matrix is ever formed). *)
-let finish ~tol ~norm_a ~total a q =
+   columns, so no error matrix is ever formed).  Returns B = Q* A
+   and the residual. *)
+let certify ~norm_a a q =
   let b = Cmat.mul_cn q a in
-  let d = Svd.decompose b in
   let norm_b = Cmat.norm_fro b in
   let res2 = (norm_a *. norm_a) -. (norm_b *. norm_b) in
   (* The difference of squares cancels catastrophically once the true
@@ -102,6 +101,12 @@ let finish ~tol ~norm_a ~total a q =
   let residual =
     if Fault.armed "svd.rsvd.degrade" then Float.infinity else residual
   in
+  (b, residual)
+
+(* Finish: small dense SVD of B (sketch x n), lifting U back
+   through Q. *)
+let finish ~tol ~norm_a ~total q (b, residual) =
+  let d = Svd.decompose b in
   {
     svd = { Svd.u = Cmat.mul q d.Svd.u; sigma = d.Svd.sigma; v = d.Svd.v };
     residual;
@@ -133,9 +138,18 @@ let decompose_tall ?(seed = default_seed) ?(oversample = default_oversample)
       let omega = Cmat.random rng n l in
       let q = orthonormalize (Cmat.mul a omega) in
       let q = power_iterate a q power in
-      finish ~tol ~norm_a ~total:n a q
+      finish ~tol ~norm_a ~total:n q (certify ~norm_a a q)
     end
   end
+
+(* The adaptive sketch doubles from [l] to [2l] only while [2l <= n/2].
+   A wider sketch costs more than the exact SVD it is trying to avoid
+   (at 320 x 160 the 40- and 80-column rounds together cost a little
+   less than an exact {!Svd.right}, a 160-column round more than twice
+   as much), and a spectrum that has not certified by half width is a
+   noise floor, not a low-rank matrix: the caller's exact path answers
+   it. *)
+let capped ~l ~n = 2 * l > n / 2
 
 let decompose_adaptive_tall ?(seed = default_seed) ?(power = default_power)
     ?(tol = default_tol) a =
@@ -156,15 +170,16 @@ let decompose_adaptive_tall ?(seed = default_seed) ?(power = default_power)
       let q0 = power_iterate a (orthonormalize (Cmat.mul a omega)) power in
       let rec grow q =
         let l = Cmat.cols q in
-        let r = finish ~tol ~norm_a ~total:n a q in
-        if r.certified || degraded || l >= n then r
+        let ((_, residual) as cert) = certify ~norm_a a q in
+        (* only the returned round needs the SVD of B *)
+        if residual <= tol *. norm_a || degraded || capped ~l ~n then
+          finish ~tol ~norm_a ~total:n q cert
         else begin
           (* Geometric growth, reusing the basis built so far: fresh
              sketch columns are power-iterated, projected against the
              existing Q (twice), and orthonormalized — never
              recomputed from scratch. *)
-          let dl = Stdlib.min l (n - l) in
-          let omega = Cmat.random rng n dl in
+          let omega = Cmat.random rng n l in
           let y = power_iterate a (orthonormalize (Cmat.mul a omega)) power in
           let fresh = orthonormalize (project_out q y) in
           grow (Cmat.hcat q fresh)

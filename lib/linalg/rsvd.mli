@@ -17,7 +17,7 @@
     {!field-certified} and fall back
     to the exact path when the sketch missed part of the range —
     {!Core.Svd_reduce} records ["svd.rsvd.fallback"] and reruns the
-    Jacobi/GK cascade.
+    exact SVD.
 
     All randomness is drawn from a {!Rng} stream fixed by [seed], and
     every parallel kernel used is domain-count independent, so results
@@ -52,12 +52,16 @@ val decompose :
   ?seed:int -> ?oversample:int -> ?power:int -> ?tol:float ->
   rank:int -> Cmat.t -> t
 
-(** [decompose_adaptive ?seed ?power ?tol a] grows the sketch
-    geometrically (starting near [min (m, n) / 4]) until the residual
-    certifies or the sketch covers the full spectrum, reusing the
-    already-orthonormalized block at each step (new sketch columns are
-    projected against the existing basis, not recomputed).  This is
-    the reduce-stage entry point: the pencil rank is not known a
-    priori. *)
+(** [decompose_adaptive ?seed ?power ?tol a] starts with a sketch of
+    [max 16 (k / 4)] columns, [k = min (m, n)], and doubles it from
+    [l] to [2l] while the residual does not certify and [2l <= k / 2].
+    Each step reuses the already-orthonormalized block (new sketch
+    columns are projected against the existing basis, not recomputed).
+    A sketch that has not certified by then is returned uncertified,
+    with [sketch < total]: past half width a wider sketch costs more
+    than the exact SVD the caller falls back to, and a spectrum that
+    wide is a noise floor (measured noisy data makes the Loewner pencil
+    numerically full rank), not a low-rank matrix.  This is the
+    reduce-stage entry point: the pencil rank is not known a priori. *)
 val decompose_adaptive :
   ?seed:int -> ?power:int -> ?tol:float -> Cmat.t -> t

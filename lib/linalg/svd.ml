@@ -281,7 +281,7 @@ let complete_columns u zero_cols =
       try_basis 0)
     zero_cols
 
-let decompose_tall_with orth a =
+let decompose_tall_with ~want_u orth a =
   let m, n = Cmat.dims a in
   let b = ref (Cmat.copy a) in
   let v = Cmat.identity n in
@@ -333,29 +333,36 @@ let decompose_tall_with orth a =
   let order = Array.init n (fun i -> i) in
   Array.sort (fun i j -> compare sig2.(j) sig2.(i)) order;
   let sigma = Array.map (fun i -> sig2.(i)) order in
-  let bs = Cmat.select_cols b order in
   let vs = Cmat.select_cols v order in
-  (* Normalize U columns; collect the ones we must complete. *)
-  let u = Cmat.create m n in
-  let smax = if n > 0 then sigma.(0) else 0. in
-  let zero_cols = ref [] in
-  for jcol = 0 to n - 1 do
-    if sigma.(jcol) > 1e-100 && (smax = 0. || sigma.(jcol) > 1e-15 *. smax) then
-      Cmat.set_col u jcol (Cmat.scale_float (1. /. sigma.(jcol)) (Cmat.col bs jcol))
-    else zero_cols := jcol :: !zero_cols
-  done;
-  complete_columns u (List.rev !zero_cols);
+  let u =
+    if not want_u then Cmat.create m 0
+    else begin
+      let bs = Cmat.select_cols b order in
+      (* Normalize U columns; collect the ones we must complete. *)
+      let u = Cmat.create m n in
+      let smax = if n > 0 then sigma.(0) else 0. in
+      let zero_cols = ref [] in
+      for jcol = 0 to n - 1 do
+        if sigma.(jcol) > 1e-100 && (smax = 0. || sigma.(jcol) > 1e-15 *. smax) then
+          Cmat.set_col u jcol (Cmat.scale_float (1. /. sigma.(jcol)) (Cmat.col bs jcol))
+        else zero_cols := jcol :: !zero_cols
+      done;
+      complete_columns u (List.rev !zero_cols);
+      u
+    end
+  in
   let sigma =
     if !scale_back = 1. then sigma
     else Array.map (fun s -> s /. !scale_back) sigma
   in
   { u; sigma; v = vs }
 
-let decompose_tall a =
-  decompose_tall_with (fun ~sweeps b v -> jacobi_orthogonalize ~sweeps b v) a
+let decompose_tall ~want_u a =
+  decompose_tall_with ~want_u
+    (fun ~sweeps b v -> jacobi_orthogonalize ~sweeps b v) a
 
-let decompose_tall_blocked a =
-  decompose_tall_with
+let decompose_tall_blocked ~want_u a =
+  decompose_tall_with ~want_u
     (fun ~sweeps b v -> jacobi_orthogonalize_blocked ~sweeps b v)
     a
 
@@ -393,7 +400,9 @@ let rotate_cols_real m p q c s =
   done
 
 (* One implicit-shift Golub-Kahan step on the window [lo..hi] of the
-   real bidiagonal (d, e), accumulating rotations into u and v. *)
+   real bidiagonal (d, e), accumulating rotations into v and, when
+   present, u.  The left rotations never feed back into d, e or v, so
+   skipping u leaves them bit-identical. *)
 let gk_step d e u v lo hi =
   (* Wilkinson shift from the trailing 2x2 of B^T B *)
   let dm = d.(hi - 1) and dn = d.(hi) and em = e.(hi - 1) in
@@ -434,7 +443,9 @@ let gk_step d e u v lo hi =
       bulge := s2 *. e.(k + 1);
       e.(k + 1) <- c2 *. e.(k + 1)
     end;
-    rotate_cols_real u k (k + 1) c2 s2
+    match u with
+    | Some u -> rotate_cols_real u k (k + 1) c2 s2
+    | None -> ()
   done
 
 let eps = 2.2e-16
@@ -481,8 +492,10 @@ let bidiag_qr d e u v =
   end
 
 (* Complex Householder bidiagonalization of a (m >= n); returns
-   (u, d, e, v) with a = u (bidiag d, e) v^H, u: m x n, v: n x n. *)
-let bidiagonalize a =
+   (u, d, e, v) with a = u (bidiag d, e) v^H, u: m x n, v: n x n.
+   Without [want_u] the left reflectors are never accumulated and u is
+   [None]; d, e and v do not depend on them. *)
+let bidiagonalize ~want_u a =
   let m, n = Cmat.dims a in
   let b = Cmat.copy a in
   let re = Cmat.unsafe_re b and im = Cmat.unsafe_im b in
@@ -602,33 +615,39 @@ let bidiagonalize a =
     end
   done;
   (* accumulate thin U by applying left reflectors to [I; 0] *)
-  let u = Cmat.create m n in
-  let ure = Cmat.unsafe_re u and uim = Cmat.unsafe_im u in
-  for k = 0 to n - 1 do
-    ure.(k + (k * m)) <- 1.
-  done;
-  for k = n - 1 downto 0 do
-    if taul.(k) <> 0. then
-      for jcol = 0 to n - 1 do
-        let joff = jcol * m in
-        let koff = k * m in
-        let sr = ref ure.(joff + k) and si = ref uim.(joff + k) in
-        for i = k + 1 to m - 1 do
-          let vr = re.(koff + i) and vi = -.im.(koff + i) in
-          let cr = ure.(joff + i) and ci = uim.(joff + i) in
-          sr := !sr +. (vr *. cr) -. (vi *. ci);
-          si := !si +. (vr *. ci) +. (vi *. cr)
-        done;
-        let sr = taul.(k) *. !sr and si = taul.(k) *. !si in
-        ure.(joff + k) <- ure.(joff + k) -. sr;
-        uim.(joff + k) <- uim.(joff + k) -. si;
-        for i = k + 1 to m - 1 do
-          let vr = re.(koff + i) and vi = im.(koff + i) in
-          ure.(joff + i) <- ure.(joff + i) -. (vr *. sr) +. (vi *. si);
-          uim.(joff + i) <- uim.(joff + i) -. (vr *. si) -. (vi *. sr)
-        done
-      done
-  done;
+  let u =
+    if not want_u then None
+    else begin
+      let u = Cmat.create m n in
+      let ure = Cmat.unsafe_re u and uim = Cmat.unsafe_im u in
+      for k = 0 to n - 1 do
+        ure.(k + (k * m)) <- 1.
+      done;
+      for k = n - 1 downto 0 do
+        if taul.(k) <> 0. then
+          for jcol = 0 to n - 1 do
+            let joff = jcol * m in
+            let koff = k * m in
+            let sr = ref ure.(joff + k) and si = ref uim.(joff + k) in
+            for i = k + 1 to m - 1 do
+              let vr = re.(koff + i) and vi = -.im.(koff + i) in
+              let cr = ure.(joff + i) and ci = uim.(joff + i) in
+              sr := !sr +. (vr *. cr) -. (vi *. ci);
+              si := !si +. (vr *. ci) +. (vi *. cr)
+            done;
+            let sr = taul.(k) *. !sr and si = taul.(k) *. !si in
+            ure.(joff + k) <- ure.(joff + k) -. sr;
+            uim.(joff + k) <- uim.(joff + k) -. si;
+            for i = k + 1 to m - 1 do
+              let vr = re.(koff + i) and vi = im.(koff + i) in
+              ure.(joff + i) <- ure.(joff + i) -. (vr *. sr) +. (vi *. si);
+              uim.(joff + i) <- uim.(joff + i) -. (vr *. si) -. (vi *. sr)
+            done
+          done
+      done;
+      Some u
+    end
+  in
   (* accumulate V by applying right reflectors (v stored in rows) *)
   let v = Cmat.identity n in
   let vre_m = Cmat.unsafe_re v and vim_m = Cmat.unsafe_im v in
@@ -669,10 +688,23 @@ let bidiagonalize a =
   let ec = Array.init (Stdlib.max 0 (n - 1)) (fun k -> Cmat.get b k (k + 1)) in
   (u, dc, ec, v)
 
-let decompose_gk_tall a =
+(* Scale column k of m by the unit complex z. *)
+let scale_col m k (z : Cx.t) =
+  let rows = Cmat.rows m in
+  let re = Cmat.unsafe_re m and im = Cmat.unsafe_im m in
+  let off = k * rows in
+  for i = 0 to rows - 1 do
+    let xr = re.(off + i) and xi = im.(off + i) in
+    re.(off + i) <- (xr *. z.Cx.re) -. (xi *. z.Cx.im);
+    im.(off + i) <- (xr *. z.Cx.im) +. (xi *. z.Cx.re)
+  done
+
+(* Without [want_u] the returned [u] has no columns: the left
+   reflectors, phases, rotations and sign flips are all skipped, and
+   sigma and v come out bit-identical to the [want_u] run. *)
+let decompose_gk_tall ~want_u a =
   let m, n = Cmat.dims a in
-  ignore m;
-  let u, dc, ec, v = bidiagonalize a in
+  let u, dc, ec, v = bidiagonalize ~want_u a in
   (* phase-normalize the bidiagonal to real nonnegative entries;
      fold the phases into U and V column scalings *)
   let d = Array.make n 0. and e = Array.make (Stdlib.max 0 (n - 1)) 0. in
@@ -683,25 +715,9 @@ let decompose_gk_tall a =
     let mag = Cx.abs dk in
     d.(k) <- mag;
     let dl = if mag = 0. then Cx.one else Cx.scale (1. /. mag) dk in
-    (* fold dl into U column k *)
-    let urow = Cmat.rows u in
-    let ure = Cmat.unsafe_re u and uim = Cmat.unsafe_im u in
-    let off = k * urow in
-    for i = 0 to urow - 1 do
-      let xr = ure.(off + i) and xi = uim.(off + i) in
-      ure.(off + i) <- (xr *. dl.Cx.re) -. (xi *. dl.Cx.im);
-      uim.(off + i) <- (xr *. dl.Cx.im) +. (xi *. dl.Cx.re)
-    done;
-    (* fold dr into V column k *)
-    let vrow = Cmat.rows v in
-    let vre = Cmat.unsafe_re v and vim = Cmat.unsafe_im v in
-    let voff = k * vrow in
-    let drc = !dr in
-    for i = 0 to vrow - 1 do
-      let xr = vre.(voff + i) and xi = vim.(voff + i) in
-      vre.(voff + i) <- (xr *. drc.Cx.re) -. (xi *. drc.Cx.im);
-      vim.(voff + i) <- (xr *. drc.Cx.im) +. (xi *. drc.Cx.re)
-    done;
+    (* fold dl into U column k, dr into V column k *)
+    Option.iter (fun u -> scale_col u k dl) u;
+    scale_col v k !dr;
     if k < n - 1 then begin
       (* superdiagonal after phases: conj(dl) * ec_k * dr_{k+1}; choose
          dr_{k+1} to make it real nonnegative *)
@@ -716,57 +732,72 @@ let decompose_gk_tall a =
   for k = 0 to n - 1 do
     if d.(k) < 0. then begin
       d.(k) <- -.d.(k);
-      let urow = Cmat.rows u in
-      let ure = Cmat.unsafe_re u and uim = Cmat.unsafe_im u in
-      let off = k * urow in
-      for i = 0 to urow - 1 do
-        ure.(off + i) <- -.ure.(off + i);
-        uim.(off + i) <- -.uim.(off + i)
-      done
+      Option.iter
+        (fun u ->
+          let rows = Cmat.rows u in
+          let re = Cmat.unsafe_re u and im = Cmat.unsafe_im u in
+          let off = k * rows in
+          for i = 0 to rows - 1 do
+            re.(off + i) <- -.re.(off + i);
+            im.(off + i) <- -.im.(off + i)
+          done)
+        u
     end
   done;
   let order = Array.init n (fun i -> i) in
   Array.sort (fun i j -> compare d.(j) d.(i)) order;
-  { u = Cmat.select_cols u order;
+  { u = (match u with Some u -> Cmat.select_cols u order | None -> Cmat.create m 0);
     sigma = Array.map (fun i -> d.(i)) order;
     v = Cmat.select_cols v order }
 
 type algorithm = Auto | Jacobi | Blocked_jacobi | Golub_kahan
 
+(* Factor a tall (m >= n) matrix.  Without [want_u] the result's [u]
+   has no columns, and [sigma] and [v] are bit-identical to the
+   [want_u] run on every path, the Jacobi fallback included. *)
+let decompose_tall_algo ~algorithm ~want_u x =
+  (* GK is the fast path but its implicit-shift QR has a hard
+     iteration budget; on exhaustion fall back to the Jacobi cascade,
+     which always terminates and reports its achieved orthogonality
+     through the diagnostics instead of raising. *)
+  let gk_with_fallback x =
+    match decompose_gk_tall ~want_u x with
+    | d -> d
+    | exception No_convergence ->
+      Diag.record ~site:"svd.gk.jacobi_fallback"
+        "bidiagonal QR budget exhausted; one-sided Jacobi retry";
+      Diag.incr_retries ();
+      decompose_tall ~want_u x
+  in
+  match algorithm with
+  | Jacobi -> decompose_tall ~want_u x
+  | Blocked_jacobi -> decompose_tall_blocked ~want_u x
+  | Golub_kahan -> gk_with_fallback x
+  | Auto ->
+    (* Jacobi is competitive (and slightly more accurate on the
+       smallest singular values) below ~32 columns *)
+    if Cmat.cols x <= 32 then decompose_tall ~want_u x else gk_with_fallback x
+
 let decompose ?(algorithm = Auto) a =
   let m, n = Cmat.dims a in
   if m = 0 || n = 0 then { u = Cmat.create m 0; sigma = [||]; v = Cmat.create n 0 }
+  else if m >= n then decompose_tall_algo ~algorithm ~want_u:true a
   else begin
-    (* GK is the fast path but its implicit-shift QR has a hard
-       iteration budget; on exhaustion fall back to the Jacobi cascade,
-       which always terminates and reports its achieved orthogonality
-       through the diagnostics instead of raising. *)
-    let gk_with_fallback x =
-      match decompose_gk_tall x with
-      | d -> d
-      | exception No_convergence ->
-        Diag.record ~site:"svd.gk.jacobi_fallback"
-          "bidiagonal QR budget exhausted; one-sided Jacobi retry";
-        Diag.incr_retries ();
-        decompose_tall x
-    in
-    let tall x =
-      match algorithm with
-      | Jacobi -> decompose_tall x
-      | Blocked_jacobi -> decompose_tall_blocked x
-      | Golub_kahan -> gk_with_fallback x
-      | Auto ->
-        (* Jacobi is competitive (and slightly more accurate on the
-           smallest singular values) below ~32 columns *)
-        if Cmat.cols x <= 32 then decompose_tall x else gk_with_fallback x
-    in
-    if m >= n then tall a
-    else begin
-      (* A = (A^H)^H: svd(A^H) = U' S V'^H  =>  A = V' S U'^H *)
-      let d = tall (Cmat.ctranspose a) in
-      { u = d.v; sigma = d.sigma; v = d.u }
-    end
+    (* A = (A^H)^H: svd(A^H) = U' S V'^H  =>  A = V' S U'^H *)
+    let d = decompose_tall_algo ~algorithm ~want_u:true (Cmat.ctranspose a) in
+    { u = d.v; sigma = d.sigma; v = d.u }
   end
+
+let right ?(algorithm = Auto) a =
+  let m, n = Cmat.dims a in
+  let d =
+    if n > 0 && m >= n then decompose_tall_algo ~algorithm ~want_u:false a
+    else
+      (* the right vectors of a wide matrix are the left vectors of
+         its tall conjugate transpose, so that U is needed *)
+      decompose ~algorithm a
+  in
+  (d.sigma, d.v)
 
 let reconstruct d =
   let k = Array.length d.sigma in
@@ -835,9 +866,15 @@ let rank_gap_of_values ?(floor = 1e-13) ?tail_bound sigma =
 let rank ~rtol d = rank_of_values ~rtol d.sigma
 let rank_gap ?floor d = rank_gap_of_values ?floor d.sigma
 
+(* Singular values from the tall orientation, where {!right} forms no U;
+   the same factorization {!decompose} runs, so sigma is bit-identical. *)
+let values a =
+  let a = if Cmat.rows a < Cmat.cols a then Cmat.ctranspose a else a in
+  fst (right a)
+
 let norm2 a =
-  let d = decompose a in
-  if Array.length d.sigma = 0 then 0. else d.sigma.(0)
+  let sigma = values a in
+  if Array.length sigma = 0 then 0. else sigma.(0)
 
 let pinv ?(rtol = 1e-12) a =
   let d = decompose a in
@@ -852,5 +889,3 @@ let pinv ?(rtol = 1e-12) a =
     in
     Cmat.mul vs (Cmat.ctranspose d.u)
   end
-
-let values a = (decompose a).sigma

@@ -2,12 +2,23 @@
     [A = U diag(s) V*] with [U] of size [m x min(m,n)], [s] descending,
     [V] of size [n x min(m,n)].
 
-    Two backends (property-tested to agree at machine precision):
-    one-sided Jacobi — simple, unconditionally convergent, high relative
-    accuracy on the smallest singular values — and Golub–Kahan
-    bidiagonalization with implicit-shift QR, roughly an order of
-    magnitude faster at the pencil sizes the Loewner pipeline produces.
-    The [Auto] default picks Jacobi below ~32 columns. *)
+    Three algorithms, property-tested to agree at machine precision,
+    plus an [Auto] choice between them:
+    - one-sided Jacobi: simple, unconditionally convergent, and highly
+      accurate in the relative sense on the smallest singular values;
+    - blocked one-sided Jacobi: the same arithmetic, scheduled by
+      column blocks so it parallelizes on the domain pool;
+    - Golub–Kahan bidiagonalization with implicit-shift QR: roughly an
+      order of magnitude faster at the pencil sizes the Loewner
+      pipeline produces.
+
+    [Auto] picks Jacobi up to 32 columns (of the tall orientation) and
+    Golub–Kahan above.  Wide matrices are factored through their
+    conjugate transpose.
+
+    {!right} is the one-sided entry point: for a tall matrix it never
+    forms [U], which is most of the Golub–Kahan cost that a caller
+    needing only [V] would otherwise throw away. *)
 
 type t = {
   u : Cmat.t;      (** [m x k] left singular vectors, [k = min(m,n)] *)
@@ -41,6 +52,17 @@ type algorithm =
 
 val decompose : ?algorithm:algorithm -> Cmat.t -> t
 
+(** [right ?algorithm a] is [(sigma, v)] of {!decompose}[ ?algorithm a],
+    bit for bit, on every path (the Jacobi path for at most 32 columns
+    and the [No_convergence] fallback to Jacobi included).  When
+    [rows a >= cols a] it never forms [U]: the bidiagonalization skips
+    the left-reflector accumulation and the QR iteration skips the
+    left rotations.  A wide [a] still needs the [U] of its conjugate
+    transpose, so there it costs as much as {!decompose}; pass
+    [Cmat.ctranspose a] to get the left vectors of a wide matrix
+    cheaply. *)
+val right : ?algorithm:algorithm -> Cmat.t -> float array * Cmat.t
+
 (** [reconstruct d] re-multiplies [U diag(s) V*] (for tests). *)
 val reconstruct : t -> Cmat.t
 
@@ -67,12 +89,15 @@ val rank_of_values : rtol:float -> float array -> int
     reports the full retained count. *)
 val rank_gap_of_values : ?floor:float -> ?tail_bound:float -> float array -> int
 
-(** Spectral norm [s.(0)] (0 for empty matrices). *)
+(** Spectral norm [s.(0)] (0 for empty matrices).  Like {!values} it
+    never forms [U]. *)
 val norm2 : Cmat.t -> float
 
 (** Moore–Penrose pseudoinverse with relative tolerance [rtol]
     (default [1e-12]). *)
 val pinv : ?rtol:float -> Cmat.t -> Cmat.t
 
-(** Singular values only (convenience wrapper). *)
+(** Singular values only, bit-identical to [(decompose a).sigma].  The
+    matrix is factored in its tall orientation through {!right}, so no
+    [U] is formed. *)
 val values : Cmat.t -> float array

@@ -740,6 +740,85 @@ let test_svd_blocked_domain_invariant () =
     (Cmat.equal ~tol:0. d_par.Svd.v d_seq.Svd.v)
 
 (* ------------------------------------------------------------------ *)
+(* One-sided SVD: [Svd.right] skips U but must not move a bit of sigma
+   or V, on every path [decompose] can take. *)
+
+let same_bits a b =
+  Array.length a = Array.length b
+  && Array.for_all2 (fun x y -> Int64.bits_of_float x = Int64.bits_of_float y) a b
+
+(* (label, algorithm, shape): GK above 32 columns, the Jacobi path at
+   or below it, both Jacobi schedulers, tall and wide *)
+let right_cases =
+  [ ("tall auto (gk)", Svd.Auto, (72, 48));
+    ("wide auto (gk)", Svd.Auto, (40, 66));
+    ("tall auto (<= 32 cols, jacobi)", Svd.Auto, (45, 20));
+    ("wide auto (<= 32 rows, jacobi)", Svd.Auto, (12, 30));
+    ("square golub_kahan", Svd.Golub_kahan, (40, 40));
+    ("tall jacobi", Svd.Jacobi, (50, 36));
+    ("tall blocked_jacobi", Svd.Blocked_jacobi, (56, 40));
+    ("wide blocked_jacobi", Svd.Blocked_jacobi, (40, 60)) ]
+
+let check_right_matches ~what algorithm a =
+  let d = Svd.decompose ~algorithm a in
+  let sigma, v = Svd.right ~algorithm a in
+  Alcotest.(check bool) (what ^ ": sigma bit-identical") true (same_bits sigma d.Svd.sigma);
+  Alcotest.(check bool) (what ^ ": v bit-identical") true (Cmat.equal ~tol:0. v d.Svd.v)
+
+let test_svd_right_matches_decompose () =
+  let rng = Rng.create 61 in
+  List.iter
+    (fun (what, algorithm, (m, n)) ->
+      check_right_matches ~what algorithm (Cmat.random rng m n))
+    right_cases
+
+let test_svd_right_no_converge_fault () =
+  (* the fault collapses the GK budget, so [Auto] and [Golub_kahan]
+     take the Jacobi fallback; the Jacobi cascade itself runs on
+     one-sweep budgets *)
+  let rng = Rng.create 62 in
+  let a = Cmat.random rng 64 40 in
+  Fault.with_spec "svd.no_converge" (fun () ->
+      let (), diag =
+        Diag.with_collector (fun () ->
+            check_right_matches ~what:"auto under fault" Svd.Auto a)
+      in
+      Alcotest.(check bool) "gk fell back to jacobi" true
+        (Diag.recorded diag "svd.gk.jacobi_fallback");
+      check_right_matches ~what:"golub_kahan under fault" Svd.Golub_kahan a;
+      check_right_matches ~what:"blocked_jacobi under fault" Svd.Blocked_jacobi a)
+
+let test_svd_right_domain_invariant () =
+  (* sequential and pooled runs of [right] both equal the pooled
+     [decompose] *)
+  let rng = Rng.create 63 in
+  List.iter
+    (fun (what, algorithm, (m, n)) ->
+      let a = Cmat.random rng m n in
+      let d = Svd.decompose ~algorithm a in
+      List.iter
+        (fun (how, run) ->
+          let sigma, v = run (fun () -> Svd.right ~algorithm a) in
+          Alcotest.(check bool) (what ^ " " ^ how ^ ": sigma") true
+            (same_bits sigma d.Svd.sigma);
+          Alcotest.(check bool) (what ^ " " ^ how ^ ": v") true
+            (Cmat.equal ~tol:0. v d.Svd.v))
+        [ ("sequential", Parallel.with_sequential); ("pool", fun f -> f ()) ])
+    right_cases
+
+let test_svd_values_match_decompose () =
+  let rng = Rng.create 64 in
+  List.iter
+    (fun (m, n) ->
+      let a = Cmat.random rng m n in
+      let d = Svd.decompose a in
+      Alcotest.(check bool) (Printf.sprintf "%dx%d values" m n) true
+        (same_bits (Svd.values a) d.Svd.sigma);
+      Alcotest.(check bool) (Printf.sprintf "%dx%d norm2" m n) true
+        (same_bits [| Svd.norm2 a |] [| d.Svd.sigma.(0) |]))
+    [ (1, 1); (6, 4); (4, 6); (30, 30); (70, 40); (40, 70) ]
+
+(* ------------------------------------------------------------------ *)
 (* Randomized range-finder SVD *)
 
 (* Exactly low-rank test matrix: the sketch captures the whole range,
@@ -1009,6 +1088,15 @@ let () =
          Alcotest.test_case "blocked = plain" `Quick test_svd_blocked_matches_plain;
          Alcotest.test_case "blocked domain-invariant (bit)" `Quick
            test_svd_blocked_domain_invariant ]);
+      ("svd right",
+       [ Alcotest.test_case "matches decompose (bit)" `Quick
+           test_svd_right_matches_decompose;
+         Alcotest.test_case "no_converge fault (bit)" `Quick
+           test_svd_right_no_converge_fault;
+         Alcotest.test_case "sequential = pool (bit)" `Quick
+           test_svd_right_domain_invariant;
+         Alcotest.test_case "values and norm2 (bit)" `Quick
+           test_svd_values_match_decompose ]);
       ("rank rules",
        [ Alcotest.test_case "rank_of_values" `Quick test_rank_of_values;
          Alcotest.test_case "gap at truncation boundary" `Quick

@@ -455,6 +455,88 @@ let test_auto_noise_on_clean_falls_back () =
   check_small ~tol:1e-7 "still exact"
     (Metrics.err r.Algorithm1.model validation_samples)
 
+(* ------------------------------------------------------------------ *)
+(* Stacked reduce on a noisy pencil: the randomized sketch stops at its
+   half-width cap, and the exact fallback (which forms no U) yields the
+   model the full two-sided SVD factors give. *)
+
+(* A noisy (1e-3) 4-port 40-point PDN, assembled and realified as the
+   Direct engine does: a 320 x 160 stacked pencil that measured noise
+   makes numerically full rank. *)
+let noisy_pdn_pencil =
+  lazy
+    (let board =
+       { Rf.Pdn.default_spec with ports = 4; decaps = 2; nx = 3; ny = 3; seed = 7 }
+     in
+     let clean = Rf.Pdn.scattering board ~z0:50. (Sampling.logspace 1e6 1e9 40) in
+     let noisy = Rf.Noise.add_relative ~seed:1000 ~level:1e-3 clean in
+     let ok what = function
+       | Ok x -> x
+       | Error e -> Alcotest.failf "%s: %s" what (Mfti_error.to_string e)
+     in
+     let st =
+       ok "ingest"
+         (Engine.ingest ~strategy:Engine.Direct
+            (Dataset.trim_even (Dataset.of_samples noisy)))
+     in
+     ok "realify" (Engine.realify st);
+     Option.get (Engine.pencil st))
+
+let test_stacked_sketch_capped () =
+  let p = Lazy.force noisy_pdn_pencil in
+  List.iter
+    (fun (what, a) ->
+      Alcotest.(check (pair int int)) (what ^ " dims") (320, 160) (Cmat.dims a);
+      let r = Rsvd.decompose_adaptive a in
+      Alcotest.(check bool) (what ^ " not certified") false r.Rsvd.certified;
+      Alcotest.(check int) (what ^ " spectrum") 160 r.Rsvd.total;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s sketch %d <= 80" what r.Rsvd.sketch)
+        true (r.Rsvd.sketch <= 80))
+    [ ("row side", Cmat.ctranspose (Cmat.hcat p.Loewner.ll p.Loewner.sll));
+      ("column side", Cmat.vcat p.Loewner.ll p.Loewner.sll) ]
+
+let test_stacked_fallback_bit_identical () =
+  let p = Lazy.force noisy_pdn_pencil in
+  let r, diag =
+    Diag.with_collector (fun () ->
+        Svd_reduce.reduce ~mode:Svd_reduce.Stacked
+          ~rank_rule:(Svd_reduce.Tol 3e-3) p)
+  in
+  (* both sides fell back, and the diagnostic names the cap *)
+  let fallbacks =
+    List.filter (fun e -> e.Diag.site = "svd.rsvd.fallback") (Diag.events diag)
+  in
+  Alcotest.(check int) "two fallbacks" 2 (List.length fallbacks);
+  let contains ~needle haystack =
+    let nl = String.length needle and hl = String.length haystack in
+    let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
+    go 0
+  in
+  List.iter
+    (fun e ->
+      Alcotest.(check bool) ("fallback says capped: " ^ e.Diag.detail) true
+        (contains ~needle:"capped at n/2" e.Diag.detail))
+    fallbacks;
+  (* the reference: two-sided factors, projected as Lemma 3.4 does *)
+  let row = Svd.decompose (Cmat.hcat p.Loewner.ll p.Loewner.sll) in
+  let col = Svd.decompose (Cmat.vcat p.Loewner.ll p.Loewner.sll) in
+  let rank = Stdlib.max 1 (Svd.rank ~rtol:3e-3 row) in
+  Alcotest.(check int) "rank" rank r.Svd_reduce.rank;
+  let first k m = Cmat.sub_matrix m ~r:0 ~c:0 ~rows:(Cmat.rows m) ~cols:k in
+  let y = first rank row.Svd.u and x = first rank col.Svd.v in
+  let e = Cmat.neg (Cmat.mul_cn y (Cmat.mul p.Loewner.ll x)) in
+  let a = Cmat.neg (Cmat.mul_cn y (Cmat.mul p.Loewner.sll x)) in
+  let b = Cmat.mul_cn y p.Loewner.v in
+  let c = Cmat.mul p.Loewner.w x in
+  let m = r.Svd_reduce.model in
+  List.iter
+    (fun (what, got, want) ->
+      Alcotest.(check bool) (what ^ " bit-identical") true
+        (Cmat.equal ~tol:0. got want))
+    [ ("E", m.Descriptor.e, e); ("A", m.Descriptor.a, a);
+      ("B", m.Descriptor.b, b); ("C", m.Descriptor.c, c) ]
+
 (* property: exact recovery at the Theorem 3.5 minimal sampling, across
    random systems *)
 let prop_minimal_recovery =
@@ -585,6 +667,11 @@ let () =
        [ Alcotest.test_case "zero for truth" `Quick test_metrics_zero_for_truth;
          Alcotest.test_case "err vector" `Quick test_metrics_err_vector;
          Alcotest.test_case "report" `Quick test_metrics_report ]);
+      ("stacked",
+       [ Alcotest.test_case "noisy sketch stops at half width" `Quick
+           test_stacked_sketch_capped;
+         Alcotest.test_case "fallback = two-sided factors (bit)" `Quick
+           test_stacked_fallback_bit_identical ]);
       ("rank rules",
        [ Alcotest.test_case "auto-noise on noisy data" `Quick test_auto_noise_rank;
          Alcotest.test_case "auto-noise clean fallback" `Quick test_auto_noise_on_clean_falls_back ]);
