@@ -16,8 +16,10 @@ let env_domains () =
     (match int_of_string_opt (String.trim s) with
      | Some n when n >= 1 -> n
      | _ ->
-       invalid_arg
-         (Printf.sprintf "MFTI_DOMAINS=%S: expected a positive integer" s))
+       Mfti_error.raise_error
+         (Mfti_error.Validation
+            { context = "MFTI_DOMAINS";
+              message = Printf.sprintf "%S: expected a positive integer" s }))
 
 type pool = {
   mutex : Mutex.t;

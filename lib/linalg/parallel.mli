@@ -18,7 +18,9 @@
     domain count, so it too is deterministic. *)
 
 (** Effective pool size: the value set by {!set_domain_count}, else
-    [MFTI_DOMAINS], else [Domain.recommended_domain_count ()]. *)
+    [MFTI_DOMAINS], else [Domain.recommended_domain_count ()].  An
+    [MFTI_DOMAINS] that is not a positive integer raises
+    {!Mfti_error.Error} ([Validation], context ["MFTI_DOMAINS"]). *)
 val domain_count : unit -> int
 
 (** [set_domain_count n] fixes the pool size to [n >= 1], shutting down

@@ -13,34 +13,18 @@ let parse_fail message =
 (* ------------------------------------------------------------------ *)
 (* Binary encoding *)
 
-let put_u32 b v =
-  Buffer.add_char b (Char.chr ((v lsr 24) land 0xff));
-  Buffer.add_char b (Char.chr ((v lsr 16) land 0xff));
-  Buffer.add_char b (Char.chr ((v lsr 8) land 0xff));
-  Buffer.add_char b (Char.chr (v land 0xff))
+let put_u32 b v = Buffer.add_int32_be b (Int32.of_int v)
+let put_f64 b x = Buffer.add_int64_be b (Int64.bits_of_float x)
 
-let put_f64 b x =
-  let bits = Int64.bits_of_float x in
-  for i = 7 downto 0 do
-    Buffer.add_char b
-      (Char.chr (Int64.to_int (Int64.logand (Int64.shift_right_logical bits (8 * i)) 0xFFL)))
-  done
+let unsigned (v : int32) = Int32.to_int v land 0xFFFF_FFFF
 
 let get_u32 s off =
   if off + 4 > String.length s then parse_fail "truncated u32";
-  (Char.code s.[off] lsl 24)
-  lor (Char.code s.[off + 1] lsl 16)
-  lor (Char.code s.[off + 2] lsl 8)
-  lor Char.code s.[off + 3]
+  unsigned (String.get_int32_be s off)
 
 let get_f64 s off =
   if off + 8 > String.length s then parse_fail "truncated f64";
-  let bits = ref 0L in
-  for i = 0 to 7 do
-    bits := Int64.logor (Int64.shift_left !bits 8)
-        (Int64.of_int (Char.code s.[off + i]))
-  done;
-  Int64.float_of_bits !bits
+  Int64.float_of_bits (String.get_int64_be s off)
 
 let frame tag payload =
   let b = Buffer.create (String.length payload + 5) in
@@ -124,51 +108,93 @@ let decode_grid_body body =
 (* Incremental reader *)
 
 module Reader = struct
-  type t = { buf : Buffer.t }
+  (* The live bytes are [data.[start .. stop - 1]].  [scanned] (start <=
+     scanned <= stop) is how far the search for '\n' has got: no
+     newline lies in [start, scanned), so a line trickled in over many
+     chunks is scanned once, and bytes are copied out only when a frame
+     is complete. *)
+  type t = {
+    mutable data : bytes;
+    mutable start : int;
+    mutable stop : int;
+    mutable scanned : int;
+  }
 
-  let create () = { buf = Buffer.create 512 }
-  let add r chunk k = Buffer.add_subbytes r.buf chunk 0 k
-  let pending r = Buffer.length r.buf
+  let create () = { data = Bytes.create 512; start = 0; stop = 0; scanned = 0 }
+  let pending r = r.stop - r.start
+
+  (* Make room for [k] more bytes: slide the live bytes to the front
+     when that frees at least half the buffer, else double it.  Either
+     way a byte is moved O(1) times on average. *)
+  let reserve r k =
+    let live = pending r and cap = Bytes.length r.data in
+    if r.stop + k > cap then begin
+      let data =
+        if live + k <= cap / 2 then r.data
+        else Bytes.create (Stdlib.max (2 * cap) (live + k))
+      in
+      Bytes.blit r.data r.start data 0 live;
+      r.data <- data;
+      r.scanned <- r.scanned - r.start;
+      r.start <- 0;
+      r.stop <- live
+    end
+
+  let add r chunk k =
+    reserve r k;
+    Bytes.blit chunk 0 r.data r.stop k;
+    r.stop <- r.stop + k
+
+  (* drop the first [n] live bytes *)
+  let consume r n =
+    r.start <- r.start + n;
+    r.scanned <- Stdlib.max r.scanned r.start;
+    if r.start = r.stop then begin
+      r.start <- 0;
+      r.stop <- 0;
+      r.scanned <- 0
+    end
 
   let take_rest r =
-    let s = Buffer.contents r.buf in
-    Buffer.clear r.buf;
+    let s = Bytes.sub_string r.data r.start (pending r) in
+    consume r (pending r);
     s
 
-  (* drop the first [n] buffered bytes *)
-  let consume r n =
-    let s = Buffer.contents r.buf in
-    Buffer.clear r.buf;
-    Buffer.add_substring r.buf s n (String.length s - n)
+  let rec find_newline r =
+    if r.scanned >= r.stop then None
+    else if Bytes.get r.data r.scanned = '\n' then Some r.scanned
+    else begin
+      r.scanned <- r.scanned + 1;
+      find_newline r
+    end
 
   let next_json r ~max_bytes =
-    let s = Buffer.contents r.buf in
-    match String.index_opt s '\n' with
-    | None ->
-      if Buffer.length r.buf > max_bytes then `Too_long else `None
+    match find_newline r with
+    | None -> if pending r > max_bytes then `Too_long else `None
     | Some i ->
-      consume r (i + 1);
-      let line = String.sub s 0 i in
-      let line =
-        (* tolerate CRLF clients *)
-        if line <> "" && line.[String.length line - 1] = '\r' then
-          String.sub line 0 (String.length line - 1)
-        else line
+      (* tolerate CRLF clients *)
+      let len =
+        if i > r.start && Bytes.get r.data (i - 1) = '\r' then i - 1 - r.start
+        else i - r.start
       in
-      if String.length line > max_bytes then `Too_long else `Frame (Json_text line)
+      let frame =
+        if len > max_bytes then `Too_long
+        else `Frame (Json_text (Bytes.sub_string r.data r.start len))
+      in
+      consume r (i + 1 - r.start);
+      frame
 
   let next_binary r ~max_bytes =
-    let s = Buffer.contents r.buf in
-    let have = String.length s in
+    let have = pending r in
     if have < 4 then (if have > 0 && have > max_bytes then `Too_long else `None)
     else begin
-      let n = get_u32 s 0 in
+      let n = unsigned (Bytes.get_int32_be r.data r.start) in
       if n < 1 then `Bad "binary frame with empty payload"
       else if n + 4 > max_bytes then `Too_long
       else if have < 4 + n then `None
       else begin
-        let tag = s.[4] in
-        let payload = String.sub s 5 (n - 1) in
+        let tag = Bytes.get r.data (r.start + 4) in
+        let payload = Bytes.sub_string r.data (r.start + 5) (n - 1) in
         consume r (4 + n);
         if tag = tag_json then `Frame (Json_text payload)
         else if tag = tag_grid then `Frame (Grid_body payload)
@@ -190,7 +216,8 @@ let is_hello line =
      transports probe every line *)
   let has_sub needle hay =
     let n = String.length needle and h = String.length hay in
-    let rec at i = i + n <= h && (String.sub hay i n = needle || at (i + 1)) in
+    let rec matches i j = j = n || (hay.[i + j] = needle.[j] && matches i (j + 1)) in
+    let rec at i = i + n <= h && (matches i 0 || at (i + 1)) in
     at 0
   in
   if not (has_sub "hello" line) then None

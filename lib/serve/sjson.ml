@@ -24,17 +24,65 @@ let buf_add_escaped b s =
       | c -> Buffer.add_char b c)
     s
 
-(* Shortest of %.6g / %.12g / %.17g that parses back to the same float:
-   compact for round numbers, exact always.  The serving protocol
-   relies on emitted values surviving a write/parse cycle bitwise. *)
-let float_repr x =
-  if Float.is_integer x && Float.abs x < 1e15 then Printf.sprintf "%.0f" x
+(* The runtime primitive behind [string_of_float] and Printf's %g/%f:
+   the same bytes as [Printf.sprintf] for a finite float, at about half
+   the cost. *)
+external format_float : string -> float -> string = "caml_format_float"
+
+(* Index of the first significant digit of the %g text [s] of a
+   nonzero float: past the sign, leading zeros and the point. *)
+let rec first_sig s i =
+  match s.[i] with '-' | '0' | '.' -> first_sig s (i + 1) | _ -> i
+
+(* Significant digit [k] (1-based) counting from index [i] of [s];
+   positions past the printed digits (%g strips trailing zeros) read as
+   '0'. *)
+let rec sig_digit s i k =
+  if i >= String.length s then '0'
   else
-    let s = Printf.sprintf "%.6g" x in
-    if float_of_string s = x then s
-    else
-      let s = Printf.sprintf "%.12g" x in
-      if float_of_string s = x then s else Printf.sprintf "%.17g" x
+    match s.[i] with
+    | '.' -> sig_digit s (i + 1) k
+    | 'e' -> '0'
+    | c -> if k = 1 then c else sig_digit s (i + 1) (k - 1)
+
+(* Digits n+1 and n+2 of the 17-digit text are both '0' or both '9'. *)
+let near_short s17 n =
+  let i = first_sig s17 0 in
+  let d = sig_digit s17 i (n + 1) in
+  (d = '0' || d = '9') && sig_digit s17 i (n + 2) = d
+
+(* The shortest of %.6g / %.12g / %.17g that parses back to the same
+   float: compact for round numbers, exact always.  The serving
+   protocol relies on emitted values surviving a write/parse cycle
+   bitwise.
+
+   The %.17g text is formatted first, and a shorter candidate is only
+   formatted and parse-checked when that text says it can round-trip.
+   Why this never changes the output: take a normal [x] and an n-digit
+   candidate c that parses back to [x].  Then |c - x| <= ulp(x)/2 <=
+   1.11e-16 |x|, which is less than 1.11 units of digit 16 of [x].  The
+   17-digit text is within 0.05 units of digit 16 of [x], so it differs
+   from c by less than 1.2 units of digit 16: its digits n+1 .. 15 are
+   all '0' (text above c) or all '9' (text below c), carrying into the
+   next exponent if needed, where the stripped digits read as '0'.  So
+   a candidate whose digits n+1 and n+2 fail that test cannot
+   round-trip, and skipping it returns what the full cascade would.
+   Subnormals have an absolute, not relative, ulp (5e-324 prints as
+   4.94066e-324 under %.6g), so they try every candidate. *)
+let float_repr x =
+  if Float.is_integer x && Float.abs x < 1e15 then format_float "%.0f" x
+  else
+    let s17 = format_float "%.17g" x in
+    let subnormal = Float.abs x < Float.min_float in
+    let candidate n fmt =
+      if subnormal || near_short s17 n then
+        let s = format_float fmt x in
+        if float_of_string s = x then Some s else None
+      else None
+    in
+    match candidate 6 "%.6g" with
+    | Some s -> s
+    | None -> Option.value (candidate 12 "%.12g") ~default:s17
 
 let rec write b = function
   | Null -> Buffer.add_string b "null"

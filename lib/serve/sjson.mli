@@ -7,10 +7,19 @@
     protocol response through it.
 
     Number emission round-trips exactly: a finite [Num x] is printed
-    with the shortest of [%.6g]/[%.12g]/[%.17g] that parses back to the
-    identical float, so values survive a write/parse cycle bit-for-bit
-    (the serving protocol depends on this).  Non-finite floats have no
-    JSON representation and are emitted as [null]. *)
+    with the first of [%.6g]/[%.12g]/[%.17g] that parses back to the
+    identical float ([%.0f] for integers below [1e15]), so values
+    survive a write/parse cycle bit-for-bit (the serving protocol
+    depends on this).  Non-finite floats have no JSON representation
+    and are emitted as [null].
+
+    The text is found with one [%.17g] call for nearly every float: a
+    shorter candidate is formatted and parse-checked only when digits
+    7–8 (for [%.6g]) or 13–14 (for [%.12g]) of the 17-digit text are
+    both [0] or both [9], since no other candidate can parse back to
+    [x].  Subnormals, whose spacing is absolute rather than relative,
+    try every candidate.  The emitted bytes are those of the plain
+    three-try cascade. *)
 
 type t =
   | Null

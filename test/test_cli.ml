@@ -10,9 +10,11 @@ let cli =
     (Filename.dirname Sys.executable_name)
     (Filename.concat ".." (Filename.concat "bin" "mfti_cli.exe"))
 
-let run args =
+let run ?(env = "") args =
   let out = Filename.temp_file "mfti_cli" ".out" in
-  let cmd = Printf.sprintf "%s %s > %s 2>&1" (Filename.quote cli) args out in
+  let cmd =
+    Printf.sprintf "%s %s %s > %s 2>&1" env (Filename.quote cli) args out
+  in
   let code = Sys.command cmd in
   let ic = open_in out in
   let text = really_input_string ic (in_channel_length ic) in
@@ -274,6 +276,21 @@ let test_fit_stream_gives_up () =
   check_contains "diagnostic" "gave up connecting to" text;
   check_contains "attempts" "after 5 attempts" text
 
+(* a malformed MFTI_DOMAINS is a usage error with the usual diagnostic,
+   not an uncaught exception *)
+let test_bad_domains () =
+  List.iter
+    (fun v ->
+      let code, text =
+        run
+          (Printf.sprintf "gen ladder --points 20 --out %s"
+             (Filename.quote (workload ^ ".domains")))
+          ~env:(Printf.sprintf "MFTI_DOMAINS=%s" v)
+      in
+      Alcotest.(check int) ("MFTI_DOMAINS=" ^ v ^ " exits 64") 64 code;
+      check_contains "diagnostic" "invalid input (MFTI_DOMAINS)" text)
+    [ "abc"; "0"; "-2" ]
+
 let test_diagnostics_reported () =
   let code, text = run (Printf.sprintf "fit %s" workload) in
   Alcotest.(check int) "exit code" 0 code;
@@ -304,5 +321,6 @@ let () =
            test_engine_strategy_mismatch;
          Alcotest.test_case "diagnostics reported" `Quick
            test_diagnostics_reported;
+         Alcotest.test_case "bad MFTI_DOMAINS" `Quick test_bad_domains;
          Alcotest.test_case "fit-stream gives up connecting" `Quick
            test_fit_stream_gives_up ]) ]

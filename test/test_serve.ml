@@ -434,6 +434,29 @@ let test_server_eval_bit_exact () =
       pts
   | _ -> Alcotest.fail "results is not an array"
 
+(* One eval-grid response captured before the number printer changed:
+   the text the server sends, and the text the router re-renders from a
+   replica's binary frame, must both still be these bytes. *)
+let golden_request =
+  {|{"op":"eval-grid","model":"alpha","freqs":[1500,0,0.001,0.1,3.3,59999.99,123456.789,725000,1000000,314159.2653589793,2e9,100,1e-300,1e12]}|}
+
+let golden_response =
+  lazy
+    (let path =
+       Filename.concat (Filename.dirname Sys.executable_name)
+         "eval_grid.golden.json"
+     in
+     let ic = open_in_bin path in
+     let text = input_line ic in
+     close_in ic;
+     text)
+
+let test_server_golden () =
+  match Server.handle_request (make_server ()) ~binary:false golden_request with
+  | Server.Text text, false ->
+    Alcotest.(check string) "bytes" (Lazy.force golden_response) text
+  | _ -> Alcotest.fail "eval-grid did not answer in JSON"
+
 let test_server_error_paths () =
   let srv = make_server () in
   expect_error srv ~kind:"validation" {|{"op":"model-info","model":"nope"}|};
@@ -560,6 +583,74 @@ let test_sjson_fuzz () =
   (* the corpus must actually exercise both outcomes *)
   Alcotest.(check bool) "some mutations still parse" true (!parses > 0);
   Alcotest.(check bool) "some mutations are rejected" true (!rejects > 0)
+
+(* ------------------------------------------------------------------ *)
+(* Sjson number printer: the same bytes as the three-try cascade it
+   replaced (%.6g, then %.12g, then %.17g, each parse-checked). *)
+
+let cascade_repr x =
+  if not (Float.is_finite x) then "null"
+  else if Float.is_integer x && Float.abs x < 1e15 then Printf.sprintf "%.0f" x
+  else
+    let s = Printf.sprintf "%.6g" x in
+    if float_of_string s = x then s
+    else
+      let s = Printf.sprintf "%.12g" x in
+      if float_of_string s = x then s else Printf.sprintf "%.17g" x
+
+let check_printer x =
+  let got = Sjson.to_string (Sjson.Num x) and want = cascade_repr x in
+  if got <> want then Alcotest.failf "%h: printed %s, cascade %s" x got want;
+  got
+
+(* 2M seeded inputs.  Random bit patterns (every exponent, subnormals
+   included) are the costliest to print, so they are one draw in eight;
+   uniform [-1, 1) draws are three, m * 10^k and short decimals two
+   each, since those land on the short candidates. *)
+let test_sjson_printer_cascade () =
+  let rng = Rng.create 0x5EED_F10A in
+  let inputs = 2_000_000 in
+  let short = ref 0 in
+  let digits n =
+    String.init n (fun i ->
+        "0123456789".[if i = 0 then 1 + Rng.int rng 9 else Rng.int rng 10])
+  in
+  for i = 1 to inputs do
+    let x =
+      match i mod 8 with
+      | 0 -> Int64.float_of_bits (Rng.bits rng)
+      | 1 | 2 | 3 -> Rng.range rng (-1.) 1.
+      | 4 | 5 ->
+        (* m * 10^k, rounded once (parsed) or twice (multiplied) *)
+        let m = Rng.int rng 1_000_000 and k = Rng.int rng 61 - 30 in
+        if i mod 8 = 4 then float_of_string (Printf.sprintf "%de%d" m k)
+        else float_of_int m *. (10. ** float_of_int k)
+      | _ ->
+        (* a decimal of 1-17 significant digits *)
+        float_of_string
+          (Printf.sprintf "%s0.%se%d" (if Rng.int rng 2 = 0 then "" else "-")
+             (digits (1 + Rng.int rng 17)) (Rng.int rng 80 - 40))
+    in
+    let s = check_printer x in
+    if Float.is_finite x && String.length s < 17 then incr short
+  done;
+  (* the draw must exercise the short candidates, not only %.17g *)
+  Alcotest.(check bool) "many short outputs" true (!short > inputs / 4)
+
+let test_sjson_printer_edges () =
+  List.iter
+    (fun x ->
+      List.iter
+        (fun x ->
+          let s = check_printer x in
+          same_float ("round trip of " ^ s) x (float_of_string s))
+        [ x; -.x ])
+    [ 5e-324; 1e-310; Float.min_float; Float.max_float; 0.; 0.1; 0.3; 1e-5;
+      1e15; 1e22; 1e23; 9007199254740993.; 0.1234565; 9.9999995; 999999.5;
+      1e300; 1e-300 ];
+  Alcotest.(check string) "-0" "-0" (Sjson.to_string (Sjson.Num (-0.)));
+  Alcotest.(check string) "subnormal keeps its short form" "4.94066e-324"
+    (Sjson.to_string (Sjson.Num 5e-324))
 
 (* ------------------------------------------------------------------ *)
 (* Crash-safe artifact store *)
@@ -1130,6 +1221,70 @@ let test_frame_hello () =
        (Sjson.member "frames" j = Some (Sjson.Str "binary"))
    | exception Sjson.Parse_error m -> Alcotest.failf "bad ack: %s" m)
 
+(* a line trickled in small chunks, polled after each one, costs the
+   reader linear work: it allocates a small multiple of the line, not a
+   copy of the buffer per poll *)
+let test_frame_reader_linear () =
+  let line_bytes = 256 * 1024 and step = 64 in
+  List.iter
+    (fun (mode, wire, expect) ->
+      let r = Frame.Reader.create () in
+      let chunk = Bytes.create step in
+      let got = ref None in
+      let before = Gc.allocated_bytes () in
+      let off = ref 0 in
+      while !off < String.length wire do
+        let k = Stdlib.min step (String.length wire - !off) in
+        Bytes.blit_string wire !off chunk 0 k;
+        Frame.Reader.add r chunk k;
+        off := !off + k;
+        match Frame.Reader.next r ~mode ~max_bytes:(8 lsl 20) with
+        | `None -> ()
+        | `Frame p -> got := Some p
+        | _ -> Alcotest.fail "reader refused a well-formed frame"
+      done;
+      let allocated = Gc.allocated_bytes () -. before in
+      if !got <> Some expect then Alcotest.fail "frame not reassembled";
+      if allocated >= float_of_int (8 * line_bytes) then
+        Alcotest.failf "reader allocated %.0f bytes for a %d-byte frame"
+          allocated line_bytes)
+    [ (let line = String.make line_bytes 'x' in
+       (Frame.Json, line ^ "\n", Frame.Json_text line));
+      (let body = String.make line_bytes 'g' in
+       (Frame.Binary, Frame.encode_grid body, Frame.Grid_body body)) ]
+
+(* two back-to-back frames, split into two chunks at every offset *)
+let test_frame_reader_splits () =
+  List.iter
+    (fun (mode, wire, expect) ->
+      for cut = 0 to String.length wire do
+        let r = Frame.Reader.create () in
+        let got = ref [] in
+        let rec drain () =
+          match Frame.Reader.next r ~mode ~max_bytes:1024 with
+          | `Frame p ->
+            got := p :: !got;
+            drain ()
+          | `None -> ()
+          | _ -> Alcotest.failf "cut at %d: frame refused" cut
+        in
+        Frame.Reader.add r (Bytes.of_string (String.sub wire 0 cut)) cut;
+        drain ();
+        let rest = String.length wire - cut in
+        Frame.Reader.add r (Bytes.of_string (String.sub wire cut rest)) rest;
+        drain ();
+        if List.rev !got <> expect then
+          Alcotest.failf "cut at %d: frames differ" cut;
+        Alcotest.(check int) "nothing left over" 0 (Frame.Reader.pending r)
+      done)
+    [ ( Frame.Json,
+        "{\"op\": \"ping\"}\r\n{\"op\": \"stats\"}\n",
+        [ Frame.Json_text "{\"op\": \"ping\"}";
+          Frame.Json_text "{\"op\": \"stats\"}" ] );
+      ( Frame.Binary,
+        Frame.encode_json "{\"a\": 1}" ^ Frame.encode_grid "BODY\n",
+        [ Frame.Json_text "{\"a\": 1}"; Frame.Grid_body "BODY\n" ] ) ]
+
 (* ------------------------------------------------------------------ *)
 (* Transports: TCP listener, binary negotiation end-to-end, drops *)
 
@@ -1331,6 +1486,35 @@ let test_supervisor_conn_drop_typed () =
 
 (* ------------------------------------------------------------------ *)
 
+let test_router_golden () =
+  let dir = fresh_dir () in
+  let replica = Filename.concat dir "r.sock" in
+  let sup =
+    Supervisor.start ~config:transport_config
+      (Server.create ~root:(Lazy.force server_root) ())
+      ~listen:(Supervisor.Unix_path replica)
+  in
+  let router =
+    Router.start
+      ~config:{ Router.default_config with request_timeout_ms = 4_000 }
+      ~listen:(Supervisor.Unix_path (Filename.concat dir "rt.sock"))
+      ~replicas:[ replica ] ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Router.stop router;
+      try Supervisor.stop sup with _ -> ())
+    (fun () ->
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+      Unix.connect fd (Unix.ADDR_UNIX (Filename.concat dir "rt.sock"));
+      send_all fd (golden_request ^ "\n");
+      let text =
+        expect_text "routed eval-grid"
+          (next_frame fd (Frame.Reader.create ()) ~mode:Frame.Json)
+      in
+      Alcotest.(check string) "bytes" (Lazy.force golden_response) text)
+
 let () =
   Alcotest.run "serve"
     [ ("artifact",
@@ -1369,6 +1553,7 @@ let () =
       ("server",
        [ Alcotest.test_case "list models" `Quick test_server_list_models;
          Alcotest.test_case "model info + cache" `Quick test_server_model_info;
+         Alcotest.test_case "golden eval-grid" `Quick test_server_golden;
          Alcotest.test_case "eval bit-exact over the wire" `Quick
            test_server_eval_bit_exact;
          Alcotest.test_case "typed error paths" `Quick test_server_error_paths;
@@ -1377,7 +1562,11 @@ let () =
          Alcotest.test_case "cache eviction" `Quick test_server_cache_eviction;
          Alcotest.test_case "channel loop" `Quick test_server_channels ]);
       ("sjson",
-       [ Alcotest.test_case "byte-mutation fuzz" `Quick test_sjson_fuzz ]);
+       [ Alcotest.test_case "byte-mutation fuzz" `Quick test_sjson_fuzz;
+         Alcotest.test_case "printer = cascade" `Quick
+           test_sjson_printer_cascade;
+         Alcotest.test_case "printer edge cases" `Quick
+           test_sjson_printer_edges ]);
       ("crash-safety",
        [ Alcotest.test_case "atomic save" `Quick test_artifact_atomic_save;
          Alcotest.test_case "torn write" `Quick test_artifact_torn_write;
@@ -1406,11 +1595,17 @@ let () =
          Alcotest.test_case "json reader" `Quick test_frame_reader_json;
          Alcotest.test_case "binary reader" `Quick test_frame_reader_binary;
          Alcotest.test_case "hello negotiation parsing" `Quick
-           test_frame_hello ]);
+           test_frame_hello;
+         Alcotest.test_case "reader allocation linear" `Quick
+           test_frame_reader_linear;
+         Alcotest.test_case "reader splits at every cut" `Quick
+           test_frame_reader_splits ]);
       ("transport",
        [ Alcotest.test_case "tcp listener end-to-end" `Quick
            test_supervisor_tcp;
          Alcotest.test_case "binary frames bit-identical" `Quick
            test_supervisor_binary_negotiation;
          Alcotest.test_case "client drop counted typed" `Quick
-           test_supervisor_conn_drop_typed ]) ]
+           test_supervisor_conn_drop_typed;
+         Alcotest.test_case "golden eval-grid via router" `Quick
+           test_router_golden ]) ]
