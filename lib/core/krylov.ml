@@ -5,8 +5,9 @@ open Statespace
    pencil (sC + G) onto the union of shifted-solve subspaces
    span{(sigma_i C + G)^{-1} B}, keeping the basis real so the reduced
    model goes through realify/certify unchanged.  One sparse LU per
-   shift; the AMD ordering is computed once on the union pattern and
-   reused for every factorization in the sweep. *)
+   shift; the AMD ordering is computed once on the union pattern, and
+   after the first shift each LU is a numeric-only refactorization on
+   the same pivot sequence and pattern. *)
 
 type system = {
   g : Sparse.Scsr.t;
@@ -86,135 +87,146 @@ let validate_system sys =
     Error (invalid "G and C must be square with matching dimension")
   else if bn <> n then Error (invalid "B row count must match the pencil")
   else if ln <> n then Error (invalid "L column count must match the pencil")
+  else if
+    not
+      (Array.for_all (( = ) 0.) sys.g.Sparse.Scsr.im
+       && Array.for_all (( = ) 0.) sys.c.Sparse.Scsr.im
+       && Cmat.max_imag sys.b = 0.
+       && Cmat.max_imag sys.l = 0.)
+  then Error (invalid "the basis is real: G, C, B and L must be real")
   else Ok ()
 
-(* ---- small dense helpers ------------------------------------------- *)
+(* ---- real column blocks ------------------------------------------- *)
 
-(* Column-by-column inverse of a lower-triangular factor (same scheme
-   as the randomized-SVD kernel): k x k with k the basis block width,
-   so the sequential loops are negligible next to the tall GEMMs. *)
-let tri_inv_lower l =
-  let n = Cmat.rows l in
-  let m = Cmat.create n n in
-  for j = 0 to n - 1 do
-    Cmat.set m j j (Cx.inv (Cmat.get l j j));
-    for i = j + 1 to n - 1 do
-      let acc = ref Cx.zero in
-      for k = j to i - 1 do
-        acc := Cx.add_mul (Cmat.get l i k) (Cmat.get m k j) !acc
-      done;
-      Cmat.set m i j (Cx.neg (Cx.div !acc (Cmat.get l i i)))
-    done
-  done;
-  m
+(* Vectorized real kernels (cmat_stubs.c), called on column ranges of
+   the growable blocks below so that the basis is orthogonalized and
+   projected in place:
+   [dot_block a b c kk ldc ilo ihi j0 j1] sets
+   [c.(i + j*ldc) <- a(:,i) . b(:,j)] and
+   [axpy_block a c y rows ldc ilo ihi j0 j1] adds
+   [sum_i a(:,i) c.(i + j*ldc)] to [y(:,j)], for [i] in [ilo, ihi) and
+   [j] in [j0, j1).  Neither transposes nor packs [a], and each result
+   entry is reduced in an order fixed by the shape arguments, so the
+   column split over the domain pool never changes a bit. *)
+external dot_block :
+  float array -> float array -> float array -> int -> int -> int -> int ->
+  int -> int -> unit
+  = "mfti_dot_block_byte" "mfti_dot_block"
+[@@noalloc]
 
-let cholqr y =
-  let g = Cmat.mul_cn y y in
-  let l = Chol.factorize g in
-  Cmat.mul y (Cmat.ctranspose (tri_inv_lower l))
+external axpy_block :
+  float array -> float array -> float array -> int -> int -> int -> int ->
+  int -> int -> unit
+  = "mfti_axpy_block_byte" "mfti_axpy_block"
+[@@noalloc]
 
-(* Per-column modified Gram-Schmidt with renormalization: the robust
-   fallback when the block Gram matrix is numerically singular.  Each
-   column is re-orthogonalized against the existing basis [v] and the
-   already-accepted columns (two passes), then must clear [tol]
-   relative to its equilibrated unit norm — an angle threshold — or it
-   deflates away instead of polluting the basis. *)
-let mgs_columns ~tol v w =
-  let n = Cmat.rows w in
-  let k = Cmat.cols w in
-  let accepted = ref [] in
-  let count = ref 0 in
-  for j = 0 to k - 1 do
-    let x = ref (Cmat.col w j) in
-    for _pass = 1 to 2 do
-      (match v with
-       | None -> ()
-       | Some v -> x := Cmat.sub !x (Cmat.mul v (Cmat.mul_cn v !x)));
-      List.iter
-        (fun q ->
-          let coeff = Cmat.vec_dot q !x in
-          x := Cmat.axpy (Cx.neg coeff) q !x)
-        !accepted
-    done;
-    let nrm = Cmat.norm_fro !x in
-    if nrm > tol then begin
-      accepted := Cmat.scale_float (1. /. nrm) !x :: !accepted;
-      incr count
-    end
-  done;
-  if !count = 0 then None
-  else begin
-    let q = Cmat.zeros n !count in
-    List.iteri
-      (fun i col -> Cmat.set_col q (!count - 1 - i) col)
-      !accepted;
-    Some q
+(* [f lo hi] over the columns [j0, j1), one chunk per domain. *)
+let over_columns j0 j1 f =
+  let nj = j1 - j0 in
+  let dc = Parallel.domain_count () in
+  Parallel.parallel_for ~chunk:(Stdlib.max 1 ((nj + dc - 1) / dc)) nj
+    (fun lo hi -> f (j0 + lo) (j0 + hi))
+
+(* [rows]-row real column-major block whose capacity grows
+   geometrically: absorbing a shift writes its columns in place instead
+   of copying every earlier column. *)
+type block = { rows : int; mutable data : float array; mutable cols : int }
+
+let block rows = { rows; data = [||]; cols = 0 }
+
+let reserve b ~limit cols =
+  let cap = Array.length b.data / Stdlib.max b.rows 1 in
+  if cols > cap then begin
+    let cap = Stdlib.max cols (Stdlib.min limit (2 * cap)) in
+    let data = Array.make (b.rows * cap) 0. in
+    Array.blit b.data 0 data 0 (b.rows * b.cols);
+    b.data <- data
   end
 
-(* CholeskyQR2 on the unit-equilibrated block.  A Cholesky breakdown
-   is not the only failure mode: on a numerically singular Gram matrix
-   the factorization can "succeed" through rounding noise and return
-   garbage directions with enormous norms, so the result is verified
-   against Q* Q = I and demoted to per-column MGS deflation whenever
-   the certificate fails. *)
-let orthonormalize ~tol v y =
-  let verified q =
-    let k = Cmat.cols q in
-    let gram = Cmat.mul_cn q q in
-    Cmat.norm_fro (Cmat.sub gram (Cmat.identity k)) <= 1e-8 *. sqrt (float_of_int k)
-  in
-  match cholqr (cholqr y) with
-  | q when verified q -> Some q
-  | _ | (exception Chol.Not_positive_definite _) ->
-    Diag.record ~site:"krylov.cholqr_fallback"
-      "block Gram matrix numerically singular; per-column MGS deflation";
-    mgs_columns ~tol v y
+let col_norm data rows j =
+  let acc = ref 0. in
+  for r = j * rows to ((j + 1) * rows) - 1 do
+    acc := !acc +. (data.(r) *. data.(r))
+  done;
+  sqrt !acc
 
-(* [Re X | Im X] as a complex matrix with zero imaginary part. *)
-let real_block x =
-  Cmat.hcat
-    (Cmat.of_real (Cmat.real_part x))
-    (Cmat.of_real (Cmat.imag_part x))
+(* w(:, j0..j1) -= V(:, 0..upto) (V(:, 0..upto)^T w(:, j0..j1)), one
+   classical Gram-Schmidt pass in dot and axpy form.  [coef] holds at
+   least [upto * j1] entries. *)
+let project_out v ~upto w ~j0 ~j1 coef =
+  if upto > 0 then
+    over_columns j0 j1 (fun lo hi ->
+        dot_block v.data w coef v.rows upto 0 upto lo hi;
+        for k = lo * upto to (hi * upto) - 1 do
+          coef.(k) <- -.coef.(k)
+        done;
+        axpy_block v.data coef w v.rows upto 0 upto lo hi)
 
-let col_norms w =
-  let _, k = Cmat.dims w in
-  Array.init k (fun j -> Cmat.norm_fro (Cmat.col w j))
-
-(* Two-pass block Gram-Schmidt against [v], per-column deflation
-   relative to the pre-projection column norms, unit equilibration of
-   the survivors (so the Gram condition reflects angles, not the norm
-   disparity of nearly-converged directions), then CholeskyQR2.
-   Returns the new orthonormal columns, or [None] when everything
-   deflated. *)
-let extend_basis ~deflation_tol ~room v w =
-  let norms0 = col_norms w in
-  let w =
-    match v with
-    | None -> w
-    | Some v ->
-      let w = Cmat.sub w (Cmat.mul v (Cmat.mul_cn v w)) in
-      Cmat.sub w (Cmat.mul v (Cmat.mul_cn v w))
-  in
-  let norms = col_norms w in
+(* Extend the orthonormal basis [v] by the directions of [w] (an
+   [n x b] column-major block, overwritten) that it does not already
+   span:
+   - block classical Gram-Schmidt against [v], twice;
+   - per-column deflation relative to the pre-projection norms, capped
+     at [room] survivors, each equilibrated to unit norm so the angle
+     test below sees directions, not the norm disparity of nearly
+     converged ones;
+   - per-column Gram-Schmidt, twice, against [v] and the columns
+     already accepted from this block; a column whose remaining norm
+     clears [deflation_tol] is normalized and appended to [v] in place,
+     the rest deflate.
+   Returns how many columns were appended. *)
+let extend_basis ~deflation_tol ~room ~limit v w =
+  let n = v.rows in
+  let b = Array.length w / n in
+  let k = v.cols in
+  let coef = Array.make ((k + b) * b) 0. in
+  let norms0 = Array.init b (col_norm w n) in
+  for _pass = 1 to 2 do
+    project_out v ~upto:k w ~j0:0 ~j1:b coef
+  done;
   let keep = ref [] in
-  Array.iteri
-    (fun j n0 ->
-      if norms.(j) > deflation_tol *. Float.max n0 1e-300 && norms.(j) > 0.
-      then keep := j :: !keep)
-    norms0;
-  let keep = Array.of_list (List.rev !keep) in
-  let keep =
-    if Array.length keep > room then Array.sub keep 0 room else keep
-  in
-  if Array.length keep = 0 then None
-  else begin
-    let w = Cmat.select_cols w keep in
-    Array.iteri
-      (fun j' j ->
-        Cmat.set_col w j' (Cmat.scale_float (1. /. norms.(j)) (Cmat.col w j')))
-      keep;
-    orthonormalize ~tol:deflation_tol v w
-  end
+  for j = b - 1 downto 0 do
+    let nrm = col_norm w n j in
+    if nrm > deflation_tol *. Float.max norms0.(j) 1e-300 && nrm > 0. then
+      keep := (j, nrm) :: !keep
+  done;
+  let keep = List.filteri (fun i _ -> i < room) !keep in
+  reserve v ~limit (k + List.length keep);
+  List.iter
+    (fun (j, nrm) ->
+      let off = j * n in
+      for r = off to off + n - 1 do
+        w.(r) <- w.(r) /. nrm
+      done;
+      for _pass = 1 to 2 do
+        project_out v ~upto:v.cols w ~j0:j ~j1:(j + 1) coef
+      done;
+      let nrm = col_norm w n j in
+      if nrm > deflation_tol then begin
+        let dst = v.cols * n in
+        for r = 0 to n - 1 do
+          v.data.(dst + r) <- w.(off + r) /. nrm
+        done;
+        v.cols <- v.cols + 1
+      end)
+    keep;
+  v.cols - k
+
+(* dst(:, j0..j1) = s * src(:, j0..j1); [s] is real (its imaginary
+   part is zero, which [validate_system] checked). *)
+let sparse_mul_into (s : Sparse.Scsr.t) src dst ~j0 ~j1 =
+  let { Sparse.Scsr.rows = n; rowptr; colind; re; _ } = s in
+  over_columns j0 j1 (fun lo hi ->
+      for j = lo to hi - 1 do
+        let off = j * n in
+        for i = 0 to n - 1 do
+          let acc = ref 0. in
+          for p = rowptr.(i) to rowptr.(i + 1) - 1 do
+            acc := !acc +. (re.(p) *. src.(off + colind.(p)))
+          done;
+          dst.(off + i) <- !acc
+        done
+      done)
 
 (* ---- the reduction -------------------------------------------------- *)
 
@@ -249,13 +261,23 @@ let reduce ?(options = default_options) sys =
         Sparse.Ordering.amd
           (Sparse.Scsr.scale_add ~alpha:Cx.one sys.c ~beta:Cx.one sys.g))
     in
-    (* x = (j 2 pi f C + G)^{-1} B, one sparse LU (AMD reused). *)
+    (* x = (j 2 pi f C + G)^{-1} B.  The first shift gets a full sparse
+       LU on the shared AMD order; every later one is a numeric-only
+       refactorization on that pivot sequence and pattern, which falls
+       back to (and rebases on) a full LU when a reused pivot degrades. *)
+    let base = ref None in
     let solve_at f =
       let s = Cx.jw (2. *. Float.pi *. f) in
       let pencil = Sparse.Scsr.scale_add ~alpha:s sys.c ~beta:Cx.one sys.g in
-      match timed "factor" (fun () -> Sparse.Slu.factorize ~perm pencil) with
+      match
+        timed "factor" (fun () ->
+          match !base with
+          | None -> Sparse.Slu.factorize ~perm pencil
+          | Some fac -> Sparse.Slu.refactor fac pencil)
+      with
       | Error _ as e -> e
       | Ok fac ->
+        base := Some fac;
         incr factorizations;
         Ok (timed "factor" (fun () -> Sparse.Slu.solve fac sys.b))
     in
@@ -283,39 +305,59 @@ let reduce ?(options = default_options) sys =
              (span *. (2. *. float_of_int i +. 1.)
               /. (2. *. float_of_int o.holdout)))
     in
-    (* Basis and incrementally-projected reduced matrices. *)
-    let v = ref None in
-    let cv = ref None in
-    let gv = ref None in
-    let er = ref (Cmat.zeros 0 0) in
-    let ar = ref (Cmat.zeros 0 0) in
-    let br = ref (Cmat.zeros 0 m) in
-    let cr = ref (Cmat.zeros p 0) in
-    let order () = match !v with None -> 0 | Some v -> Cmat.cols v in
-    let absorb q =
+    (* The real basis V with C V and G V beside it, and the projected
+       E_r = V^T C V, V^T G V (= -A_r), B_r = V^T B and C_r = L V, each
+       column-major at its exact size.  Absorbing columns k..k' fills
+       the new rows and columns of every projection with one kernel
+       call each: entry (i, j) of E_r is always V(:,i) . CV(:,j). *)
+    let v = block n and cv = block n and gv = block n in
+    let er = ref [||] and gr = ref [||] in
+    let br = ref [||] and cr = ref [||] in
+    let bre = Cmat.unsafe_re sys.b and lre = Cmat.unsafe_re sys.l in
+    let order () = v.cols in
+    let absorb k =
       timed "project" (fun () ->
-        let cq = Sparse.Scsr.mul_mat sys.c q in
-        let gq = Sparse.Scsr.mul_mat sys.g q in
-        (match !v with
-         | None ->
-           er := Cmat.mul_cn q cq;
-           ar := Cmat.neg (Cmat.mul_cn q gq)
-         | Some v0 ->
-           let block old x_old x_new =
-             Cmat.blocks
-               [ [ old; Cmat.mul_cn v0 x_new ];
-                 [ Cmat.mul_cn q x_old; Cmat.mul_cn q x_new ] ]
-           in
-           er := block !er (Option.get !cv) cq;
-           ar := Cmat.neg (block (Cmat.neg !ar) (Option.get !gv) gq));
-        br := Cmat.vcat !br (Cmat.mul_cn q sys.b);
-        cr := Cmat.hcat !cr (Cmat.mul sys.l q);
-        cv := Some (match !cv with None -> cq | Some c0 -> Cmat.hcat c0 cq);
-        gv := Some (match !gv with None -> gq | Some g0 -> Cmat.hcat g0 gq);
-        v := Some (match !v with None -> q | Some v0 -> Cmat.hcat v0 q))
+        let k' = v.cols in
+        reserve cv ~limit:max_order k';
+        reserve gv ~limit:max_order k';
+        sparse_mul_into sys.c v.data cv.data ~j0:k ~j1:k';
+        sparse_mul_into sys.g v.data gv.data ~j0:k ~j1:k';
+        cv.cols <- k';
+        gv.cols <- k';
+        (* new columns k..k' in full, then new rows k..k' under the
+           old columns *)
+        let grow_square old x =
+          let sq = Array.make (k' * k') 0. in
+          for j = 0 to k - 1 do
+            Array.blit old (j * k) sq (j * k') k
+          done;
+          over_columns k k' (fun lo hi ->
+              dot_block v.data x.data sq n k' 0 k' lo hi);
+          over_columns 0 k (fun lo hi ->
+              dot_block v.data x.data sq n k' k k' lo hi);
+          sq
+        in
+        er := grow_square !er cv;
+        gr := grow_square !gr gv;
+        let b' = Array.make (k' * m) 0. in
+        for j = 0 to m - 1 do
+          Array.blit !br (j * k) b' (j * k') k
+        done;
+        over_columns 0 m (fun lo hi -> dot_block v.data bre b' n k' k k' lo hi);
+        br := b';
+        let c' = Array.make (p * k') 0. in
+        Array.blit !cr 0 c' 0 (p * k);
+        over_columns k k' (fun lo hi -> axpy_block lre v.data c' p n 0 n lo hi);
+        cr := c')
     in
     let rom () =
-      Descriptor.create ~e:!er ~a:!ar ~b:!br ~c:!cr ~d:(Cmat.zeros p m)
+      let k = order () in
+      let real rows cols sign data =
+        Cmat.init rows cols (fun i j ->
+          Cx.of_float (sign *. data.(i + (j * rows))))
+      in
+      Descriptor.create ~e:(real k k 1. !er) ~a:(real k k (-1.) !gr)
+        ~b:(real k m 1. !br) ~c:(real p k 1. !cr) ~d:(Cmat.zeros p m)
     in
     let shift_log = ref [] in
     let used f =
@@ -334,20 +376,20 @@ let reduce ?(options = default_options) sys =
              | Ok x ->
                Hashtbl.replace truth f (Cmat.mul sys.l x);
                shift_log := f :: !shift_log;
+               let k = order () in
                (match
                   timed "basis" (fun () ->
                     extend_basis ~deflation_tol:o.deflation_tol
-                      ~room:(max_order - order ())
-                      !v (real_block x))
+                      ~room:(max_order - k) ~limit:max_order v
+                      (Array.append (Cmat.unsafe_re x) (Cmat.unsafe_im x)))
                 with
-                | None ->
+                | 0 ->
                   Diag.record ~site:"krylov.deflation"
                     (Printf.sprintf
-                       "shift at %.6g Hz fully deflated (order %d)" f
-                       (order ()));
+                       "shift at %.6g Hz fully deflated (order %d)" f k);
                   go rest
-                | Some q ->
-                  absorb q;
+                | _ ->
+                  absorb k;
                   go rest))
       in
       go freqs

@@ -9,20 +9,24 @@
     {v  X_i = (sigma_i C + G)^{-1} B  v}
 
     compresses the MNA descriptor [(s C + G) x = B u, y = L x] to a few
-    hundred states at a cost of one sparse LU per shift (the AMD
-    ordering is computed once and reused across the sweep — see
-    {!Sparse.Slu.factorize}).  The reduced model interpolates the full
-    transfer function at every shift; adaptive rounds add shifts where
+    hundred states at a cost of one sparse LU per shift.  The AMD
+    ordering is computed once for the sweep, the first shift is
+    factored in full, and every later shift is a numeric-only
+    {!Sparse.Slu.refactor} on that pivot sequence and pattern (with a
+    full refactorization when a reused pivot degrades).  The reduced
+    model interpolates the full transfer function at every shift;
+    adaptive rounds add shifts where
     a held-out probe says the response is not yet pinned down, reusing
     {!Adaptive.suggest} once enough probes have accumulated.
 
     The basis is kept {e real} — each complex block contributes
     [[Re X, Im X]] — so the reduced model is real and matches both
     [H(sigma)] and [H(conj sigma)]: the downstream realify / certify
-    stages see exactly the model class they expect.  Deflation of
-    converged directions happens inside a two-pass block Gram-Schmidt
-    with CholeskyQR2 re-orthonormalization (Householder fallback when
-    the Gram matrix loses definiteness).
+    stages see exactly the model class they expect.  Each block is
+    orthonormalized in real arithmetic, in place: two passes of block
+    Gram-Schmidt against the basis, then per-column Gram-Schmidt (two
+    passes, against the basis and the columns already accepted) with
+    an angle-threshold deflation of converged directions.
 
     The output is an {!Engine.Model.t}, so certification, packing and
     serving work unchanged; {!fit_mfti} goes one step further and runs
@@ -31,7 +35,9 @@
     tangential interpolation down to tens. *)
 
 (** The sparse first-order system [(s C + G) x = B u, y = L x] —
-    exactly what {!Rf.Mna.sparse_system} produces. *)
+    exactly what {!Rf.Mna.sparse_system} produces.  All four matrices
+    must be real (zero imaginary parts): the basis and the reduced
+    model are. *)
 type system = {
   g : Sparse.Scsr.t;       (** conductance part, [n x n] *)
   c : Sparse.Scsr.t;       (** susceptance part, [n x n] *)
@@ -76,11 +82,13 @@ type reduction = {
   factorizations : int;      (** sparse LU factorizations performed *)
   timings : (string * float) list;
       (** ["ordering"], ["factor"], ["basis"], ["project"],
-          ["evaluate"] wall times in seconds *)
+          ["evaluate"] wall times in seconds.  ["factor"] covers each
+          shifted factorization {e and} its solve against [B];
+          ["basis"] is the orthonormalization alone. *)
 }
 
-(** [reduce ?options sys] runs the projection.  Ill-posed options and
-    empty systems are [Validation] errors; a singular shifted pencil
+(** [reduce ?options sys] runs the projection.  Ill-posed options,
+    empty or complex systems are [Validation] errors; a singular shifted pencil
     surfaces as the underlying {!Sparse.Slu} [Numerical_breakdown].
     Deterministic: same system, same options, same model. *)
 val reduce : ?options:options -> system -> (reduction, Linalg.Mfti_error.t) result

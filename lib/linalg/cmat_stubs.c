@@ -89,3 +89,114 @@ CAMLprim value mfti_conj_dot_block_byte(value *argv, int argn)
                              argv[5], argv[6], argv[7], argv[8], argv[9],
                              argv[10], argv[11]);
 }
+
+/* Real twins for the Krylov basis (lib/core/krylov.ml), same contract
+ * as above: no allocation, raw float-array data, and for a fixed result
+ * entry an accumulation order that depends only on the call's shape
+ * arguments, never on the [j0,j1) column chunk a domain was handed.
+ *
+ * mfti_dot_block:  c[i + j*ldc] = sum_k a[k + i*kk] * b[k + j*kk]
+ *   for i in [ilo,ihi), j in [j0,j1) -- columns of a dotted with
+ *   columns of b, i.e. a^T b with neither operand transposed.
+ */
+CAMLprim value mfti_dot_block(value va, value vb, value vc, value vkk,
+                              value vldc, value vilo, value vihi,
+                              value vj0, value vj1)
+{
+  const double *a = DATA(va);
+  const double *b = DATA(vb);
+  double *c = DATA(vc);
+  long kk = Long_val(vkk);
+  long ldc = Long_val(vldc);
+  long ilo = Long_val(vilo);
+  long ihi = Long_val(vihi);
+  long j0 = Long_val(vj0);
+  long j1 = Long_val(vj1);
+
+  for (long j = j0; j < j1; j++) {
+    const double *bj = b + j * kk;
+    long i = ilo;
+    /* Four result rows per pass reuse each loaded b element four times. */
+    for (; i + 3 < ihi; i += 4) {
+      const double *a0 = a + i * kk;
+      const double *a1 = a0 + kk;
+      const double *a2 = a1 + kk;
+      const double *a3 = a2 + kk;
+      double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+      for (long k = 0; k < kk; k++) {
+        double bk = bj[k];
+        s0 += a0[k] * bk;
+        s1 += a1[k] * bk;
+        s2 += a2[k] * bk;
+        s3 += a3[k] * bk;
+      }
+      c[i + j * ldc] = s0;
+      c[i + 1 + j * ldc] = s1;
+      c[i + 2 + j * ldc] = s2;
+      c[i + 3 + j * ldc] = s3;
+    }
+    for (; i < ihi; i++) {
+      const double *ai = a + i * kk;
+      double s = 0.0;
+      for (long k = 0; k < kk; k++) s += ai[k] * bj[k];
+      c[i + j * ldc] = s;
+    }
+  }
+  return Val_unit;
+}
+
+CAMLprim value mfti_dot_block_byte(value *argv, int argn)
+{
+  (void) argn;
+  return mfti_dot_block(argv[0], argv[1], argv[2], argv[3], argv[4],
+                        argv[5], argv[6], argv[7], argv[8]);
+}
+
+/* mfti_axpy_block:  y[r + j*rows] += sum_i a[r + i*rows] * c[i + j*ldc]
+ *   for r in [0,rows), j in [j0,j1), i ascending over [ilo,ihi) -- the
+ *   product a c accumulated into y column by column, reading a in
+ *   place.  Every y entry is updated element-wise, four a columns per
+ *   pass, so the grouping depends only on [ilo,ihi).
+ */
+CAMLprim value mfti_axpy_block(value va, value vc, value vy, value vrows,
+                               value vldc, value vilo, value vihi,
+                               value vj0, value vj1)
+{
+  const double *a = DATA(va);
+  const double *c = DATA(vc);
+  double *y = DATA(vy);
+  long rows = Long_val(vrows);
+  long ldc = Long_val(vldc);
+  long ilo = Long_val(vilo);
+  long ihi = Long_val(vihi);
+  long j0 = Long_val(vj0);
+  long j1 = Long_val(vj1);
+
+  for (long j = j0; j < j1; j++) {
+    double *yj = y + j * rows;
+    const double *cj = c + j * ldc;
+    long i = ilo;
+    for (; i + 3 < ihi; i += 4) {
+      const double *a0 = a + i * rows;
+      const double *a1 = a0 + rows;
+      const double *a2 = a1 + rows;
+      const double *a3 = a2 + rows;
+      double c0 = cj[i], c1 = cj[i + 1], c2 = cj[i + 2], c3 = cj[i + 3];
+      for (long r = 0; r < rows; r++)
+        yj[r] += a0[r] * c0 + a1[r] * c1 + a2[r] * c2 + a3[r] * c3;
+    }
+    for (; i < ihi; i++) {
+      const double *ai = a + i * rows;
+      double ci = cj[i];
+      for (long r = 0; r < rows; r++) yj[r] += ai[r] * ci;
+    }
+  }
+  return Val_unit;
+}
+
+CAMLprim value mfti_axpy_block_byte(value *argv, int argn)
+{
+  (void) argn;
+  return mfti_axpy_block(argv[0], argv[1], argv[2], argv[3], argv[4],
+                         argv[5], argv[6], argv[7], argv[8]);
+}

@@ -7,11 +7,17 @@
    L x = A(:,k) only touches the entries reachable from A(:,k)'s pattern
    in L's graph, found by DFS in topological order.
 
-   The numeric core works on a column-major view obtained by
-   transposing the (symmetrically permuted) CSR input — an O(nnz)
-   counting pass, cheap next to the factorization itself.  Failures are
-   typed: a zero pivot (or the armed ["sparse.singular_pivot"] fault
-   site) comes back as [Mfti_error.Numerical_breakdown]. *)
+   The numeric core works on a column-major view of the symmetrically
+   permuted CSR input, built by one counting pass that also records
+   where each CSR entry lands.  A factor keeps that map together with
+   its pivot sequence and L/U pattern ([symbolic]), so [refactor] can
+   scatter a new matrix of the same pattern straight into the view and
+   redo only the numeric elimination — no reach, no permute, no
+   transpose.  L keeps every structurally reached entry, including
+   exact zeros, so the pattern covers every shift of the sweep.
+   Failures are typed: a zero pivot (or the armed
+   ["sparse.singular_pivot"] fault site) comes back as
+   [Mfti_error.Numerical_breakdown]. *)
 
 open Linalg
 
@@ -50,14 +56,31 @@ let growbuf_push g i vre vim =
 
 type ordering = [ `Natural | `Rcm | `Amd ]
 
-type factor = {
+(* Everything a factorization decided that does not depend on the
+   values: the ordering, the pivot sequence, the L/U pattern, and the
+   map from the input's CSR entries into the permuted column-major
+   view.  Shared by every factor refactored from the same base. *)
+type symbolic = {
   n : int;
-  lp : int array;       (* n+1 column pointers into l *)
-  l : growbuf;          (* row indices in PIVOT order after finalization *)
-  up : int array;
-  u : growbuf;          (* row indices are pivot steps, as emitted *)
-  pinv : int array;     (* (permuted) row -> pivot step *)
   sym_perm : int array option;  (* new_position -> original index *)
+  pinv : int array;     (* (permuted) row -> pivot step *)
+  lp : int array;       (* n+1 column pointers into lidx *)
+  lidx : int array;     (* row indices in PIVOT order; unit diagonal first *)
+  up : int array;
+  uidx : int array;     (* pivot steps in elimination order; diagonal last *)
+  rowptr : int array;   (* CSR pattern of the factored matrix *)
+  colind : int array;
+  acolptr : int array;  (* column-major view of the permuted matrix *)
+  arowind : int array;
+  scatter : int array;  (* CSR entry -> slot in the column-major view *)
+}
+
+type factor = {
+  sym : symbolic;
+  lre : float array;
+  lim : float array;
+  ure : float array;
+  uim : float array;
 }
 
 (* [acolptr/arowind/are/aim] is a column-major (CSC) view of the
@@ -160,11 +183,12 @@ let factorize_core n acolptr arowind are aim =
     growbuf_push u k xre.(ipiv) xim.(ipiv);
     let pr = xre.(ipiv) and pi = xim.(ipiv) in
     let pmag = (pr *. pr) +. (pi *. pi) in
-    (* L column: unit diagonal first, then scaled subdiagonal entries *)
+    (* L column: unit diagonal first, then every other reached row,
+       zero or not, scaled by the pivot *)
     growbuf_push l ipiv 1. 0.;
     for p = !top to n - 1 do
       let i = xi.(p) in
-      if pinv.(i) < 0 && (xre.(i) <> 0. || xim.(i) <> 0.) then begin
+      if pinv.(i) < 0 then begin
         (* x_i / pivot *)
         let vr = ((xre.(i) *. pr) +. (xim.(i) *. pi)) /. pmag in
         let vi = ((xim.(i) *. pr) -. (xre.(i) *. pi)) /. pmag in
@@ -198,6 +222,57 @@ let singular ?(injected = false) k =
 let bad_perm msg =
   Mfti_error.Validation { context = "sparse.lu"; message = msg }
 
+(* The column-major view of the symmetrically permuted [a] in one
+   counting pass.  New rows are visited in ascending order, so every
+   column lists its rows ascending — the layout [Scsr.permute] followed
+   by [Scsr.transpose] produces — and [scatter] remembers where each CSR
+   entry went, so a matrix of the same pattern refills the view
+   without redoing either pass. *)
+let column_view (a : Scsr.t) perm =
+  let n = a.Scsr.rows in
+  let nnz = a.Scsr.rowptr.(n) in
+  let old_of i' = match perm with None -> i' | Some p -> p.(i') in
+  let inv =
+    match perm with
+    | None -> Array.init n (fun i -> i)
+    | Some p ->
+      let inv = Array.make n 0 in
+      Array.iteri (fun newpos old -> inv.(old) <- newpos) p;
+      inv
+  in
+  let acolptr = Array.make (n + 1) 0 in
+  for p = 0 to nnz - 1 do
+    let k = inv.(a.Scsr.colind.(p)) in
+    acolptr.(k + 1) <- acolptr.(k + 1) + 1
+  done;
+  for k = 0 to n - 1 do
+    acolptr.(k + 1) <- acolptr.(k + 1) + acolptr.(k)
+  done;
+  let cursor = Array.sub acolptr 0 n in
+  let arowind = Array.make nnz 0 in
+  let scatter = Array.make nnz 0 in
+  for i' = 0 to n - 1 do
+    let i = old_of i' in
+    for p = a.Scsr.rowptr.(i) to a.Scsr.rowptr.(i + 1) - 1 do
+      let k = inv.(a.Scsr.colind.(p)) in
+      let q = cursor.(k) in
+      arowind.(q) <- i';
+      scatter.(p) <- q;
+      cursor.(k) <- q + 1
+    done
+  done;
+  (acolptr, arowind, scatter)
+
+let scatter_values scatter (a : Scsr.t) =
+  let nnz = Array.length scatter in
+  let are = Array.make nnz 0. and aim = Array.make nnz 0. in
+  for p = 0 to nnz - 1 do
+    let q = scatter.(p) in
+    are.(q) <- a.Scsr.re.(p);
+    aim.(q) <- a.Scsr.im.(p)
+  done;
+  (are, aim)
+
 let factorize ?(ordering = `Amd) ?perm (a : Scsr.t) =
   let n, n' = Scsr.dims a in
   if n <> n' then Error (bad_perm "matrix not square")
@@ -228,13 +303,23 @@ let factorize ?(ordering = `Amd) ?perm (a : Scsr.t) =
     match perm_ok with
     | Error e -> Error e
     | Ok perm ->
-      let ap = match perm with None -> a | Some p -> Scsr.permute a ~perm:p in
-      let at = Scsr.transpose ap in
-      (match
-         factorize_core n at.Scsr.rowptr at.Scsr.colind at.Scsr.re at.Scsr.im
-       with
+      let acolptr, arowind, scatter = column_view a perm in
+      let are, aim = scatter_values scatter a in
+      (match factorize_core n acolptr arowind are aim with
        | exception Singular k -> Error (singular k)
-       | lp, l, up, u, pinv -> Ok { n; lp; l; up; u; pinv; sym_perm = perm })
+       | lp, l, up, u, pinv ->
+         (* trimmed to the final fill: a base factor outlives its sweep
+            step, so the growth slack would be retained with it *)
+         let sym =
+           { n; sym_perm = perm; pinv; lp; lidx = Array.sub l.idx 0 l.len;
+             up; uidx = Array.sub u.idx 0 u.len;
+             rowptr = a.Scsr.rowptr; colind = a.Scsr.colind;
+             acolptr; arowind; scatter }
+         in
+         Ok
+           { sym;
+             lre = Array.sub l.re 0 l.len; lim = Array.sub l.im 0 l.len;
+             ure = Array.sub u.re 0 u.len; uim = Array.sub u.im 0 u.len })
   end
 
 let factorize_exn ?ordering ?perm a =
@@ -242,70 +327,191 @@ let factorize_exn ?ordering ?perm a =
   | Ok f -> f
   | Error e -> Mfti_error.raise_error e
 
-let solve f b =
-  if Cmat.rows b <> f.n then invalid_arg "Slu.solve: dimension mismatch";
-  let nrhs = Cmat.cols b in
-  (* with a symmetric ordering, solve A' x' = b' where b'_i = b_{perm i}
-     and x_{perm i} = x'_i *)
-  let b =
-    match f.sym_perm with
-    | None -> b
-    | Some perm -> Cmat.select_rows b perm
-  in
-  let x = Cmat.zeros f.n nrhs in
-  let xr = Cmat.unsafe_re x and xi_ = Cmat.unsafe_im x in
-  let br = Cmat.unsafe_re b and bi = Cmat.unsafe_im b in
-  for jcol = 0 to nrhs - 1 do
-    let off = jcol * f.n in
-    (* permute: y = P b (row i of b goes to position pinv[i]) *)
-    for i = 0 to f.n - 1 do
-      xr.(off + f.pinv.(i)) <- br.(off + i);
-      xi_.(off + f.pinv.(i)) <- bi.(off + i)
+(* Smallest accepted |reused pivot| / max |candidate| in its column.
+   Partial pivoting picked the candidate of largest modulus at the base
+   shift; a reused pivot that has fallen this far below its column's
+   largest is no longer a safe choice, and the refactorization is
+   redone from scratch. *)
+let pivot_ratio = 1e-3
+
+exception Unstable of int * float
+
+(* Numeric-only elimination over [sym]'s pattern, in the base's pivot
+   order.  Column [k] of U lists the earlier pivot steps its reach went
+   through, in the topological order the base eliminated them, then its
+   diagonal; column [k] of L lists step [k] (the unit diagonal) and
+   every later row the reach touched.  The arithmetic is the base's,
+   operation for operation, so refactoring the base matrix reproduces
+   its factor bit for bit. *)
+let refactor_core sym are aim =
+  let n = sym.n in
+  let lre = Array.make (Array.length sym.lidx) 0. in
+  let lim = Array.make (Array.length sym.lidx) 0. in
+  let ure = Array.make (Array.length sym.uidx) 0. in
+  let uim = Array.make (Array.length sym.uidx) 0. in
+  let xre = Array.make n 0. and xim = Array.make n 0. in
+  let lidx = sym.lidx in
+  let ratio2 = pivot_ratio *. pivot_ratio in
+  for k = 0 to n - 1 do
+    for p = sym.acolptr.(k) to sym.acolptr.(k + 1) - 1 do
+      let i = sym.pinv.(sym.arowind.(p)) in
+      xre.(i) <- are.(p);
+      xim.(i) <- aim.(p)
     done;
-    (* forward: L y = Pb, unit diagonal; columns in pivot order *)
-    for k = 0 to f.n - 1 do
-      let yr = xr.(off + k) and yi = xi_.(off + k) in
-      if yr <> 0. || yi <> 0. then
-        for p = f.lp.(k) + 1 to f.lp.(k + 1) - 1 do
-          let i = f.l.idx.(p) in
-          let lr = f.l.re.(p) and li = f.l.im.(p) in
-          xr.(off + i) <- xr.(off + i) -. (lr *. yr) +. (li *. yi);
-          xi_.(off + i) <- xi_.(off + i) -. (lr *. yi) -. (li *. yr)
-        done
+    let dpos = sym.up.(k + 1) - 1 in
+    for p = sym.up.(k) to dpos - 1 do
+      let j = sym.uidx.(p) in
+      let xjr = xre.(j) and xji = xim.(j) in
+      ure.(p) <- xjr;
+      uim.(p) <- xji;
+      if xjr <> 0. || xji <> 0. then
+        (* the hot loop: every index comes from the pattern this
+           symbolic built, so the accesses are in range by construction *)
+        for q = sym.lp.(j) + 1 to sym.lp.(j + 1) - 1 do
+          let i = Array.unsafe_get lidx q in
+          let lr = Array.unsafe_get lre q and li = Array.unsafe_get lim q in
+          Array.unsafe_set xre i
+            (Array.unsafe_get xre i -. (lr *. xjr) +. (li *. xji));
+          Array.unsafe_set xim i
+            (Array.unsafe_get xim i -. (lr *. xji) -. (li *. xjr))
+        done;
+      xre.(j) <- 0.;
+      xim.(j) <- 0.
     done;
-    (* backward: U x = y; column k of U ends with its diagonal *)
-    for k = f.n - 1 downto 0 do
-      let dpos = f.up.(k + 1) - 1 in
-      let ur = f.u.re.(dpos) and ui = f.u.im.(dpos) in
-      let umag = (ur *. ur) +. (ui *. ui) in
-      let yr = xr.(off + k) and yi = xi_.(off + k) in
-      let sr = ((yr *. ur) +. (yi *. ui)) /. umag in
-      let si = ((yi *. ur) -. (yr *. ui)) /. umag in
-      xr.(off + k) <- sr;
-      xi_.(off + k) <- si;
-      if sr <> 0. || si <> 0. then
-        for p = f.up.(k) to dpos - 1 do
-          let i = f.u.idx.(p) in
-          let ar = f.u.re.(p) and ai = f.u.im.(p) in
-          xr.(off + i) <- xr.(off + i) -. (ar *. sr) +. (ai *. si);
-          xi_.(off + i) <- xi_.(off + i) -. (ar *. si) -. (ai *. sr)
-        done
+    let pr = xre.(k) and pi = xim.(k) in
+    let pmag = (pr *. pr) +. (pi *. pi) in
+    let best = ref pmag in
+    for q = sym.lp.(k) + 1 to sym.lp.(k + 1) - 1 do
+      let i = sym.lidx.(q) in
+      let mag = (xre.(i) *. xre.(i)) +. (xim.(i) *. xim.(i)) in
+      if mag > !best then best := mag
+    done;
+    if not (pmag > 0. && pmag >= ratio2 *. !best) then
+      raise (Unstable (k, if !best > 0. then sqrt (pmag /. !best) else 0.));
+    ure.(dpos) <- pr;
+    uim.(dpos) <- pi;
+    xre.(k) <- 0.;
+    xim.(k) <- 0.;
+    lre.(sym.lp.(k)) <- 1.;
+    for q = sym.lp.(k) + 1 to sym.lp.(k + 1) - 1 do
+      let i = sym.lidx.(q) in
+      lre.(q) <- ((xre.(i) *. pr) +. (xim.(i) *. pi)) /. pmag;
+      lim.(q) <- ((xim.(i) *. pr) -. (xre.(i) *. pi)) /. pmag;
+      xre.(i) <- 0.;
+      xim.(i) <- 0.
     done
   done;
-  match f.sym_perm with
-  | None -> x
-  | Some perm ->
-    let out = Cmat.zeros f.n nrhs in
-    let outr = Cmat.unsafe_re out and outi = Cmat.unsafe_im out in
-    for jcol = 0 to nrhs - 1 do
-      let off = jcol * f.n in
-      for i = 0 to f.n - 1 do
-        outr.(off + perm.(i)) <- xr.(off + i);
-        outi.(off + perm.(i)) <- xi_.(off + i)
-      done
-    done;
-    out
+  { sym; lre; lim; ure; uim }
 
-let fill f = f.l.len + f.u.len
-let order f = f.sym_perm
-let size f = f.n
+let same_pattern sym (a : Scsr.t) =
+  Scsr.dims a = (sym.n, sym.n)
+  && a.Scsr.rowptr = sym.rowptr
+  && a.Scsr.colind = sym.colind
+
+let refactor base a =
+  let sym = base.sym in
+  if not (same_pattern sym a) then
+    Error (bad_perm "refactor: pattern differs from the base factorization")
+  else if Fault.armed "sparse.singular_pivot" then
+    Error (singular ~injected:true 0)
+  else begin
+    let are, aim = scatter_values sym.scatter a in
+    match refactor_core sym are aim with
+    | f -> Ok f
+    | exception Unstable (k, ratio) ->
+      Diag.record ~site:"sparse.refactor_fallback"
+        (Printf.sprintf
+           "reused pivot at step %d is %.3g of its column's largest; full \
+            refactorization"
+           k ratio);
+      (match sym.sym_perm with
+       | Some perm -> factorize ~perm a
+       | None -> factorize ~ordering:`Natural a)
+  end
+
+(* Every right-hand side walks the factors in the same order as a
+   one-column solve, so each column's result does not depend on how
+   many columns travel with it.  The work vector is row-interleaved
+   ([i * nrhs + jcol]) so all columns share each L and U entry as it
+   is loaded and update one contiguous run per entry; the row offsets
+   come from the factor's own pattern, so the hot loops index without
+   bounds checks. *)
+let solve f b =
+  let s = f.sym in
+  if Cmat.rows b <> s.n then invalid_arg "Slu.solve: dimension mismatch";
+  let n = s.n in
+  let nrhs = Cmat.cols b in
+  let wr = Array.make (n * nrhs) 0. and wi = Array.make (n * nrhs) 0. in
+  let br = Cmat.unsafe_re b and bi = Cmat.unsafe_im b in
+  (* y = P Q b: with a symmetric ordering row [perm.(i)] of b is row i
+     of the permuted system, which partial pivoting sends to step
+     [pinv.(i)] *)
+  for i = 0 to n - 1 do
+    let src = match s.sym_perm with None -> i | Some perm -> perm.(i) in
+    let dst = s.pinv.(i) * nrhs in
+    for jcol = 0 to nrhs - 1 do
+      wr.(dst + jcol) <- br.((jcol * n) + src);
+      wi.(dst + jcol) <- bi.((jcol * n) + src)
+    done
+  done;
+  (* forward: L y = Pb, unit diagonal; columns in pivot order *)
+  for k = 0 to n - 1 do
+    let ko = k * nrhs in
+    for p = s.lp.(k) + 1 to s.lp.(k + 1) - 1 do
+      let io = s.lidx.(p) * nrhs in
+      let lr = f.lre.(p) and li = f.lim.(p) in
+      for jcol = 0 to nrhs - 1 do
+        let yr = Array.unsafe_get wr (ko + jcol)
+        and yi = Array.unsafe_get wi (ko + jcol) in
+        if yr <> 0. || yi <> 0. then begin
+          let o = io + jcol in
+          Array.unsafe_set wr o
+            (Array.unsafe_get wr o -. (lr *. yr) +. (li *. yi));
+          Array.unsafe_set wi o
+            (Array.unsafe_get wi o -. (lr *. yi) -. (li *. yr))
+        end
+      done
+    done
+  done;
+  (* backward: U x = y; column k of U ends with its diagonal *)
+  for k = n - 1 downto 0 do
+    let ko = k * nrhs in
+    let dpos = s.up.(k + 1) - 1 in
+    let ur = f.ure.(dpos) and ui = f.uim.(dpos) in
+    let umag = (ur *. ur) +. (ui *. ui) in
+    for jcol = 0 to nrhs - 1 do
+      let yr = wr.(ko + jcol) and yi = wi.(ko + jcol) in
+      wr.(ko + jcol) <- ((yr *. ur) +. (yi *. ui)) /. umag;
+      wi.(ko + jcol) <- ((yi *. ur) -. (yr *. ui)) /. umag
+    done;
+    for p = s.up.(k) to dpos - 1 do
+      let io = s.uidx.(p) * nrhs in
+      let ar = f.ure.(p) and ai = f.uim.(p) in
+      for jcol = 0 to nrhs - 1 do
+        let sr = Array.unsafe_get wr (ko + jcol)
+        and si = Array.unsafe_get wi (ko + jcol) in
+        if sr <> 0. || si <> 0. then begin
+          let o = io + jcol in
+          Array.unsafe_set wr o
+            (Array.unsafe_get wr o -. (ar *. sr) +. (ai *. si));
+          Array.unsafe_set wi o
+            (Array.unsafe_get wi o -. (ar *. si) -. (ai *. sr))
+        end
+      done
+    done
+  done;
+  (* x = Q^T x': step i of the permuted system is row [perm.(i)] *)
+  let x = Cmat.zeros n nrhs in
+  let xr = Cmat.unsafe_re x and xi = Cmat.unsafe_im x in
+  for i = 0 to n - 1 do
+    let dst = match s.sym_perm with None -> i | Some perm -> perm.(i) in
+    for jcol = 0 to nrhs - 1 do
+      xr.((jcol * n) + dst) <- wr.((i * nrhs) + jcol);
+      xi.((jcol * n) + dst) <- wi.((i * nrhs) + jcol)
+    done
+  done;
+  x
+
+let fill f = Array.length f.lre + Array.length f.ure
+let order f = f.sym.sym_perm
+let size f = f.sym.n

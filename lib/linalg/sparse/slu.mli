@@ -30,6 +30,25 @@ val factorize :
 (** Raising form: wraps the error in {!Linalg.Mfti_error.Error}. *)
 val factorize_exn : ?ordering:ordering -> ?perm:int array -> Scsr.t -> factor
 
+(** [refactor base a] factors [a] numerically only, reusing [base]'s
+    ordering, pivot sequence and L/U pattern: no ordering, no symbolic
+    reach.  [a] must have exactly the pattern [base] was computed from
+    ([rowptr] and [colind] equal), as every [Scsr.scale_add] of the
+    same operands does — the contract a frequency sweep relies on; any
+    other pattern is a [Validation] error.
+
+    Stability is checked column by column: when a reused pivot falls
+    below [1e-3] of the largest modulus among its column's candidate
+    rows (or vanishes), [refactor] records ["sparse.refactor_fallback"]
+    in {!Linalg.Diag} and returns a full {!factorize} of [a] under
+    [base]'s ordering instead.  Either way, pass the result as the base
+    of the next call: a refactored factor shares its base's pattern, a
+    fallback carries its own.  Refactoring [base]'s own matrix
+    reproduces [base] bit for bit.  Errors are typed as for
+    {!factorize}, including the armed ["sparse.singular_pivot"] fault
+    and a singular fallback. *)
+val refactor : factor -> Scsr.t -> (factor, Linalg.Mfti_error.t) result
+
 (** [solve f b] solves [a x = b] for one or more dense right-hand-side
     columns. *)
 val solve : factor -> Linalg.Cmat.t -> Linalg.Cmat.t

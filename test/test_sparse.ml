@@ -183,6 +183,92 @@ let test_lu_fill_reported () =
   Alcotest.(check bool) "fill >= nnz" true (Slu.fill f >= Scsr.nnz sp)
 
 (* ------------------------------------------------------------------ *)
+(* Slu.refactor *)
+
+let refactor_ok base sp =
+  match Slu.refactor base sp with
+  | Ok f -> f
+  | Error e -> Alcotest.failf "refactor failed: %s" (Mfti_error.to_string e)
+
+let rel_diff a b =
+  Cmat.norm_fro (Cmat.sub a b) /. Float.max (Cmat.norm_fro b) 1e-300
+
+let same_bits a b =
+  let bits = Array.map Int64.bits_of_float in
+  Cmat.dims a = Cmat.dims b
+  && bits (Cmat.unsafe_re a) = bits (Cmat.unsafe_re b)
+  && bits (Cmat.unsafe_im a) = bits (Cmat.unsafe_im b)
+
+let test_refactor_sweep () =
+  (* the Krylov use: one AMD order and one full LU at the first
+     frequency, then numeric-only refactorizations down the sweep, each
+     the base of the next *)
+  let circuit =
+    Pdn.build { Pdn.default_spec with nx = 8; ny = 8; ports = 3; decaps = 4 }
+  in
+  let g, c, b, _ = Mna.sparse_system circuit in
+  let perm = Ordering.amd (Scsr.scale_add ~alpha:Cx.one c ~beta:Cx.one g) in
+  let pencil f =
+    Scsr.scale_add ~alpha:(Cx.jw (2. *. Float.pi *. f)) c ~beta:Cx.one g
+  in
+  let freqs = Statespace.Sampling.logspace 1e5 1e9 17 in
+  let base0 = factorize_ok ~perm (pencil freqs.(0)) in
+  Alcotest.(check bool) "refactoring the base matrix reproduces it" true
+    (same_bits
+       (Slu.solve (refactor_ok base0 (pencil freqs.(0))) b)
+       (Slu.solve base0 b));
+  let base = ref base0 in
+  Array.iter
+    (fun f ->
+      let a = pencil f in
+      let r = refactor_ok !base a in
+      base := r;
+      check_small ~tol:1e-12
+        (Printf.sprintf "refactor = factorize at %.3g Hz" f)
+        (rel_diff (Slu.solve r b) (Slu.solve (factorize_ok ~perm a) b)))
+    freqs
+
+let test_refactor_fallback () =
+  (* alpha C + G with C = e0 e0^T: at alpha = 3 column 0 pivots on its
+     entry 2 over 0.5; at alpha = 1 that entry cancels to an explicit
+     zero, so the reused pivot vanishes *)
+  let of_entries entries =
+    let b = Scsr.create ~rows:2 ~cols:2 () in
+    List.iter (fun (i, j, x) -> Scsr.add_real b i j x) entries;
+    Scsr.compress b
+  in
+  let c = of_entries [ (0, 0, 1.) ] in
+  let g = of_entries [ (0, 0, -1.); (0, 1, 1.); (1, 0, 0.5); (1, 1, 1.) ] in
+  let pencil alpha =
+    Scsr.scale_add ~alpha:(Cx.of_float alpha) c ~beta:Cx.one g
+  in
+  let base = factorize_ok ~ordering:`Natural (pencil 3.) in
+  let a = pencil 1. in
+  let r, d = Diag.with_collector (fun () -> refactor_ok base a) in
+  Alcotest.(check bool) "fallback recorded" true
+    (Diag.recorded d "sparse.refactor_fallback");
+  let rhs = Cmat.of_rows [ [ cx 1. 0. ]; [ cx 2. (-1.) ] ] in
+  Alcotest.(check bool) "fallback = factorize" true
+    (same_bits (Slu.solve r rhs)
+       (Slu.solve (factorize_ok ~ordering:`Natural a) rhs));
+  check_small ~tol:1e-15 "residual"
+    (Cmat.norm_fro (Cmat.sub (Scsr.mul_vec a (Slu.solve r rhs)) rhs));
+  match Slu.refactor base (of_entries [ (0, 0, 1.); (1, 1, 1.) ]) with
+  | Error (Mfti_error.Validation _) -> ()
+  | Error e -> Alcotest.failf "wrong error: %s" (Mfti_error.to_string e)
+  | Ok _ -> Alcotest.fail "foreign pattern accepted"
+
+let test_refactor_fault () =
+  let rng = Rng.create 257 in
+  let sp = random_sparse rng 12 2 in
+  let base = factorize_ok sp in
+  Fault.with_spec "sparse.singular_pivot" (fun () ->
+    match Slu.refactor base sp with
+    | Error (Mfti_error.Numerical_breakdown { context = "sparse.lu"; _ }) -> ()
+    | Error e -> Alcotest.failf "wrong error: %s" (Mfti_error.to_string e)
+    | Ok _ -> Alcotest.fail "armed fault did not fire")
+
+(* ------------------------------------------------------------------ *)
 (* Orderings *)
 
 let grid_laplacian rng nx =
@@ -528,6 +614,46 @@ let test_krylov_reduce_accuracy () =
         rel)
     exact
 
+let test_krylov_domain_invariant () =
+  let sys = Krylov.of_mna (Pdn.build small_grid_spec) in
+  let reduce_at domains =
+    let saved = Parallel.domain_count () in
+    Fun.protect
+      ~finally:(fun () -> Parallel.set_domain_count saved)
+      (fun () ->
+        Parallel.set_domain_count domains;
+        match Krylov.reduce ~options:krylov_test_options sys with
+        | Ok kr -> Engine.Model.descriptor kr.Krylov.model
+        | Error e -> Alcotest.failf "reduce: %s" (Mfti_error.to_string e))
+  in
+  let d1 = reduce_at 1 and d4 = reduce_at 4 in
+  List.iter
+    (fun (name, m1, m4) ->
+      Alcotest.(check bool) (name ^ " bit-identical") true (same_bits m1 m4))
+    Statespace.Descriptor.
+      [ ("E", d1.e, d4.e); ("A", d1.a, d4.a); ("B", d1.b, d4.b);
+        ("C", d1.c, d4.c) ]
+
+let test_krylov_interpolates_shifts () =
+  (* the projection space holds (sigma C + G)^-1 B for every shift, so
+     the reduced model reproduces H there *)
+  let circuit = Pdn.build small_grid_spec in
+  let kr =
+    match
+      Krylov.reduce ~options:krylov_test_options (Krylov.of_mna circuit)
+    with
+    | Ok kr -> kr
+    | Error e -> Alcotest.failf "reduce: %s" (Mfti_error.to_string e)
+  in
+  Array.iter
+    (fun (sample : Statespace.Sampling.sample) ->
+      let f = sample.Statespace.Sampling.freq in
+      check_small ~tol:1e-8
+        (Printf.sprintf "reduced model interpolates at %.4g Hz" f)
+        (rel_diff (Engine.Model.eval_freq kr.Krylov.model f)
+           sample.Statespace.Sampling.s))
+    (Mna.impedance_sparse circuit kr.Krylov.shift_freqs)
+
 let test_krylov_vs_dense_mfti () =
   (* acceptance: krylov+mfti hold-out accuracy within 10x of a dense
      MFTI fit of the same small grid *)
@@ -574,7 +700,9 @@ let test_krylov_validation () =
   expect_validation "bad z0"
     (Krylov.reduce ~options:{ Krylov.default_options with z0 = Some 0. } sys);
   expect_validation "mismatched ports"
-    (Krylov.reduce { sys with b = Cmat.zeros 3 2 })
+    (Krylov.reduce { sys with b = Cmat.zeros 3 2 });
+  expect_validation "complex ports"
+    (Krylov.reduce { sys with b = Cmat.scale (cx 0. 1.) sys.Krylov.b })
 
 let () =
   Alcotest.run "sparse"
@@ -594,7 +722,11 @@ let () =
            test_lu_permuted_identity;
          Alcotest.test_case "singular typed" `Quick test_lu_singular_typed;
          Alcotest.test_case "bad perm typed" `Quick test_lu_bad_perm_typed;
-         Alcotest.test_case "fill reported" `Quick test_lu_fill_reported ]);
+         Alcotest.test_case "fill reported" `Quick test_lu_fill_reported;
+         Alcotest.test_case "refactor sweep" `Quick test_refactor_sweep;
+         Alcotest.test_case "refactor fallback" `Quick test_refactor_fallback;
+         Alcotest.test_case "refactor fault typed" `Quick
+           test_refactor_fault ]);
       ("ordering",
        [ Alcotest.test_case "correct and helpful" `Quick
            test_orderings_correct_and_helpful;
@@ -619,5 +751,9 @@ let () =
            test_krylov_reduce_accuracy;
          Alcotest.test_case "within 10x of dense mfti" `Quick
            test_krylov_vs_dense_mfti;
-         Alcotest.test_case "validation" `Quick test_krylov_validation ])
+         Alcotest.test_case "validation" `Quick test_krylov_validation;
+         Alcotest.test_case "1 = 4 domains (bit)" `Quick
+           test_krylov_domain_invariant;
+         Alcotest.test_case "interpolates at shifts" `Quick
+           test_krylov_interpolates_shifts ])
     ]
