@@ -21,33 +21,79 @@ let default_backend = Auto
    GEMMs. *)
 let randomized_cutoff = 96
 
+(* The [Tol tol] certificate: accept the sketch when it provably keeps
+   the rank the rule would pick on the exact spectrum.  With B = Q*A,
+   E = A - QQ*A and the residual r = |E|_F >= |E|_2, A*A = B*B + E*E,
+   and Weyl brackets every sigma_i in [s_i, sqrt (s_i^2 + r^2)] for
+   i <= l (the sketch width) and bounds sigma_i <= r beyond it.  So
+   the exact threshold tol sigma_1 lies in
+   [tol s_1, tol sqrt (s_1^2 + r^2)].  Rank [k] is certified when the
+   residual is under the threshold, sigma_k+1's bracket lies below it
+   and sigma_k's above.  [k] is the count above [tol s_1] on the
+   sketch, or on [ranked] when given (Stacked mode's column side must
+   reproduce the row side's count).  A sketch covering the whole
+   spectrum is the exact factorization. *)
+let tol_certificate ~tol ?ranked (r : Rsvd.t) =
+  let s = r.Rsvd.svd.Svd.sigma and res = r.Rsvd.residual in
+  let l = Array.length s in
+  if r.Rsvd.sketch = r.Rsvd.total then Ok ()
+  else begin
+    let k = Svd.rank_of_values ~rtol:tol (Option.value ranked ~default:s) in
+    let t_lo = tol *. s.(0) and t_hi = tol *. Float.hypot s.(0) res in
+    let refuse fmt =
+      Printf.ksprintf
+        (fun why -> Error (Printf.sprintf "tol %g rank %d not certified: %s" tol k why))
+        fmt
+    in
+    let straddles i =
+      refuse "sigma_%d in [%.3g, %.3g] straddles tol*sigma_1 in [%.3g, %.3g]" i
+        s.(i - 1) (Float.hypot s.(i - 1) res) t_lo t_hi
+    in
+    if not (res <= t_lo) then
+      refuse "residual %.3g > tol*sigma_1 %.3g" res t_lo
+    else if k >= l then refuse "rank fills the %d-column sketch" l
+    else if not (Float.hypot s.(k) res <= t_lo) then straddles (k + 1)
+    else if k > 0 && not (s.(k - 1) > t_hi) then straddles k
+    else Ok ()
+  end
+
+(* The sketch certificate the rank rule needs ([ranked] as in
+   {!tol_certificate}).  The tail-aware rules and [Fixed] take Rsvd's
+   own: the residual within [1e-10 |A|_F]. *)
+let certificate ?ranked rule (r : Rsvd.t) =
+  match rule with
+  | Tol tol -> tol_certificate ~tol ?ranked r
+  | Fixed _ | Gap | Auto_noise ->
+    if r.Rsvd.certified then Ok ()
+    else Error (Printf.sprintf "residual %.3g not certified" r.Rsvd.residual)
+
 (* Factor through the selected backend.  [exact algorithm x] is the
-   exact factorization and [of_sketch] adapts a certified randomized
-   one to the same shape, so Pencil mode (both sides) and Stacked mode
-   (right vectors only) share the backend choice and the fallback.
+   exact factorization and [of_sketch] adapts a randomized one to the
+   same shape, so Pencil mode (both sides) and Stacked mode (right
+   vectors only) share the backend choice and the fallback.  [accept]
+   decides whether the sketch stands in for the exact factorization.
    Returns the factorization plus a certified bound on every singular
    value a truncated (randomized) spectrum cut off, for the tail-aware
    rank rules. *)
-let factor_backend ~exact ~of_sketch backend a =
+let factor_backend ~exact ~of_sketch ~accept backend a =
   let randomized x =
     let r = Rsvd.decompose_adaptive x in
-    if r.Rsvd.certified then (of_sketch r.Rsvd.svd, Some r.Rsvd.residual)
-    else begin
-      (* An uncertified sketch narrower than the spectrum with a finite
-         residual stopped at its half-width cap: the spectrum is a
-         noise floor.  A poisoned residual is the degrade fault. *)
-      let why =
+    match accept r with
+    | Ok () -> (of_sketch r.Rsvd.svd, Some r.Rsvd.residual)
+    | Error why ->
+      (* A sketch narrower than the spectrum with a finite residual
+         stopped at its half-width cap: the spectrum is a noise floor.
+         A poisoned residual is the degrade fault. *)
+      let capped =
         if r.Rsvd.sketch < r.Rsvd.total && Float.is_finite r.Rsvd.residual
         then " capped at n/2,"
         else ""
       in
       Diag.record ~site:"svd.rsvd.fallback"
-        (Printf.sprintf
-           "sketch %d/%d%s residual %.3g not certified; exact cascade"
-           r.Rsvd.sketch r.Rsvd.total why r.Rsvd.residual);
+        (Printf.sprintf "sketch %d/%d%s %s; exact cascade" r.Rsvd.sketch
+           r.Rsvd.total capped why);
       Diag.incr_retries ();
       (exact Svd.Auto x, None)
-    end
   in
   match backend with
   | Jacobi -> (exact Svd.Blocked_jacobi a, None)
@@ -114,17 +160,24 @@ let reduce ?(mode = default_mode) ?(rank_rule = default_rank_rule)
     match mode with
     | Pencil x0 ->
       let _, p = pencil_matrix ~x0 t in
-      let d, tb = decompose_backend backend p in
+      let d, tb =
+        decompose_backend ~accept:(certificate rank_rule) backend p
+      in
       (d.Svd.u, d.Svd.v, d.Svd.sigma, tb)
     | Stacked ->
       (* Y is the left vectors of [LL sLL], i.e. the right vectors of
          its tall conjugate transpose; X is the right vectors of
          [LL; sLL]. *)
       let (sigma, y), tb =
-        right_backend backend
+        right_backend ~accept:(certificate rank_rule) backend
           (Cmat.ctranspose (Cmat.hcat t.Loewner.ll t.Loewner.sll))
       in
-      let (_, x), _ = right_backend backend (Cmat.vcat t.Loewner.ll t.Loewner.sll) in
+      (* the row side's spectrum fixes the rank; the column side must
+         certify the same count *)
+      let (_, x), _ =
+        right_backend ~accept:(certificate ~ranked:sigma rank_rule) backend
+          (Cmat.vcat t.Loewner.ll t.Loewner.sll)
+      in
       (y, x, sigma, tb)
   in
   let rank =

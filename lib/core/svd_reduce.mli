@@ -38,13 +38,25 @@ type backend =
           it — the regime where the MFTI pencil is numerically
           low-rank (Lemma 3.3) and a Gaussian sketch wins *)
   | Randomized
-      (** adaptive {!Linalg.Rsvd} range finder; when the residual
-          certificate fails (the sketch reached its half-width cap
-          without capturing the range, as on a noise-floor spectrum,
-          or the ["svd.rsvd.degrade"] fault poisoned it) the exact SVD
-          reruns and ["svd.rsvd.fallback"] is recorded in the ambient
-          {!Linalg.Diag} collector, its detail saying ["capped at n/2"]
-          in the first case *)
+      (** adaptive {!Linalg.Rsvd} range finder.  The rank rule decides
+          whether the sketch stands in for the exact SVD.  [Tol tol]
+          keeps it when the residual [r] proves the rank the rule
+          would pick on the exact spectrum: each kept [sigma_i] lies
+          in [[s_i, sqrt (s_i^2 + r^2)]] and each cut one below [r], so
+          with [k] sketched values above [tol s_1] the rank is [k] when
+          [r <= tol s_1], [k] is less than the sketch width,
+          [sqrt (s_k+1^2 + r^2) <= tol s_1] and
+          [s_k > tol sqrt (s_1^2 + r^2)].  In Stacked mode the column
+          side must prove the row side's [k].  [Gap], [Auto_noise] and
+          [Fixed] need Rsvd's own certificate ([r <= 1e-10 |A|_F]).
+          When the sketch is refused (a noise floor too high for the
+          rule, or the ["svd.rsvd.degrade"] fault poisoning [r]) that
+          side's exact SVD reruns and ["svd.rsvd.fallback"] is recorded
+          in the ambient {!Linalg.Diag} collector.  Its detail says
+          ["capped at n/2"] when the sketch stopped at its half-width
+          cap, then names the failed test: the residual against
+          [tol*sigma_1], or the index whose bracket straddles the
+          threshold, with their values *)
   | Jacobi
       (** exact blocked one-sided Jacobi
           ({!Linalg.Svd.algorithm.Blocked_jacobi}) — the parallel
@@ -73,7 +85,10 @@ val default_backend : backend (* Auto *)
     Under a [Randomized] (or auto-selected randomized) backend the rank
     rules run on the truncated spectrum with the certified residual as
     tail bound ({!Linalg.Svd.rank_gap_of_values}), so rank decisions
-    match the exact path on well-gapped spectra. *)
+    match the exact path on well-gapped spectra.  A [Tol] rank from a
+    kept sketch equals the exact one by construction (see
+    {!backend.Randomized}); the model then agrees with the exact one
+    to roundoff, not bit for bit. *)
 val reduce :
   ?mode:mode -> ?rank_rule:rank_rule -> ?backend:backend -> Loewner.t -> result
 

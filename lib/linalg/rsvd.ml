@@ -144,11 +144,11 @@ let decompose_tall ?(seed = default_seed) ?(oversample = default_oversample)
 
 (* The adaptive sketch doubles from [l] to [2l] only while [2l <= n/2].
    A wider sketch costs more than the exact SVD it is trying to avoid
-   (at 320 x 160 the 40- and 80-column rounds together cost a little
-   less than an exact {!Svd.right}, a 160-column round more than twice
-   as much), and a spectrum that has not certified by half width is a
-   noise floor, not a low-rank matrix: the caller's exact path answers
-   it. *)
+   (at 320 x 160 the 40- and 80-column rounds together cost about
+   0.55x an exact {!Svd.right}, a 160-column round more than twice as
+   much), and a spectrum that has not certified by half width is a
+   noise floor, not a low-rank matrix: the caller's rank rule or its
+   exact path answers it. *)
 let capped ~l ~n = 2 * l > n / 2
 
 let decompose_adaptive_tall ?(seed = default_seed) ?(power = default_power)

@@ -14,10 +14,10 @@
     the true residual is below about [sqrt eps * |A|_F]; in that
     regime the error matrix is formed explicitly (one extra GEMM) so
     tiny tails still certify deterministically.  Callers check
-    {!field-certified} and fall back
-    to the exact path when the sketch missed part of the range —
-    {!Core.Svd_reduce} records ["svd.rsvd.fallback"] and reruns the
-    exact SVD.
+    {!field-certified}, or a test of their own on {!field-residual},
+    and fall back to the exact path when the sketch missed what they
+    need — {!Core.Svd_reduce} records ["svd.rsvd.fallback"] and reruns
+    the exact SVD.
 
     All randomness is drawn from a {!Rng} stream fixed by [seed], and
     every parallel kernel used is domain-count independent, so results

@@ -456,31 +456,39 @@ let test_auto_noise_on_clean_falls_back () =
     (Metrics.err r.Algorithm1.model validation_samples)
 
 (* ------------------------------------------------------------------ *)
-(* Stacked reduce on a noisy pencil: the randomized sketch stops at its
-   half-width cap, and the exact fallback (which forms no U) yields the
-   model the full two-sided SVD factors give. *)
+(* Stacked reduce on a noisy pencil.  The randomized sketch stops at
+   its half-width cap.  Under [Tol] the reduce keeps it when the
+   residual brackets prove the rule's rank, and otherwise the exact
+   fallback (which forms no U) yields the model the full two-sided
+   SVD factors give. *)
 
-(* A noisy (1e-3) 4-port 40-point PDN, assembled and realified as the
-   Direct engine does: a 320 x 160 stacked pencil that measured noise
-   makes numerically full rank. *)
-let noisy_pdn_pencil =
-  lazy
-    (let board =
-       { Rf.Pdn.default_spec with ports = 4; decaps = 2; nx = 3; ny = 3; seed = 7 }
-     in
-     let clean = Rf.Pdn.scattering board ~z0:50. (Sampling.logspace 1e6 1e9 40) in
-     let noisy = Rf.Noise.add_relative ~seed:1000 ~level:1e-3 clean in
-     let ok what = function
-       | Ok x -> x
-       | Error e -> Alcotest.failf "%s: %s" what (Mfti_error.to_string e)
-     in
-     let st =
-       ok "ingest"
-         (Engine.ingest ~strategy:Engine.Direct
-            (Dataset.trim_even (Dataset.of_samples noisy)))
-     in
-     ok "realify" (Engine.realify st);
-     Option.get (Engine.pencil st))
+let noisy_pdn_freqs = Sampling.logspace 1e6 1e9 40
+
+(* A noisy 4-port 40-point PDN, assembled and realified as the Direct
+   engine does: a 320 x 160 stacked pencil that measured noise makes
+   numerically full rank. *)
+let noisy_pdn ~seed ~level =
+  let board =
+    { Rf.Pdn.default_spec with ports = 4; decaps = 2; nx = 3; ny = 3; seed = 7 }
+  in
+  let clean = Rf.Pdn.scattering board ~z0:50. noisy_pdn_freqs in
+  let noisy = Rf.Noise.add_relative ~seed ~level clean in
+  let ok what = function
+    | Ok x -> x
+    | Error e -> Alcotest.failf "%s: %s" what (Mfti_error.to_string e)
+  in
+  let st =
+    ok "ingest"
+      (Engine.ingest ~strategy:Engine.Direct
+         (Dataset.trim_even (Dataset.of_samples noisy)))
+  in
+  ok "realify" (Engine.realify st);
+  Option.get (Engine.pencil st)
+
+let noisy_pdn_pencil = lazy (noisy_pdn ~seed:1000 ~level:1e-3)
+
+let row_side p = Cmat.ctranspose (Cmat.hcat p.Loewner.ll p.Loewner.sll)
+let column_side p = Cmat.vcat p.Loewner.ll p.Loewner.sll
 
 let test_stacked_sketch_capped () =
   let p = Lazy.force noisy_pdn_pencil in
@@ -493,49 +501,165 @@ let test_stacked_sketch_capped () =
       Alcotest.(check bool)
         (Printf.sprintf "%s sketch %d <= 80" what r.Rsvd.sketch)
         true (r.Rsvd.sketch <= 80))
-    [ ("row side", Cmat.ctranspose (Cmat.hcat p.Loewner.ll p.Loewner.sll));
-      ("column side", Cmat.vcat p.Loewner.ll p.Loewner.sll) ]
+    [ ("row side", row_side p); ("column side", column_side p) ]
 
-let test_stacked_fallback_bit_identical () =
-  let p = Lazy.force noisy_pdn_pencil in
-  let r, diag =
-    Diag.with_collector (fun () ->
-        Svd_reduce.reduce ~mode:Svd_reduce.Stacked
-          ~rank_rule:(Svd_reduce.Tol 3e-3) p)
-  in
-  (* both sides fell back, and the diagnostic names the cap *)
-  let fallbacks =
-    List.filter (fun e -> e.Diag.site = "svd.rsvd.fallback") (Diag.events diag)
-  in
-  Alcotest.(check int) "two fallbacks" 2 (List.length fallbacks);
-  let contains ~needle haystack =
-    let nl = String.length needle and hl = String.length haystack in
-    let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
-    go 0
-  in
+let stacked_tol ~tol p =
+  Diag.with_collector (fun () ->
+      Svd_reduce.reduce ~mode:Svd_reduce.Stacked
+        ~rank_rule:(Svd_reduce.Tol tol) p)
+
+let fallbacks diag =
+  List.filter (fun e -> e.Diag.site = "svd.rsvd.fallback") (Diag.events diag)
+
+let contains ~needle haystack =
+  let nl = String.length needle and hl = String.length haystack in
+  let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
+  go 0
+
+let check_details what needles events =
   List.iter
     (fun e ->
-      Alcotest.(check bool) ("fallback says capped: " ^ e.Diag.detail) true
-        (contains ~needle:"capped at n/2" e.Diag.detail))
-    fallbacks;
-  (* the reference: two-sided factors, projected as Lemma 3.4 does *)
+      List.iter
+        (fun needle ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: %S names %S" what e.Diag.detail needle)
+            true (contains ~needle e.Diag.detail))
+        needles)
+    events
+
+(* The reference: two-sided exact factors, projected as Lemma 3.4
+   does, at the rank [Tol tol] picks on the exact row spectrum. *)
+let two_sided_reference ~tol p =
   let row = Svd.decompose (Cmat.hcat p.Loewner.ll p.Loewner.sll) in
-  let col = Svd.decompose (Cmat.vcat p.Loewner.ll p.Loewner.sll) in
-  let rank = Stdlib.max 1 (Svd.rank ~rtol:3e-3 row) in
-  Alcotest.(check int) "rank" rank r.Svd_reduce.rank;
+  let col = Svd.decompose (column_side p) in
+  let rank = Stdlib.max 1 (Svd.rank ~rtol:tol row) in
   let first k m = Cmat.sub_matrix m ~r:0 ~c:0 ~rows:(Cmat.rows m) ~cols:k in
   let y = first rank row.Svd.u and x = first rank col.Svd.v in
   let e = Cmat.neg (Cmat.mul_cn y (Cmat.mul p.Loewner.ll x)) in
   let a = Cmat.neg (Cmat.mul_cn y (Cmat.mul p.Loewner.sll x)) in
   let b = Cmat.mul_cn y p.Loewner.v in
   let c = Cmat.mul p.Loewner.w x in
-  let m = r.Svd_reduce.model in
+  let d = Cmat.zeros (Cmat.rows c) (Cmat.cols b) in
+  (rank, Descriptor.create ~e ~a ~b ~c ~d)
+
+let check_bit_identical what (got : Descriptor.t) (want : Descriptor.t) =
   List.iter
-    (fun (what, got, want) ->
-      Alcotest.(check bool) (what ^ " bit-identical") true
-        (Cmat.equal ~tol:0. got want))
-    [ ("E", m.Descriptor.e, e); ("A", m.Descriptor.a, a);
-      ("B", m.Descriptor.b, b); ("C", m.Descriptor.c, c) ]
+    (fun (m, g, w) ->
+      Alcotest.(check bool) (Printf.sprintf "%s %s bit-identical" what m) true
+        (Cmat.equal ~tol:0. g w))
+    [ ("E", got.Descriptor.e, want.Descriptor.e);
+      ("A", got.Descriptor.a, want.Descriptor.a);
+      ("B", got.Descriptor.b, want.Descriptor.b);
+      ("C", got.Descriptor.c, want.Descriptor.c) ]
+
+let test_stacked_tol_certified () =
+  (* At tol 3e-3 the half-width sketch proves rank 6 on both sides:
+     no exact SVD runs, and the model agrees with the exact one. *)
+  let p = Lazy.force noisy_pdn_pencil in
+  let r, diag = stacked_tol ~tol:3e-3 p in
+  Alcotest.(check int) "no fallback" 0 (List.length (fallbacks diag));
+  Alcotest.(check int) "no retry" 0 diag.Diag.retries;
+  let rank, reference = two_sided_reference ~tol:3e-3 p in
+  Alcotest.(check int) "rank = exact rank" rank r.Svd_reduce.rank;
+  Array.iter
+    (fun f ->
+      let want = Descriptor.eval_freq reference f in
+      let got = Descriptor.eval_freq r.Svd_reduce.model f in
+      let rel = Cmat.norm_fro (Cmat.sub got want) /. Cmat.norm_fro want in
+      if not (rel <= 1e-10) then
+        Alcotest.failf "H(j2pi %.4g) differs from the exact model by %.3g" f rel)
+    noisy_pdn_freqs
+
+let test_stacked_fallback_bit_identical () =
+  (* At tol 1e-4 the residual exceeds the threshold, so neither side
+     can prove its rank: both fall back, and the diagnostic names the
+     cap and the failed condition. *)
+  let p = Lazy.force noisy_pdn_pencil in
+  let r, diag = stacked_tol ~tol:1e-4 p in
+  let fallbacks = fallbacks diag in
+  Alcotest.(check int) "two fallbacks" 2 (List.length fallbacks);
+  check_details "fallback"
+    [ "sketch 80/160 capped at n/2, tol 0.0001 rank ";
+      " not certified: residual "; " > tol*sigma_1 "; "; exact cascade" ]
+    fallbacks;
+  let rank, reference = two_sided_reference ~tol:1e-4 p in
+  Alcotest.(check int) "rank" rank r.Svd_reduce.rank;
+  check_bit_identical "fallback" r.Svd_reduce.model reference
+
+let test_stacked_tol_straddle () =
+  (* A prescribed spectrum (seeded orthonormal factors): rank 6 above
+     tol, sigma_7 just under it, and a plateau whose residual pushes
+     sigma_7's upper bracket across tol sigma_1.  The exact spectrum
+     could keep 6 or 7, so both sides must fall back. *)
+  let n = 160 and tol = 3e-3 in
+  let sigma =
+    Array.init n (fun i ->
+        if i < 6 then 0.5 ** float_of_int i
+        else if i = 6 then 0.95 *. tol
+        else 1.5e-4)
+  in
+  let rng = Rng.create 42 in
+  let u = Qr.orthonormalize (Cmat.random rng n n) in
+  let v = Qr.orthonormalize (Cmat.random rng n n) in
+  let us = Cmat.init n n (fun i j -> Cx.scale sigma.(j) (Cmat.get u i j)) in
+  let p0 = Lazy.force noisy_pdn_pencil in
+  let p = { p0 with Loewner.ll = Cmat.mul us (Cmat.ctranspose v);
+                    sll = Cmat.zeros n n } in
+  let r, diag = stacked_tol ~tol p in
+  let fallbacks = fallbacks diag in
+  Alcotest.(check int) "two fallbacks" 2 (List.length fallbacks);
+  check_details "straddle"
+    [ "tol 0.003 rank 6 not certified: sigma_7 in [";
+      "] straddles tol*sigma_1 in [" ]
+    fallbacks;
+  let rank, reference = two_sided_reference ~tol p in
+  Alcotest.(check int) "rank" rank r.Svd_reduce.rank;
+  check_bit_identical "straddle" r.Svd_reduce.model reference
+
+let test_stacked_tol_degrade () =
+  (* The degrade fault poisons the residual, so the rule refuses even
+     where it certifies unfaulted. *)
+  let p = Lazy.force noisy_pdn_pencil in
+  let r, diag = Fault.with_spec "svd.rsvd.degrade" (fun () -> stacked_tol ~tol:3e-3 p) in
+  let fallbacks = fallbacks diag in
+  Alcotest.(check int) "two fallbacks" 2 (List.length fallbacks);
+  check_details "degrade" [ "not certified: residual inf > tol*sigma_1 " ] fallbacks;
+  let rank, reference = two_sided_reference ~tol:3e-3 p in
+  Alcotest.(check int) "rank" rank r.Svd_reduce.rank;
+  check_bit_identical "degrade" r.Svd_reduce.model reference
+
+let test_stacked_tol_domains () =
+  let p = Lazy.force noisy_pdn_pencil in
+  let at domains =
+    Parallel.set_domain_count domains;
+    Fun.protect
+      ~finally:(fun () -> Parallel.set_domain_count 1)
+      (fun () -> stacked_tol ~tol:3e-3 p)
+  in
+  let r1, d1 = at 1 and r4, d4 = at 4 in
+  Alcotest.(check int) "certified at 1" 0 (List.length (fallbacks d1));
+  Alcotest.(check int) "certified at 4" 0 (List.length (fallbacks d4));
+  check_bit_identical "1 vs 4 domains" r4.Svd_reduce.model r1.Svd_reduce.model
+
+(* property: whenever the Tol certificate keeps the sketch, the rank is
+   the one the rule picks on the exact spectrum *)
+let prop_tol_rank_matches =
+  let gen =
+    QCheck.Gen.(
+      triple (int_bound 10_000) (oneofl [ 1e-4; 1e-3; 1e-2 ])
+        (oneofl [ 1e-3; 3e-3; 1e-2 ]))
+  in
+  let arb =
+    QCheck.make gen ~print:(fun (seed, level, tol) ->
+        Printf.sprintf "seed=%d noise=%g tol=%g" seed level tol)
+  in
+  QCheck.Test.make ~name:"tol certificate keeps the exact rank on noisy pencils"
+    ~count:10 arb (fun (seed, level, tol) ->
+      let p = noisy_pdn ~seed ~level in
+      let r, diag = stacked_tol ~tol p in
+      fallbacks diag <> []
+      || r.Svd_reduce.rank
+         = Stdlib.max 1 (Svd.rank_of_values ~rtol:tol (Svd.values (row_side p))))
 
 (* property: exact recovery at the Theorem 3.5 minimal sampling, across
    random systems *)
@@ -670,8 +794,17 @@ let () =
       ("stacked",
        [ Alcotest.test_case "noisy sketch stops at half width" `Quick
            test_stacked_sketch_capped;
+         Alcotest.test_case "tol certified = exact rank and response" `Quick
+           test_stacked_tol_certified;
          Alcotest.test_case "fallback = two-sided factors (bit)" `Quick
-           test_stacked_fallback_bit_identical ]);
+           test_stacked_fallback_bit_identical;
+         Alcotest.test_case "straddling bracket falls back" `Quick
+           test_stacked_tol_straddle;
+         Alcotest.test_case "degrade fault refuses under tol" `Quick
+           test_stacked_tol_degrade;
+         Alcotest.test_case "tol certified domain-invariant (bit)" `Quick
+           test_stacked_tol_domains;
+         QCheck_alcotest.to_alcotest prop_tol_rank_matches ]);
       ("rank rules",
        [ Alcotest.test_case "auto-noise on noisy data" `Quick test_auto_noise_rank;
          Alcotest.test_case "auto-noise clean fallback" `Quick test_auto_noise_on_clean_falls_back ]);
