@@ -22,8 +22,8 @@ let samples k = Sampling.sample_system sys (Sampling.logspace 100. 1e6 k)
 let noisy k = Rf.Noise.add_relative ~seed:3 ~level:0.01 (samples k)
 
 let fit_err options smps =
-  let (r, dt) = Util.time_it (fun () -> Algorithm1.fit ~options smps) in
-  (Metrics.err r.Algorithm1.model validation, r.Algorithm1.rank, dt)
+  let (r, dt) = Util.time_it (fun () -> Engine.fit ~options smps) in
+  (Metrics.err r.Engine.model validation, r.Engine.rank, dt)
 
 let run () =
   Util.heading "Ablations";
@@ -33,7 +33,7 @@ let run () =
     List.map
       (fun (name, directions) ->
         let e, rank, dt =
-          fit_err { Algorithm1.default_options with directions } (samples 10)
+          fit_err { Engine.default_options with directions } (samples 10)
         in
         [ name; string_of_int rank; Util.fmt_sci e; Util.fmt_time dt ])
       [ ("orthonormal (default)", Direction.Orthonormal 0);
@@ -47,7 +47,7 @@ let run () =
     List.map
       (fun (name, mode, real_model) ->
         let e, rank, dt =
-          fit_err { Algorithm1.default_options with mode; real_model } (samples 10)
+          fit_err { Engine.default_options with mode; real_model } (samples 10)
         in
         [ name; string_of_int rank; Util.fmt_sci e; Util.fmt_time dt ])
       [ ("stacked [LL sLL] (default)", Svd_reduce.Stacked, true);
@@ -66,7 +66,7 @@ let run () =
       (fun t ->
         let e, rank, dt =
           fit_err
-            { Algorithm1.default_options with
+            { Engine.default_options with
               weight = Tangential.Uniform t;
               rank_rule = noisy_rank }
             noisy40
@@ -111,7 +111,7 @@ let run () =
       (fun tol ->
         let e, rank, dt =
           fit_err
-            { Algorithm1.default_options with
+            { Engine.default_options with
               weight = Tangential.Uniform 2;
               rank_rule = Svd_reduce.Tol tol }
             noisy40
@@ -140,7 +140,7 @@ let run () =
       (fun (name, weight) ->
         let e, rank, dt =
           fit_err
-            { Algorithm1.default_options with weight; rank_rule = noisy_rank }
+            { Engine.default_options with weight; rank_rule = noisy_rank }
             clustered_noisy
         in
         [ name; string_of_int rank; Util.fmt_sci e; Util.fmt_time dt ])
@@ -158,15 +158,19 @@ let run () =
     List.map
       (fun batch ->
         let options =
-          { Algorithm2.default_options with
+          { Engine.default_recursive_options with
             weight = Tangential.Uniform 2; batch; threshold = 0.03;
             rank_rule = noisy_rank }
         in
-        let (r, dt) = Util.time_it (fun () -> Algorithm2.fit ~options noisy40) in
-        let e = Metrics.err r.Algorithm2.model validation in
+        let (r, dt) =
+          Util.time_it (fun () ->
+              Engine.fit ~strategy:(Engine.Recursive Engine.Incremental)
+                ~options noisy40)
+        in
+        let e = Metrics.err r.Engine.model validation in
         [ string_of_int batch;
-          Printf.sprintf "%d/%d" r.Algorithm2.selected_units r.Algorithm2.total_units;
-          string_of_int r.Algorithm2.rank; Util.fmt_sci e; Util.fmt_time dt ])
+          Printf.sprintf "%d/%d" r.Engine.selected_units r.Engine.total_units;
+          string_of_int r.Engine.rank; Util.fmt_sci e; Util.fmt_time dt ])
       [ 2; 5; 10; 20 ]
   in
   Util.print_table

@@ -14,10 +14,12 @@ let run () =
   let sys = Random_sys.example1 () in
   let samples = Sampling.sample_system sys (Sampling.logspace 10. 1e5 8) in
 
-  let mfti, t_mfti = Util.time_it (fun () -> Algorithm1.fit samples) in
-  let vfti, t_vfti = Util.time_it (fun () -> Vfti.fit samples) in
+  let mfti, t_mfti = Util.time_it (fun () -> Engine.fit samples) in
+  let vfti, t_vfti =
+    Util.time_it (fun () -> Engine.fit ~strategy:Engine.Vector samples)
+  in
   Printf.printf "MFTI model: order %d (%.2f s); VFTI model: order %d (%.2f s)\n%!"
-    mfti.Algorithm1.rank t_mfti vfti.Algorithm1.rank t_vfti;
+    mfti.Engine.rank t_mfti vfti.Engine.rank t_vfti;
 
   let grid = Sampling.logspace 10. 1e5 120 in
   Printf.printf "# columns: freq_hz |H11_original| |H11_mfti| |H11_vfti|\n";
@@ -25,7 +27,7 @@ let run () =
     (fun f ->
       let h s = Cx.abs (Cmat.get (Descriptor.eval_freq s f) 0 0) in
       Printf.printf "%.6e %.6e %.6e %.6e\n" f (h sys)
-        (h mfti.Algorithm1.model) (h vfti.Algorithm1.model))
+        (h mfti.Engine.model) (h vfti.Engine.model))
     grid;
   let curve name model =
     { Plot.Svg.label = name;
@@ -41,12 +43,12 @@ let run () =
     ~xlabel:"frequency (Hz)" ~ylabel:"magnitude"
     ~xaxis:Plot.Svg.Log ~yaxis:Plot.Svg.Log
     [ curve "original" sys;
-      curve "MFTI model" mfti.Algorithm1.model;
-      curve "VFTI model" vfti.Algorithm1.model ];
+      curve "MFTI model" mfti.Engine.model;
+      curve "VFTI model" vfti.Engine.model ];
   Printf.printf "wrote figures/fig2_bode.svg\n";
   let validation = Sampling.sample_system sys grid in
   Printf.printf "\nvalidation ERR over the plotted band:\n";
   Printf.printf "  MFTI %.3e (expect ~machine precision)\n"
-    (Metrics.err mfti.Algorithm1.model validation);
+    (Metrics.err mfti.Engine.model validation);
   Printf.printf "  VFTI %.3e (expect O(1): samples inadequate)\n%!"
-    (Metrics.err vfti.Algorithm1.model validation)
+    (Metrics.err vfti.Engine.model validation)

@@ -240,75 +240,17 @@ let run ?(smoke = false) () =
            ]))
     svd_cases;
 
-  (* --- blocked one-sided Jacobi ------------------------------------ *)
-  (* Same convergence cascade and per-pair arithmetic as [Jacobi], but
-     the tournament pairs column blocks, so each pool task carries
-     O(bs^2 m) work instead of O(m) — the handshake amortization the
-     column-pair scheduler lacks (1.05x above).  Blocked visits pairs
-     in a different order, so agreement with plain Jacobi is at
-     rounding level, while the blocked path itself is bit-identical
-     across domain counts. *)
-  let blocked_cases = if smoke then [ (48, 32) ] else [ (96, 64); (160, 96) ] in
-  List.iter
-    (fun (m, n) ->
-      let a = Cmat.random rng m n in
-      let plain =
-        Parallel.with_sequential (fun () ->
-            Svd.decompose ~algorithm:Svd.Jacobi a)
-      in
-      let blocked_seq =
-        Parallel.with_sequential (fun () ->
-            Svd.decompose ~algorithm:Svd.Blocked_jacobi a)
-      in
-      let blocked_par = Svd.decompose ~algorithm:Svd.Blocked_jacobi a in
-      let sdiff =
-        Array.fold_left max 0.
-          (Array.map2 (fun x y -> abs_float (x -. y)) plain.Svd.sigma
-             blocked_par.Svd.sigma)
-      in
-      if sdiff > 1e-10 *. plain.Svd.sigma.(0) then
-        failwith
-          (Printf.sprintf "kernels: svd_blocked_jacobi %dx%d drifted from \
-                           plain Jacobi (abs %g)" m n sdiff);
-      let bitdiff =
-        Array.exists2 (fun x y -> x <> y) blocked_seq.Svd.sigma
-          blocked_par.Svd.sigma
-      in
-      if bitdiff then
-        failwith
-          (Printf.sprintf
-             "kernels: svd_blocked_jacobi %dx%d not bit-deterministic \
-              across domain counts" m n);
-      Printf.printf "  check %-28s rel diff %.2e\n%!"
-        (Printf.sprintf "svd_blocked_jacobi %dx%d" m n)
-        (sdiff /. plain.Svd.sigma.(0));
-      let size = Printf.sprintf "%dx%d" m n in
-      emit
-        (time_arms ~reps ~size
-           [ ( "svd_jacobi_reference",
-               1,
-               fun () ->
-                 Parallel.with_sequential (fun () ->
-                     Svd.decompose ~algorithm:Svd.Jacobi a) );
-             ( "svd_blocked_jacobi",
-               1,
-               fun () ->
-                 Parallel.with_sequential (fun () ->
-                     Svd.decompose ~algorithm:Svd.Blocked_jacobi a) );
-             ( "svd_blocked_jacobi",
-               ndom,
-               fun () -> Svd.decompose ~algorithm:Svd.Blocked_jacobi a ) ]))
-    blocked_cases;
-
   (* --- randomized tall-pencil reduce (Example-1 scale) ------------- *)
-  (* The whole reduce stage (both stacked SVDs plus the projection
-     GEMMs) through the exact path vs the certified randomized range
-     finder.  The plain svd_jacobi path above is the motivating
-     bottleneck but is minutes-slow at this size, so the timed
-     baseline is the engine's production exact path (Golub-Kahan);
-     rsvd's win over it is algorithmic — the pencil rank (Lemma 3.3)
-     caps the sketch — and the sketch GEMMs also scale with domains
-     where the exact path cannot. *)
+  (* The reduce stage on a pencil past the size rule's cutoff, which
+     sketches it with the certified randomized range finder, against
+     the exact path.  The exact rank and spectrum come from the same
+     reduce with the ["svd.rsvd.degrade"] fault refusing the sketch.
+     The timed baseline is the two exact stacked factorizations
+     themselves (Golub-Kahan at these sizes): under the fault the
+     reduce would time the refused sketch as well.  rsvd's win over
+     it is algorithmic — the pencil rank (Lemma 3.3) caps the sketch —
+     and the sketch GEMMs also scale with domains where the exact path
+     cannot. *)
   let reduce_cases = if smoke then [ (12, 30, 20) ] else [ (30, 150, 24) ] in
   List.iter
     (fun (ports, order, nsamples) ->
@@ -321,19 +263,27 @@ let run ?(smoke = false) () =
         Sampling.sample_system sys (Sampling.logspace 100. 1e5 nsamples)
       in
       let t = Loewner.build (Tangential.build samples) in
-      let reduce backend () =
+      let reduce () = Svd_reduce.reduce ~mode:Svd_reduce.Stacked t in
+      let exact_factors () =
         ignore
           (Sys.opaque_identity
-             (Svd_reduce.reduce ~mode:Svd_reduce.Stacked ~backend t))
+             (Svd.right
+                (Cmat.ctranspose (Cmat.hcat t.Loewner.ll t.Loewner.sll))));
+        ignore
+          (Sys.opaque_identity
+             (Svd.right (Cmat.vcat t.Loewner.ll t.Loewner.sll)))
       in
       let exact =
-        Parallel.with_sequential (fun () ->
-            Svd_reduce.reduce ~mode:Svd_reduce.Stacked ~backend:Svd_reduce.Gk t)
+        Fault.with_spec "svd.rsvd.degrade" (fun () ->
+            Parallel.with_sequential reduce)
       in
-      let rand =
-        Svd_reduce.reduce ~mode:Svd_reduce.Stacked
-          ~backend:Svd_reduce.Randomized t
-      in
+      let rand = reduce () in
+      let reduce_once () = ignore (Sys.opaque_identity (reduce ())) in
+      if Array.length rand.Svd_reduce.sigma >= Cmat.cols t.Loewner.ll then
+        failwith
+          (Printf.sprintf
+             "kernels: %d-port order-%d pencil did not keep the rsvd sketch"
+             ports order);
       if exact.Svd_reduce.rank <> rand.Svd_reduce.rank then
         failwith
           (Printf.sprintf
@@ -365,13 +315,11 @@ let run ?(smoke = false) () =
         (time_arms ~reps ~size
            [ ( "rsvd_exact_reference",
                1,
-               fun () ->
-                 Parallel.with_sequential (reduce Svd_reduce.Gk) );
+               fun () -> Parallel.with_sequential exact_factors );
              ( "rsvd",
                1,
-               fun () ->
-                 Parallel.with_sequential (reduce Svd_reduce.Randomized) );
-             ("rsvd", ndom, reduce Svd_reduce.Randomized) ]))
+               fun () -> Parallel.with_sequential reduce_once );
+             ("rsvd", ndom, reduce_once) ]))
     reduce_cases;
 
   (* --- frequency sweep --------------------------------------------- *)
@@ -462,10 +410,10 @@ let run ?(smoke = false) () =
          rs
      | _ -> failwith "kernels: JSON missing results array");
     Printf.printf "smoke: JSON parses, all rows well-formed\n%!";
-    (* The committed full report must carry the randomized reduce and
-       blocked-Jacobi entries, and the tall-pencil reduce must not
-       have regressed to the serial path: the multi-domain rsvd row's
-       speedup (vs the exact sequential baseline arm) must stay > 1. *)
+    (* The committed full report must carry a multi-domain randomized
+       reduce row, and the tall-pencil reduce must not have regressed
+       to the serial path: its speedup (vs the exact sequential
+       baseline arm) must stay > 1. *)
     let committed =
       List.find_opt Sys.file_exists
         [ "BENCH_kernels.json"; "../BENCH_kernels.json" ]
@@ -489,16 +437,6 @@ let run ?(smoke = false) () =
        let field_num r k =
          match Json.member k r with Some (Json.Num x) -> Some x | _ -> None
        in
-       let ops = List.filter_map (fun r -> field_str r "op") rows in
-       List.iter
-         (fun op ->
-           if not (List.mem op ops) then
-             failwith
-               (Printf.sprintf
-                  "kernels: committed BENCH_kernels.json has no %s entries \
-                   (rerun `dune exec bench/main.exe -- kernels`)"
-                  op))
-         [ "rsvd"; "svd_blocked_jacobi" ];
        let rsvd_multi =
          List.filter
            (fun r ->
@@ -527,7 +465,7 @@ let run ?(smoke = false) () =
               | None -> failwith "kernels: rsvd row missing speedup")
             rs);
        Printf.printf
-         "smoke: committed BENCH_kernels.json has rsvd + blocked-Jacobi \
-          entries, reduce still parallel\n%!")
+         "smoke: committed BENCH_kernels.json has rsvd entries, reduce \
+          still parallel\n%!")
   end;
   Parallel.set_domain_count 1

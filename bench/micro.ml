@@ -44,16 +44,19 @@ let tests =
       Test.make ~name:"fig1:svd-60x60"
         (Staged.stage (fun () -> ignore (Linalg.Svd.decompose rng_matrix)));
       Test.make ~name:"fig2:algorithm1-fit"
-        (Staged.stage (fun () -> ignore (Algorithm1.fit samples12)));
+        (Staged.stage (fun () -> ignore (Engine.fit samples12)));
       Test.make ~name:"fig2:vfti-fit"
-        (Staged.stage (fun () -> ignore (Vfti.fit samples12)));
+        (Staged.stage (fun () ->
+             ignore (Engine.fit ~strategy:Engine.Vector samples12)));
       Test.make ~name:"table1:mfti2-recursive"
         (Staged.stage (fun () ->
              let options =
-               { Algorithm2.default_options with
+               { Engine.default_recursive_options with
                  weight = Tangential.Uniform 2; batch = 4; threshold = 0.03 }
              in
-             ignore (Algorithm2.fit ~options noisy12)));
+             ignore
+               (Engine.fit ~strategy:(Engine.Recursive Engine.Incremental)
+                  ~options noisy12)));
       Test.make ~name:"table1:vector-fitting-n12"
         (Staged.stage (fun () ->
              let options =

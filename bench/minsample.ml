@@ -21,9 +21,9 @@ let run () =
     List.map
       (fun k ->
         let samples = Sampling.sample_system sys (Sampling.logspace 10. 1e5 k) in
-        let (result, dt) = Util.time_it (fun () -> Algorithm1.fit samples) in
-        let e = Metrics.err result.Algorithm1.model vgrid in
-        [ string_of_int k; string_of_int result.Algorithm1.rank;
+        let (result, dt) = Util.time_it (fun () -> Engine.fit samples) in
+        let e = Metrics.err result.Engine.model vgrid in
+        [ string_of_int k; string_of_int result.Engine.rank;
           Util.fmt_sci e; Util.fmt_time dt ])
       [ 2; 4; 6; 8 ]
   in
@@ -35,9 +35,11 @@ let run () =
     List.map
       (fun k ->
         let samples = Sampling.sample_system sys (Sampling.logspace 10. 1e5 k) in
-        let (result, dt) = Util.time_it (fun () -> Vfti.fit samples) in
-        let e = Metrics.err result.Algorithm1.model vgrid in
-        [ string_of_int k; string_of_int result.Algorithm1.rank;
+        let (result, dt) =
+          Util.time_it (fun () -> Engine.fit ~strategy:Engine.Vector samples)
+        in
+        let e = Metrics.err result.Engine.model vgrid in
+        [ string_of_int k; string_of_int result.Engine.rank;
           Util.fmt_sci e; Util.fmt_time dt ])
       [ 60; 120; 170; 180; 200 ]
   in
@@ -57,8 +59,8 @@ let run () =
     in
     let err_at k =
       let samples = Sampling.sample_system sys (Sampling.logspace 100. 1e5 k) in
-      let result = Algorithm1.fit samples in
-      Metrics.err result.Algorithm1.model vgrid
+      let result = Engine.fit samples in
+      Metrics.err result.Engine.model vgrid
     in
     let before = err_at (Stdlib.max 2 (kmin - 2)) in
     let at = err_at kmin in

@@ -72,32 +72,35 @@ let mfti1_row ~label ~weight ~noisy ~clean =
   model_row label
     (fun () ->
       let options =
-        { Algorithm1.default_options with weight; rank_rule = noisy_rank }
+        { Engine.default_options with weight; rank_rule = noisy_rank }
       in
-      let r = Algorithm1.fit ~options noisy in
-      (r.Algorithm1.model, r.Algorithm1.rank))
+      let r = Engine.fit ~options noisy in
+      (r.Engine.model, r.Engine.rank))
     ~noisy ~clean
 
 let vfti_row ~noisy ~clean =
   model_row "VFTI"
     (fun () ->
-      let options = { Vfti.default_options with rank_rule = noisy_rank } in
-      let r = Vfti.fit ~options noisy in
-      (r.Algorithm1.model, r.Algorithm1.rank))
+      let options = { Engine.default_options with rank_rule = noisy_rank } in
+      let r = Engine.fit ~strategy:Engine.Vector ~options noisy in
+      (r.Engine.model, r.Engine.rank))
     ~noisy ~clean
 
 let mfti2_row ~noisy ~clean =
   model_row "MFTI-2 (recursive)"
     (fun () ->
       let options =
-        { Algorithm2.default_options with
+        { Engine.default_recursive_options with
           weight = Tangential.Uniform 2;
           batch = 10;
           threshold = 10. *. noise_level;
           rank_rule = noisy_rank }
       in
-      let r = Algorithm2.fit ~options noisy in
-      (r.Algorithm2.model, r.Algorithm2.rank))
+      let r =
+        Engine.fit ~strategy:(Engine.Recursive Engine.Incremental) ~options
+          noisy
+      in
+      (r.Engine.model, r.Engine.rank))
     ~noisy ~clean
 
 let run_test ~name ~freqs ~truth =

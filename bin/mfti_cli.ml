@@ -35,8 +35,8 @@ let width_arg =
 
 let rank_tol_arg =
   let doc =
-    "Relative singular-value cutoff for the model order (0 = automatic \
-     gap detection, for noise-free data)."
+    "Relative singular-value cutoff for the model order, in (0, 1) \
+     (0 = automatic gap detection, for noise-free data)."
   in
   Arg.(value & opt float 0. & info [ "rank-tol" ] ~docv:"TOL" ~doc)
 
@@ -112,22 +112,7 @@ let weight_of_width ~samples w =
   end
 
 let rank_rule_of_tol tol =
-  if tol <= 0. then Svd_reduce.Gap else Svd_reduce.Tol tol
-
-let svd_arg =
-  let b =
-    Arg.enum
-      [ ("auto", Svd_reduce.Auto); ("randomized", Svd_reduce.Randomized);
-        ("jacobi", Svd_reduce.Jacobi); ("gk", Svd_reduce.Gk) ]
-  in
-  let doc =
-    "SVD engine for the reduce stage: $(b,auto) (randomized range finder \
-     above a pencil-size cutoff, exact below), $(b,randomized) (certified \
-     Gaussian sketch with exact fallback), $(b,jacobi) (blocked parallel \
-     one-sided Jacobi) or $(b,gk) (Golub-Kahan)."
-  in
-  Arg.(value & opt b Svd_reduce.default_backend
-       & info [ "svd" ] ~docv:"BACKEND" ~doc)
+  if tol = 0. then Svd_reduce.Gap else Svd_reduce.Tol tol
 
 let certify_arg =
   let m =
@@ -180,8 +165,24 @@ let symmetrize_arg =
   let doc = "Symmetrize the data ((S + S^T)/2) before fitting — noise              reduction for reciprocal devices." in
   Arg.(value & flag & info [ "symmetrize" ] ~doc)
 
+(* The three Loewner paths of `fit` and `pack` are strategies over the
+   same engine: display name, strategy and options. *)
+let loewner_setup ~samples ~width ~rank_tol ~seed ~certify alg =
+  let rank_rule = rank_rule_of_tol rank_tol in
+  let directions = Direction.Orthonormal seed in
+  let base = { Engine.default_options with rank_rule; directions; certify } in
+  match alg with
+  | `Mfti ->
+    ("MFTI", Engine.Direct,
+     { base with weight = weight_of_width ~samples width })
+  | `Vfti -> ("VFTI", Engine.Vector, base)
+  | `Mfti2 ->
+    ( "MFTI-2", Engine.Recursive Engine.Incremental,
+      { base with
+        weight = Tangential.Uniform (if width = 0 then 2 else width) } )
+
 let run_fit path policy algorithm width rank_tol seed poles save_model plot
-    symmetrize svd_backend certify_mode =
+    symmetrize certify_mode =
   guarded @@ fun () ->
   let load_diag = Linalg.Diag.create () in
   let data = Linalg.Diag.using load_diag (fun () -> load ~policy path) in
@@ -192,8 +193,6 @@ let run_fit path policy algorithm width rank_tol seed poles save_model plot
     (Linalg.Diag.events load_diag);
   let samples = Tangential.trim_even data.Rf.Touchstone.samples in
   let samples = if symmetrize then Sampling.symmetrize samples else samples in
-  let rank_rule = rank_rule_of_tol rank_tol in
-  let directions = Direction.Orthonormal seed in
   let describe name model rank =
     Printf.printf "%s\n" (Metrics.report ~name model samples);
     Printf.printf "retained order: %d; stable: %b; real: %b\n" rank
@@ -251,26 +250,9 @@ let run_fit path policy algorithm width rank_tol seed poles save_model plot
      in
      post_process "VF" d
    | (`Mfti | `Vfti | `Mfti2) as alg ->
-     (* the three Loewner paths are strategies over the same engine *)
      let name, strategy, options =
-       match alg with
-       | `Mfti ->
-         ( "MFTI", Engine.Direct,
-           { Engine.default_options with
-             weight = weight_of_width ~samples width; rank_rule; directions;
-             svd = svd_backend } )
-       | `Vfti ->
-         ( "VFTI", Engine.Vector,
-           { Engine.default_options with rank_rule; directions;
-             svd = svd_backend } )
-       | `Mfti2 ->
-         ( "MFTI-2", Engine.Recursive Engine.Incremental,
-           { Engine.default_recursive_options with
-             weight = (if width = 0 then Tangential.Uniform 2
-                       else Tangential.Uniform width);
-             rank_rule; directions; svd = svd_backend } )
+       loewner_setup ~samples ~width ~rank_tol ~seed ~certify:certify_mode alg
      in
-     let options = { options with Engine.certify = certify_mode } in
      let r = Engine.fit ~options ~strategy samples in
      (match alg with
       | `Mfti2 ->
@@ -288,7 +270,7 @@ let fit_cmd =
   Cmd.v info
     Term.(const run_fit $ touchstone_arg $ policy_arg $ algorithm_arg
           $ width_arg $ rank_tol_arg $ seed_arg $ poles_arg $ save_model_arg
-          $ plot_arg $ symmetrize_arg $ svd_arg $ certify_arg)
+          $ plot_arg $ symmetrize_arg $ certify_arg)
 
 (* ------------------------------------------------------------------ *)
 (* engine: drive the staged pipeline explicitly, with per-stage timing *)
@@ -380,8 +362,8 @@ let holdout_arg =
 
 (* krylov / krylov+mfti: sparse MNA netlist in, Engine.Model out — the
    certify / pack / serve stages downstream are strategy-blind. *)
-let run_engine_krylov ~path ~strategy ~width ~rank_tol ~seed ~svd_backend
-    ~certify_mode ~flo ~fhi ~shifts ~krylov_order ~krylov_tol ~z0 ~pack_out =
+let run_engine_krylov ~path ~strategy ~width ~rank_tol ~seed ~certify_mode
+    ~flo ~fhi ~shifts ~krylov_order ~krylov_tol ~z0 ~pack_out =
   let ok = function
     | Ok x -> x
     | Error e -> Linalg.Mfti_error.raise_error e
@@ -426,7 +408,7 @@ let run_engine_krylov ~path ~strategy ~width ~rank_tol ~seed ~svd_backend
                  else Tangential.Uniform width);
               rank_rule = rank_rule_of_tol rank_tol;
               directions = Direction.Orthonormal seed;
-              svd = svd_backend; certify = certify_mode }
+              certify = certify_mode }
           in
           ok (Krylov.fit_mfti ~options:koptions ~fit_options sys))
   in
@@ -462,14 +444,13 @@ let run_engine_krylov ~path ~strategy ~width ~rank_tol ~seed ~svd_backend
   0
 
 let run_engine path policy strategy width rank_tol seed batch threshold
-    max_iterations probe holdout_every svd_backend certify_mode flo fhi
+    max_iterations probe holdout_every certify_mode flo fhi
     shifts krylov_order krylov_tol z0 pack_out =
   guarded @@ fun () ->
   match strategy with
   | (`Krylov | `KrylovMfti) as strategy ->
-    run_engine_krylov ~path ~strategy ~width ~rank_tol ~seed ~svd_backend
-      ~certify_mode ~flo ~fhi ~shifts ~krylov_order ~krylov_tol ~z0
-      ~pack_out
+    run_engine_krylov ~path ~strategy ~width ~rank_tol ~seed ~certify_mode
+      ~flo ~fhi ~shifts ~krylov_order ~krylov_tol ~z0 ~pack_out
   | (`Direct | `Vector | `Incremental | `Batch) as strategy ->
   if is_netlist path then
     validation ~context:"engine"
@@ -507,7 +488,6 @@ let run_engine path policy strategy width rank_tol seed batch threshold
          | Engine.Direct | Engine.Vector -> weight_of_width ~samples width);
       rank_rule = rank_rule_of_tol rank_tol;
       directions = Direction.Orthonormal seed;
-      svd = svd_backend;
       batch; threshold; max_iterations;
       probe = (if probe > 0 then Some probe else None);
       certify = certify_mode }
@@ -555,8 +535,8 @@ let engine_cmd =
   Cmd.v info
     Term.(const run_engine $ engine_input_arg $ policy_arg $ strategy_arg
           $ width_arg $ rank_tol_arg $ seed_arg $ batch_arg $ threshold_arg
-          $ max_iterations_arg $ probe_arg $ holdout_arg $ svd_arg
-          $ certify_arg $ flo_arg $ fhi_arg $ shifts_arg $ krylov_order_arg
+          $ max_iterations_arg $ probe_arg $ holdout_arg $ certify_arg
+          $ flo_arg $ fhi_arg $ shifts_arg $ krylov_order_arg
           $ krylov_tol_arg $ z0_arg $ engine_pack_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -766,30 +746,18 @@ let run_compare path rank_tol seed =
     let order, err = f () in
     Printf.printf "%-22s %8d %10.3f %12.3e\n%!" name order (Sys.time () -. t0) err
   in
-  row "VFTI" (fun () ->
-      let options = { Vfti.default_options with rank_rule; directions } in
-      let r = Vfti.fit ~options samples in
-      (r.Algorithm1.rank, Metrics.err r.Algorithm1.model samples));
-  row "MFTI-1 (t=2)" (fun () ->
-      let options =
-        { Algorithm1.default_options with
-          weight = Tangential.Uniform 2; rank_rule; directions }
-      in
-      let r = Algorithm1.fit ~options samples in
-      (r.Algorithm1.rank, Metrics.err r.Algorithm1.model samples));
-  row "MFTI-1 (full)" (fun () ->
-      let r =
-        Algorithm1.fit
-          ~options:{ Algorithm1.default_options with rank_rule; directions }
-          samples
-      in
-      (r.Algorithm1.rank, Metrics.err r.Algorithm1.model samples));
-  row "MFTI-2 (recursive)" (fun () ->
-      let options =
-        { Algorithm2.default_options with rank_rule; directions }
-      in
-      let r = Algorithm2.fit ~options samples in
-      (r.Algorithm2.rank, Metrics.err r.Algorithm2.model samples));
+  let engine name strategy base =
+    row name (fun () ->
+        let options = { base with Engine.rank_rule; directions } in
+        let r = Engine.fit ~options ~strategy samples in
+        (r.Engine.rank, Metrics.err r.Engine.model samples))
+  in
+  engine "VFTI" Engine.Vector Engine.default_options;
+  engine "MFTI-1 (t=2)" Engine.Direct
+    { Engine.default_options with weight = Tangential.Uniform 2 };
+  engine "MFTI-1 (full)" Engine.Direct Engine.default_options;
+  engine "MFTI-2 (recursive)" (Engine.Recursive Engine.Incremental)
+    Engine.default_recursive_options;
   row "VF (n=50)" (fun () ->
       let model, _ =
         Vfit.Vf.fit ~options:{ Vfit.Vf.default_options with n_poles = 50 } samples
@@ -838,8 +806,6 @@ let pack_name_arg =
 (* Fit with the same algorithm switch as `fit`, returning the unified
    model wrapper plus the samples it was fitted on. *)
 let fit_to_model ~algorithm ~width ~rank_tol ~seed ~poles ~certify samples =
-  let rank_rule = rank_rule_of_tol rank_tol in
-  let directions = Direction.Orthonormal seed in
   match algorithm with
   | `Vf ->
     let m =
@@ -857,23 +823,9 @@ let fit_to_model ~algorithm ~width ~rank_tol ~seed ~poles ~certify samples =
         | Ok m -> m
         | Error e -> Linalg.Mfti_error.raise_error e))
   | (`Mfti | `Vfti | `Mfti2) as alg ->
-    let strategy, options =
-      match alg with
-      | `Mfti ->
-        ( Engine.Direct,
-          { Engine.default_options with
-            weight = weight_of_width ~samples width; rank_rule; directions } )
-      | `Vfti ->
-        ( Engine.Vector,
-          { Engine.default_options with rank_rule; directions } )
-      | `Mfti2 ->
-        ( Engine.Recursive Engine.Incremental,
-          { Engine.default_recursive_options with
-            weight = (if width = 0 then Tangential.Uniform 2
-                      else Tangential.Uniform width);
-            rank_rule; directions } )
+    let _, strategy, options =
+      loewner_setup ~samples ~width ~rank_tol ~seed ~certify alg
     in
-    let options = { options with Engine.certify } in
     Engine.Model.of_fit (Engine.fit ~options ~strategy samples)
 
 let run_pack path policy algorithm width rank_tol seed poles out name
@@ -1354,7 +1306,7 @@ let run_fit_stream path policy socket batches holdout_every width rank_tol
       ("certify", Serve.Sjson.Str (certify_name certify_mode)) ]
     @ (if width > 0 then [ ("width", Serve.Sjson.Num (float_of_int width)) ]
        else [])
-    @ (if rank_tol > 0. then [ ("rank-tol", Serve.Sjson.Num rank_tol) ]
+    @ (if rank_tol <> 0. then [ ("rank-tol", Serve.Sjson.Num rank_tol) ]
        else [])
   in
   let opened = request (Serve.Sjson.Obj open_fields) in

@@ -21,9 +21,9 @@ let () =
 
   (* fit from samples *)
   let samples = Sampling.sample_system dut (Sampling.logspace 1e7 4e10 30) in
-  let fit = Algorithm1.fit samples in
-  let model = fit.Algorithm1.model in
-  Printf.printf "macromodel: order %d, validation %s\n\n" fit.Algorithm1.rank
+  let fit = Engine.fit samples in
+  let model = fit.Engine.model in
+  Printf.printf "macromodel: order %d, validation %s\n\n" fit.Engine.rank
     (Metrics.report ~name:"MFTI"
        model
        (Sampling.sample_system dut (Sampling.logspace 2e7 3e10 25)));

@@ -20,9 +20,9 @@ let () =
   in
   let dut = Rf.Ladder.scattering_model spec ~z0:50. in
   let samples = Sampling.sample_system dut (Sampling.logspace 1e6 4e10 26) in
-  let fit = Algorithm1.fit samples in
-  let channel = fit.Algorithm1.model in
-  Printf.printf "channel macromodel: order %d, ERR %.1e\n" fit.Algorithm1.rank
+  let fit = Engine.fit samples in
+  let channel = fit.Engine.model in
+  Printf.printf "channel macromodel: order %d, ERR %.1e\n" fit.Engine.rank
     (Metrics.err channel samples);
 
   let dt = 10e-12 in
@@ -92,4 +92,4 @@ let () =
   Printf.printf
     "\nthe eye collapses as the bit period approaches the channel delay\n\
      and rise time — all computed from the order-%d macromodel\n"
-    fit.Algorithm1.rank
+    fit.Engine.rank

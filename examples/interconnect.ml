@@ -23,16 +23,18 @@ let () =
   Printf.printf "sampling: 8 matrices across 10 Hz - 100 kHz\n\n";
 
   Printf.printf "fitting MFTI (every entry of every sample used)...\n%!";
-  let mfti = Algorithm1.fit samples in
-  Printf.printf "  -> order %d\n%!" mfti.Algorithm1.rank;
+  let mfti = Engine.fit samples in
+  Printf.printf "  -> order %d\n%!" mfti.Engine.rank;
 
   Printf.printf "fitting VFTI (one direction per sample)...\n%!";
-  let vfti = Vfti.fit samples in
-  Printf.printf "  -> order %d\n\n%!" vfti.Algorithm1.rank;
+  let vfti = Engine.fit ~strategy:Engine.Vector samples in
+  Printf.printf "  -> order %d\n\n%!" vfti.Engine.rank;
 
   let validation = Sampling.sample_system sys (Sampling.logspace 20. 0.8e5 25) in
-  Printf.printf "%s\n" (Metrics.report ~name:"MFTI" mfti.Algorithm1.model validation);
-  Printf.printf "%s\n\n" (Metrics.report ~name:"VFTI" vfti.Algorithm1.model validation);
+  Printf.printf "%s\n"
+    (Metrics.report ~name:"MFTI" mfti.Engine.model validation);
+  Printf.printf "%s\n\n"
+    (Metrics.report ~name:"VFTI" vfti.Engine.model validation);
 
   (* a few spot values of the port 1 -> 1 response, like Fig. 2 *)
   Printf.printf "|H11| spot checks:\n";
@@ -41,7 +43,7 @@ let () =
     (fun f ->
       let mag s = Cx.abs (Cmat.get (Descriptor.eval_freq s f) 0 0) in
       Printf.printf "%12.3e %14.6e %14.6e %14.6e\n" f (mag sys)
-        (mag mfti.Algorithm1.model) (mag vfti.Algorithm1.model))
+        (mag mfti.Engine.model) (mag vfti.Engine.model))
     [ 30.; 300.; 3e3; 3e4 ];
   Printf.printf
     "\nMFTI tracks the original; VFTI cannot, since 8 vector samples span\n\

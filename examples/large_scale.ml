@@ -33,22 +33,22 @@ let () =
 
   (* fit a band-limited macromodel *)
   let options =
-    { Algorithm1.default_options with weight = Tangential.Uniform 6 }
+    { Engine.default_options with weight = Tangential.Uniform 6 }
   in
   let fit, t_fit =
     (fun f -> let t0 = Sys.time () in let r = f () in (r, Sys.time () -. t0))
-      (fun () -> Algorithm1.fit ~options samples)
+      (fun () -> Engine.fit ~options samples)
   in
   Printf.printf "MFTI fit in %.2f s: macromodel order %d (circuit had %d)\n"
-    t_fit fit.Algorithm1.rank (Rf.Mna.num_states circuit);
+    t_fit fit.Engine.rank (Rf.Mna.num_states circuit);
 
   (* validate against fresh sparse samples off the fitting grid *)
   let vfreqs = Sampling.logspace 1.5e6 1.8e9 31 in
   let validation = Rf.Pdn.scattering_sparse spec ~z0:50. vfreqs in
   Printf.printf "%s\n"
-    (Metrics.report ~name:"macromodel" fit.Algorithm1.model validation);
+    (Metrics.report ~name:"macromodel" fit.Engine.model validation);
   Printf.printf
     "\nthe macromodel is ~%dx smaller than the netlist and reproduces the\n\
      whole band to %.2g%% RMS relative error\n"
-    (Rf.Mna.num_states circuit / Stdlib.max fit.Algorithm1.rank 1)
-    (100. *. Metrics.err fit.Algorithm1.model validation)
+    (Rf.Mna.num_states circuit / Stdlib.max fit.Engine.rank 1)
+    (100. *. Metrics.err fit.Engine.model validation)

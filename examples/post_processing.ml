@@ -61,14 +61,14 @@ let () =
      here) keeps scores of noise modes — half of them unstable — and no
      post-processing can rescue that model. *)
   let options =
-    { Algorithm1.default_options with
+    { Engine.default_options with
       weight = Tangential.Uniform 3;
       rank_rule = Svd_reduce.Tol 3e-3 }
   in
-  let fit = Algorithm1.fit ~options noisy in
+  let fit = Engine.fit ~options noisy in
   Printf.printf "fitted model: %s\n"
-    (Metrics.report ~name:"MFTI" fit.Algorithm1.model clean);
-  let stab = Stabilize.reflect fit.Algorithm1.model in
+    (Metrics.report ~name:"MFTI" fit.Engine.model clean);
+  let stab = Stabilize.reflect fit.Engine.model in
   Printf.printf "stabilization: %d poles reflected\n\n" stab.Stabilize.flipped;
 
   (* --- 3. passivity gate ------------------------------------------- *)
@@ -84,7 +84,7 @@ let () =
         (List.length fs) (List.hd fs)
   in
   report "original PDN    " truth;
-  report "fitted model    " fit.Algorithm1.model;
+  report "fitted model    " fit.Engine.model;
   report "stabilized model" stab.Stabilize.model;
   Printf.printf
     "(a fitted model can be mildly non-passive where noise pushed\n\
@@ -95,7 +95,7 @@ let () =
      perturbatively, re-check, and emit the evidence record that a
      strict admission policy demands before a model is served. *)
   let sample_freqs = Array.map (fun s -> s.Sampling.freq) noisy in
-  (match Certify.run ~freqs:sample_freqs fit.Algorithm1.model with
+  (match Certify.run ~freqs:sample_freqs fit.Engine.model with
    | Ok (certified, Some cert) ->
      Printf.printf "certify: %s\n" (Certify.Certificate.to_string cert);
      Printf.printf "certified model: %s\n"

@@ -19,15 +19,15 @@ let () =
 
   (* frequency-domain fit *)
   let samples = Sampling.sample_system dut (Sampling.logspace 1e6 3e10 20) in
-  let fit = Algorithm1.fit samples in
+  let fit = Engine.fit samples in
   Printf.printf "fitted macromodel: order %d (original %d)\n"
-    fit.Algorithm1.rank (Descriptor.order dut);
+    fit.Engine.rank (Descriptor.order dut);
 
   (* transient: step on port 1, watch the transmitted wave at port 2 *)
   let dt = 2e-12 and steps = 2000 in
   let run sys = Timedomain.step_response sys ~port:0 ~dt ~steps in
   let original = run dut in
-  let model = run fit.Algorithm1.model in
+  let model = run fit.Engine.model in
 
   let worst = ref 0. in
   let at k r = (Cmat.get r.Timedomain.outputs 1 k).Cx.re in

@@ -9,7 +9,6 @@ type options = {
   real_model : bool;
   mode : Svd_reduce.mode;
   rank_rule : Svd_reduce.rank_rule;
-  svd : Svd_reduce.backend;
   batch : int;
   threshold : float;
   max_iterations : int;
@@ -25,7 +24,6 @@ let default_options =
     real_model = true;
     mode = Svd_reduce.default_mode;
     rank_rule = Svd_reduce.default_rank_rule;
-    svd = Svd_reduce.default_backend;
     batch = 8;
     threshold = 1e-3;
     max_iterations = 64;
@@ -84,6 +82,13 @@ let timed st name f =
   x
 
 let validate_options ~strategy o =
+  (match o.rank_rule with
+   | Svd_reduce.Tol tol when not (tol > 0. && tol < 1.) ->
+     invalid_arg
+       (Printf.sprintf "Engine: rank tolerance must be in (0, 1) (got %g)" tol)
+   | Svd_reduce.Fixed k when k < 1 ->
+     invalid_arg (Printf.sprintf "Engine: fixed rank must be >= 1 (got %d)" k)
+   | _ -> ());
   (match strategy with
    | Recursive _ ->
      if o.batch < 1 then invalid_arg "Engine: batch must be >= 1";
@@ -357,8 +362,7 @@ let recurse st asm =
     in
     let reduced =
       timed st "reduce" (fun () ->
-          Svd_reduce.reduce ~mode:o.mode ~rank_rule:o.rank_rule
-            ~backend:o.svd subr)
+          Svd_reduce.reduce ~mode:o.mode ~rank_rule:o.rank_rule subr)
     in
     let model = reduced.Svd_reduce.model in
     match !remaining with
@@ -468,7 +472,7 @@ let reduce_raw st =
        let reduced =
          timed st "reduce" (fun () ->
              Svd_reduce.reduce ~mode:st.options.mode
-               ~rank_rule:st.options.rank_rule ~backend:st.options.svd p)
+               ~rank_rule:st.options.rank_rule p)
        in
        st.reduction <- Some reduced;
        let width = Tangential.right_width st.data in
@@ -741,6 +745,7 @@ module Session = struct
 
   let open_ ?(options = default_options) ~inputs ~outputs () =
     Mfti_error.guard ~context (fun () ->
+        validate_options ~strategy:Direct options;
         if inputs < 1 || outputs < 1 then
           invalid
             (Printf.sprintf "port dimensions must be positive (got %dx%d)"
@@ -900,7 +905,7 @@ module Session = struct
       let reduced =
         stimed sess "reduce" (fun () ->
             Svd_reduce.reduce ~mode:sess.s_options.mode
-              ~rank_rule:sess.s_options.rank_rule ~backend:sess.s_options.svd p)
+              ~rank_rule:sess.s_options.rank_rule p)
       in
       sess.s_reduction <- Some reduced;
       sess.s_refits <- sess.s_refits + 1

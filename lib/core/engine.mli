@@ -18,15 +18,14 @@
     unit instead of the O(k^2) full rebuild — while producing
     bit-identical models to the [Recursive Batch] arm. *)
 
-(** Superset of the per-algorithm option records.  The recursion fields
-    ([batch] ... [probe]) are ignored by the single-pass strategies. *)
+(** Options for every strategy.  The recursion fields ([batch] ...
+    [probe]) are ignored by the single-pass strategies. *)
 type options = {
   weight : Tangential.weight;        (** tangential block widths *)
   directions : Direction.kind;
   real_model : bool;                 (** realify before reduction *)
   mode : Svd_reduce.mode;
   rank_rule : Svd_reduce.rank_rule;
-  svd : Svd_reduce.backend;          (** SVD engine for the reduce stage *)
   batch : int;                       (** units added per iteration *)
   threshold : float;                 (** stop when the mean held-out
                                          residual drops below this *)
@@ -60,7 +59,12 @@ type assembly =
 type strategy =
   | Direct               (** MFTI Algorithm 1: one shot, all samples *)
   | Vector               (** VFTI: width-1 blocks (forces [Uniform 1]) *)
-  | Recursive of assembly  (** MFTI Algorithm 2 *)
+  | Recursive of assembly
+      (** MFTI Algorithm 2, for noisy data: move the [batch] worst-fitting
+          held-out units into the active set until the mean relative
+          held-out residual drops below [threshold].  A stalled or
+          diverging recursion returns its best model and records the
+          guard that stopped it (["algorithm2.*"]). *)
 
 type stage = Ingested | Assembled | Realified | Reduced | Certified
 
@@ -68,7 +72,9 @@ type stage = Ingested | Assembled | Realified | Reduced | Certified
 type state
 
 (** Validate the data and options, apply fault hooks, and build the
-    tangential interpolation data.  [strategy] defaults to [Direct]. *)
+    tangential interpolation data.  [strategy] defaults to [Direct].
+    Bad data or options are typed [Validation] errors; a [Tol] rank
+    rule needs a tolerance in (0, 1), [Fixed k] needs [k >= 1]. *)
 val ingest :
   ?options:options -> ?strategy:strategy -> Dataset.t ->
   (state, Linalg.Mfti_error.t) result
@@ -109,8 +115,7 @@ val diagnostics : state -> Linalg.Diag.t
     ["evaluate"] and (when enabled) ["certify"]. *)
 val timings : state -> (string * float) list
 
-(** Everything a finished fit produced.  The per-algorithm [result]
-    records are re-exports of this type. *)
+(** Everything a finished fit produced. *)
 type fit = {
   model : Statespace.Descriptor.t;
   rank : int;                 (** retained order *)
@@ -233,9 +238,10 @@ module Session : sig
   }
 
   (** [open_ ?options ~inputs ~outputs ()] starts an empty session for
-      a [outputs x inputs] response.  [Per_sample] weights are a typed
-      error (they need the full sample count up front); [Full] resolves
-      to [min inputs outputs] per block. *)
+      a [outputs x inputs] response, with options checked as by
+      {!ingest}.  [Per_sample] weights are a typed error (they need the
+      full sample count up front); [Full] resolves to [min inputs
+      outputs] per block. *)
   val open_ :
     ?options:options -> inputs:int -> outputs:int -> unit ->
     (t, Linalg.Mfti_error.t) result

@@ -2,7 +2,6 @@ open Linalg
 
 type mode = Pencil of Cx.t option | Stacked
 type rank_rule = Fixed of int | Tol of float | Gap | Auto_noise
-type backend = Auto | Randomized | Jacobi | Gk
 
 type result = {
   model : Statespace.Descriptor.t;
@@ -12,10 +11,9 @@ type result = {
 
 let default_mode = Stacked
 let default_rank_rule = Gap
-let default_backend = Auto
 
 (* Below this spectrum length a sketch cannot beat the exact path, so
-   [Auto] stays exact; above it the MFTI pencil is numerically
+   the reduce stays exact; above it the MFTI pencil is numerically
    low-rank (Lemma 3.3 bounds it by order + rank D) and the
    randomized range finder turns the reduce-stage SVD into parallel
    GEMMs. *)
@@ -67,17 +65,19 @@ let certificate ?ranked rule (r : Rsvd.t) =
     if r.Rsvd.certified then Ok ()
     else Error (Printf.sprintf "residual %.3g not certified" r.Rsvd.residual)
 
-(* Factor through the selected backend.  [exact algorithm x] is the
-   exact factorization and [of_sketch] adapts a randomized one to the
-   same shape, so Pencil mode (both sides) and Stacked mode (right
-   vectors only) share the backend choice and the fallback.  [accept]
-   decides whether the sketch stands in for the exact factorization.
-   Returns the factorization plus a certified bound on every singular
-   value a truncated (randomized) spectrum cut off, for the tail-aware
-   rank rules. *)
-let factor_backend ~exact ~of_sketch ~accept backend a =
-  let randomized x =
-    let r = Rsvd.decompose_adaptive x in
+(* Factor [a]: sketch it when its spectrum is at least
+   [randomized_cutoff] long; factor it exactly below that, and
+   whenever [accept] refuses the sketch.  [exact] is the exact factorization and
+   [of_sketch] adapts a randomized one to the same shape, so Pencil
+   mode (both sides) and Stacked mode (right vectors only) share the
+   size rule and the fallback.  Returns the factorization plus a
+   certified bound on every singular value a truncated (randomized)
+   spectrum cut off, for the tail-aware rank rules. *)
+let factor ~exact ~of_sketch ~accept a =
+  let m, n = Cmat.dims a in
+  if Stdlib.min m n < randomized_cutoff then (exact a, None)
+  else begin
+    let r = Rsvd.decompose_adaptive a in
     match accept r with
     | Ok () -> (of_sketch r.Rsvd.svd, Some r.Rsvd.residual)
     | Error why ->
@@ -93,34 +93,23 @@ let factor_backend ~exact ~of_sketch ~accept backend a =
         (Printf.sprintf "sketch %d/%d%s %s; exact cascade" r.Rsvd.sketch
            r.Rsvd.total capped why);
       Diag.incr_retries ();
-      (exact Svd.Auto x, None)
-  in
-  match backend with
-  | Jacobi -> (exact Svd.Blocked_jacobi a, None)
-  | Gk -> (exact Svd.Golub_kahan a, None)
-  | Randomized -> randomized a
-  | Auto ->
-    let m, n = Cmat.dims a in
-    if Stdlib.min m n >= randomized_cutoff then randomized a
-    else (exact Svd.Auto a, None)
+      (exact a, None)
+  end
 
 (* Both singular subspaces, for Pencil mode. *)
-let decompose_backend =
-  factor_backend ~exact:(fun algorithm x -> Svd.decompose ~algorithm x)
-    ~of_sketch:Fun.id
+let decompose_both =
+  factor ~exact:(fun x -> Svd.decompose x) ~of_sketch:Fun.id
 
 (* [(sigma, v)] only, for Stacked mode: {!Svd.right} never forms the U
    that Stacked mode would discard. *)
-let right_backend =
-  factor_backend ~exact:(fun algorithm x -> Svd.right ~algorithm x)
+let right_only =
+  factor ~exact:(fun x -> Svd.right x)
     ~of_sketch:(fun d -> (d.Svd.sigma, d.Svd.v))
 
 let pick_rank ?tail_bound rule (d : Svd.t) =
   let n = Array.length d.Svd.sigma in
   match rule with
-  | Fixed r ->
-    if r < 1 then invalid_arg "Svd_reduce: rank must be >= 1";
-    Stdlib.min r n
+  | Fixed r -> Stdlib.min r n
   | Tol tol -> Stdlib.max 1 (Svd.rank ~rtol:tol d)
   | Gap -> Stdlib.max 1 (Svd.rank_gap_of_values ?tail_bound d.Svd.sigma)
   | Auto_noise ->
@@ -155,27 +144,25 @@ let pencil_matrix ?(x0 = None) (t : Loewner.t) =
   (x0, Cmat.sub (Cmat.scale x0 t.Loewner.ll) t.Loewner.sll)
 
 let reduce ?(mode = default_mode) ?(rank_rule = default_rank_rule)
-    ?(backend = default_backend) (t : Loewner.t) =
+    (t : Loewner.t) =
   let y, x, sigma, tail_bound =
     match mode with
     | Pencil x0 ->
       let _, p = pencil_matrix ~x0 t in
-      let d, tb =
-        decompose_backend ~accept:(certificate rank_rule) backend p
-      in
+      let d, tb = decompose_both ~accept:(certificate rank_rule) p in
       (d.Svd.u, d.Svd.v, d.Svd.sigma, tb)
     | Stacked ->
       (* Y is the left vectors of [LL sLL], i.e. the right vectors of
          its tall conjugate transpose; X is the right vectors of
          [LL; sLL]. *)
       let (sigma, y), tb =
-        right_backend ~accept:(certificate rank_rule) backend
+        right_only ~accept:(certificate rank_rule)
           (Cmat.ctranspose (Cmat.hcat t.Loewner.ll t.Loewner.sll))
       in
       (* the row side's spectrum fixes the rank; the column side must
          certify the same count *)
       let (_, x), _ =
-        right_backend ~accept:(certificate ~ranked:sigma rank_rule) backend
+        right_only ~accept:(certificate ~ranked:sigma rank_rule)
           (Cmat.vcat t.Loewner.ll t.Loewner.sll)
       in
       (y, x, sigma, tb)

@@ -22,46 +22,14 @@ type mode =
 
 (** How many singular values to keep. *)
 type rank_rule =
-  | Fixed of int        (** exact order (clipped to the pencil size) *)
-  | Tol of float        (** keep sigma > tol * sigma_max *)
+  | Fixed of int        (** exact order [>= 1] (clipped to the pencil size) *)
+  | Tol of float        (** keep sigma > tol * sigma_max, [0 < tol < 1] *)
   | Gap                 (** the largest log10 drop ({!Linalg.Svd.rank_gap}) *)
   | Auto_noise
       (** estimate the noise floor from the tail of the spectrum (median
           of the last quarter) and keep sigma above a small multiple of
           it — a tolerance-free rule for noisy data (an extension beyond
           the paper, which sets the threshold by hand) *)
-
-(** Which SVD engine performs the projection. *)
-type backend =
-  | Auto
-      (** exact below a ~96 spectrum-length cutoff, [Randomized] above
-          it — the regime where the MFTI pencil is numerically
-          low-rank (Lemma 3.3) and a Gaussian sketch wins *)
-  | Randomized
-      (** adaptive {!Linalg.Rsvd} range finder.  The rank rule decides
-          whether the sketch stands in for the exact SVD.  [Tol tol]
-          keeps it when the residual [r] proves the rank the rule
-          would pick on the exact spectrum: each kept [sigma_i] lies
-          in [[s_i, sqrt (s_i^2 + r^2)]] and each cut one below [r], so
-          with [k] sketched values above [tol s_1] the rank is [k] when
-          [r <= tol s_1], [k] is less than the sketch width,
-          [sqrt (s_k+1^2 + r^2) <= tol s_1] and
-          [s_k > tol sqrt (s_1^2 + r^2)].  In Stacked mode the column
-          side must prove the row side's [k].  [Gap], [Auto_noise] and
-          [Fixed] need Rsvd's own certificate ([r <= 1e-10 |A|_F]).
-          When the sketch is refused (a noise floor too high for the
-          rule, or the ["svd.rsvd.degrade"] fault poisoning [r]) that
-          side's exact SVD reruns and ["svd.rsvd.fallback"] is recorded
-          in the ambient {!Linalg.Diag} collector.  Its detail says
-          ["capped at n/2"] when the sketch stopped at its half-width
-          cap, then names the failed test: the residual against
-          [tol*sigma_1], or the index whose bracket straddles the
-          threshold, with their values *)
-  | Jacobi
-      (** exact blocked one-sided Jacobi
-          ({!Linalg.Svd.algorithm.Blocked_jacobi}) — the parallel
-          exact path *)
-  | Gk  (** exact Golub-Kahan (with its usual Jacobi fallback) *)
 
 type result = {
   model : Statespace.Descriptor.t;
@@ -71,26 +39,44 @@ type result = {
 
 val default_mode : mode       (* Stacked *)
 val default_rank_rule : rank_rule  (* Gap *)
-val default_backend : backend (* Auto *)
 
-(** [reduce ?mode ?rank_rule ?backend loewner] projects and realizes.
+(** [reduce ?mode ?rank_rule loewner] projects and realizes.
+
+    The pencil's size picks the SVD: exact ({!Linalg.Svd}) for a
+    factored matrix with fewer than 96 singular values, else the
+    adaptive {!Linalg.Rsvd} sketch first, since the MFTI pencil is
+    numerically low-rank (Lemma 3.3).  The rank rule decides whether
+    the sketch stands in for the exact SVD.  [Tol tol] keeps it when
+    the residual [r] proves the rank the rule would pick on the exact
+    spectrum: each kept [sigma_i] lies in [[s_i, sqrt (s_i^2 + r^2)]]
+    and each cut one below [r], so with [k] sketched values above
+    [tol s_1] the rank is [k] when [r <= tol s_1], [k] is less than
+    the sketch width, [sqrt (s_k+1^2 + r^2) <= tol s_1] and
+    [s_k > tol sqrt (s_1^2 + r^2)].  In Stacked mode the column side
+    must prove the row side's [k].  [Gap], [Auto_noise] and [Fixed]
+    need Rsvd's own certificate ([r <= 1e-10 |A|_F]).  A refused
+    sketch (a noise floor too high for the rule, or the
+    ["svd.rsvd.degrade"] fault poisoning [r]) reruns that side's exact
+    SVD and records ["svd.rsvd.fallback"] in the ambient
+    {!Linalg.Diag} collector; the detail says ["capped at n/2"] when
+    the sketch stopped at its half-width cap, then names the failed
+    test with its values.
+
+    On a kept sketch the rank rules see the truncated spectrum with
+    the certified residual as tail bound
+    ({!Linalg.Svd.rank_gap_of_values}), so rank decisions match the
+    exact path on well-gapped spectra; the model agrees with the exact
+    one to roundoff, not bit for bit.
 
     The chosen rank is automatically demoted past trailing singular
     values at the roundoff floor ([<= 1e-13 sigma_max]) — keeping them
     only injects noise into the realization; a demotion is recorded in
     the ambient {!Linalg.Diag} collector as ["svd_reduce.rank_demotion"].
     The collector also receives the retained-subspace condition estimate
-    [sigma_max / sigma_rank] and the log10 drop at the cut.
-
-    Under a [Randomized] (or auto-selected randomized) backend the rank
-    rules run on the truncated spectrum with the certified residual as
-    tail bound ({!Linalg.Svd.rank_gap_of_values}), so rank decisions
-    match the exact path on well-gapped spectra.  A [Tol] rank from a
-    kept sketch equals the exact one by construction (see
-    {!backend.Randomized}); the model then agrees with the exact one
-    to roundoff, not bit for bit. *)
-val reduce :
-  ?mode:mode -> ?rank_rule:rank_rule -> ?backend:backend -> Loewner.t -> result
+    [sigma_max / sigma_rank] and the log10 drop at the cut.  The rank
+    rule is not checked here: {!Engine} refuses a bad one when a fit is
+    ingested or a session opened. *)
+val reduce : ?mode:mode -> ?rank_rule:rank_rule -> Loewner.t -> result
 
 (** Singular values of [LL], [sLL] and [x0 LL - sLL] — the three curves
     of the paper's Fig. 1.  [x0] defaults to [lambda.(0)]. *)

@@ -60,40 +60,6 @@ let sub a b =
 let scale s m = { m with data = Array.map (fun x -> s *. x) m.data }
 let neg m = scale (-1.) m
 
-let mul a b =
-  if a.cols <> b.rows then
-    invalid_arg (Printf.sprintf "Rmat.mul: %dx%d * %dx%d" a.rows a.cols b.rows b.cols);
-  let c = create a.rows b.cols in
-  (* Column-major gemm: accumulate column jcol of C from columns of A. *)
-  for jcol = 0 to b.cols - 1 do
-    let coff = jcol * a.rows in
-    for k = 0 to a.cols - 1 do
-      let bkj = b.data.(k + (jcol * b.rows)) in
-      if bkj <> 0. then begin
-        let aoff = k * a.rows in
-        for i = 0 to a.rows - 1 do
-          c.data.(coff + i) <- c.data.(coff + i) +. (a.data.(aoff + i) *. bkj)
-        done
-      end
-    done
-  done;
-  c
-
-let mul_tn a b =
-  if a.rows <> b.rows then invalid_arg "Rmat.mul_tn: dimension mismatch";
-  let c = create a.cols b.cols in
-  for jcol = 0 to b.cols - 1 do
-    for i = 0 to a.cols - 1 do
-      let aoff = i * a.rows and boff = jcol * b.rows in
-      let acc = ref 0. in
-      for k = 0 to a.rows - 1 do
-        acc := !acc +. (a.data.(aoff + k) *. b.data.(boff + k))
-      done;
-      c.data.(i + (jcol * a.cols)) <- !acc
-    done
-  done;
-  c
-
 let col m jcol = Array.sub m.data (jcol * m.rows) m.rows
 let row m i = Array.init m.cols (fun jcol -> get m i jcol)
 

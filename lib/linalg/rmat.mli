@@ -26,11 +26,6 @@ val add : t -> t -> t
 val sub : t -> t -> t
 val scale : float -> t -> t
 val neg : t -> t
-val mul : t -> t -> t
-
-(** [mul_tn a b] is [transpose a * b] without forming the transpose. *)
-val mul_tn : t -> t -> t
-
 val col : t -> int -> float array
 val row : t -> int -> float array
 val set_col : t -> int -> float array -> unit

@@ -38,9 +38,7 @@ let col_dot br bi m p q =
 
 (* One Jacobi step on column pair (p < q): Gram dot, rotation of b and
    v, exact analytic update of the cached squared norms.  Returns the
-   relative off-diagonal seen.  Shared by the column-pair and the
-   blocked schedulers — both therefore perform identical per-pair
-   arithmetic; only the visiting order differs. *)
+   relative off-diagonal seen. *)
 let jacobi_pair br bi vr vi m nv norms p q =
   let app = norms.(p) and aqq = norms.(q) in
   if app > 0. && aqq > 0. then begin
@@ -150,110 +148,6 @@ let jacobi_orthogonalize ?(sweeps = max_sweeps) b v =
   in
   loop 0 0.
 
-(* ------------------------------------------------------------------ *)
-(* Blocked one-sided Jacobi.
-
-   The column-pair scheduler above parallelizes one round of [n/2]
-   disjoint pairs at a time; each pair is O(m) work, so for the pencil
-   sizes the reduce stage produces the pool handshake and the
-   per-round barrier dominate — BENCH_kernels measured 1.05x at
-   4 domains.  Here the tournament pairs column *blocks* instead:
-   an intra pass orthogonalizes the pairs inside each block (blocks
-   are column-disjoint, so they run concurrently), then nb - 1 rounds
-   pair the blocks and each block pair rotates its bs x bs cross
-   pairs sequentially inside one task.  Per-task work rises from
-   O(m) to O(bs^2 m), which is what actually amortizes the pool
-   handshake.  Every unordered column pair is still visited exactly
-   once per sweep, so convergence behaves like the cyclic method.
-
-   The block size is fixed (independent of the domain count) and the
-   per-pair arithmetic is [jacobi_pair], so the factorization is
-   bit-identical for any domain count — the determinism contract of
-   the rest of the kernel layer. *)
-
-let jacobi_block_cols = 8
-
-let jacobi_orthogonalize_blocked ?(sweeps = max_sweeps) b v =
-  let m, n = Cmat.dims b in
-  let bs = jacobi_block_cols in
-  if n <= 2 * bs then jacobi_orthogonalize ~sweeps b v
-  else begin
-    let br = Cmat.unsafe_re b and bi = Cmat.unsafe_im b in
-    let vr = Cmat.unsafe_re v and vi = Cmat.unsafe_im v in
-    let nv = Cmat.rows v in
-    let norms = Array.make n 0. in
-    let refresh_norms () =
-      for jcol = 0 to n - 1 do
-        norms.(jcol) <- col_norm2_direct br bi m jcol
-      done
-    in
-    let nb = (n + bs - 1) / bs in
-    let nb' = if nb land 1 = 0 then nb else nb + 1 in
-    let block_lo k = k * bs in
-    let block_hi k = Stdlib.min n ((k + 1) * bs) in
-    let sweep () =
-      refresh_norms ();
-      let worst = ref 0. in
-      (* intra pass: all pairs inside each block, blocks concurrent *)
-      let intra_rel = Array.make nb 0. in
-      Parallel.parallel_for ~chunk:1 nb (fun lo hi ->
-          for k = lo to hi - 1 do
-            let c0 = block_lo k and c1 = block_hi k in
-            let w = ref 0. in
-            for p = c0 to c1 - 1 do
-              for q = p + 1 to c1 - 1 do
-                let rel = jacobi_pair br bi vr vi m nv norms p q in
-                if rel > !w then w := rel
-              done
-            done;
-            intra_rel.(k) <- !w
-          done);
-      Array.iter (fun r -> if r > !worst then worst := r) intra_rel;
-      (* block tournament: each round rotates disjoint block pairs *)
-      let npairs = nb' / 2 in
-      let perm = Array.init nb' (fun i -> i) in
-      let round_rel = Array.make npairs 0. in
-      (* a round's work is ~ m * bs^2 per pair; below the same budget
-         the column scheduler uses, run the round inline *)
-      let chunk = if m * npairs * bs * bs < 16384 then npairs else 1 in
-      for _round = 0 to nb' - 2 do
-        Parallel.parallel_for ~chunk npairs (fun lo hi ->
-            for idx = lo to hi - 1 do
-              let a = perm.(idx) and b = perm.(nb' - 1 - idx) in
-              round_rel.(idx) <-
-                (if a < nb && b < nb then begin
-                   let i = Stdlib.min a b and j = Stdlib.max a b in
-                   let w = ref 0. in
-                   for p = block_lo i to block_hi i - 1 do
-                     for q = block_lo j to block_hi j - 1 do
-                       let rel = jacobi_pair br bi vr vi m nv norms p q in
-                       if rel > !w then w := rel
-                     done
-                   done;
-                   !w
-                 end
-                 else 0.)
-            done);
-        for idx = 0 to npairs - 1 do
-          if round_rel.(idx) > !worst then worst := round_rel.(idx)
-        done;
-        let last = perm.(nb' - 1) in
-        for i = nb' - 1 downto 2 do
-          perm.(i) <- perm.(i - 1)
-        done;
-        perm.(1) <- last
-      done;
-      !worst
-    in
-    let rec loop k acc =
-      if k >= sweeps then acc
-      else
-        let worst = sweep () in
-        if worst > conv_tol then loop (k + 1) worst else worst
-    in
-    loop 0 0.
-  end
-
 (* Orthonormal completion: replace (near-)zero columns of u, in index
    order, with unit vectors orthogonal to all current columns. *)
 let complete_columns u zero_cols =
@@ -281,7 +175,7 @@ let complete_columns u zero_cols =
       try_basis 0)
     zero_cols
 
-let decompose_tall_with ~want_u orth a =
+let decompose_tall ~want_u a =
   let m, n = Cmat.dims a in
   let b = ref (Cmat.copy a) in
   let v = Cmat.identity n in
@@ -293,7 +187,7 @@ let decompose_tall_with ~want_u orth a =
      budget to one sweep so the whole cascade is exercised. *)
   let forced = Fault.armed "svd.no_converge" in
   let budget base = if forced then 1 else base in
-  let worst = orth ~sweeps:(budget max_sweeps) !b v in
+  let worst = jacobi_orthogonalize ~sweeps:(budget max_sweeps) !b v in
   let worst =
     if worst <= conv_tol then worst
     else begin
@@ -301,7 +195,7 @@ let decompose_tall_with ~want_u orth a =
         (Printf.sprintf "off-diagonal %.3g after %d sweeps; extending budget"
            worst (budget max_sweeps));
       Diag.incr_retries ();
-      orth ~sweeps:(budget (max_sweeps / 2)) !b v
+      jacobi_orthogonalize ~sweeps:(budget (max_sweeps / 2)) !b v
     end
   in
   let scale_back = ref 1. in
@@ -315,7 +209,7 @@ let decompose_tall_with ~want_u orth a =
       Diag.incr_retries ();
       b := Cmat.scale_float s !b;
       scale_back := s;
-      orth ~sweeps:(budget (max_sweeps / 2)) !b v
+      jacobi_orthogonalize ~sweeps:(budget (max_sweeps / 2)) !b v
     end
   in
   if worst > conv_tol then
@@ -356,15 +250,6 @@ let decompose_tall_with ~want_u orth a =
     else Array.map (fun s -> s /. !scale_back) sigma
   in
   { u; sigma; v = vs }
-
-let decompose_tall ~want_u a =
-  decompose_tall_with ~want_u
-    (fun ~sweeps b v -> jacobi_orthogonalize ~sweeps b v) a
-
-let decompose_tall_blocked ~want_u a =
-  decompose_tall_with ~want_u
-    (fun ~sweeps b v -> jacobi_orthogonalize_blocked ~sweeps b v)
-    a
 
 (* ------------------------------------------------------------------ *)
 (* Golub-Kahan SVD: Householder bidiagonalization, phase normalization,
@@ -750,7 +635,7 @@ let decompose_gk_tall ~want_u a =
     sigma = Array.map (fun i -> d.(i)) order;
     v = Cmat.select_cols v order }
 
-type algorithm = Auto | Jacobi | Blocked_jacobi | Golub_kahan
+type algorithm = Auto | Jacobi | Golub_kahan
 
 (* Factor a tall (m >= n) matrix.  Without [want_u] the result's [u]
    has no columns, and [sigma] and [v] are bit-identical to the
@@ -771,7 +656,6 @@ let decompose_tall_algo ~algorithm ~want_u x =
   in
   match algorithm with
   | Jacobi -> decompose_tall ~want_u x
-  | Blocked_jacobi -> decompose_tall_blocked ~want_u x
   | Golub_kahan -> gk_with_fallback x
   | Auto ->
     (* Jacobi is competitive (and slightly more accurate on the

@@ -2,12 +2,12 @@
     [A = U diag(s) V*] with [U] of size [m x min(m,n)], [s] descending,
     [V] of size [n x min(m,n)].
 
-    Three algorithms, property-tested to agree at machine precision,
+    Two algorithms, property-tested to agree at machine precision,
     plus an [Auto] choice between them:
     - one-sided Jacobi: simple, unconditionally convergent, and highly
       accurate in the relative sense on the smallest singular values;
-    - blocked one-sided Jacobi: the same arithmetic, scheduled by
-      column blocks so it parallelizes on the domain pool;
+      the reference the agreement tests compare against, and the
+      fallback when Golub–Kahan does not converge;
     - Golub–Kahan bidiagonalization with implicit-shift QR: roughly an
       order of magnitude faster at the pencil sizes the Loewner
       pipeline produces.
@@ -41,13 +41,6 @@ exception No_convergence
 type algorithm =
   | Auto         (** Jacobi for small matrices, Golub-Kahan otherwise *)
   | Jacobi       (** unconditionally convergent, high relative accuracy *)
-  | Blocked_jacobi
-      (** same cascade and per-pair arithmetic as [Jacobi], but the
-          circle-method tournament pairs column {e blocks}: each domain
-          rotates a whole block pair per task, which amortizes the pool
-          handshake that caps the column-pair scheduler at ~1x on the
-          pencil sizes the reduce stage produces.  Bit-identical across
-          domain counts; falls back to [Jacobi] below ~16 columns. *)
   | Golub_kahan  (** bidiagonalization + implicit QR; much faster *)
 
 val decompose : ?algorithm:algorithm -> Cmat.t -> t

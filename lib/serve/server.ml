@@ -538,9 +538,8 @@ let session_options req =
   in
   let rank_rule =
     match Sjson.member "rank-tol" req with
-    | Some (Sjson.Num tol) when Float.is_finite tol && tol > 0. ->
-      Mfti.Svd_reduce.Tol tol
-    | Some _ -> invalid "field \"rank-tol\" must be a positive number"
+    | Some (Sjson.Num tol) -> Mfti.Svd_reduce.Tol tol
+    | Some _ -> invalid "field \"rank-tol\" must be a number"
     | None -> Mfti.Engine.default_options.Mfti.Engine.rank_rule
   in
   let certify =

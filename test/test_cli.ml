@@ -291,6 +291,21 @@ let test_bad_domains () =
       check_contains "diagnostic" "invalid input (MFTI_DOMAINS)" text)
     [ "abc"; "0"; "-2" ]
 
+(* a rank tolerance outside (0, 1) is a usage error for every fitting
+   command, not an order-1 model *)
+let test_bad_rank_tol () =
+  List.iter
+    (fun v ->
+      List.iter
+        (fun cmd ->
+          let code, text =
+            run (Printf.sprintf "%s %s --rank-tol=%s" cmd workload v)
+          in
+          Alcotest.(check int) (cmd ^ " --rank-tol " ^ v ^ " exits 64") 64 code;
+          check_contains "diagnostic" "rank tolerance must be in (0, 1)" text)
+        [ "fit"; "engine --strategy direct" ])
+    [ "nan"; "inf"; "1.5"; "-0.5" ]
+
 let test_diagnostics_reported () =
   let code, text = run (Printf.sprintf "fit %s" workload) in
   Alcotest.(check int) "exit code" 0 code;
@@ -322,5 +337,6 @@ let () =
          Alcotest.test_case "diagnostics reported" `Quick
            test_diagnostics_reported;
          Alcotest.test_case "bad MFTI_DOMAINS" `Quick test_bad_domains;
+         Alcotest.test_case "bad rank-tol" `Quick test_bad_rank_tol;
          Alcotest.test_case "fit-stream gives up connecting" `Quick
            test_fit_stream_gives_up ]) ]

@@ -240,17 +240,6 @@ let test_incremental_matches_batch () =
         b i)
     [ None; Some 3 ]
 
-(* The wrappers go through the engine: same models as calling it
-   directly with the matching strategy. *)
-let test_wrappers_delegate () =
-  let smps = samples ~ports:2 ~seed:31 8 in
-  let a1 = Algorithm1.fit smps in
-  let d = Engine.fit ~strategy:Engine.Direct smps in
-  check_fit_identical "algorithm1 = direct" a1 d;
-  let vf = Vfti.fit smps in
-  let v = Engine.fit ~strategy:Engine.Vector smps in
-  check_fit_identical "vfti = vector" vf v
-
 (* ------------------------------------------------------------------ *)
 (* Staged pipeline *)
 
@@ -304,10 +293,29 @@ let test_engine_validation () =
            ~strategy:(Engine.Recursive Engine.Incremental) smps with
    | Error (Mfti_error.Validation _) -> ()
    | _ -> Alcotest.fail "batch = 0 accepted");
-  match Engine.fit_result
-          ~options:{ Engine.default_options with probe = Some 0 } smps with
-  | Error (Mfti_error.Validation _) -> ()
-  | _ -> Alcotest.fail "probe = 0 accepted"
+  (match Engine.fit_result
+           ~options:{ Engine.default_options with probe = Some 0 } smps with
+   | Error (Mfti_error.Validation _) -> ()
+   | _ -> Alcotest.fail "probe = 0 accepted");
+  (* a rank rule outside its domain is refused at ingest and at session
+     open, before any SVD runs — not a silent order-1 model *)
+  List.iter
+    (fun (label, rank_rule) ->
+      let options = { Engine.default_options with rank_rule } in
+      List.iter
+        (fun strategy ->
+          match Engine.fit_result ~options ~strategy smps with
+          | Error (Mfti_error.Validation _) -> ()
+          | _ -> Alcotest.failf "fit accepted %s" label)
+        [ Engine.Direct; Engine.Vector; Engine.Recursive Engine.Incremental ];
+      match Engine.Session.open_ ~options ~inputs:2 ~outputs:2 () with
+      | Error (Mfti_error.Validation _) -> ()
+      | _ -> Alcotest.failf "session accepted %s" label)
+    [ ("Tol nan", Svd_reduce.Tol Float.nan);
+      ("Tol inf", Svd_reduce.Tol Float.infinity);
+      ("Tol 1.5", Svd_reduce.Tol 1.5);
+      ("Tol 0", Svd_reduce.Tol 0.);
+      ("Fixed 0", Svd_reduce.Fixed 0) ]
 
 (* ------------------------------------------------------------------ *)
 (* Dataset *)
@@ -371,40 +379,49 @@ let test_dataset_of_system () =
 (* Reduce backends *)
 
 (* The rank decision — and the retained spectrum behind it — must not
-   depend on which SVD backend ran the reduce stage (randomized,
-   blocked Jacobi, exact cascade) nor on the pool size it ran under.
-   The randomized path certifies a 1e-10 |A|_F truncation, so retained
-   values are compared at 1e-8 relative rather than bit-exactly. *)
+   depend on whether the reduce stage kept the randomized sketch or ran
+   the exact SVD, nor on the pool size it ran under.  Every pencil here
+   is 96 wide, so the size rule sketches it; the ["svd.rsvd.degrade"]
+   fault refuses the sketch and gives the exact reference.  The sketch
+   certifies a 1e-10 |A|_F truncation, so retained values are compared
+   at 1e-8 relative rather than bit-exactly. *)
 let test_backend_rank_invariance () =
   List.iter
-    (fun ports ->
-      let smps = samples ~ports ~seed:3 12 in
-      let run backend domains =
+    (fun (ports, k) ->
+      let smps = samples ~ports ~seed:3 k in
+      let run domains =
         Parallel.set_domain_count domains;
         Fun.protect
           ~finally:(fun () -> Parallel.set_domain_count 1)
-          (fun () ->
-            Engine.fit
-              ~options:{ Engine.default_options with svd = backend } smps)
+          (fun () -> Engine.fit smps)
       in
-      let base = run Svd_reduce.Gk 1 in
+      let exact = Fault.with_spec "svd.rsvd.degrade" (fun () -> run 1) in
+      let dim = Cmat.cols exact.Engine.loewner.Loewner.ll in
+      Alcotest.(check int)
+        (Printf.sprintf "%d ports: exact spectrum" ports)
+        dim (Array.length exact.Engine.sigma);
       List.iter
-        (fun (backend, domains, label) ->
-          let f = run backend domains in
+        (fun (domains, degraded, label) ->
+          let f =
+            if degraded then
+              Fault.with_spec "svd.rsvd.degrade" (fun () -> run domains)
+            else run domains
+          in
+          if not degraded && Array.length f.Engine.sigma >= dim then
+            Alcotest.failf "%d ports: %s did not keep the sketch" ports label;
           Alcotest.(check int)
             (Printf.sprintf "%d ports: %s rank" ports label)
-            base.Engine.rank f.Engine.rank;
-          for i = 0 to base.Engine.rank - 1 do
-            let s0 = base.Engine.sigma.(i) and s1 = f.Engine.sigma.(i) in
+            exact.Engine.rank f.Engine.rank;
+          for i = 0 to exact.Engine.rank - 1 do
+            let s0 = exact.Engine.sigma.(i) and s1 = f.Engine.sigma.(i) in
             if abs_float (s0 -. s1) > 1e-8 *. (1. +. s0) then
               Alcotest.failf "%d ports: %s sigma %d differs (%g vs %g)" ports
                 label i s0 s1
           done)
-        [ (Svd_reduce.Jacobi, 1, "jacobi@1dom");
-          (Svd_reduce.Randomized, 1, "rsvd@1dom");
-          (Svd_reduce.Randomized, 4, "rsvd@4dom");
-          (Svd_reduce.Auto, 4, "auto@4dom") ])
-    [ 2; 4; 8 ]
+        [ (4, true, "exact@4dom");
+          (1, false, "rsvd@1dom");
+          (4, false, "rsvd@4dom") ])
+    [ (2, 96); (4, 48); (8, 24) ]
 
 let test_vf_fit_model () =
   let sys = Random_sys.generate (spec 2 81) in
@@ -438,9 +455,7 @@ let () =
             test_builder_fault_parity ] );
       ( "strategies",
         [ Alcotest.test_case "incremental = batch recursion (bit)" `Quick
-            test_incremental_matches_batch;
-          Alcotest.test_case "wrappers delegate to engine" `Quick
-            test_wrappers_delegate ] );
+            test_incremental_matches_batch ] );
       ( "stages",
         [ Alcotest.test_case "resume through stages" `Quick test_stages_resume;
           Alcotest.test_case "option validation" `Quick

@@ -18,6 +18,11 @@ let test_spec =
 let test_system = Random_sys.generate test_spec
 let samples k = Sampling.sample_system test_system (Sampling.logspace 100. 1e5 k)
 
+(* paper Algorithm 2 at its defaults *)
+let fit_recursive ?(options = Engine.default_recursive_options) smps =
+  Engine.fit_result ~options
+    ~strategy:(Engine.Recursive Engine.Incremental) smps
+
 let finite_model model smps =
   let e = Metrics.err model smps in
   Float.is_finite e
@@ -59,12 +64,12 @@ let test_touchstone_corrupt_lenient () =
 
 let test_sample_corrupt () =
   Fault.with_spec "sample.corrupt" (fun () ->
-      (match Algorithm1.fit_result (samples 6) with
+      (match Engine.fit_result (samples 6) with
        | Error (Mfti_error.Validation _) -> ()
        | Error e ->
          Alcotest.failf "expected Validation, got %s" (Mfti_error.to_string e)
        | Ok _ -> Alcotest.fail "algorithm 1 fitted NaN-poisoned samples");
-      match Algorithm2.fit_result (samples 12) with
+      match fit_recursive (samples 12) with
       | Error (Mfti_error.Validation _) -> ()
       | Error e ->
         Alcotest.failf "expected Validation, got %s" (Mfti_error.to_string e)
@@ -75,7 +80,7 @@ let test_sample_corrupt () =
 
 let test_loewner_poison () =
   Fault.with_spec "loewner.poison" (fun () ->
-      match Algorithm1.fit_result (samples 6) with
+      match Engine.fit_result (samples 6) with
       | Error (Mfti_error.Numerical_breakdown _) -> ()
       | Error e ->
         Alcotest.failf "expected Numerical_breakdown, got %s"
@@ -84,17 +89,17 @@ let test_loewner_poison () =
 
 let test_svd_no_converge_degrades () =
   Fault.with_spec "svd.no_converge" (fun () ->
-      match Algorithm1.fit_result (samples 6) with
+      match Engine.fit_result (samples 6) with
       | Error e ->
         Alcotest.failf "cascade must not fail the fit: %s"
           (Mfti_error.to_string e)
       | Ok r ->
         Alcotest.(check bool) "fallbacks recorded" true
-          (Diag.fallback_count r.Algorithm1.diagnostics > 0);
+          (Diag.fallback_count r.Engine.diagnostics > 0);
         Alcotest.(check bool) "retries counted" true
-          (r.Algorithm1.diagnostics.Diag.retries > 0);
+          (r.Engine.diagnostics.Diag.retries > 0);
         Alcotest.(check bool) "model still evaluable" true
-          (finite_model r.Algorithm1.model (samples 6)))
+          (finite_model r.Engine.model (samples 6)))
 
 let test_svd_gk_fallback () =
   Fault.with_spec "svd.no_converge" (fun () ->
@@ -111,28 +116,30 @@ let test_svd_gk_fallback () =
 let test_rsvd_degrade_fallback () =
   (* Poisoning the randomized certificate must never fail the fit: the
      reduce stage records the fallback, reruns the exact cascade, and
-     lands on exactly the rank the exact backend would have chosen. *)
-  let smps = samples 24 in
-  let options backend =
-    { Algorithm1.default_options with svd = backend }
-  in
-  let exact = Algorithm1.fit ~options:(options Svd_reduce.Jacobi) smps in
+     lands on exactly the rank the kept sketch chose.  64 samples at 3
+     ports make a 96-wide pencil, so the size rule sketches it. *)
+  let smps = samples 64 in
+  let sketch = Engine.fit smps in
+  let dim = Cmat.cols sketch.Engine.loewner.Loewner.ll in
+  Alcotest.(check bool) "pencil reaches the sketch cutoff" true (dim >= 96);
+  Alcotest.(check bool) "sketch kept" true
+    (Array.length sketch.Engine.sigma < dim
+     && not (Diag.recorded sketch.Engine.diagnostics "svd.rsvd.fallback"));
   Fault.with_spec "svd.rsvd.degrade" (fun () ->
-      match
-        Algorithm1.fit_result ~options:(options Svd_reduce.Randomized) smps
-      with
+      match Engine.fit_result smps with
       | Error e ->
         Alcotest.failf "degraded certificate must not fail the fit: %s"
           (Mfti_error.to_string e)
       | Ok r ->
         Alcotest.(check bool) "fallback recorded" true
-          (Diag.recorded r.Algorithm1.diagnostics "svd.rsvd.fallback");
+          (Diag.recorded r.Engine.diagnostics "svd.rsvd.fallback");
         Alcotest.(check bool) "retries counted" true
-          (r.Algorithm1.diagnostics.Diag.retries > 0);
-        Alcotest.(check int) "rank matches the exact cascade"
-          exact.Algorithm1.rank r.Algorithm1.rank;
+          (r.Engine.diagnostics.Diag.retries > 0);
+        Alcotest.(check int) "exact spectrum" dim (Array.length r.Engine.sigma);
+        Alcotest.(check int) "rank matches the kept sketch"
+          sketch.Engine.rank r.Engine.rank;
         Alcotest.(check bool) "model still evaluable" true
-          (finite_model r.Algorithm1.model smps))
+          (finite_model r.Engine.model smps))
 
 let test_lu_singular_qr_fallback () =
   Fault.with_spec "lu.singular" (fun () ->
@@ -146,13 +153,13 @@ let test_lu_singular_qr_fallback () =
   (* model evaluation goes through solve_robust, so a whole fit + sweep
      must survive the injected pivot failure too *)
   Fault.with_spec "lu.singular" (fun () ->
-      match Algorithm1.fit_result (samples 6) with
+      match Engine.fit_result (samples 6) with
       | Error e ->
         Alcotest.failf "fit must survive LU breakdown: %s"
           (Mfti_error.to_string e)
       | Ok r ->
         Alcotest.(check bool) "model evaluable via QR path" true
-          (finite_model r.Algorithm1.model (samples 6)))
+          (finite_model r.Engine.model (samples 6)))
 
 (* ------------------------------------------------------------------ *)
 (* Domain pool: pool.worker *)
@@ -171,7 +178,7 @@ let test_pool_worker () =
            (Mfti_error.to_string e)
        | Ok () -> Alcotest.fail "armed pool.worker completed normally");
       (* a fit routed through the pool surfaces the same typed error *)
-      match Algorithm1.fit_result smps with
+      match Engine.fit_result smps with
       | Error (Mfti_error.Fault_injected _) -> ()
       | Error e ->
         Alcotest.failf "expected Fault_injected, got %s"
@@ -186,7 +193,7 @@ let test_pool_worker () =
       done);
   Alcotest.(check int) "pool healthy after fault" (1000 * 999 / 2)
     (Atomic.get !sum);
-  match Algorithm1.fit_result smps with
+  match Engine.fit_result smps with
   | Ok _ -> ()
   | Error e ->
     Alcotest.failf "fit after pool fault failed: %s" (Mfti_error.to_string e)
@@ -196,33 +203,33 @@ let test_pool_worker () =
 
 let test_algorithm2_diverge () =
   Fault.with_spec "algorithm2.diverge" (fun () ->
-      let options = { Algorithm2.default_options with batch = 1 } in
-      match Algorithm2.fit_result ~options (samples 12) with
+      let options = { Engine.default_recursive_options with batch = 1 } in
+      match fit_recursive ~options (samples 12) with
       | Error e ->
         Alcotest.failf "divergence guard must not fail the fit: %s"
           (Mfti_error.to_string e)
       | Ok r ->
         Alcotest.(check bool) "divergence guard recorded" true
-          (Diag.recorded r.Algorithm2.diagnostics "algorithm2.divergence");
+          (Diag.recorded r.Engine.diagnostics "algorithm2.divergence");
         Alcotest.(check bool) "best-so-far model evaluable" true
-          (finite_model r.Algorithm2.model (samples 12)))
+          (finite_model r.Engine.model (samples 12)))
 
 (* ------------------------------------------------------------------ *)
 (* Diagnostics are populated on clean runs too *)
 
 let test_diagnostics_clean_fit () =
-  (match Algorithm1.fit_result (samples 8) with
+  (match Engine.fit_result (samples 8) with
    | Error e -> Alcotest.failf "clean fit failed: %s" (Mfti_error.to_string e)
    | Ok r ->
-     let d = r.Algorithm1.diagnostics in
+     let d = r.Engine.diagnostics in
      Alcotest.(check bool) "wall time measured" true (d.Diag.wall_time > 0.);
      Alcotest.(check bool) "condition estimated" true
        (match d.Diag.condition with Some c -> Float.is_finite c && c >= 1. | None -> false));
   let noisy = Rf.Noise.add_relative ~seed:7 ~level:1e-4 (samples 16) in
-  match Algorithm2.fit_result noisy with
+  match fit_recursive noisy with
   | Error e -> Alcotest.failf "noisy fit failed: %s" (Mfti_error.to_string e)
   | Ok r ->
-    let d = r.Algorithm2.diagnostics in
+    let d = r.Engine.diagnostics in
     Alcotest.(check bool) "wall time measured" true (d.Diag.wall_time > 0.);
     Alcotest.(check bool) "condition estimated" true
       (d.Diag.condition <> None)
@@ -269,8 +276,8 @@ let fuzz_poisoned_fit =
       in
       Cmat.set smps.(k).Sampling.s i j (Cx.make Float.nan 0.);
       typed_or_valid
-        (fun (r : Algorithm1.result) -> finite_model r.Algorithm1.model smps)
-        (fun () -> Algorithm1.fit_result smps))
+        (fun (r : Engine.fit) -> finite_model r.Engine.model smps)
+        (fun () -> Engine.fit_result smps))
 
 let fuzz_bad_frequencies =
   QCheck.Test.make ~count:50 ~name:"fuzz: corrupted frequency grids"
@@ -279,8 +286,8 @@ let fuzz_bad_frequencies =
       let smps = Array.map (fun (s : Sampling.sample) -> s) (samples 6) in
       smps.(k) <- { smps.(k) with Sampling.freq = bad };
       typed_or_valid
-        (fun (r : Algorithm2.result) -> finite_model r.Algorithm2.model smps)
-        (fun () -> Algorithm2.fit_result smps))
+        (fun (r : Engine.fit) -> finite_model r.Engine.model smps)
+        (fun () -> fit_recursive smps))
 
 (* ------------------------------------------------------------------ *)
 

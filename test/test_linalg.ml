@@ -94,28 +94,12 @@ let test_rng_int_bounds () =
 (* ------------------------------------------------------------------ *)
 (* Rmat *)
 
-let test_rmat_mul () =
-  let a = Rmat.of_rows [ [ 1.; 2. ]; [ 3.; 4. ] ] in
-  let b = Rmat.of_rows [ [ 5.; 6. ]; [ 7.; 8. ] ] in
-  let c = Rmat.mul a b in
-  check_float "c00" 19. (Rmat.get c 0 0);
-  check_float "c01" 22. (Rmat.get c 0 1);
-  check_float "c10" 43. (Rmat.get c 1 0);
-  check_float "c11" 50. (Rmat.get c 1 1)
-
 let test_rmat_transpose () =
   let a = Rmat.of_rows [ [ 1.; 2.; 3. ]; [ 4.; 5.; 6. ] ] in
   let t = Rmat.transpose a in
   Alcotest.(check (pair int int)) "dims" (3, 2) (Rmat.dims t);
   check_float "t(2,1)" 6. (Rmat.get t 2 1);
   check_float "t(0,1)" 4. (Rmat.get t 0 1)
-
-let test_rmat_mul_tn () =
-  let rng = Rng.create 5 in
-  let a = Rmat.random rng 7 4 and b = Rmat.random rng 7 3 in
-  let direct = Rmat.mul (Rmat.transpose a) b in
-  let fused = Rmat.mul_tn a b in
-  Alcotest.(check bool) "mul_tn = T*B" true (Rmat.equal ~tol:1e-12 direct fused)
 
 let test_rmat_blocks () =
   let a = Rmat.of_rows [ [ 1.; 2. ]; [ 3.; 4. ] ] in
@@ -701,45 +685,6 @@ let test_rank_gap_matches_untruncated () =
     (Svd.rank_gap_of_values ~tail_bound:full.(3) trunc)
 
 (* ------------------------------------------------------------------ *)
-(* Blocked one-sided Jacobi *)
-
-let test_svd_blocked_matches_plain () =
-  let rng = Rng.create 21 in
-  List.iter
-    (fun (m, n) ->
-      let a = Cmat.random rng m n in
-      let dp = Svd.decompose ~algorithm:Svd.Jacobi a in
-      let db = Svd.decompose ~algorithm:Svd.Blocked_jacobi a in
-      Array.iteri
-        (fun i s ->
-          check_small ~tol:1e-10
-            (Printf.sprintf "%dx%d sigma %d" m n i)
-            ((s -. dp.Svd.sigma.(i)) /. (1. +. s)))
-        db.Svd.sigma;
-      check_small ~tol:1e-9 "blocked USV* = A"
-        (Cmat.norm_fro (Cmat.sub (Svd.reconstruct db) a)
-        /. (1. +. Cmat.norm_fro a)))
-    [ (48, 40); (60, 20) ]
-
-let test_svd_blocked_domain_invariant () =
-  (* The tournament schedule is fixed by the matrix shape alone, so the
-     blocked factorization is bit-identical whether the intra-block
-     passes run inline or fan out on the pool. *)
-  let rng = Rng.create 22 in
-  let a = Cmat.random rng 56 40 in
-  let d_par = Svd.decompose ~algorithm:Svd.Blocked_jacobi a in
-  let d_seq =
-    Parallel.with_sequential (fun () ->
-        Svd.decompose ~algorithm:Svd.Blocked_jacobi a)
-  in
-  Alcotest.(check bool) "sigma bit-identical" true
-    (d_par.Svd.sigma = d_seq.Svd.sigma);
-  Alcotest.(check bool) "u bit-identical" true
-    (Cmat.equal ~tol:0. d_par.Svd.u d_seq.Svd.u);
-  Alcotest.(check bool) "v bit-identical" true
-    (Cmat.equal ~tol:0. d_par.Svd.v d_seq.Svd.v)
-
-(* ------------------------------------------------------------------ *)
 (* One-sided SVD: [Svd.right] skips U but must not move a bit of sigma
    or V, on every path [decompose] can take. *)
 
@@ -748,16 +693,14 @@ let same_bits a b =
   && Array.for_all2 (fun x y -> Int64.bits_of_float x = Int64.bits_of_float y) a b
 
 (* (label, algorithm, shape): GK above 32 columns, the Jacobi path at
-   or below it, both Jacobi schedulers, tall and wide *)
+   or below it, tall and wide *)
 let right_cases =
   [ ("tall auto (gk)", Svd.Auto, (72, 48));
     ("wide auto (gk)", Svd.Auto, (40, 66));
     ("tall auto (<= 32 cols, jacobi)", Svd.Auto, (45, 20));
     ("wide auto (<= 32 rows, jacobi)", Svd.Auto, (12, 30));
     ("square golub_kahan", Svd.Golub_kahan, (40, 40));
-    ("tall jacobi", Svd.Jacobi, (50, 36));
-    ("tall blocked_jacobi", Svd.Blocked_jacobi, (56, 40));
-    ("wide blocked_jacobi", Svd.Blocked_jacobi, (40, 60)) ]
+    ("tall jacobi", Svd.Jacobi, (50, 36)) ]
 
 let check_right_matches ~what algorithm a =
   let d = Svd.decompose ~algorithm a in
@@ -785,8 +728,7 @@ let test_svd_right_no_converge_fault () =
       in
       Alcotest.(check bool) "gk fell back to jacobi" true
         (Diag.recorded diag "svd.gk.jacobi_fallback");
-      check_right_matches ~what:"golub_kahan under fault" Svd.Golub_kahan a;
-      check_right_matches ~what:"blocked_jacobi under fault" Svd.Blocked_jacobi a)
+      check_right_matches ~what:"golub_kahan under fault" Svd.Golub_kahan a)
 
 let test_svd_right_domain_invariant () =
   (* sequential and pooled runs of [right] both equal the pooled
@@ -1050,9 +992,7 @@ let () =
          Alcotest.test_case "gaussian moments" `Quick test_rng_gaussian_moments;
          Alcotest.test_case "int bounds" `Quick test_rng_int_bounds ]);
       ("rmat",
-       [ Alcotest.test_case "mul" `Quick test_rmat_mul;
-         Alcotest.test_case "transpose" `Quick test_rmat_transpose;
-         Alcotest.test_case "mul_tn" `Quick test_rmat_mul_tn;
+       [ Alcotest.test_case "transpose" `Quick test_rmat_transpose;
          Alcotest.test_case "blocks" `Quick test_rmat_blocks;
          Alcotest.test_case "norms" `Quick test_rmat_norms ]);
       ("cmat",
@@ -1084,10 +1024,7 @@ let () =
          Alcotest.test_case "pinv" `Quick test_svd_pinv;
          Alcotest.test_case "algorithms agree" `Quick test_svd_algorithms_agree;
          Alcotest.test_case "gk graded spectrum" `Quick test_svd_gk_graded_spectrum;
-         Alcotest.test_case "norm2" `Quick test_svd_norm2;
-         Alcotest.test_case "blocked = plain" `Quick test_svd_blocked_matches_plain;
-         Alcotest.test_case "blocked domain-invariant (bit)" `Quick
-           test_svd_blocked_domain_invariant ]);
+         Alcotest.test_case "norm2" `Quick test_svd_norm2 ]);
       ("svd right",
        [ Alcotest.test_case "matches decompose (bit)" `Quick
            test_svd_right_matches_decompose;

@@ -16,6 +16,8 @@ let test_spec =
 let test_system = Random_sys.generate test_spec
 
 (* order + rank_d = 15; with 3 ports Theorem 3.5 says 6 samples suffice. *)
+let recursive = Engine.Recursive Engine.Incremental
+
 let sample_freqs k = Sampling.logspace 100. 1e5 k
 let samples k = Sampling.sample_system test_system (sample_freqs k)
 
@@ -209,7 +211,7 @@ let test_realify_preserves_singular_values () =
 (* ------------------------------------------------------------------ *)
 (* Algorithm 1: recovery *)
 
-let fit_default k = Algorithm1.fit (samples k)
+let fit_default k = Engine.fit (samples k)
 
 let test_minimal_samples_estimate () =
   Alcotest.(check int) "theorem 3.5"
@@ -219,22 +221,22 @@ let test_minimal_samples_estimate () =
 
 let test_exact_recovery () =
   let result = fit_default 6 in
-  Alcotest.(check int) "detected order" 15 result.Algorithm1.rank;
+  Alcotest.(check int) "detected order" 15 result.Engine.rank;
   (* interpolation conditions (10) *)
-  let resid = Tangential.max_residual result.Algorithm1.model result.Algorithm1.data in
+  let resid = Tangential.max_residual result.Engine.model result.Engine.data in
   check_small ~tol:1e-6 "tangential residual" resid;
   (* true recovery: error off the sampling grid *)
-  let verr = Metrics.err result.Algorithm1.model validation_samples in
+  let verr = Metrics.err result.Engine.model validation_samples in
   check_small ~tol:1e-7 "validation ERR" verr
 
 let test_full_matrix_interpolation () =
   (* Lemma 3.1: with t = m = p and full-rank directions the whole matrix
      is matched at every sample frequency. *)
   let smps = samples 6 in
-  let result = Algorithm1.fit smps in
+  let result = Engine.fit smps in
   Array.iter
     (fun smp ->
-      let h = Descriptor.eval_freq result.Algorithm1.model smp.Sampling.freq in
+      let h = Descriptor.eval_freq result.Engine.model smp.Sampling.freq in
       check_small ~tol:1e-6 "H(j2pifi) = S(fi)"
         (Cmat.norm_fro (Cmat.sub h smp.Sampling.s)
          /. (1. +. Cmat.norm_fro smp.Sampling.s)))
@@ -243,68 +245,68 @@ let test_full_matrix_interpolation () =
 let test_real_model () =
   let result = fit_default 6 in
   Alcotest.(check bool) "model real" true
-    (Descriptor.is_real ~tol:1e-8 result.Algorithm1.model)
+    (Descriptor.is_real ~tol:1e-8 result.Engine.model)
 
 let test_pencil_mode_recovery () =
   let options =
-    { Algorithm1.default_options with
+    { Engine.default_options with
       real_model = false;
       mode = Svd_reduce.Pencil None }
   in
-  let result = Algorithm1.fit ~options (samples 6) in
-  let verr = Metrics.err result.Algorithm1.model validation_samples in
+  let result = Engine.fit ~options (samples 6) in
+  let verr = Metrics.err result.Engine.model validation_samples in
   check_small ~tol:1e-7 "pencil-mode validation ERR" verr
 
 let test_undersampled_fails () =
   (* 4 samples -> K = 12 < 15: recovery impossible *)
   let result = fit_default 4 in
-  let verr = Metrics.err result.Algorithm1.model validation_samples in
+  let verr = Metrics.err result.Engine.model validation_samples in
   Alcotest.(check bool) "undersampled is inaccurate" true (verr > 1e-3)
 
 let test_uniform_weight_recovery () =
   (* t = 2: 16 samples give K = 32 >= 15 *)
   let options =
-    { Algorithm1.default_options with weight = Tangential.Uniform 2 }
+    { Engine.default_options with weight = Tangential.Uniform 2 }
   in
-  let result = Algorithm1.fit ~options (samples 16) in
-  let verr = Metrics.err result.Algorithm1.model validation_samples in
+  let result = Engine.fit ~options (samples 16) in
+  let verr = Metrics.err result.Engine.model validation_samples in
   check_small ~tol:1e-6 "t=2 validation ERR" verr
 
 let test_identity_directions_recovery () =
   let options =
-    { Algorithm1.default_options with directions = Direction.Identity_cycle }
+    { Engine.default_options with directions = Direction.Identity_cycle }
   in
-  let result = Algorithm1.fit ~options (samples 6) in
-  let verr = Metrics.err result.Algorithm1.model validation_samples in
+  let result = Engine.fit ~options (samples 6) in
+  let verr = Metrics.err result.Engine.model validation_samples in
   check_small ~tol:1e-7 "identity directions" verr
 
 let test_determinism () =
   let r1 = fit_default 6 and r2 = fit_default 6 in
   Alcotest.(check bool) "same sigma" true
-    (r1.Algorithm1.sigma = r2.Algorithm1.sigma);
+    (r1.Engine.sigma = r2.Engine.sigma);
   Alcotest.(check bool) "same E" true
-    (Cmat.equal ~tol:0. r1.Algorithm1.model.Descriptor.e
-       r2.Algorithm1.model.Descriptor.e)
+    (Cmat.equal ~tol:0. r1.Engine.model.Descriptor.e
+       r2.Engine.model.Descriptor.e)
 
 let test_fixed_rank_rule () =
   let options =
-    { Algorithm1.default_options with rank_rule = Svd_reduce.Fixed 10 }
+    { Engine.default_options with rank_rule = Svd_reduce.Fixed 10 }
   in
-  let result = Algorithm1.fit ~options (samples 6) in
-  Alcotest.(check int) "clipped order" 10 result.Algorithm1.rank;
+  let result = Engine.fit ~options (samples 6) in
+  Alcotest.(check int) "clipped order" 10 result.Engine.rank;
   Alcotest.(check int) "model order" 10
-    (Descriptor.order result.Algorithm1.model)
+    (Descriptor.order result.Engine.model)
 
 let test_per_sample_weights_recovery () =
   (* uneven widths produce a non-square Loewner pencil; the projection
      must still recover the system when enough columns are present *)
   let weight = Tangential.Per_sample [| 3; 2; 3; 2; 3; 2; 3; 2; 3; 2 |] in
-  let options = { Algorithm1.default_options with weight } in
-  let result = Algorithm1.fit ~options (samples 10) in
-  let p = result.Algorithm1.loewner in
+  let options = { Engine.default_options with weight } in
+  let result = Engine.fit ~options (samples 10) in
+  let p = result.Engine.loewner in
   Alcotest.(check bool) "non-square pencil" true
     (Cmat.rows p.Loewner.ll <> Cmat.cols p.Loewner.ll);
-  let verr = Metrics.err result.Algorithm1.model validation_samples in
+  let verr = Metrics.err result.Engine.model validation_samples in
   check_small ~tol:1e-6 "non-square recovery" verr
 
 let test_pencil_explicit_x0 () =
@@ -326,7 +328,7 @@ let test_model_transient_matches_original () =
   let dt = 1e-7 and steps = 400 in
   let original = Timedomain.step_response test_system ~port:0 ~dt ~steps in
   let fitted =
-    Timedomain.step_response result.Algorithm1.model ~port:0 ~dt ~steps
+    Timedomain.step_response result.Engine.model ~port:0 ~dt ~steps
   in
   let worst = ref 0. in
   for k = 0 to steps do
@@ -357,22 +359,22 @@ let test_metrics_err_vector () =
 
 let test_vfti_undersampled () =
   (* 8 vector samples only span rank 8 < 15: cannot recover *)
-  let result = Vfti.fit (samples 8) in
-  Alcotest.(check bool) "rank capped by samples" true (result.Algorithm1.rank <= 8);
-  let verr = Metrics.err result.Algorithm1.model validation_samples in
+  let result = Engine.fit ~strategy:Engine.Vector (samples 8) in
+  Alcotest.(check bool) "rank capped by samples" true (result.Engine.rank <= 8);
+  let verr = Metrics.err result.Engine.model validation_samples in
   Alcotest.(check bool) "VFTI under-sampled fails" true (verr > 1e-3)
 
 let test_vfti_with_enough_samples () =
-  let result = Vfti.fit (samples 40) in
-  let verr = Metrics.err result.Algorithm1.model validation_samples in
+  let result = Engine.fit ~strategy:Engine.Vector (samples 40) in
+  let verr = Metrics.err result.Engine.model validation_samples in
   check_small ~tol:1e-5 "VFTI recovers with 40 samples" verr
 
 let test_mfti_beats_vfti_undersampled () =
   let k = 8 in
-  let m = Algorithm1.fit (samples k) in
-  let v = Vfti.fit (samples k) in
-  let em = Metrics.err m.Algorithm1.model validation_samples in
-  let ev = Metrics.err v.Algorithm1.model validation_samples in
+  let m = Engine.fit (samples k) in
+  let v = Engine.fit ~strategy:Engine.Vector (samples k) in
+  let em = Metrics.err m.Engine.model validation_samples in
+  let ev = Metrics.err v.Engine.model validation_samples in
   Alcotest.(check bool) "MFTI better by 1000x" true (em *. 1000. < ev)
 
 (* ------------------------------------------------------------------ *)
@@ -380,49 +382,54 @@ let test_mfti_beats_vfti_undersampled () =
 
 let test_algorithm2_noise_free () =
   let options =
-    { Algorithm2.default_options with
+    { Engine.default_recursive_options with
       weight = Tangential.Full; batch = 4; threshold = 1e-8 }
   in
-  let result = Algorithm2.fit ~options (samples 12) in
+  let result = Engine.fit ~strategy:recursive ~options (samples 12) in
   Alcotest.(check bool) "subset selected" true
-    (result.Algorithm2.selected_units <= result.Algorithm2.total_units);
-  let verr = Metrics.err result.Algorithm2.model validation_samples in
+    (result.Engine.selected_units <= result.Engine.total_units);
+  let verr = Metrics.err result.Engine.model validation_samples in
   check_small ~tol:1e-6 "recursive recovery" verr
 
 let test_algorithm2_stops_early () =
   (* loose threshold: should stop well before consuming all units *)
   let options =
-    { Algorithm2.default_options with
+    { Engine.default_recursive_options with
       weight = Tangential.Full; batch = 3; threshold = 1e-6 }
   in
-  let result = Algorithm2.fit ~options (samples 20) in
+  let result = Engine.fit ~strategy:recursive ~options (samples 20) in
   Alcotest.(check bool) "early stop" true
-    (result.Algorithm2.selected_units < result.Algorithm2.total_units);
+    (result.Engine.selected_units < result.Engine.total_units);
   Alcotest.(check bool) "history recorded" true
-    (Array.length result.Algorithm2.history >= 1)
+    (Array.length result.Engine.history >= 1)
 
 let test_algorithm2_exhausts_on_impossible_threshold () =
   let options =
-    { Algorithm2.default_options with
+    { Engine.default_recursive_options with
       weight = Tangential.Uniform 1; batch = 64; threshold = 0.;
       max_iterations = 3 }
   in
-  let result = Algorithm2.fit ~options (samples 8) in
+  let result = Engine.fit ~strategy:recursive ~options (samples 8) in
   (* batch 64 > total units: single iteration consumes everything *)
-  Alcotest.(check int) "all units" result.Algorithm2.total_units
-    result.Algorithm2.selected_units;
-  Alcotest.(check int) "one iteration" 1 result.Algorithm2.iterations
+  Alcotest.(check int) "all units" result.Engine.total_units
+    result.Engine.selected_units;
+  Alcotest.(check int) "one iteration" 1 result.Engine.iterations
 
 let test_algorithm2_validation () =
-  (* bad options surface as typed validation errors, raised by the
-     compatibility wrapper and returned by fit_result *)
-  (match Algorithm2.fit ~options:{ Algorithm2.default_options with batch = 0 }
-           (samples 6) with
+  (* bad options surface as typed validation errors, raised by
+     Engine.fit and returned by fit_result *)
+  (match
+     Engine.fit ~strategy:recursive
+       ~options:{ Engine.default_recursive_options with batch = 0 }
+       (samples 6)
+   with
    | exception Mfti_error.Error (Mfti_error.Validation _) -> ()
    | _ -> Alcotest.fail "batch 0 accepted");
-  match Algorithm2.fit_result
-          ~options:{ Algorithm2.default_options with max_iterations = 0 }
-          (samples 6) with
+  match
+    Engine.fit_result ~strategy:recursive
+      ~options:{ Engine.default_recursive_options with max_iterations = 0 }
+      (samples 6)
+  with
   | Error (Mfti_error.Validation _) -> ()
   | _ -> Alcotest.fail "max_iterations 0 accepted"
 
@@ -435,25 +442,25 @@ let test_auto_noise_rank () =
   let clean = Sampling.sample_system sys (Sampling.logspace 10. 1e5 30) in
   let noisy = Rf.Noise.add_relative ~seed:8 ~level:1e-4 clean in
   let options =
-    { Algorithm1.default_options with
+    { Engine.default_options with
       weight = Tangential.Uniform 2; rank_rule = Svd_reduce.Auto_noise }
   in
-  let auto = Algorithm1.fit ~options noisy in
-  let e = Metrics.err auto.Algorithm1.model clean in
+  let auto = Engine.fit ~options noisy in
+  let e = Metrics.err auto.Engine.model clean in
   Alcotest.(check bool) "reasonable auto rank" true
-    (auto.Algorithm1.rank >= 10 && auto.Algorithm1.rank <= 50);
+    (auto.Engine.rank >= 10 && auto.Engine.rank <= 50);
   Alcotest.(check bool)
     (Printf.sprintf "auto-noise fit usable (ERR %.2e)" e) true (e < 0.05)
 
 let test_auto_noise_on_clean_falls_back () =
   (* noise-free data: Auto_noise must behave like the gap rule *)
   let options =
-    { Algorithm1.default_options with rank_rule = Svd_reduce.Auto_noise }
+    { Engine.default_options with rank_rule = Svd_reduce.Auto_noise }
   in
-  let r = Algorithm1.fit ~options (samples 8) in
-  Alcotest.(check int) "gap fallback" 15 r.Algorithm1.rank;
+  let r = Engine.fit ~options (samples 8) in
+  Alcotest.(check int) "gap fallback" 15 r.Engine.rank;
   check_small ~tol:1e-7 "still exact"
-    (Metrics.err r.Algorithm1.model validation_samples)
+    (Metrics.err r.Engine.model validation_samples)
 
 (* ------------------------------------------------------------------ *)
 (* Stacked reduce on a noisy pencil.  The randomized sketch stops at
@@ -688,9 +695,9 @@ let prop_minimal_recovery =
       (* a couple of extra samples buys margin for weakly observable modes *)
       let k = k + 2 in
       let smps = Sampling.sample_system sys (Sampling.logspace 100. 1e5 k) in
-      let r = Algorithm1.fit smps in
+      let r = Engine.fit smps in
       let vgrid = Sampling.sample_system sys (Sampling.logspace 130. 0.9e5 11) in
-      Metrics.err r.Algorithm1.model vgrid < 1e-5)
+      Metrics.err r.Engine.model vgrid < 1e-5)
 
 (* ------------------------------------------------------------------ *)
 (* Metrics *)

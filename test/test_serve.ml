@@ -1051,6 +1051,15 @@ let test_session_protocol_errors () =
   expect_error srv ~kind:"validation" "{\"op\":\"fit-open\",\"ports\":0}";
   expect_error srv ~kind:"validation"
     "{\"op\":\"fit-open\",\"ports\":2,\"certify\":\"sometimes\"}";
+  (* the engine checks the rank rule: a tolerance outside (0, 1) is
+     refused.  JSON has no NaN or infinity; 1e999 parses to infinity,
+     and null is not a number at all *)
+  List.iter
+    (fun tol ->
+      expect_error srv ~kind:"validation"
+        (Printf.sprintf "{\"op\":\"fit-open\",\"ports\":2,\"rank-tol\":%s}"
+           tol))
+    [ "1.5"; "1e999"; "0"; "-0.1"; "null" ];
   let sid = open_session srv in
   expect_error srv ~kind:"validation"
     (Printf.sprintf
