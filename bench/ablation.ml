@@ -45,14 +45,13 @@ let run () =
   Util.subheading "SVD projection flavour (10 samples, noise-free)";
   let rows =
     List.map
-      (fun (name, mode, real_model) ->
+      (fun (name, mode) ->
         let e, rank, dt =
-          fit_err { Engine.default_options with mode; real_model } (samples 10)
+          fit_err { Engine.default_options with mode } (samples 10)
         in
         [ name; string_of_int rank; Util.fmt_sci e; Util.fmt_time dt ])
-      [ ("stacked [LL sLL] (default)", Svd_reduce.Stacked, true);
-        ("pencil x0*LL - sLL (lemma 3.4)", Svd_reduce.Pencil None, false);
-        ("stacked, complex pipeline", Svd_reduce.Stacked, false) ]
+      [ ("stacked [LL sLL] (default)", Svd_reduce.Stacked);
+        ("pencil x0*LL - sLL (lemma 3.4)", Svd_reduce.Pencil None) ]
   in
   Util.print_table ~header:[ "projection"; "order"; "validation ERR"; "time(s)" ] rows;
 

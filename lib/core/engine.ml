@@ -6,14 +6,12 @@ open Linalg
 type options = {
   weight : Tangential.weight;
   directions : Direction.kind;
-  real_model : bool;
   mode : Svd_reduce.mode;
   rank_rule : Svd_reduce.rank_rule;
   batch : int;
   threshold : float;
   max_iterations : int;
   divergence_factor : float;
-  iteration_budget : float;
   probe : int option;
   certify : Certify.mode;
 }
@@ -21,14 +19,12 @@ type options = {
 let default_options =
   { weight = Tangential.Full;
     directions = Direction.Orthonormal 0;
-    real_model = true;
     mode = Svd_reduce.default_mode;
     rank_rule = Svd_reduce.default_rank_rule;
     batch = 8;
     threshold = 1e-3;
     max_iterations = 64;
     divergence_factor = 1e3;
-    iteration_budget = Float.infinity;
     probe = None;
     certify = Certify.Off }
 
@@ -45,6 +41,107 @@ let context_of_strategy = function
   | Recursive _ -> "algorithm2"
 
 (* ------------------------------------------------------------------ *)
+(* Downstream stages: realify -> reduce -> certify *)
+
+(* The stages after assembly and their cached results.  One-shot fits,
+   the Algorithm 2 loop and sessions all run them through the functions
+   below, so a session's finalize is [run ~strategy:Direct] on the same
+   pencil by construction. *)
+type downstream = {
+  mutable realified : Loewner.t option;
+  mutable reduction : Svd_reduce.result option;
+  mutable certified :
+    (Statespace.Descriptor.t * Certify.Certificate.t option) option;
+  mutable timings : (string * float) list;
+}
+
+let downstream () =
+  { realified = None; reduction = None; certified = None; timings = [] }
+
+(* Accumulate wall time per stage name; first hit fixes the display
+   order. *)
+let timed ds name f =
+  let t0 = Unix.gettimeofday () in
+  let x = f () in
+  let dt = Unix.gettimeofday () -. t0 in
+  (if List.mem_assoc name ds.timings then
+     ds.timings <-
+       List.map
+         (fun (n, v) -> if String.equal n name then (n, v +. dt) else (n, v))
+         ds.timings
+   else ds.timings <- ds.timings @ [ (name, dt) ]);
+  x
+
+(* The pencil changed: every cached stage is stale. *)
+let invalidate ds =
+  ds.realified <- None;
+  ds.reduction <- None;
+  ds.certified <- None
+
+(* Cached stages, outermost first. *)
+let cached ds =
+  (if ds.certified <> None then [ Certified ] else [])
+  @ (if ds.reduction <> None then [ Reduced ] else [])
+  @ if ds.realified <> None then [ Realified ] else []
+
+let stage_of ds ~assembled =
+  match cached ds with
+  | s :: _ -> s
+  | [] -> if assembled then Assembled else Ingested
+
+(* Each stage runs unless cached, after the stages before it; [pencil]
+   yields the assembled pencil.  Every pencil the engine builds pairs
+   each sample with its conjugate over real directions, so it can
+   always be realified (Lemma 3.2); with [Stacked] reduction the model
+   is then real. *)
+let check_finite ~context p =
+  match Loewner.check_finite ~context p with
+  | Ok () -> ()
+  | Result.Error e -> Mfti_error.raise_error e
+
+let realify_stage ~context ds pencil =
+  if ds.realified = None then begin
+    let p = pencil () in
+    check_finite ~context p;
+    ds.realified <- Some (timed ds "realify" (fun () -> Realify.apply p))
+  end
+
+let reduce_stage ~context ds o pencil =
+  if ds.reduction = None then begin
+    realify_stage ~context ds pencil;
+    ds.reduction <-
+      Some
+        (timed ds "reduce" (fun () ->
+             Svd_reduce.reduce ~mode:o.mode ~rank_rule:o.rank_rule
+               (Option.get ds.realified)))
+  end
+
+(* Certify the cached reduction against [freqs]; the reduce stage must
+   have run.  With [Off] the model passes through uncertified. *)
+let certify_stage ds o ~freqs =
+  if ds.certified = None then begin
+    let model = (Option.get ds.reduction).Svd_reduce.model in
+    ds.certified <-
+      Some
+        (match o.certify with
+         | Certify.Off -> (model, None)
+         | mode ->
+           let copts = { Certify.default_options with mode } in
+           (match
+              timed ds "certify" (fun () ->
+                  Certify.run ~options:copts ~freqs model)
+            with
+            | Ok pair -> pair
+            | Result.Error e -> Mfti_error.raise_error e))
+  end
+
+(* The certified model when certification ran, else the reduced one. *)
+let current_model ds =
+  match ds.certified with
+  | Some pair -> pair
+  | None -> ((Option.get ds.reduction).Svd_reduce.model, None)
+
+(* ------------------------------------------------------------------ *)
 (* State *)
 
 type state = {
@@ -53,33 +150,14 @@ type state = {
   context : string;
   dataset : Dataset.t;
   data : Tangential.t;
-  started : float;
   diagnostics : Diag.t;
+  down : downstream;
   mutable pencil : Loewner.t option;
-  mutable realified : Loewner.t option;
-  mutable reduction : Svd_reduce.result option;
-  mutable certified :
-    (Statespace.Descriptor.t * Certify.Certificate.t option) option;
   mutable selected_units : int;
   mutable total_units : int;
   mutable iterations : int;
   mutable history : float array;
-  mutable timings : (string * float) list;
 }
-
-(* Accumulate wall time per stage name; first hit fixes the display
-   order. *)
-let timed st name f =
-  let t0 = Unix.gettimeofday () in
-  let x = f () in
-  let dt = Unix.gettimeofday () -. t0 in
-  (if List.mem_assoc name st.timings then
-     st.timings <-
-       List.map
-         (fun (n, v) -> if String.equal n name then (n, v +. dt) else (n, v))
-         st.timings
-   else st.timings <- st.timings @ [ (name, dt) ]);
-  x
 
 let validate_options ~strategy o =
   (match o.rank_rule with
@@ -92,12 +170,13 @@ let validate_options ~strategy o =
   (match strategy with
    | Recursive _ ->
      if o.batch < 1 then invalid_arg "Engine: batch must be >= 1";
+     if not (o.threshold >= 0.) then
+       invalid_arg
+         (Printf.sprintf "Engine: threshold must be >= 0 (got %g)" o.threshold);
      if o.max_iterations < 1 then
        invalid_arg "Engine: max_iterations must be >= 1";
      if not (o.divergence_factor > 1.) then
-       invalid_arg "Engine: divergence_factor must be > 1";
-     if not (o.iteration_budget > 0.) then
-       invalid_arg "Engine: iteration_budget must be positive"
+       invalid_arg "Engine: divergence_factor must be > 1"
    | Direct | Vector -> ());
   match o.probe with
   | Some n when n < 1 -> invalid_arg "Engine: probe must be >= 1"
@@ -118,17 +197,15 @@ let ingest ?(options = default_options) ?(strategy = Direct) dataset =
               | Vector -> Tangential.Uniform 1
               | Direct | Recursive _ -> options.weight
             in
-            let started = Unix.gettimeofday () in
+            let down = downstream () in
             let data =
-              Tangential.build ~directions:options.directions ~weight
-                (Dataset.fit_samples dataset)
+              timed down "ingest" (fun () ->
+                  Tangential.build ~directions:options.directions ~weight
+                    (Dataset.fit_samples dataset))
             in
-            let dt = Unix.gettimeofday () -. started in
-            { options; strategy; context; dataset; data; started; diagnostics;
-              pencil = None; realified = None; reduction = None;
-              certified = None;
-              selected_units = 0; total_units = 0; iterations = 0;
-              history = [||]; timings = [ ("ingest", dt) ] }))
+            { options; strategy; context; dataset; data; diagnostics; down;
+              pencil = None; selected_units = 0; total_units = 0;
+              iterations = 0; history = [||] }))
 
 (* ------------------------------------------------------------------ *)
 (* Single-pass stages (Direct / Vector / Recursive Batch full pencil) *)
@@ -142,23 +219,17 @@ let assemble_raw st =
        (* the recursion grows its own builder; there is no full pencil *)
        ()
      | Direct | Vector | Recursive Batch ->
-       st.pencil <- Some (timed st "assemble" (fun () -> Loewner.build st.data)))
+       st.pencil <-
+         Some (timed st.down "assemble" (fun () -> Loewner.build st.data)))
+
+let full_pencil st () =
+  assemble_raw st;
+  Option.get st.pencil
 
 let realify_raw st =
-  match st.realified with
-  | Some _ -> ()
-  | None ->
-    (match st.strategy with
-     | Recursive _ -> ()   (* sub-pencils are realified inside the loop *)
-     | Direct | Vector ->
-       assemble_raw st;
-       let p = Option.get st.pencil in
-       let q =
-         if st.options.real_model then
-           timed st "realify" (fun () -> Realify.apply p)
-         else p
-       in
-       st.realified <- Some q)
+  match st.strategy with
+  | Recursive _ -> ()   (* sub-pencils are realified inside the loop *)
+  | Direct | Vector -> realify_stage ~context:st.context st.down (full_pencil st)
 
 (* ------------------------------------------------------------------ *)
 (* Recursive selection (paper Algorithm 2) *)
@@ -284,15 +355,10 @@ let unit_residual model u =
   in
   (right +. left) /. Stdlib.max u.norm_u 1e-300
 
-let check_finite_exn st sub =
-  match Loewner.check_finite ~context:st.context sub with
-  | Ok () -> ()
-  | Result.Error e -> Mfti_error.raise_error e
-
 let recurse st asm =
   let o = st.options in
   (match asm with
-   | Batch -> check_finite_exn st (Option.get st.pencil)
+   | Batch -> check_finite ~context:st.context (Option.get st.pencil)
    | Incremental -> ());
   let units = make_units st.data in
   let total = Array.length units in
@@ -311,7 +377,7 @@ let recurse st asm =
   let selected = ref [] in
   let history = ref [] in
   (* Best model over the recursion, by mean held-out residual: the
-     divergence and budget guards return it instead of the (worse)
+     divergence and iteration guards return it instead of the (worse)
      model of the iteration that tripped them. *)
   let best = ref None in
   let take n lst =
@@ -332,22 +398,18 @@ let recurse st asm =
     | Incremental, Some b ->
       (* O(selected * batch) new divided differences instead of the
          O(selected^2) re-selection the batch arm pays each round. *)
-      let sub =
-        timed st "assemble" (fun () ->
-            List.iter
-              (fun u ->
-                let ud = units.(u) in
-                Loewner.append_right b ud.right_o;
-                Loewner.append_right b ud.right_c;
-                Loewner.append_left b ud.left_o;
-                Loewner.append_left b ud.left_c)
-              batch;
-            Loewner.snapshot b)
-      in
-      check_finite_exn st sub;
-      sub
+      timed st.down "assemble" (fun () ->
+          List.iter
+            (fun u ->
+              let ud = units.(u) in
+              Loewner.append_right b ud.right_o;
+              Loewner.append_right b ud.right_c;
+              Loewner.append_left b ud.left_o;
+              Loewner.append_left b ud.left_c)
+            batch;
+          Loewner.snapshot b)
     | Batch, _ ->
-      timed st "assemble" (fun () ->
+      timed st.down "assemble" (fun () ->
           sub_pencil (Option.get st.pencil) units !selected)
     | Incremental, None -> assert false
   in
@@ -355,15 +417,10 @@ let recurse st asm =
     let batch, rest = take o.batch !remaining in
     selected := !selected @ batch;
     remaining := rest;
-    let sub = assemble_sub batch in
-    let subr =
-      if o.real_model then timed st "realify" (fun () -> Realify.apply sub)
-      else sub
-    in
-    let reduced =
-      timed st "reduce" (fun () ->
-          Svd_reduce.reduce ~mode:o.mode ~rank_rule:o.rank_rule subr)
-    in
+    invalidate st.down;
+    reduce_stage ~context:st.context st.down o (fun () -> assemble_sub batch);
+    let subr = Option.get st.down.realified in
+    let reduced = Option.get st.down.reduction in
     let model = reduced.Svd_reduce.model in
     match !remaining with
     | [] ->
@@ -384,7 +441,7 @@ let recurse st asm =
         | _ -> (rest, [])
       in
       let errs =
-        timed st "evaluate" (fun () ->
+        timed st.down "evaluate" (fun () ->
             List.map (fun u -> (u, unit_residual model units.(u))) probed)
       in
       let mean =
@@ -432,15 +489,6 @@ let recurse st asm =
                (match !best with Some (m, _, _, _, _) -> m | None -> mean));
           best_or (model, reduced, subr, iter)
         end
-        else if Unix.gettimeofday () -. st.started > o.iteration_budget
-        then begin
-          Diag.record ~site:"algorithm2.budget_exhausted"
-            (Printf.sprintf
-               "wall-time budget %.3g s exhausted at iteration %d; returning \
-                best-so-far model"
-               o.iteration_budget iter);
-          best_or (model, reduced, subr, iter)
-        end
         else begin
           (* Visit the worst-fitting held-out units next. *)
           let sorted = List.sort (fun (_, a) (_, b) -> compare b a) errs in
@@ -449,59 +497,35 @@ let recurse st asm =
         end
       end
   in
-  let _model, reduced, subr, iterations = loop 1 in
-  st.realified <- Some subr;
-  st.reduction <- Some reduced;
+  (* The loop caches each iteration's sub-pencil in [st.down]; a
+     failure part-way must not leave one behind as the state's stage. *)
+  let _model, reduced, subr, iterations =
+    try loop 1 with e -> invalidate st.down; raise e
+  in
+  st.down.realified <- Some subr;
+  st.down.reduction <- Some reduced;
   st.selected_units <- List.length !selected;
   st.total_units <- total;
   st.iterations <- iterations;
   st.history <- Array.of_list (List.rev !history)
 
 let reduce_raw st =
-  match st.reduction with
-  | Some _ -> ()
-  | None ->
-    (match st.strategy with
-     | Recursive asm ->
-       (match asm with Batch -> assemble_raw st | Incremental -> ());
-       recurse st asm
-     | Direct | Vector ->
-       realify_raw st;
-       let p = Option.get st.realified in
-       check_finite_exn st p;
-       let reduced =
-         timed st "reduce" (fun () ->
-             Svd_reduce.reduce ~mode:st.options.mode
-               ~rank_rule:st.options.rank_rule p)
-       in
-       st.reduction <- Some reduced;
-       let width = Tangential.right_width st.data in
-       st.selected_units <- width;
-       st.total_units <- width;
-       st.iterations <- 1;
-       st.history <- [||])
-
-(* ------------------------------------------------------------------ *)
-(* Certification stage *)
+  if st.down.reduction = None then
+    match st.strategy with
+    | Recursive asm ->
+      (match asm with Batch -> assemble_raw st | Incremental -> ());
+      recurse st asm
+    | Direct | Vector ->
+      reduce_stage ~context:st.context st.down st.options (full_pencil st);
+      let width = Tangential.right_width st.data in
+      st.selected_units <- width;
+      st.total_units <- width;
+      st.iterations <- 1;
+      st.history <- [||]
 
 let certify_raw st =
-  match st.certified with
-  | Some _ -> ()
-  | None ->
-    reduce_raw st;
-    let model = (Option.get st.reduction).Svd_reduce.model in
-    (match st.options.certify with
-     | Certify.Off -> st.certified <- Some (model, None)
-     | mode ->
-       let copts = { Certify.default_options with mode } in
-       let freqs = Dataset.frequencies st.dataset in
-       (match
-          timed st "certify" (fun () -> Certify.run ~options:copts ~freqs model)
-        with
-        | Ok pair -> st.certified <- Some pair
-        | Result.Error e -> Mfti_error.raise_error e))
-
-let complete st = certify_raw st
+  reduce_raw st;
+  certify_stage st.down st.options ~freqs:(Dataset.frequencies st.dataset)
 
 (* ------------------------------------------------------------------ *)
 (* Public stage wrappers *)
@@ -514,24 +538,14 @@ let realify st = staged st (fun () -> realify_raw st)
 let reduce st = staged st (fun () -> reduce_raw st)
 let certify st = staged st (fun () -> certify_raw st)
 
-let stage st =
-  match st.certified with
-  | Some _ -> Certified
-  | None ->
-    (match st.reduction with
-     | Some _ -> Reduced
-     | None ->
-       (match st.realified with
-        | Some _ -> Realified
-        | None ->
-          (match st.pencil with Some _ -> Assembled | None -> Ingested)))
+let stage st = stage_of st.down ~assembled:(st.pencil <> None)
 
 let tangential st = st.data
 let dataset st = st.dataset
 let pencil st = st.pencil
-let reduction st = st.reduction
+let reduction st = st.down.reduction
 let diagnostics st = st.diagnostics
-let timings st = st.timings
+let timings st = st.down.timings
 
 (* ------------------------------------------------------------------ *)
 (* Unified fit record and model *)
@@ -552,27 +566,20 @@ type fit = {
 }
 
 let fit_of_state st =
-  let reduced = Option.get st.reduction in
-  let loewner =
-    match st.realified with Some p -> p | None -> Option.get st.pencil
-  in
-  let model, certificate =
-    match st.certified with
-    | Some (m, c) -> (m, c)
-    | None -> (reduced.Svd_reduce.model, None)
-  in
+  let reduced = Option.get st.down.reduction in
+  let model, certificate = current_model st.down in
   { model;
     rank = reduced.Svd_reduce.rank;
     sigma = reduced.Svd_reduce.sigma;
     data = st.data;
-    loewner;
+    loewner = Option.get st.down.realified;
     selected_units = st.selected_units;
     total_units = st.total_units;
     iterations = st.iterations;
     history = st.history;
     certificate;
     diagnostics = st.diagnostics;
-    timings = st.timings }
+    timings = st.down.timings }
 
 module Model = struct
   type stats = {
@@ -645,7 +652,7 @@ end
 
 let model st =
   staged st (fun () ->
-      complete st;
+      certify_raw st;
       Model.of_fit (fit_of_state st))
 
 (* ------------------------------------------------------------------ *)
@@ -656,7 +663,7 @@ let run ?options ?strategy dataset =
   | Result.Error e -> Result.Error e
   | Ok st ->
     staged st (fun () ->
-        complete st;
+        certify_raw st;
         fit_of_state st)
 
 let run_exn ?options ?strategy dataset =
@@ -710,32 +717,16 @@ module Session = struct
     mutable s_dataset : Dataset.t;            (* completed pairs + hold-out *)
     mutable s_pending : Statespace.Sampling.sample option;
     mutable s_blocks : int;                   (* completed pair count *)
-    mutable s_realified : Loewner.t option;
-    mutable s_reduction : Svd_reduce.result option;
-    mutable s_certified :
-      (Statespace.Descriptor.t * Certify.Certificate.t option) option;
+    s_down : downstream;
     mutable s_finalized : bool;
     mutable s_invalidated : stage list;       (* dropped by the last append *)
     mutable s_appended : int;
     mutable s_held_out : int;
     mutable s_refits : int;
     mutable s_suggests : int;
-    mutable s_timings : (string * float) list;
   }
 
   let context = "session"
-
-  let stimed sess name f =
-    let t0 = Unix.gettimeofday () in
-    let x = f () in
-    let dt = Unix.gettimeofday () -. t0 in
-    (if List.mem_assoc name sess.s_timings then
-       sess.s_timings <-
-         List.map
-           (fun (n, v) -> if String.equal n name then (n, v +. dt) else (n, v))
-           sess.s_timings
-     else sess.s_timings <- sess.s_timings @ [ (name, dt) ]);
-    x
 
   let invalid message =
     Mfti_error.raise_error (Mfti_error.Validation { context; message })
@@ -776,23 +767,13 @@ module Session = struct
           s_dataset = Dataset.of_samples [||];
           s_pending = None;
           s_blocks = 0;
-          s_realified = None;
-          s_reduction = None;
-          s_certified = None;
+          s_down = downstream ();
           s_finalized = false;
           s_invalidated = [];
           s_appended = 0;
           s_held_out = 0;
           s_refits = 0;
-          s_suggests = 0;
-          s_timings = [] })
-
-  (* Cached downstream results at this moment, outermost first — the
-     stages an accepted fit append will drop. *)
-  let cached_downstream sess =
-    (if sess.s_certified <> None then [ Certified ] else [])
-    @ (if sess.s_reduction <> None then [ Reduced ] else [])
-    @ if sess.s_realified <> None then [ Realified ] else []
+          s_suggests = 0 })
 
   let check_sample sess ~holdout (smp : Statespace.Sampling.sample) seen =
     let f = smp.Statespace.Sampling.freq in
@@ -843,9 +824,9 @@ module Session = struct
         end
         else begin
           let dropped =
-            if Array.length samples = 0 then [] else cached_downstream sess
+            if Array.length samples = 0 then [] else cached sess.s_down
           in
-          stimed sess "assemble" (fun () ->
+          timed sess.s_down "assemble" (fun () ->
               Array.iter
                 (fun (smp : Statespace.Sampling.sample) ->
                   Hashtbl.replace sess.s_freqs smp.Statespace.Sampling.freq ();
@@ -869,9 +850,7 @@ module Session = struct
                 samples);
           sess.s_appended <- sess.s_appended + Array.length samples;
           if Array.length samples > 0 then begin
-            sess.s_realified <- None;
-            sess.s_reduction <- None;
-            sess.s_certified <- None;
+            invalidate sess.s_down;
             sess.s_invalidated <- dropped
           end;
           dropped
@@ -879,49 +858,24 @@ module Session = struct
 
   (* Downstream-only refit: snapshot the (already assembled) builder,
      then realify + reduce.  Never rebuilds divided differences. *)
-  let realify_raw sess =
-    match sess.s_realified with
-    | Some _ -> ()
-    | None ->
-      if sess.s_blocks < 1 then
-        invalid "no complete sample pair yet; append at least 2 samples";
-      let p = stimed sess "snapshot" (fun () -> Loewner.snapshot sess.s_builder) in
-      (match Loewner.check_finite ~context p with
-       | Ok () -> ()
-       | Result.Error e -> Mfti_error.raise_error e);
-      let q =
-        if sess.s_options.real_model then
-          stimed sess "realify" (fun () -> Realify.apply p)
-        else p
-      in
-      sess.s_realified <- Some q
-
   let reduce_raw sess =
-    match sess.s_reduction with
-    | Some _ -> ()
-    | None ->
-      realify_raw sess;
-      let p = Option.get sess.s_realified in
-      let reduced =
-        stimed sess "reduce" (fun () ->
-            Svd_reduce.reduce ~mode:sess.s_options.mode
-              ~rank_rule:sess.s_options.rank_rule p)
-      in
-      sess.s_reduction <- Some reduced;
+    if sess.s_down.reduction = None then begin
+      reduce_stage ~context sess.s_down sess.s_options (fun () ->
+          if sess.s_blocks < 1 then
+            invalid "no complete sample pair yet; append at least 2 samples";
+          timed sess.s_down "snapshot" (fun () ->
+              Loewner.snapshot sess.s_builder));
       sess.s_refits <- sess.s_refits + 1
+    end
 
   let refit sess = guarded sess (fun () -> reduce_raw sess)
 
   let model_raw sess =
     reduce_raw sess;
-    let reduced = Option.get sess.s_reduction in
-    let descriptor, certificate =
-      match sess.s_certified with
-      | Some (m, c) -> (m, c)
-      | None -> (reduced.Svd_reduce.model, None)
-    in
+    let reduced = Option.get sess.s_down.reduction in
+    let descriptor, certificate = current_model sess.s_down in
     Model.make ~sigma:reduced.Svd_reduce.sigma ?certificate
-      ~diagnostics:sess.s_diag ~timings:sess.s_timings
+      ~diagnostics:sess.s_diag ~timings:sess.s_down.timings
       ~rank:reduced.Svd_reduce.rank descriptor
 
   let model sess = guarded sess (fun () -> model_raw sess)
@@ -948,32 +902,12 @@ module Session = struct
                 smp.Statespace.Sampling.freq)
          | None -> ());
         reduce_raw sess;
-        let reduced = Option.get sess.s_reduction in
-        (match sess.s_options.certify with
-         | Certify.Off ->
-           sess.s_certified <- Some (reduced.Svd_reduce.model, None)
-         | mode ->
-           let copts = { Certify.default_options with mode } in
-           let freqs = Dataset.frequencies sess.s_dataset in
-           (match
-              stimed sess "certify" (fun () ->
-                  Certify.run ~options:copts ~freqs reduced.Svd_reduce.model)
-            with
-            | Ok pair -> sess.s_certified <- Some pair
-            | Result.Error e -> Mfti_error.raise_error e));
+        certify_stage sess.s_down sess.s_options
+          ~freqs:(Dataset.frequencies sess.s_dataset);
         sess.s_finalized <- true;
         model_raw sess)
 
-  let stage sess =
-    match sess.s_certified with
-    | Some _ -> Certified
-    | None ->
-      (match sess.s_reduction with
-       | Some _ -> Reduced
-       | None ->
-         (match sess.s_realified with
-          | Some _ -> Realified
-          | None -> if sess.s_blocks > 0 then Assembled else Ingested))
+  let stage sess = stage_of sess.s_down ~assembled:(sess.s_blocks > 0)
 
   let dataset sess = sess.s_dataset
   let fit_samples sess = Dataset.fit_samples sess.s_dataset
@@ -986,7 +920,7 @@ module Session = struct
   let finalized sess = sess.s_finalized
   let invalidated sess = sess.s_invalidated
   let diagnostics sess = sess.s_diag
-  let timings sess = sess.s_timings
+  let timings sess = sess.s_down.timings
   let record_suggest sess = sess.s_suggests <- sess.s_suggests + 1
 
   let counters sess =

@@ -1,7 +1,8 @@
 (** The staged fitting engine.
 
-    All four fitting paths (MFTI Algorithm 1 and 2, VFTI, vector
-    fitting's model wrapper) are strategies over one pipeline:
+    The three Loewner fitting paths (MFTI Algorithm 1 and 2, VFTI) are
+    strategies over one pipeline ([Vfit.Vf.fit_model] is not: it wraps
+    vector fitting with {!Model.make}):
 
     {v ingest -> assemble -> realify -> reduce -> certify -> model v}
 
@@ -23,7 +24,6 @@
 type options = {
   weight : Tangential.weight;        (** tangential block widths *)
   directions : Direction.kind;
-  real_model : bool;                 (** realify before reduction *)
   mode : Svd_reduce.mode;
   rank_rule : Svd_reduce.rank_rule;
   batch : int;                       (** units added per iteration *)
@@ -32,7 +32,6 @@ type options = {
   max_iterations : int;
   divergence_factor : float;         (** bail when the residual exceeds
                                          this multiple of the best seen *)
-  iteration_budget : float;          (** wall-clock budget in seconds *)
   probe : int option;
       (** score at most this many held-out units per iteration (strided
           subsample); [None] scores all of them — the exact Algorithm 2
@@ -74,7 +73,8 @@ type state
 (** Validate the data and options, apply fault hooks, and build the
     tangential interpolation data.  [strategy] defaults to [Direct].
     Bad data or options are typed [Validation] errors; a [Tol] rank
-    rule needs a tolerance in (0, 1), [Fixed k] needs [k >= 1]. *)
+    rule needs a tolerance in (0, 1), [Fixed k] needs [k >= 1], and a
+    [Recursive] strategy needs a [threshold] [>= 0] (not NaN). *)
 val ingest :
   ?options:options -> ?strategy:strategy -> Dataset.t ->
   (state, Linalg.Mfti_error.t) result
@@ -83,7 +83,8 @@ val ingest :
     pencil grows inside the reduce stage). *)
 val assemble : state -> (unit, Linalg.Mfti_error.t) result
 
-(** Apply the realification transform when [real_model] is set. *)
+(** Realify the pencil (Lemma 3.2; [Stacked] then gives a real model);
+    a no-op for [Recursive] strategies, whose loop realifies sub-pencils. *)
 val realify : state -> (unit, Linalg.Mfti_error.t) result
 
 (** Run the SVD projection — for recursive strategies, the whole

@@ -1,7 +1,7 @@
 open Linalg
 
 type mode = Pencil of Cx.t option | Stacked
-type rank_rule = Fixed of int | Tol of float | Gap | Auto_noise
+type rank_rule = Fixed of int | Tol of float | Gap
 
 type result = {
   model : Statespace.Descriptor.t;
@@ -56,12 +56,12 @@ let tol_certificate ~tol ?ranked (r : Rsvd.t) =
   end
 
 (* The sketch certificate the rank rule needs ([ranked] as in
-   {!tol_certificate}).  The tail-aware rules and [Fixed] take Rsvd's
-   own: the residual within [1e-10 |A|_F]. *)
+   {!tol_certificate}).  [Gap] and [Fixed] take Rsvd's own: the
+   residual within [1e-10 |A|_F]. *)
 let certificate ?ranked rule (r : Rsvd.t) =
   match rule with
   | Tol tol -> tol_certificate ~tol ?ranked r
-  | Fixed _ | Gap | Auto_noise ->
+  | Fixed _ | Gap ->
     if r.Rsvd.certified then Ok ()
     else Error (Printf.sprintf "residual %.3g not certified" r.Rsvd.residual)
 
@@ -72,7 +72,7 @@ let certificate ?ranked rule (r : Rsvd.t) =
    mode (both sides) and Stacked mode (right vectors only) share the
    size rule and the fallback.  Returns the factorization plus a
    certified bound on every singular value a truncated (randomized)
-   spectrum cut off, for the tail-aware rank rules. *)
+   spectrum cut off, for the gap rule. *)
 let factor ~exact ~of_sketch ~accept a =
   let m, n = Cmat.dims a in
   if Stdlib.min m n < randomized_cutoff then (exact a, None)
@@ -106,31 +106,11 @@ let right_only =
   factor ~exact:(fun x -> Svd.right x)
     ~of_sketch:(fun d -> (d.Svd.sigma, d.Svd.v))
 
-let pick_rank ?tail_bound rule (d : Svd.t) =
-  let n = Array.length d.Svd.sigma in
+let pick_rank ?tail_bound rule sigma =
   match rule with
-  | Fixed r -> Stdlib.min r n
-  | Tol tol -> Stdlib.max 1 (Svd.rank ~rtol:tol d)
-  | Gap -> Stdlib.max 1 (Svd.rank_gap_of_values ?tail_bound d.Svd.sigma)
-  | Auto_noise ->
-    if n = 0 || d.Svd.sigma.(0) = 0. then 0
-    else begin
-      (* Noise floods the tail of the spectrum with slowly decaying
-         singular values; their median estimates the floor.  Keep modes a
-         comfortable factor above it.  Falls back to the gap rule when
-         the tail is pure roundoff (noise-free data). *)
-      let tail = Array.sub d.Svd.sigma (n - (n / 4) - 1) ((n / 4) + 1) in
-      Array.sort compare tail;
-      let floor_est = tail.(Array.length tail / 2) in
-      if floor_est <= 1e-12 *. d.Svd.sigma.(0) then
-        Stdlib.max 1 (Svd.rank_gap d)
-      else begin
-        let thresh = 5. *. floor_est in
-        let count = ref 0 in
-        Array.iter (fun s -> if s > thresh then incr count) d.Svd.sigma;
-        Stdlib.max 1 !count
-      end
-    end
+  | Fixed r -> Stdlib.min r (Array.length sigma)
+  | Tol tol -> Stdlib.max 1 (Svd.rank_of_values ~rtol:tol sigma)
+  | Gap -> Stdlib.max 1 (Svd.rank_gap_of_values ?tail_bound sigma)
 
 let pencil_matrix ?(x0 = None) (t : Loewner.t) =
   let x0 =
@@ -167,10 +147,7 @@ let reduce ?(mode = default_mode) ?(rank_rule = default_rank_rule)
       in
       (y, x, sigma, tb)
   in
-  let rank =
-    let d_for_rank = { Svd.u = y; sigma; v = x } in
-    pick_rank ?tail_bound rank_rule d_for_rank
-  in
+  let rank = pick_rank ?tail_bound rank_rule sigma in
   (* A truncated (randomized) factorization retains [sketch] columns
      per side; the projection can only keep directions present in
      both. *)

@@ -11,8 +11,8 @@
 type mode =
   | Pencil of Linalg.Cx.t option
       (** SVD of [x0 LL - sLL] (Lemma 3.4); [None] picks [x0 =
-          lambda.(0)] as the paper suggests.  Complex [x0] generally
-          yields a complex (but equivalent) model. *)
+          lambda.(0)] as the paper suggests.  A complex [x0], such as
+          that [j omega] default, yields a complex (equivalent) model. *)
   | Stacked
       (** [Y] from svd [[LL sLL]], [X] from svd [[LL; sLL]] — the
           Lefteriu-Antoulas practical variant; keeps realified pencils
@@ -20,16 +20,12 @@ type mode =
           the exact path runs {!Linalg.Svd.right} on [[LL sLL]^H] and
           [[LL; sLL]] and never forms the other set. *)
 
-(** How many singular values to keep. *)
+(** How many singular values to keep; on noisy data, [Tol] near the
+    noise floor. *)
 type rank_rule =
   | Fixed of int        (** exact order [>= 1] (clipped to the pencil size) *)
   | Tol of float        (** keep sigma > tol * sigma_max, [0 < tol < 1] *)
   | Gap                 (** the largest log10 drop ({!Linalg.Svd.rank_gap}) *)
-  | Auto_noise
-      (** estimate the noise floor from the tail of the spectrum (median
-          of the last quarter) and keep sigma above a small multiple of
-          it — a tolerance-free rule for noisy data (an extension beyond
-          the paper, which sets the threshold by hand) *)
 
 type result = {
   model : Statespace.Descriptor.t;
@@ -40,7 +36,8 @@ type result = {
 val default_mode : mode       (* Stacked *)
 val default_rank_rule : rank_rule  (* Gap *)
 
-(** [reduce ?mode ?rank_rule loewner] projects and realizes.
+(** [reduce ?mode ?rank_rule loewner] projects and realizes; on the
+    realified pencil {!Engine} passes, [Stacked] gives a real model.
 
     The pencil's size picks the SVD: exact ({!Linalg.Svd}) for a
     factored matrix with fewer than 96 singular values, else the
@@ -53,17 +50,16 @@ val default_rank_rule : rank_rule  (* Gap *)
     [tol s_1] the rank is [k] when [r <= tol s_1], [k] is less than
     the sketch width, [sqrt (s_k+1^2 + r^2) <= tol s_1] and
     [s_k > tol sqrt (s_1^2 + r^2)].  In Stacked mode the column side
-    must prove the row side's [k].  [Gap], [Auto_noise] and [Fixed]
-    need Rsvd's own certificate ([r <= 1e-10 |A|_F]).  A refused
-    sketch (a noise floor too high for the rule, or the
-    ["svd.rsvd.degrade"] fault poisoning [r]) reruns that side's exact
-    SVD and records ["svd.rsvd.fallback"] in the ambient
-    {!Linalg.Diag} collector; the detail says ["capped at n/2"] when
-    the sketch stopped at its half-width cap, then names the failed
-    test with its values.
+    must prove the row side's [k].  [Gap] and [Fixed] need Rsvd's
+    own certificate ([r <= 1e-10 |A|_F]).  A refused sketch (a noise
+    floor too high for the rule, or the ["svd.rsvd.degrade"] fault
+    poisoning [r]) reruns that side's exact SVD and records
+    ["svd.rsvd.fallback"] in the ambient {!Linalg.Diag} collector; the
+    detail says ["capped at n/2"] when the sketch stopped at its
+    half-width cap, then names the failed test with its values.
 
-    On a kept sketch the rank rules see the truncated spectrum with
-    the certified residual as tail bound
+    On a kept sketch the rank rule sees the truncated spectrum, and
+    [Gap] takes the certified residual as its tail bound
     ({!Linalg.Svd.rank_gap_of_values}), so rank decisions match the
     exact path on well-gapped spectra; the model agrees with the exact
     one to roundoff, not bit for bit.

@@ -306,6 +306,19 @@ let test_bad_rank_tol () =
         [ "fit"; "engine --strategy direct" ])
     [ "nan"; "inf"; "1.5"; "-0.5" ]
 
+let test_bad_threshold () =
+  List.iter
+    (fun v ->
+      let code, text =
+        run
+          (Printf.sprintf
+             "engine %s --strategy incremental --threshold=%s --max-iterations 3"
+             workload v)
+      in
+      Alcotest.(check int) ("--threshold " ^ v ^ " exits 64") 64 code;
+      check_contains "diagnostic" "threshold must be >= 0" text)
+    [ "nan"; "-1" ]
+
 let test_diagnostics_reported () =
   let code, text = run (Printf.sprintf "fit %s" workload) in
   Alcotest.(check int) "exit code" 0 code;
@@ -338,5 +351,6 @@ let () =
            test_diagnostics_reported;
          Alcotest.test_case "bad MFTI_DOMAINS" `Quick test_bad_domains;
          Alcotest.test_case "bad rank-tol" `Quick test_bad_rank_tol;
+         Alcotest.test_case "bad threshold" `Quick test_bad_threshold;
          Alcotest.test_case "fit-stream gives up connecting" `Quick
            test_fit_stream_gives_up ]) ]

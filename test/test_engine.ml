@@ -286,6 +286,52 @@ let test_stages_resume () =
   Alcotest.(check bool) "model evaluates" true
     (Cmat.is_finite (Engine.Model.eval_freq m 1e3))
 
+(* A recursion that fails part-way caches nothing: the state stays at
+   the stage it had before the reduce, and a retry without the fault
+   gives the one-shot recursive fit. *)
+let test_stages_failed_recursion () =
+  let smps = samples ~ports:3 ~seed:21 16 in
+  let dataset = Dataset.of_samples smps in
+  let options =
+    { Engine.default_recursive_options with
+      batch = 2; threshold = 1e-8; max_iterations = 6 }
+  in
+  List.iter
+    (fun (asm, name, before) ->
+      let strategy = Engine.Recursive asm in
+      let st =
+        match Engine.ingest ~options ~strategy dataset with
+        | Ok st -> st
+        | Error e -> Alcotest.failf "ingest: %s" (Mfti_error.to_string e)
+      in
+      (match Engine.assemble st with
+       | Ok () -> ()
+       | Error e -> Alcotest.failf "assemble: %s" (Mfti_error.to_string e));
+      (match Fault.with_spec "pool.worker" (fun () -> Engine.reduce st) with
+       | Error _ -> ()
+       | Ok () -> Alcotest.failf "%s: reduce under pool.worker succeeded" name);
+      Alcotest.(check bool) (name ^ " stage unchanged") true
+        (Engine.stage st = before);
+      Alcotest.(check bool) (name ^ " no reduction") true
+        (Engine.reduction st = None);
+      let m =
+        match Engine.model st with
+        | Ok m -> m
+        | Error e -> Alcotest.failf "model: %s" (Mfti_error.to_string e)
+      in
+      let oneshot = Engine.fit ~options ~strategy smps in
+      check_cmat (name ^ " retry = one-shot A")
+        (Engine.Model.descriptor m).Descriptor.a oneshot.Engine.model.Descriptor.a;
+      match Engine.Model.stats m with
+      | Some s ->
+        Alcotest.(check int) (name ^ " iterations") oneshot.Engine.iterations
+          s.Engine.Model.iterations;
+        Alcotest.(check int) (name ^ " selected") oneshot.Engine.selected_units
+          s.Engine.Model.selected_units
+      | None -> Alcotest.failf "%s: stats missing" name)
+    [ (Engine.Incremental, "incremental", Engine.Ingested);
+      (Engine.Batch, "batch", Engine.Assembled) ]
+
 let test_engine_validation () =
   let smps = samples ~ports:2 ~seed:51 6 in
   (match Engine.fit_result
@@ -458,6 +504,8 @@ let () =
             test_incremental_matches_batch ] );
       ( "stages",
         [ Alcotest.test_case "resume through stages" `Quick test_stages_resume;
+          Alcotest.test_case "failed recursion caches nothing" `Quick
+            test_stages_failed_recursion;
           Alcotest.test_case "option validation" `Quick
             test_engine_validation ] );
       ( "dataset",

@@ -494,53 +494,6 @@ let test_eig_diag_large () =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Expm *)
-
-let test_expm_zero () =
-  let e = Expm.expm (Cmat.zeros 4 4) in
-  check_small ~tol:1e-14 "exp(0) = I" (Cmat.norm_fro (Cmat.sub e (Cmat.identity 4)))
-
-let test_expm_diagonal () =
-  let a = Cmat.of_rows [ [ cx 1. 0.; Cx.zero ]; [ Cx.zero; cx (-2.) 0.5 ] ] in
-  let e = Expm.expm a in
-  let e00 = Cmat.get e 0 0 and e11 = Cmat.get e 1 1 in
-  check_small ~tol:1e-13 "e^1" (Cx.abs (Cx.sub e00 (cx (exp 1.) 0.)));
-  let expected = Cx.mul (Cx.of_float (exp (-2.))) (Cx.exp (cx 0. 0.5)) in
-  check_small ~tol:1e-13 "e^{-2+0.5j}" (Cx.abs (Cx.sub e11 expected));
-  check_small "off-diagonal" (Cx.abs (Cmat.get e 0 1))
-
-let test_expm_nilpotent () =
-  let a = Cmat.of_rows [ [ Cx.zero; cx 3. 0. ]; [ Cx.zero; Cx.zero ] ] in
-  let e = Expm.expm a in
-  (* exp of a nilpotent = I + A exactly *)
-  check_small ~tol:1e-14 "I + A"
-    (Cmat.norm_fro (Cmat.sub e (Cmat.add (Cmat.identity 2) a)))
-
-let test_expm_rotation () =
-  let theta = 0.7 in
-  let a = Cmat.of_rows
-      [ [ Cx.zero; cx (-.theta) 0. ]; [ cx theta 0.; Cx.zero ] ]
-  in
-  let e = Expm.expm a in
-  check_close ~tol:1e-13 "cos" (cos theta) (Cmat.get e 0 0).Cx.re;
-  check_close ~tol:1e-13 "sin" (sin theta) (Cmat.get e 1 0).Cx.re
-
-let test_expm_inverse () =
-  let rng = Rng.create 111 in
-  let a = Cmat.scale_float 2. (Cmat.random rng 8 8) in
-  let id = Cmat.mul (Expm.expm a) (Expm.expm (Cmat.neg a)) in
-  check_small ~tol:1e-10 "exp(A) exp(-A) = I"
-    (Cmat.norm_fro (Cmat.sub id (Cmat.identity 8)))
-
-let test_expm_det_trace () =
-  let rng = Rng.create 113 in
-  let a = Cmat.random rng 6 6 in
-  let det = Lu.det (Lu.factorize (Expm.expm a)) in
-  let expected = Cx.exp (Cmat.trace a) in
-  check_small ~tol:1e-9 "det exp A = exp tr A"
-    (Cx.abs (Cx.sub det expected) /. (1. +. Cx.abs expected))
-
-(* ------------------------------------------------------------------ *)
 (* Lyapunov *)
 
 let stable_random rng n =
@@ -1065,13 +1018,6 @@ let () =
          Alcotest.test_case "similarity invariance" `Quick test_eig_similarity_invariance;
          Alcotest.test_case "right vectors" `Quick test_eig_right_vectors;
          Alcotest.test_case "diagonal dominant" `Quick test_eig_diag_large ]);
-      ("expm",
-       [ Alcotest.test_case "zero" `Quick test_expm_zero;
-         Alcotest.test_case "diagonal" `Quick test_expm_diagonal;
-         Alcotest.test_case "nilpotent" `Quick test_expm_nilpotent;
-         Alcotest.test_case "rotation" `Quick test_expm_rotation;
-         Alcotest.test_case "inverse" `Quick test_expm_inverse;
-         Alcotest.test_case "det = exp trace" `Quick test_expm_det_trace ]);
       ("lyapunov",
        [ Alcotest.test_case "solve" `Quick test_lyapunov_solve;
          Alcotest.test_case "hermitian psd" `Quick test_lyapunov_hermitian_psd;

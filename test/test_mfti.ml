@@ -242,17 +242,30 @@ let test_full_matrix_interpolation () =
          /. (1. +. Cmat.norm_fro smp.Sampling.s)))
     smps
 
-let test_real_model () =
-  let result = fit_default 6 in
-  Alcotest.(check bool) "model real" true
-    (Descriptor.is_real ~tol:1e-8 result.Engine.model)
+(* Every path realifies its pencil, so every model is real: one-shot
+   (Direct, Vector), Algorithm 2 and a session. *)
+let test_models_real () =
+  let check name model =
+    Alcotest.(check bool) (name ^ " model real") true
+      (Descriptor.is_real ~tol:1e-8 model)
+  in
+  check "direct" (fit_default 6).Engine.model;
+  check "vector" (Engine.fit ~strategy:Engine.Vector (samples 20)).Engine.model;
+  check "recursive incremental"
+    (Engine.fit ~strategy:recursive
+       ~options:{ Engine.default_recursive_options with batch = 2 }
+       (samples 20)).Engine.model;
+  let sess =
+    Result.get_ok
+      (Engine.Session.open_ ~inputs:test_spec.Random_sys.ports
+         ~outputs:test_spec.Random_sys.ports ())
+  in
+  ignore (Result.get_ok (Engine.Session.append sess (samples 6)));
+  check "session finalize"
+    (Engine.Model.descriptor (Result.get_ok (Engine.Session.finalize sess)))
 
 let test_pencil_mode_recovery () =
-  let options =
-    { Engine.default_options with
-      real_model = false;
-      mode = Svd_reduce.Pencil None }
-  in
+  let options = { Engine.default_options with mode = Svd_reduce.Pencil None } in
   let result = Engine.fit ~options (samples 6) in
   let verr = Metrics.err result.Engine.model validation_samples in
   check_small ~tol:1e-7 "pencil-mode validation ERR" verr
@@ -425,42 +438,17 @@ let test_algorithm2_validation () =
    with
    | exception Mfti_error.Error (Mfti_error.Validation _) -> ()
    | _ -> Alcotest.fail "batch 0 accepted");
-  match
-    Engine.fit_result ~strategy:recursive
-      ~options:{ Engine.default_recursive_options with max_iterations = 0 }
-      (samples 6)
-  with
-  | Error (Mfti_error.Validation _) -> ()
-  | _ -> Alcotest.fail "max_iterations 0 accepted"
-
-let test_auto_noise_rank () =
-  (* noisy data: Auto_noise should land near the informative rank without
-     a hand-set tolerance *)
-  let spec = { Random_sys.default_spec with order = 20; ports = 4;
-               rank_d = 4; seed = 31 } in
-  let sys = Random_sys.generate spec in
-  let clean = Sampling.sample_system sys (Sampling.logspace 10. 1e5 30) in
-  let noisy = Rf.Noise.add_relative ~seed:8 ~level:1e-4 clean in
-  let options =
-    { Engine.default_options with
-      weight = Tangential.Uniform 2; rank_rule = Svd_reduce.Auto_noise }
-  in
-  let auto = Engine.fit ~options noisy in
-  let e = Metrics.err auto.Engine.model clean in
-  Alcotest.(check bool) "reasonable auto rank" true
-    (auto.Engine.rank >= 10 && auto.Engine.rank <= 50);
-  Alcotest.(check bool)
-    (Printf.sprintf "auto-noise fit usable (ERR %.2e)" e) true (e < 0.05)
-
-let test_auto_noise_on_clean_falls_back () =
-  (* noise-free data: Auto_noise must behave like the gap rule *)
-  let options =
-    { Engine.default_options with rank_rule = Svd_reduce.Auto_noise }
-  in
-  let r = Engine.fit ~options (samples 8) in
-  Alcotest.(check int) "gap fallback" 15 r.Engine.rank;
-  check_small ~tol:1e-7 "still exact"
-    (Metrics.err r.Engine.model validation_samples)
+  List.iter
+    (fun (name, options) ->
+      match Engine.fit_result ~strategy:recursive ~options (samples 6) with
+      | Error (Mfti_error.Validation _) -> ()
+      | _ -> Alcotest.failf "%s accepted" name)
+    [ ("max_iterations 0",
+       { Engine.default_recursive_options with max_iterations = 0 });
+      ("threshold nan",
+       { Engine.default_recursive_options with threshold = Float.nan });
+      ("threshold -1",
+       { Engine.default_recursive_options with threshold = -1. }) ]
 
 (* ------------------------------------------------------------------ *)
 (* Stacked reduce on a noisy pencil.  The randomized sketch stops at
@@ -775,7 +763,7 @@ let () =
        [ Alcotest.test_case "minimal samples (thm 3.5)" `Quick test_minimal_samples_estimate;
          Alcotest.test_case "exact recovery" `Quick test_exact_recovery;
          Alcotest.test_case "full-matrix interpolation (lemma 3.1)" `Quick test_full_matrix_interpolation;
-         Alcotest.test_case "real model (lemma 3.2)" `Quick test_real_model;
+         Alcotest.test_case "real model (lemma 3.2)" `Quick test_models_real;
          Alcotest.test_case "pencil mode (lemma 3.4)" `Quick test_pencil_mode_recovery;
          Alcotest.test_case "undersampled fails" `Quick test_undersampled_fails;
          Alcotest.test_case "uniform weight" `Quick test_uniform_weight_recovery;
@@ -812,8 +800,5 @@ let () =
          Alcotest.test_case "tol certified domain-invariant (bit)" `Quick
            test_stacked_tol_domains;
          QCheck_alcotest.to_alcotest prop_tol_rank_matches ]);
-      ("rank rules",
-       [ Alcotest.test_case "auto-noise on noisy data" `Quick test_auto_noise_rank;
-         Alcotest.test_case "auto-noise clean fallback" `Quick test_auto_noise_on_clean_falls_back ]);
       ("properties",
        [ QCheck_alcotest.to_alcotest prop_minimal_recovery ]) ]

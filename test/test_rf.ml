@@ -238,6 +238,35 @@ let test_ladder_transmission () =
   Alcotest.(check bool) "passes low" true (s21_low > 0.9);
   Alcotest.(check bool) "blocks high" true (s21_high < 0.2)
 
+let test_ladder_matches_abcd_chain () =
+  (* the same ladder built two independent ways must agree: Mna and
+     descriptor vs chained ABCD sections, each a series impedance
+     [[1, Z]; [0, 1]] times a shunt admittance [[1, 0]; [Y, 1]] *)
+  let spec = { Ladder.default_spec with sections = 6; termination = 0. } in
+  let f = 2e9 and z0 = 50. in
+  let w = 2. *. Float.pi *. f in
+  let z = cx spec.Ladder.series_r (w *. spec.Ladder.series_l) in
+  let y = cx 0. (w *. spec.Ladder.shunt_c) in
+  let cell =
+    Cmat.mul
+      (Cmat.of_rows [ [ Cx.one; z ]; [ Cx.zero; Cx.one ] ])
+      (Cmat.of_rows [ [ Cx.one; Cx.zero ]; [ y; Cx.one ] ])
+  in
+  let abcd = List.fold_left Cmat.mul cell (List.init 5 (fun _ -> cell)) in
+  (* ABCD -> S at a real reference impedance z0 *)
+  let a = Cmat.get abcd 0 0 and b = Cx.scale (1. /. z0) (Cmat.get abcd 0 1) in
+  let c = Cx.scale z0 (Cmat.get abcd 1 0) and d = Cmat.get abcd 1 1 in
+  let inv = Cx.inv (Cx.add (Cx.add a b) (Cx.add c d)) in
+  let det = Cx.sub (Cx.mul a d) (Cx.mul b c) in
+  let s_chain =
+    Cmat.of_rows
+      [ [ Cx.mul inv (Cx.sub (Cx.add a b) (Cx.add c d));
+          Cx.mul inv (Cx.scale 2. det) ];
+        [ Cx.scale 2. inv; Cx.mul inv (Cx.add (Cx.sub b a) (Cx.sub d c)) ] ]
+  in
+  let s_mna = (Ladder.scattering spec ~z0 [| f |]).(0).Sampling.s in
+  check_small ~tol:1e-9 "chain = MNA" (Cmat.norm_fro (Cmat.sub s_chain s_mna))
+
 let test_pdn_shape () =
   let spec = Pdn.example2_spec in
   let model = Pdn.scattering_model spec ~z0:50. in
@@ -320,88 +349,6 @@ let test_coupled_lines_validation () =
   match Coupled_lines.build { Coupled_lines.default_spec with coupling_k = 1.5 } with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "coupling >= 1 accepted"
-
-(* ------------------------------------------------------------------ *)
-(* Twoport *)
-
-let test_twoport_elements () =
-  (* series 50-ohm seen into a 50-ohm load: Zin = 100 *)
-  let m = Twoport.series_impedance (cx 50. 0.) in
-  let zin = Twoport.input_impedance ~load:(cx 50. 0.) m in
-  check_cx "series Zin" (cx 100. 0.) zin;
-  (* shunt admittance 1/50 into an open: Zin = 50 *)
-  let m = Twoport.shunt_admittance (cx 0.02 0.) in
-  let zin = Twoport.input_impedance ~load:(cx 1e12 0.) m in
-  check_cx ~tol:1e-6 "shunt Zin" (cx 50. 0.) zin
-
-let test_twoport_quarter_wave () =
-  (* a quarter-wave line transforms Zl to z0^2 / Zl *)
-  let m = Twoport.line ~z0:50. ~theta:(Float.pi /. 2.) in
-  let zin = Twoport.input_impedance ~load:(cx 100. 0.) m in
-  check_cx ~tol:1e-9 "quarter-wave transformer" (cx 25. 0.) zin
-
-let test_twoport_s_round_trip () =
-  let rng = Rng.create 41 in
-  (* a random cascade of passive-ish elements *)
-  let m =
-    Twoport.chain
-      [ Twoport.series_impedance (cx 5. 20.);
-        Twoport.shunt_admittance (cx 0.001 0.004);
-        Twoport.line ~z0:60. ~theta:0.7;
-        Twoport.series_impedance (Rng.complex_gaussian rng) ]
-  in
-  let s = Twoport.s_of_abcd ~z0:50. m in
-  let back = Twoport.abcd_of_s ~z0:50. s in
-  check_small ~tol:1e-9 "ABCD round trip"
-    (Cmat.norm_fro (Cmat.sub m back) /. (1. +. Cmat.norm_fro m))
-
-let test_twoport_matches_mna_ladder () =
-  (* the same ladder built two independent ways must agree:
-     Mna/descriptor vs chained ABCD sections *)
-  let spec = { Ladder.default_spec with sections = 6; termination = 0. } in
-  let f = 2e9 in
-  let w = 2. *. Float.pi *. f in
-  let cell =
-    Twoport.cascade
-      (Twoport.series_impedance (cx spec.Ladder.series_r (w *. spec.Ladder.series_l)))
-      (Twoport.shunt_admittance (cx 0. (w *. spec.Ladder.shunt_c)))
-  in
-  let abcd = Twoport.chain (List.init 6 (fun _ -> cell)) in
-  let s_chain = Twoport.s_of_abcd ~z0:50. abcd in
-  let s_mna =
-    (Ladder.scattering spec ~z0:50. [| f |]).(0).Sampling.s
-  in
-  check_small ~tol:1e-9 "chain = MNA"
-    (Cmat.norm_fro (Cmat.sub s_chain s_mna))
-
-let test_twoport_cascade_s_associative () =
-  let a = Twoport.s_of_abcd ~z0:50. (Twoport.series_impedance (cx 10. 5.)) in
-  let b = Twoport.s_of_abcd ~z0:50. (Twoport.shunt_admittance (cx 0.01 0.002)) in
-  let c = Twoport.s_of_abcd ~z0:50. (Twoport.line ~z0:75. ~theta:0.4) in
-  let left = Twoport.cascade_s ~z0:50. (Twoport.cascade_s ~z0:50. a b) c in
-  let right = Twoport.cascade_s ~z0:50. a (Twoport.cascade_s ~z0:50. b c) in
-  check_small ~tol:1e-10 "associativity"
-    (Cmat.norm_fro (Cmat.sub left right))
-
-let test_twoport_deembed () =
-  let fixture = Twoport.line ~z0:60. ~theta:0.3 in
-  let dut = Twoport.series_impedance (cx 10. 40.) in
-  let measured = Twoport.cascade fixture dut in
-  let recovered = Twoport.deembed ~fixture measured in
-  check_small ~tol:1e-12 "deembedding recovers the DUT"
-    (Cmat.norm_fro (Cmat.sub recovered dut));
-  let id = Twoport.cascade fixture (Twoport.inverse fixture) in
-  check_small ~tol:1e-12 "inverse" (Cmat.norm_fro (Cmat.sub id (Cmat.identity 2)))
-
-let test_twoport_validation () =
-  (match Twoport.s_of_abcd ~z0:50. (Cmat.identity 3) with
-   | exception Invalid_argument _ -> ()
-   | _ -> Alcotest.fail "3x3 accepted");
-  (* an isolator-like S with S21 = 0 has no chain form *)
-  let s = Cmat.of_rows [ [ cx 0.5 0.; cx 0.1 0. ]; [ Cx.zero; cx 0.5 0. ] ] in
-  match Twoport.abcd_of_s ~z0:50. s with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "S21 = 0 accepted"
 
 (* ------------------------------------------------------------------ *)
 (* Passivity *)
@@ -828,6 +775,7 @@ let () =
       ("generators",
        [ Alcotest.test_case "ladder model" `Quick test_ladder_model;
          Alcotest.test_case "ladder transmission" `Quick test_ladder_transmission;
+         Alcotest.test_case "matches MNA ladder" `Quick test_ladder_matches_abcd_chain;
          Alcotest.test_case "pdn shape" `Quick test_pdn_shape;
          Alcotest.test_case "pdn conjugate symmetry" `Quick test_pdn_conjugate_symmetry;
          Alcotest.test_case "pdn passivity" `Quick test_pdn_passive_samples;
@@ -839,14 +787,6 @@ let () =
          Alcotest.test_case "coupling strength" `Quick test_coupled_lines_crosstalk_grows_with_coupling;
          Alcotest.test_case "passivity" `Quick test_coupled_lines_passive;
          Alcotest.test_case "validation" `Quick test_coupled_lines_validation ]);
-      ("twoport",
-       [ Alcotest.test_case "elements" `Quick test_twoport_elements;
-         Alcotest.test_case "quarter wave" `Quick test_twoport_quarter_wave;
-         Alcotest.test_case "s round trip" `Quick test_twoport_s_round_trip;
-         Alcotest.test_case "matches MNA ladder" `Quick test_twoport_matches_mna_ladder;
-         Alcotest.test_case "cascade associativity" `Quick test_twoport_cascade_s_associative;
-         Alcotest.test_case "de-embedding" `Quick test_twoport_deembed;
-         Alcotest.test_case "validation" `Quick test_twoport_validation ]);
       ("passivity",
        [ Alcotest.test_case "passive ladder" `Quick test_passivity_ladder;
          Alcotest.test_case "analytic crossing" `Quick test_passivity_analytic_crossing;
