@@ -133,16 +133,16 @@ let passivity_ok opts verdict margin =
 (* Relative RMS transfer-function change over the grid — the price the
    repair paid in fit accuracy. *)
 let fit_delta grid before after =
+  let grid = Array.of_list grid in
   let num = ref 0. and den = ref 0. in
-  List.iter
-    (fun f ->
-      let h0 = Descriptor.eval_freq before f in
-      let h1 = Descriptor.eval_freq after f in
+  Array.iter2
+    (fun h0 h1 ->
       let d = Cmat.norm_fro (Cmat.sub h1 h0) in
       let n0 = Cmat.norm_fro h0 in
       num := !num +. (d *. d);
       den := !den +. (n0 *. n0))
-    grid;
+    (Descriptor.eval_grid before grid)
+    (Descriptor.eval_grid after grid);
   if !den > 0. then sqrt (!num /. !den) else sqrt !num
 
 (* ---- stability ------------------------------------------------------- *)

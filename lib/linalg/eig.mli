@@ -1,9 +1,8 @@
-(** Dense complex eigenvalues.
-
-    Parlett–Reinsch balancing, Householder reduction to upper Hessenberg
-    form, then explicit single-shift QR iteration with Wilkinson shifts
-    and deflation.  Only eigenvalues are produced — that is all the
-    vector-fitting pole relocation and model stability analysis need. *)
+(** Dense eigenvalues: Parlett–Reinsch balancing and Householder
+    Hessenberg reduction, then explicit single-shift QR with Wilkinson
+    shifts for a complex matrix, or Francis double-shift QR (EISPACK
+    [hqr]) in real arithmetic, at about a quarter of the flops, for a
+    real one.  {!eigen} adds vectors by inverse iteration. *)
 
 exception No_convergence
 (** Raised when the QR iteration fails to deflate within the iteration
@@ -12,11 +11,9 @@ exception No_convergence
 (** Eigenvalues of a square complex matrix, in no particular order. *)
 val eigenvalues : Cmat.t -> Cx.t array
 
-(** Eigenvalues of a real matrix (conjugate-paired up to roundoff). *)
+(** Eigenvalues of a real matrix: complex pairs are exactly conjugate
+    and real eigenvalues have [im] exactly [0.]. *)
 val eigenvalues_real : Rmat.t -> Cx.t array
-
-(** [sort_by_magnitude vs] returns a copy sorted by decreasing modulus. *)
-val sort_by_magnitude : Cx.t array -> Cx.t array
 
 (** [right_vectors a values] computes (approximate) right eigenvectors
     for the given eigenvalues by shifted inverse iteration: column [i]

@@ -57,9 +57,20 @@ let check ?(tol = 1e-8) ?(gamma_margin = 1e-6) sys =
           [ [ f; top_right ];
             [ bottom_left; Cmat.neg (Cmat.ctranspose f) ] ]
       in
-      let eigs = Eig.eigenvalues ham in
+      let eigs =
+        if Cmat.max_imag ham = 0. then Eig.eigenvalues_real (Cmat.real_part ham)
+        else Eig.eigenvalues ham
+      in
       let scale =
         Array.fold_left (fun acc e -> Stdlib.max acc (Cx.abs e)) 1e-300 eigs
+      in
+      (* jw is an eigenvalue only if gamma is a singular value of S(jw):
+         a candidate whose imaginary part is roundoff on a real (or
+         off-axis) eigenvalue fails that test *)
+      let confirmed f =
+        Array.exists
+          (fun sv -> abs_float (sv -. gamma) <= sqrt tol *. gamma)
+          (Svd.values (Descriptor.eval_freq sys f))
       in
       let crossings =
         Array.to_list eigs
@@ -68,6 +79,7 @@ let check ?(tol = 1e-8) ?(gamma_margin = 1e-6) sys =
               Some (e.Cx.im /. (2. *. Float.pi))
             else None)
         |> List.sort_uniq compare
+        |> List.filter confirmed
       in
       match crossings with
       | [] -> Passive
@@ -77,6 +89,5 @@ let check ?(tol = 1e-8) ?(gamma_margin = 1e-6) sys =
 
 let max_violation sys ~freqs =
   Array.fold_left
-    (fun acc f ->
-      Stdlib.max acc (Svd.norm2 (Statespace.Descriptor.eval_freq sys f) -. 1.))
-    neg_infinity freqs
+    (fun acc h -> Stdlib.max acc (Svd.norm2 h -. 1.))
+    neg_infinity (Statespace.Descriptor.eval_grid sys freqs)

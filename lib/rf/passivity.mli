@@ -26,9 +26,11 @@ type verdict =
     frequencies where [sigma_max (S(jw))] crosses [gamma].  The margin
     keeps physically borderline models — lossless circuits reflect fully
     at infinite frequency, so [sigma_max D = 1] exactly — on the passive
-    side; tighten it to hunt for grazing violations.  [tol] is the
-    relative threshold under which a Hamiltonian eigenvalue counts as
-    purely imaginary (default [1e-8]).
+    side; tighten it to hunt for grazing violations.  A crossing is a
+    Hamiltonian eigenvalue with [|Re| <= tol * spectral radius] (default
+    [1e-8]) and [Im = w > 0] where [gamma] lies within [sqrt tol * gamma]
+    of a singular value of [S(jw)]: that rejects a real eigenvalue whose
+    imaginary part is roundoff.
 
     Singular-[E] models are reduced with {!Statespace.Descriptor.to_proper}
     first; an index > 1 descriptor raises [Invalid_argument]. *)

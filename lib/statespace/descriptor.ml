@@ -37,6 +37,192 @@ let eval sys s =
   end
 
 let eval_freq sys f = eval sys (Cx.jw (2. *. Float.pi *. f))
+
+(* Hessenberg-triangular reduction of the real pencil (the first stage
+   of Moler & Stewart's QZ, no E inverse formed): Givens rotations Q, Z
+   with Q^T A Z upper Hessenberg and Q^T E Z upper triangular, carrying
+   Q^T B and C Z.  Column-major arrays, overwritten. *)
+let hessenberg_triangular ~n ~m ~p a e b c =
+  let rotation x y =
+    let r = Float.hypot x y in
+    if r = 0. then (1., 0.) else (x /. r, y /. r)
+  in
+  (* rows i-1, i of an n-row matrix, columns j0..j1: [cs sn; -sn cs] *)
+  let rot_rows x i j0 j1 cs sn =
+    for jcol = j0 to j1 do
+      let o = (jcol * n) + i in
+      let u = x.(o - 1) and v = x.(o) in
+      x.(o - 1) <- (cs *. u) +. (sn *. v);
+      x.(o) <- (cs *. v) -. (sn *. u)
+    done
+  in
+  (* columns j-1, j of a [rows]-row matrix, rows 0..imax *)
+  let rot_cols x rows j imax cs sn =
+    let o1 = (j - 1) * rows and o2 = j * rows in
+    for i = 0 to imax do
+      let u = x.(o1 + i) and v = x.(o2 + i) in
+      x.(o1 + i) <- (cs *. u) +. (sn *. v);
+      x.(o2 + i) <- (cs *. v) -. (sn *. u)
+    done
+  in
+  (* E := Q1^T E upper triangular *)
+  for jcol = 0 to n - 2 do
+    for i = n - 1 downto jcol + 1 do
+      let y = e.(i + (jcol * n)) in
+      if y <> 0. then begin
+        let cs, sn = rotation e.(i - 1 + (jcol * n)) y in
+        rot_rows e i jcol (n - 1) cs sn;
+        rot_rows a i 0 (n - 1) cs sn;
+        rot_rows b i 0 (m - 1) cs sn;
+        e.(i + (jcol * n)) <- 0.
+      end
+    done
+  done;
+  (* A to Hessenberg; each row rotation's fill in E is chased out by a
+     column rotation *)
+  for jcol = 0 to n - 3 do
+    for i = n - 1 downto jcol + 2 do
+      let y = a.(i + (jcol * n)) in
+      if y <> 0. then begin
+        let cs, sn = rotation a.(i - 1 + (jcol * n)) y in
+        rot_rows a i jcol (n - 1) cs sn;
+        rot_rows e i (i - 1) (n - 1) cs sn;
+        rot_rows b i 0 (m - 1) cs sn;
+        a.(i + (jcol * n)) <- 0.;
+        let u = e.(i + ((i - 1) * n)) in
+        if u <> 0. then begin
+          let cs, sn = rotation e.(i + (i * n)) (-.u) in
+          rot_cols a n i (n - 1) cs sn;
+          rot_cols e n i i cs sn;
+          rot_cols c p i (p - 1) cs sn;
+          e.(i + ((i - 1) * n)) <- 0.
+        end
+      end
+    done
+  done
+
+(* Gaussian elimination on the upper Hessenberg [s T - H] (from
+   {!hessenberg_triangular}), pivoting only between adjacent rows,
+   applied to the real n x m right-hand side [qb]; then [cz x + d].
+   [ur]/[ui] and [xr]/[xi] are row-major scratch.  [None] on a zero
+   pivot. *)
+let hessenberg_point ~n ~m ~p h t qb cz d (s : Cx.t) ur ui xr xi =
+  for i = 0 to n - 1 do
+    for jcol = Stdlib.max (i - 1) 0 to n - 1 do
+      let tij = t.(i + (jcol * n)) in
+      ur.((i * n) + jcol) <- (s.Cx.re *. tij) -. h.(i + (jcol * n));
+      ui.((i * n) + jcol) <- s.Cx.im *. tij
+    done;
+    for c = 0 to m - 1 do
+      xr.((i * m) + c) <- qb.(i + (c * n));
+      xi.((i * m) + c) <- 0.
+    done
+  done;
+  let swap arr a b len =
+    for t = 0 to len - 1 do
+      let x = arr.(a + t) in
+      arr.(a + t) <- arr.(b + t);
+      arr.(b + t) <- x
+    done
+  in
+  let row_op vr vi lr li top bot len =
+    for t = 0 to len - 1 do
+      let tr = Array.unsafe_get vr (top + t)
+      and ti = Array.unsafe_get vi (top + t) in
+      Array.unsafe_set vr (bot + t)
+        (Array.unsafe_get vr (bot + t) -. (lr *. tr) +. (li *. ti));
+      Array.unsafe_set vi (bot + t)
+        (Array.unsafe_get vi (bot + t) -. (lr *. ti) -. (li *. tr))
+    done
+  in
+  let singular = ref false and k = ref 0 in
+  while (not !singular) && !k < n do
+    let k' = !k in
+    let dk = (k' * n) + k' in
+    let sub = dk + n in
+    let mag o = (ur.(o) *. ur.(o)) +. (ui.(o) *. ui.(o)) in
+    if k' < n - 1 && mag sub > mag dk then begin
+      swap ur dk sub (n - k');
+      swap ui dk sub (n - k');
+      swap xr (k' * m) ((k' + 1) * m) m;
+      swap xi (k' * m) ((k' + 1) * m) m
+    end;
+    let pr = ur.(dk) and pi = ui.(dk) in
+    let pmag = (pr *. pr) +. (pi *. pi) in
+    if pmag = 0. then singular := true
+    else if k' < n - 1 then begin
+      (* row k+1 -= l row k, l = u(k+1,k) / u(k,k) *)
+      let ar = ur.(sub) and ai = ui.(sub) in
+      let lr = ((ar *. pr) +. (ai *. pi)) /. pmag in
+      let li = ((ai *. pr) -. (ar *. pi)) /. pmag in
+      row_op ur ui lr li (dk + 1) (sub + 1) (n - k' - 1);
+      row_op xr xi lr li (k' * m) ((k' + 1) * m) m
+    end;
+    incr k
+  done;
+  if !singular then None
+  else begin
+    (* back substitution with the upper triangular factor, in place *)
+    for k = n - 1 downto 0 do
+      let ko = k * n and xo = k * m in
+      for jcol = k + 1 to n - 1 do
+        let vr = ur.(ko + jcol) and vi = ui.(ko + jcol) and jo = jcol * m in
+        for c = 0 to m - 1 do
+          let yr = Array.unsafe_get xr (jo + c)
+          and yi = Array.unsafe_get xi (jo + c) in
+          Array.unsafe_set xr (xo + c)
+            (Array.unsafe_get xr (xo + c) -. (vr *. yr) +. (vi *. yi));
+          Array.unsafe_set xi (xo + c)
+            (Array.unsafe_get xi (xo + c) -. (vr *. yi) -. (vi *. yr))
+        done
+      done;
+      let pr = ur.(ko + k) and pi = ui.(ko + k) in
+      let pmag = (pr *. pr) +. (pi *. pi) in
+      for c = 0 to m - 1 do
+        let br = xr.(xo + c) and bi = xi.(xo + c) in
+        xr.(xo + c) <- ((br *. pr) +. (bi *. pi)) /. pmag;
+        xi.(xo + c) <- ((bi *. pr) -. (br *. pi)) /. pmag
+      done
+    done;
+    let out = Cmat.copy d in
+    let ore = Cmat.unsafe_re out and oim = Cmat.unsafe_im out in
+    for k = 0 to n - 1 do
+      for i = 0 to p - 1 do
+        let w = cz.(i + (k * p)) in
+        for c = 0 to m - 1 do
+          ore.(i + (c * p)) <- ore.(i + (c * p)) +. (w *. xr.((k * m) + c));
+          oim.(i + (c * p)) <- oim.(i + (c * p)) +. (w *. xi.((k * m) + c))
+        done
+      done
+    done;
+    Some out
+  end
+
+let eval_grid sys freqs =
+  let n = order sys in
+  let real m = Cmat.max_imag m = 0. in
+  if
+    n = 0
+    || not (real sys.e && real sys.a && real sys.b && real sys.c)
+    || Fault.armed "lu.singular"
+  then Array.map (eval_freq sys) freqs
+  else begin
+    let m = inputs sys and p = outputs sys in
+    let part x = Array.copy (Cmat.unsafe_re x) in
+    let h = part sys.a and t = part sys.e and qb = part sys.b
+    and cz = part sys.c in
+    hessenberg_triangular ~n ~m ~p h t qb cz;
+    let ur = Array.make (n * n) 0. and ui = Array.make (n * n) 0. in
+    let xr = Array.make (n * m) 0. and xi = Array.make (n * m) 0. in
+    Array.map
+      (fun f ->
+        let s = Cx.jw (2. *. Float.pi *. f) in
+        match hessenberg_point ~n ~m ~p h t qb cz sys.d s ur ui xr xi with
+        | Some g -> g
+        | None -> eval_freq sys f)
+      freqs
+  end
+
 let dc_gain sys = eval sys Cx.zero
 
 let is_real ?(tol = 1e-8) sys =

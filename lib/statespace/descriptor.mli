@@ -47,6 +47,13 @@ val eval : t -> Linalg.Cx.t -> Linalg.Cmat.t
 (** [eval_freq sys f] evaluates at [s = j 2 pi f]. *)
 val eval_freq : t -> float -> Linalg.Cmat.t
 
+(** [eval_grid sys freqs] is [Array.map (eval_freq sys) freqs] up to
+    roundoff.  An exactly real model is reduced once to
+    Hessenberg-triangular form, then each point is one O(n^2 m)
+    Hessenberg elimination; a zero pivot or a complex model uses
+    {!eval_freq}. *)
+val eval_grid : t -> float array -> Linalg.Cmat.t array
+
 (** [dc_gain sys] is [H(0)]. *)
 val dc_gain : t -> Linalg.Cmat.t
 

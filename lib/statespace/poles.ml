@@ -18,7 +18,10 @@ let finite_poles ?(infinite_tol = 1e8) sys =
       invalid_arg "Poles.finite_poles: pencil singular at the chosen shift"
     | f ->
       let m = Lu.solve f sys.e in
-      let eigs = Eig.eigenvalues m in
+      let eigs =
+        if Cmat.max_imag m = 0. then Eig.eigenvalues_real (Cmat.real_part m)
+        else Eig.eigenvalues m
+      in
       let poles = ref [] in
       Array.iter
         (fun mu ->
@@ -29,15 +32,6 @@ let finite_poles ?(infinite_tol = 1e8) sys =
       Array.of_list (List.rev !poles)
   end
 
-let spectral_abscissa ?infinite_tol sys =
-  let poles = finite_poles ?infinite_tol sys in
-  Array.fold_left (fun acc p -> Stdlib.max acc (Cx.re p)) neg_infinity poles
-
 let is_stable ?infinite_tol sys =
   let poles = finite_poles ?infinite_tol sys in
   Array.for_all (fun p -> Cx.re p < 0.) poles
-
-let reflect_unstable poles =
-  Array.map
-    (fun (p : Cx.t) -> if p.Cx.re > 0. then Cx.make (-.p.Cx.re) p.Cx.im else p)
-    poles

@@ -12,12 +12,5 @@
     infinity and dropped (default tol [1e8]). *)
 val finite_poles : ?infinite_tol:float -> Descriptor.t -> Linalg.Cx.t array
 
-(** Largest real part over the finite poles ([neg_infinity] when none). *)
-val spectral_abscissa : ?infinite_tol:float -> Descriptor.t -> float
-
 (** A system is stable when every finite pole satisfies [Re < 0]. *)
 val is_stable : ?infinite_tol:float -> Descriptor.t -> bool
-
-(** [reflect_unstable poles] flips any pole with positive real part into
-    the left half plane (the standard vector-fitting safeguard). *)
-val reflect_unstable : Linalg.Cx.t array -> Linalg.Cx.t array

@@ -484,6 +484,136 @@ let test_noisy_fits_certified_or_refused () =
   Alcotest.(check bool) "majority certified" true (!certified >= 3)
 
 (* ------------------------------------------------------------------ *)
+(* The exactly-real path: Hessenberg sweep and the crossing rule *)
+
+(* the reduce-plane device: a 64x64 resistive plane, 8 ports, 16 decaps,
+   Krylov-reduced over 1e5-1e9 Hz to an exactly real order-92 model
+   with sigma_max D = 1 *)
+let plane_model =
+  lazy
+    (let spec =
+       { Rf.Pdn.default_spec with
+         nx = 64; ny = 64; ports = 8; decaps = 16; plane_rl = false; seed = 7 }
+     in
+     let options =
+       { Krylov.default_options with
+         f_lo = 1e5; f_hi = 1e9; shifts = 8; max_order = 240; tol = 1e-6;
+         z0 = Some 50. }
+     in
+     match Krylov.reduce ~options (Krylov.of_mna (Rf.Pdn.build spec)) with
+     | Ok kr -> Engine.Model.descriptor kr.Krylov.model
+     | Error e -> fail_error "plane reduce" e)
+
+let plane_freqs = Sampling.logspace 1e5 1e9 64
+
+let check_sweep_agrees what sys freqs =
+  let grid = Descriptor.eval_grid sys freqs in
+  Array.iteri
+    (fun i f ->
+      let h = Descriptor.eval_freq sys f in
+      let rel = Cmat.norm_fro (Cmat.sub grid.(i) h) /. Cmat.norm_fro h in
+      if not (rel <= 1e-10) then
+        Alcotest.failf "%s: sweep and eval_freq differ by %.3g at %g Hz" what
+          rel f)
+    freqs
+
+let test_sweep_agrees_with_eval () =
+  let freqs = Array.append [| 0. |] low_freqs in
+  List.iter
+    (fun (what, sys) -> check_sweep_agrees what sys freqs)
+    [ ("passive", passive_sys); ("mild", mild_violator);
+      ("incurable", incurable); ("unstable", unstable_sys) ];
+  List.iter
+    (fun seed ->
+      let noisy, _ = noisy_fit seed in
+      match Engine.fit_result ~options:(fit_options Certify.Off) noisy with
+      | Ok f ->
+        check_sweep_agrees (Printf.sprintf "fit %d" seed) f.Engine.model
+          (Array.append [| 0. |]
+             (Array.map (fun s -> s.Sampling.freq) noisy))
+      | Error e -> fail_error "fit" e)
+    [ 12; 41 ];
+  check_sweep_agrees "plane" (Lazy.force plane_model)
+    (Array.append [| 0.; 1e3 |] plane_freqs)
+
+let test_sweep_singular_point () =
+  (* poles at +-jw0 on the axis: s I - A is exactly singular at f0, so
+     the sweep's elimination meets a zero pivot and hands the point to
+     eval_freq, whose LU takes the column-pivoted QR fallback *)
+  let f0 = 3. in
+  let w0 = 2. *. Float.pi *. f0 in
+  let sys =
+    Descriptor.of_state_space
+      ~a:(Cmat.of_rows [ [ Cx.zero; cx (-.w0) 0. ]; [ cx w0 0.; Cx.zero ] ])
+      ~b:(Cmat.identity 2) ~c:(Cmat.identity 2) ~d:(Cmat.zeros 2 2)
+  in
+  let grid, diag = Diag.with_collector (fun () -> Descriptor.eval_grid sys [| 1.; f0 |]) in
+  let direct, _ = Diag.with_collector (fun () -> Descriptor.eval_freq sys f0) in
+  Alcotest.(check bool) "QR fallback recorded" true
+    (Diag.recorded diag "lu.qr_fallback");
+  Alcotest.(check bool) "today's fallback answer" true
+    (Cmat.equal ~tol:0. direct grid.(1));
+  check_sweep_agrees "regular point" sys [| 1. |];
+  (* the lu.singular fault keeps every point on the per-point LU path *)
+  let _, faulted =
+    Fault.with_spec "lu.singular" (fun () ->
+        Diag.with_collector (fun () -> Descriptor.eval_grid sys [| 1. |]))
+  in
+  Alcotest.(check bool) "fault reaches the per-point LU" true
+    (Diag.recorded faulted "lu.qr_fallback")
+
+let test_plane_certified_in_check_mode () =
+  (* the Hamiltonian of this model is scaled 1.9e14 (R = gamma^2 I - D^T D
+     ~ 2e-6 I) and has a real eigenvalue pair near +-7.8e5; a complex QR
+     returns it with Im ~ 0.04, which used to count as a crossing at
+     0.0069 Hz although sigma_max S - 1 ~ -2.3e-4 there *)
+  let sys = Lazy.force plane_model in
+  Alcotest.(check int) "order" 92 (Descriptor.order sys);
+  (* a complex-typed copy runs the complex kernel, which still returns
+     the pair off the real axis: the singular-value confirmation must
+     reject it there too *)
+  let complex_typed =
+    let a = Cmat.copy sys.Descriptor.a in
+    let a00 = Cmat.get a 0 0 in
+    Cmat.set a 0 0 (cx a00.Cx.re (1e-30 *. abs_float a00.Cx.re));
+    Descriptor.create ~e:sys.Descriptor.e ~a ~b:sys.Descriptor.b
+      ~c:sys.Descriptor.c ~d:sys.Descriptor.d
+  in
+  List.iter
+    (fun (what, s) ->
+      match Rf.Passivity.check s with
+      | Rf.Passivity.Passive -> ()
+      | Rf.Passivity.Violations fs ->
+        Alcotest.failf "%s: spurious crossings at %s Hz" what
+          (String.concat ", " (List.map (Printf.sprintf "%.3g") fs))
+      | Rf.Passivity.Feedthrough_violation s ->
+        Alcotest.failf "%s: feedthrough %g" what s)
+    [ ("real", sys); ("complex-typed", complex_typed) ];
+  let options = { Certify.default_options with mode = Certify.Check } in
+  match Certify.run ~options ~freqs:plane_freqs sys with
+  | Ok (_, Some c) ->
+    Alcotest.(check bool) "certified" true (Certify.Certificate.passed c);
+    Alcotest.(check bool) "stable" true c.Certify.Certificate.stable
+  | Ok (_, None) -> Alcotest.fail "no certificate"
+  | Error e -> fail_error "check" e
+
+let test_complex_hamiltonian_confirms_crossings () =
+  (* a complex-typed copy of a violator takes the complex kernel, and
+     the singular-value confirmation keeps its true crossing *)
+  let sys = siso_gain 2.0 in
+  let nudged =
+    Descriptor.create ~e:sys.Descriptor.e ~a:(Cmat.scalar (cx (-1.) 1e-12))
+      ~b:sys.Descriptor.b ~c:sys.Descriptor.c ~d:sys.Descriptor.d
+  in
+  List.iter
+    (fun s ->
+      match Rf.Passivity.check s with
+      | Rf.Passivity.Violations [ f ] ->
+        check_close ~tol:1e-5 "crossing" (sqrt 3. /. (2. *. Float.pi)) f
+      | _ -> Alcotest.fail "true crossing lost")
+    [ sys; nudged ]
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "certify"
@@ -521,4 +651,13 @@ let () =
            test_admission_warn_and_open ]);
       ("property",
        [ Alcotest.test_case "noisy fits certified or refused" `Quick
-         test_noisy_fits_certified_or_refused ]) ]
+         test_noisy_fits_certified_or_refused ]);
+      ("real path",
+       [ Alcotest.test_case "sweep agrees with eval_freq" `Quick
+           test_sweep_agrees_with_eval;
+         Alcotest.test_case "sweep singular point" `Quick
+           test_sweep_singular_point;
+         Alcotest.test_case "plane certified in check mode" `Quick
+           test_plane_certified_in_check_mode;
+         Alcotest.test_case "complex hamiltonian keeps crossings" `Quick
+           test_complex_hamiltonian_confirms_crossings ]) ]

@@ -457,8 +457,13 @@ let test_eig_similarity_invariance () =
   let t = Cmat.random rng n n in
   let b = Lu.solve_mat t (Cmat.mul a t) in
   (* b = T^{-1} (A T): similar to A *)
-  let va = Eig.sort_by_magnitude (Eig.eigenvalues a) in
-  let vb = Eig.sort_by_magnitude (Eig.eigenvalues b) in
+  let by_magnitude vs =
+    let vs = Array.copy vs in
+    Array.sort (fun x y -> compare (Cx.abs y) (Cx.abs x)) vs;
+    vs
+  in
+  let va = by_magnitude (Eig.eigenvalues a) in
+  let vb = by_magnitude (Eig.eigenvalues b) in
   Array.iteri
     (fun i v -> check_small ~tol:1e-6 "similar spectra" (Cx.abs (Cx.sub v vb.(i))))
     va
@@ -476,6 +481,156 @@ let test_eig_right_vectors () =
       check_small ~tol:1e-7 "A v = lambda v"
         (Cmat.norm_fro (Cmat.sub lhs rhs) /. (1. +. Cx.abs lambda)))
     values
+
+(* Greedy nearest matching of [a] onto [b]: the worst distance over
+   the spectral radius of [b]. *)
+let spectrum_mismatch a b =
+  Alcotest.(check int) "same count" (Array.length b) (Array.length a);
+  let used = Array.make (Array.length b) false in
+  let radius = Array.fold_left (fun acc z -> Stdlib.max acc (Cx.abs z)) 0. b in
+  let worst = ref 0. in
+  Array.iter
+    (fun z ->
+      let best = ref (-1) and dist = ref infinity in
+      Array.iteri
+        (fun i w ->
+          let d = Cx.abs (Cx.sub z w) in
+          if (not used.(i)) && d < !dist then begin
+            best := i;
+            dist := d
+          end)
+        b;
+      used.(!best) <- true;
+      worst := Stdlib.max !worst !dist)
+    a;
+  if radius = 0. then !worst else !worst /. radius
+
+(* the real kernel's structure: every non-real value has a bitwise
+   conjugate partner *)
+let check_exact_pairs what vs =
+  Array.iter
+    (fun v ->
+      if v.Cx.im <> 0. then
+        Alcotest.(check bool) (what ^ ": exact conjugate") true
+          (Array.exists
+             (fun w -> w.Cx.re = v.Cx.re && w.Cx.im = -.v.Cx.im)
+             vs))
+    vs
+
+let check_kernels_agree what r =
+  let real = Eig.eigenvalues_real r in
+  check_exact_pairs what real;
+  let d = spectrum_mismatch real (Eig.eigenvalues (Cmat.of_real r)) in
+  if not (d <= 1e-10) then
+    Alcotest.failf "%s: real and complex kernels differ by %.3g x radius"
+      what d;
+  real
+
+let test_eig_real_kernel_random () =
+  let rng = Rng.create 211 in
+  List.iter
+    (fun n ->
+      ignore
+        (check_kernels_agree (Printf.sprintf "random %d" n)
+           (Rmat.random rng n n)))
+    [ 1; 2; 3; 4; 5; 7; 10; 16; 25; 40; 64; 100; 150; 200 ]
+
+let test_eig_real_kernel_special () =
+  let one = check_kernels_agree "1x1" (Rmat.of_rows [ [ 3. ] ]) in
+  Alcotest.(check bool) "1x1 exact" true (one = [| cx 3. 0. |]);
+  let rot = check_kernels_agree "rotation" (Rmat.of_rows [ [ 0.; -1. ]; [ 1.; 0. ] ]) in
+  Alcotest.(check bool) "rotation is +-j exactly" true
+    (Array.mem (cx 0. 1.) rot && Array.mem (cx 0. (-1.)) rot);
+  let zero = check_kernels_agree "zero" (Rmat.zeros 4 4) in
+  Alcotest.(check bool) "zero" true (Array.for_all (fun v -> v = Cx.zero) zero);
+  let jordan =
+    check_kernels_agree "jordan"
+      (Rmat.init 4 4 (fun i jcol ->
+           if i = jcol then 2. else if jcol = i + 1 then 1. else 0.))
+  in
+  Alcotest.(check bool) "jordan block" true
+    (Array.for_all (fun v -> v = cx 2. 0.) jordan);
+  (* companion of (x - 1)(x + 2)(x - 0.5)(x^2 - 2x + 5) *)
+  let poly =
+    List.fold_left
+      (fun p f ->
+        (* multiply coefficient lists, highest power first *)
+        let n = List.length p + List.length f - 1 in
+        let a = Array.of_list p and b = Array.of_list f in
+        List.init n (fun k ->
+            let acc = ref 0. in
+            Array.iteri
+              (fun i x ->
+                let jcol = k - i in
+                if jcol >= 0 && jcol < Array.length b then
+                  acc := !acc +. (x *. b.(jcol)))
+              a;
+            !acc))
+      [ 1. ]
+      [ [ 1.; -1. ]; [ 1.; 2. ]; [ 1.; -0.5 ]; [ 1.; -2.; 5. ] ]
+  in
+  let coeffs = Array.of_list (List.tl poly) in
+  let deg = Array.length coeffs in
+  let comp =
+    check_kernels_agree "companion"
+      (Rmat.init deg deg (fun i jcol ->
+           if i = 0 then -.coeffs.(jcol)
+           else if jcol = i - 1 then 1.
+           else 0.))
+  in
+  List.iter
+    (fun root ->
+      Alcotest.(check bool) "companion root" true (contains_eig comp root 1e-9))
+    [ cx 1. 0.; cx (-2.) 0.; cx 0.5 0.; cx 1. 2.; cx 1. (-2.) ];
+  (* exact real +- pairs: Q diag(3, -3, 1, -1) Q^T *)
+  let q = Qr.orthonormalize (Cmat.random_real (Rng.create 223) 4 4) in
+  let q = Cmat.real_part q in
+  let diag = [| 3.; -3.; 1.; -1. |] in
+  let sym =
+    Rmat.init 4 4 (fun i jcol ->
+        let acc = ref 0. in
+        for k = 0 to 3 do
+          acc := !acc +. (Rmat.get q i k *. diag.(k) *. Rmat.get q jcol k)
+        done;
+        !acc)
+  in
+  let pm = check_kernels_agree "real +- pairs" sym in
+  Alcotest.(check bool) "real values have Im exactly 0" true
+    (Array.for_all (fun v -> v.Cx.im = 0.) pm);
+  Array.iter
+    (fun d ->
+      Alcotest.(check bool) "+- pair value" true (contains_eig pm (cx d 0.) 1e-12))
+    diag
+
+let test_eig_hamiltonian_symmetry () =
+  (* M = [[F, G], [K, -F^T]] with G, K symmetric: lambda and -conj lambda
+     are both eigenvalues *)
+  let rng = Rng.create 227 in
+  let n = 12 in
+  let f = Rmat.random rng n n in
+  let x = Rmat.random rng n n and y = Rmat.random rng n n in
+  let gram a sign =
+    Rmat.init n n (fun i jcol ->
+        let acc = ref 0. in
+        for k = 0 to n - 1 do
+          acc := !acc +. (Rmat.get a i k *. Rmat.get a jcol k)
+        done;
+        sign *. !acc)
+  in
+  let g = gram x 1. and k = gram y (-1.) in
+  let m =
+    Rmat.init (2 * n) (2 * n) (fun i jcol ->
+        match (i < n, jcol < n) with
+        | true, true -> Rmat.get f i jcol
+        | true, false -> Rmat.get g i (jcol - n)
+        | false, true -> Rmat.get k (i - n) jcol
+        | false, false -> -.Rmat.get f (jcol - n) (i - n))
+  in
+  let vs = check_kernels_agree "hamiltonian" m in
+  let mirrored = Array.map (fun v -> Cx.neg (Cx.conj v)) vs in
+  let d = spectrum_mismatch mirrored vs in
+  if not (d <= 1e-10) then
+    Alcotest.failf "spectrum not +-conj symmetric: %.3g x radius" d
 
 let test_eig_diag_large () =
   (* large diagonal + small perturbation: eigenvalues near diagonal *)
@@ -1017,7 +1172,13 @@ let () =
          Alcotest.test_case "real conjugate pairs" `Quick test_eig_real_conjugate_pairs;
          Alcotest.test_case "similarity invariance" `Quick test_eig_similarity_invariance;
          Alcotest.test_case "right vectors" `Quick test_eig_right_vectors;
-         Alcotest.test_case "diagonal dominant" `Quick test_eig_diag_large ]);
+         Alcotest.test_case "diagonal dominant" `Quick test_eig_diag_large;
+         Alcotest.test_case "real kernel: random" `Quick
+           test_eig_real_kernel_random;
+         Alcotest.test_case "real kernel: special cases" `Quick
+           test_eig_real_kernel_special;
+         Alcotest.test_case "real kernel: hamiltonian symmetry" `Quick
+           test_eig_hamiltonian_symmetry ]);
       ("lyapunov",
        [ Alcotest.test_case "solve" `Quick test_lyapunov_solve;
          Alcotest.test_case "hermitian psd" `Quick test_lyapunov_hermitian_psd;
