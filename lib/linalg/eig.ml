@@ -20,7 +20,9 @@ let balance_parts n magnitude parts =
           cnorm := !cnorm +. magnitude (jcol + (i * n))
         end
       done;
-      if !rnorm > 0. && !cnorm > 0. then begin
+      (* an infinite norm would never leave the scaling loops below *)
+      if !rnorm > 0. && !cnorm > 0. && Float.is_finite (!rnorm +. !cnorm)
+      then begin
         let f = ref 1. in
         let s = !cnorm +. !rnorm in
         while !cnorm < !rnorm /. 2. do

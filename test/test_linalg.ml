@@ -594,6 +594,20 @@ let test_eig_real_kernel_special () =
         done;
         !acc)
   in
+  (* non-finite input is a typed failure for both kernels, not a hang *)
+  List.iter
+    (fun bad ->
+      let r =
+        Rmat.init 5 5 (fun i jcol ->
+            if i = 2 && jcol = 3 then bad else float_of_int (i + jcol))
+      in
+      (match Eig.eigenvalues_real r with
+       | exception Eig.No_convergence -> ()
+       | _ -> Alcotest.failf "real kernel accepted %g" bad);
+      match Eig.eigenvalues (Cmat.of_real r) with
+      | exception Eig.No_convergence -> ()
+      | _ -> Alcotest.failf "complex kernel accepted %g" bad)
+    [ nan; infinity ];
   let pm = check_kernels_agree "real +- pairs" sym in
   Alcotest.(check bool) "real values have Im exactly 0" true
     (Array.for_all (fun v -> v.Cx.im = 0.) pm);
