@@ -59,7 +59,7 @@ let run ?(smoke = false) () =
   (* ---------------------------------------------------------------- *)
   (* correctness gate *)
 
-  let compiled = Serve.Compiled.of_descriptor ~tol:1e-11 sys in
+  let compiled = Serve.Compiled.of_descriptor sys in
   (match Serve.Compiled.mode compiled with
    | Serve.Compiled.Pole_residue -> ()
    | Serve.Compiled.Direct ->

@@ -60,8 +60,7 @@ let run ?(smoke = false) () =
       certify = Mfti.Certify.Off }
   in
   let aopts =
-    { Mfti.Adaptive.default_options with
-      surrogate = options; count = step }
+    { Mfti.Adaptive.surrogate = options; count = step }
   in
   let oracle freqs = Rf.Pdn.scattering spec ~z0:50. freqs in
   (* hold-out points sit at their own log spacing, coprime with both

@@ -102,14 +102,7 @@ let load ?(policy = Rf.Touchstone.Strict) path =
 let print_diagnostics diag =
   Printf.eprintf "diagnostics: %s\n%!" (Linalg.Diag.summary diag)
 
-let weight_of_width ~samples w =
-  if w = 0 then Tangential.Full
-  else begin
-    let p, m = Sampling.port_dims samples in
-    ignore p;
-    ignore m;
-    Tangential.Uniform w
-  end
+let weight_of_width w = if w = 0 then Tangential.Full else Tangential.Uniform w
 
 let rank_rule_of_tol tol =
   if tol = 0. then Svd_reduce.Gap else Svd_reduce.Tol tol
@@ -167,14 +160,14 @@ let symmetrize_arg =
 
 (* The three Loewner paths of `fit` and `pack` are strategies over the
    same engine: display name, strategy and options. *)
-let loewner_setup ~samples ~width ~rank_tol ~seed ~certify alg =
+let loewner_setup ~width ~rank_tol ~seed ~certify alg =
   let rank_rule = rank_rule_of_tol rank_tol in
   let directions = Direction.Orthonormal seed in
   let base = { Engine.default_options with rank_rule; directions; certify } in
   match alg with
   | `Mfti ->
     ("MFTI", Engine.Direct,
-     { base with weight = weight_of_width ~samples width })
+     { base with weight = weight_of_width width })
   | `Vfti -> ("VFTI", Engine.Vector, base)
   | `Mfti2 ->
     ( "MFTI-2", Engine.Recursive Engine.Incremental,
@@ -251,7 +244,7 @@ let run_fit path policy algorithm width rank_tol seed poles save_model plot
      post_process "VF" d
    | (`Mfti | `Vfti | `Mfti2) as alg ->
      let name, strategy, options =
-       loewner_setup ~samples ~width ~rank_tol ~seed ~certify:certify_mode alg
+       loewner_setup ~width ~rank_tol ~seed ~certify:certify_mode alg
      in
      let r = Engine.fit ~options ~strategy samples in
      (match alg with
@@ -485,7 +478,7 @@ let run_engine path policy strategy width rank_tol seed batch threshold
         (match strategy with
          | Engine.Recursive _ ->
            Tangential.Uniform (if width = 0 then 2 else width)
-         | Engine.Direct | Engine.Vector -> weight_of_width ~samples width);
+         | Engine.Direct | Engine.Vector -> weight_of_width width);
       rank_rule = rank_rule_of_tol rank_tol;
       directions = Direction.Orthonormal seed;
       batch; threshold; max_iterations;
@@ -824,7 +817,7 @@ let fit_to_model ~algorithm ~width ~rank_tol ~seed ~poles ~certify samples =
         | Error e -> Linalg.Mfti_error.raise_error e))
   | (`Mfti | `Vfti | `Mfti2) as alg ->
     let _, strategy, options =
-      loewner_setup ~samples ~width ~rank_tol ~seed ~certify alg
+      loewner_setup ~width ~rank_tol ~seed ~certify alg
     in
     Engine.Model.of_fit (Engine.fit ~options ~strategy samples)
 

@@ -4,15 +4,17 @@ open Statespace
 type options = {
   surrogate : Engine.options;
   count : int;
-  grid : int;
-  min_gap : float;
 }
 
 let default_options =
   { surrogate = { Engine.default_options with certify = Certify.Off };
-    count = 8;
-    grid = 64;
-    min_gap = 0.02 }
+    count = 8 }
+
+(* Candidate grid size when none is supplied, and the minimum spacing in
+   decades between two suggestions and between a suggestion and an
+   existing sample. *)
+let grid = 64
+let min_gap = 0.02
 
 type score = {
   freq : float;
@@ -63,8 +65,6 @@ let interp_data sorted f =
 let suggest ?(options = default_options) ?candidates samples =
   Mfti_error.guard ~context (fun () ->
       if options.count < 1 then invalid "count must be >= 1";
-      if options.grid < 2 then invalid "grid must be >= 2";
-      if not (options.min_gap >= 0.) then invalid "min_gap must be >= 0";
       if Array.length samples < 8 then
         invalid
           (Printf.sprintf
@@ -87,10 +87,10 @@ let suggest ?(options = default_options) ?candidates samples =
                   (Printf.sprintf "candidate %g must be finite and positive" f))
             c;
           c
-        | None -> Sampling.logspace f_lo f_hi options.grid
+        | None -> Sampling.logspace f_lo f_hi grid
       in
       (* drop candidates sitting on top of an existing sample *)
-      let gap_ok f g = Float.abs (log10 f -. log10 g) >= options.min_gap in
+      let gap_ok f g = Float.abs (log10 f -. log10 g) >= min_gap in
       let fresh =
         Array.to_list candidates
         |> List.filter (fun f ->

@@ -18,14 +18,10 @@ type options = {
           never run here); match the session's options so the surrogates
           probe the same model class *)
   count : int;          (** maximum suggestions returned *)
-  grid : int;           (** candidate grid size when none is supplied *)
-  min_gap : float;
-      (** minimum spacing, in decades, between two suggestions and
-          between a suggestion and an existing sample *)
 }
 
 (** [Engine.default_options] surrogates ([certify] forced off), 8
-    suggestions over a 64-point grid, 0.02-decade spacing. *)
+    suggestions. *)
 val default_options : options
 
 (** One scored candidate frequency. *)
@@ -38,9 +34,9 @@ type score = {
 
 (** [suggest ?options ?candidates samples] ranks the next-best
     frequencies to measure given the accepted fit [samples] in stream
-    order.  [candidates] defaults to a log grid spanning the sampled
-    band; candidates closer than [min_gap] decades to an existing
-    sample are excluded.  Needs at least 8 samples (two surrogate
+    order.  [candidates] defaults to a 64-point log grid spanning the
+    sampled band; candidates closer than 0.02 decades to an existing
+    sample are excluded, and so are two suggestions that close.  Needs at least 8 samples (two surrogate
     halves of two pairs each) — fewer is a typed [Validation] error.
     Deterministic: same samples, same options, same suggestions. *)
 val suggest :

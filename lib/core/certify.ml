@@ -32,21 +32,26 @@ type mode = Off | Check | Repair
 type options = {
   mode : mode;
   check_passivity : bool;
-  gamma_margin : float;
-  sweep_points : int;
-  repair_limit : float;
-  max_repair : int;
-  max_reflect_residual : float;
 }
 
-let default_options =
-  { mode = Repair;
-    check_passivity = true;
-    gamma_margin = 1e-6;
-    sweep_points = 128;
-    repair_limit = 0.25;
-    max_repair = 8;
-    max_reflect_residual = 1e-3 }
+let default_options = { mode = Repair; check_passivity = true }
+
+(* Passivity level [1 + gamma_margin], the same level
+   [Rf.Passivity.check] tests; the margin keeps lossless boundary models
+   passive. *)
+let gamma_margin = 1e-6
+
+(* Sampled margin sweep resolution. *)
+let sweep_points = 128
+
+(* Violations above this sampled margin are incurable. *)
+let repair_limit = 0.25
+
+(* Bounded repair retry loop length. *)
+let max_repair = 8
+
+(* Modal-decomposition trust threshold for pole reflection. *)
+let max_reflect_residual = 1e-3
 
 let breakdown ?condition message =
   Mfti_error.raise_error
@@ -55,7 +60,7 @@ let breakdown ?condition message =
 
 (* ---- sweep grid ------------------------------------------------------ *)
 
-let base_grid opts freqs =
+let base_grid freqs =
   let usable =
     Array.to_list freqs
     |> List.filter (fun f -> Float.is_finite f && f >= 0.)
@@ -64,16 +69,16 @@ let base_grid opts freqs =
   match usable with
   | [] ->
     (* no data grid (synthetic model): decade sweep over the RF band *)
-    List.init (Stdlib.max 2 opts.sweep_points) (fun i ->
-        let t = float_of_int i /. float_of_int (opts.sweep_points - 1) in
+    List.init (Stdlib.max 2 sweep_points) (fun i ->
+        let t = float_of_int i /. float_of_int (sweep_points - 1) in
         10. ** (12. *. t))
   | fs ->
     let n = List.length fs in
-    if n <= opts.sweep_points then fs
+    if n <= sweep_points then fs
     else
       let arr = Array.of_list fs in
-      let stride = float_of_int (n - 1) /. float_of_int (opts.sweep_points - 1) in
-      List.init opts.sweep_points (fun i ->
+      let stride = float_of_int (n - 1) /. float_of_int (sweep_points - 1) in
+      List.init sweep_points (fun i ->
           arr.(int_of_float (Float.round (float_of_int i *. stride))))
       |> List.sort_uniq compare
 
@@ -100,8 +105,8 @@ let refine grid crossings =
 
 (* The exact Hamiltonian test; an index > 1 descriptor degrades to the
    sampled sweep alone (recorded, not fatal). *)
-let hamiltonian opts sys =
-  match Rf.Passivity.check ~gamma_margin:opts.gamma_margin sys with
+let hamiltonian sys =
+  match Rf.Passivity.check sys with
   | v -> Some v
   | exception Invalid_argument _ ->
     Diag.record ~site:"certify.sweep_only"
@@ -115,20 +120,20 @@ let crossings_of = function
 (* Sampled worst margin [max (sigma_max S(jw) - 1)] over the refined
    grid, floored by the feedthrough margin (the w = inf sample).  The
    "certify.passivity_violation" fault forces an incurable violation. *)
-let sampled_margin opts grid sys verdict =
+let sampled_margin grid sys verdict =
   let m =
     Rf.Passivity.max_violation sys ~freqs:(refine grid (crossings_of verdict))
   in
   let m = Stdlib.max m (Svd.norm2 sys.Descriptor.d -. 1.) in
   if Fault.armed "certify.passivity_violation" then
-    1. +. 4. *. opts.repair_limit
+    1. +. 4. *. repair_limit
   else m
 
-let passivity_ok opts verdict margin =
+let passivity_ok verdict margin =
   (match verdict with
    | Some Rf.Passivity.Passive | None -> true
    | Some _ -> false)
-  && margin <= opts.gamma_margin
+  && margin <= gamma_margin
 
 (* Relative RMS transfer-function change over the grid — the price the
    repair paid in fit accuracy. *)
@@ -157,9 +162,9 @@ let check_only opts grid sys =
   let passive, margin =
     if not opts.check_passivity then (true, nan)
     else
-      let verdict = hamiltonian opts sys in
-      let margin = sampled_margin opts grid sys verdict in
-      (stable && passivity_ok opts verdict margin, margin)
+      let verdict = hamiltonian sys in
+      let margin = sampled_margin grid sys verdict in
+      (stable && passivity_ok verdict margin, margin)
   in
   { Certificate.stable; passive; flipped = 0; worst_margin = margin;
     pre_margin = margin; repair_iterations = 0; fit_delta = 0. }
@@ -170,7 +175,7 @@ let repair opts grid sys =
     if stable_now sys then (sys, 0)
     else begin
       let r =
-        Stabilize.reflect ~max_residual:opts.max_reflect_residual sys
+        Stabilize.reflect ~max_residual:max_reflect_residual sys
       in
       if not (stable_now r.Stabilize.model) then
         breakdown
@@ -187,21 +192,21 @@ let repair opts grid sys =
         fit_delta =
           (if flipped = 0 then 0. else fit_delta grid sys sys') } )
   else begin
-    let verdict0 = hamiltonian opts sys' in
-    let pre_margin = sampled_margin opts grid sys' verdict0 in
+    let verdict0 = hamiltonian sys' in
+    let pre_margin = sampled_margin grid sys' verdict0 in
     let cur = ref sys' in
     let iterations = ref 0 in
     let margin = ref pre_margin in
     let verdict = ref verdict0 in
-    let ok = ref (passivity_ok opts !verdict !margin
+    let ok = ref (passivity_ok !verdict !margin
                   && not (Fault.armed "certify.repair_stall")) in
-    while (not !ok) && !iterations < opts.max_repair do
-      if !margin > opts.repair_limit then
+    while (not !ok) && !iterations < max_repair do
+      if !margin > repair_limit then
         breakdown ~condition:!margin
           (Printf.sprintf
              "passivity violation %.3g exceeds the perturbative repair \
               limit %.3g: incurable (site certify.passivity_violation)"
-             !margin opts.repair_limit);
+             !margin repair_limit);
       let s = !cur in
       let sd = Svd.norm2 s.Descriptor.d in
       let repaired =
@@ -210,12 +215,12 @@ let repair opts grid sys =
           (* violated only at w = inf: contracting D alone suffices *)
           Descriptor.create ~e:s.Descriptor.e ~a:s.Descriptor.a
             ~b:s.Descriptor.b ~c:s.Descriptor.c
-            ~d:(Cmat.scale_float ((1. -. opts.gamma_margin) /. sd)
+            ~d:(Cmat.scale_float ((1. -. gamma_margin) /. sd)
                   s.Descriptor.d)
         | _ ->
           (* finite-frequency violation: contract the whole transfer
              function toward the bounded-real boundary *)
-          let k = (1. -. opts.gamma_margin) /. (1. +. Stdlib.max !margin 0.) in
+          let k = (1. -. gamma_margin) /. (1. +. Stdlib.max !margin 0.) in
           Descriptor.create ~e:s.Descriptor.e ~a:s.Descriptor.a
             ~b:s.Descriptor.b
             ~c:(Cmat.scale_float k s.Descriptor.c)
@@ -223,23 +228,23 @@ let repair opts grid sys =
       in
       cur := repaired;
       incr iterations;
-      verdict := hamiltonian opts repaired;
-      margin := sampled_margin opts grid repaired !verdict;
-      ok := passivity_ok opts !verdict !margin
+      verdict := hamiltonian repaired;
+      margin := sampled_margin grid repaired !verdict;
+      ok := passivity_ok !verdict !margin
             && not (Fault.armed "certify.repair_stall")
     done;
     if not !ok then begin
-      if !margin > opts.repair_limit then
+      if !margin > repair_limit then
         breakdown ~condition:!margin
           (Printf.sprintf
              "passivity violation %.3g exceeds the perturbative repair \
               limit %.3g: incurable (site certify.passivity_violation)"
-             !margin opts.repair_limit);
+             !margin repair_limit);
       Mfti_error.raise_error
         (Mfti_error.Non_convergence
            { context = "certify";
              achieved = !margin;
-             target = opts.gamma_margin;
+             target = gamma_margin;
              iterations = !iterations })
     end;
     let touched = flipped > 0 || !iterations > 0 in
@@ -254,10 +259,10 @@ let run ?(options = default_options) ~freqs sys =
   | Off -> Ok (sys, None)
   | Check ->
     Mfti_error.guard ~context:"certify" (fun () ->
-        let grid = base_grid options freqs in
+        let grid = base_grid freqs in
         (sys, Some (check_only options grid sys)))
   | Repair ->
     Mfti_error.guard ~context:"certify" (fun () ->
-        let grid = base_grid options freqs in
+        let grid = base_grid freqs in
         let sys', cert = repair options grid sys in
         (sys', Some cert))

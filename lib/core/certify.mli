@@ -14,21 +14,26 @@
 
     + {b Stability.}  Finite poles with [Re >= 0] are reflected into
       the left half-plane through {!Statespace.Stabilize.reflect};
-      the modal decomposition's residual is thresholded
-      ([max_reflect_residual]) so an untrustworthy flip is a typed
-      refusal, not a silently wrong model.
+      the modal decomposition's residual is thresholded (at [1e-3])
+      so an untrustworthy flip is a typed refusal, not a silently
+      wrong model.
     + {b Passivity.}  The Hamiltonian test {!Rf.Passivity.check}
       (exact, cannot miss violations between samples) combined with a
       sampled [sigma_max S(jw) - 1] margin sweep over the data band,
       refined around the Hamiltonian's crossing frequencies and the
-      interior of each violation band.
+      interior of each violation band (at most 128 strided points of
+      the data grid before refinement).
     + {b Perturbative repair.}  Small violations (worst sampled margin
-      at most [repair_limit]) are repaired by contracting the model
-      toward the bounded-real boundary: a pure feedthrough violation
-      scales [D] alone; finite-frequency violations scale the residues
-      ([C]) and [D] together by [(1 - gamma_margin) / (1 + worst)].
-      Re-test, bounded retry ([max_repair]); anything worse is
-      {e incurable} and refused with a typed error.
+      at most [0.25]) are repaired by contracting the model toward the
+      bounded-real boundary: a pure feedthrough violation scales [D]
+      alone; finite-frequency violations scale the residues ([C]) and
+      [D] together by [(1 - 1e-6) / (1 + worst)].  Re-test, at most 8
+      retries; anything worse is {e incurable} and refused with a
+      typed error.
+
+    The passivity level is [1 + 1e-6] throughout, the level of
+    {!Rf.Passivity.check}: the margin keeps lossless boundary models
+    passive.
 
     Every failure path is deterministic under the fault harness (see
     {!Linalg.Fault}): ["certify.unstable"] forces the post-reflection
@@ -43,7 +48,7 @@ module Certificate : sig
   type t = {
     stable : bool;           (** every finite pole has [Re < 0] *)
     passive : bool;          (** Hamiltonian test clean at level
-                                 [1 + gamma_margin] and sampled margin
+                                 [1 + 1e-6] and sampled margin
                                  within tolerance (always [false] when
                                  unstable; vacuously [true] when the
                                  passivity check was skipped) *)
@@ -78,23 +83,11 @@ type mode =
 
 type options = {
   mode : mode;
-  check_passivity : bool;        (** [false] for Y/Z-parameter data,
-                                     where bounded-realness is not the
-                                     right gate *)
-  gamma_margin : float;          (** passivity level is
-                                     [1 + gamma_margin]; keeps lossless
-                                     boundary models passive *)
-  sweep_points : int;            (** sampled margin sweep resolution *)
-  repair_limit : float;          (** violations above this sampled
-                                     margin are incurable *)
-  max_repair : int;              (** bounded retry loop length *)
-  max_reflect_residual : float;  (** modal-decomposition trust
-                                     threshold for pole reflection *)
+  check_passivity : bool;  (** [false] for Y/Z-parameter data, where
+                               bounded-realness is not the right gate *)
 }
 
-(** [Repair] mode, passivity on, margin [1e-6], 128 sweep points,
-    repair limit [0.25], 8 retries, reflection residual threshold
-    [1e-3]. *)
+(** [Repair] mode, passivity on. *)
 val default_options : options
 
 (** [run ?options ~freqs sys] certifies [sys] against the physical

@@ -638,11 +638,9 @@ module Model = struct
   let outputs m = Statespace.Descriptor.outputs m.descriptor
   let eval m s = Statespace.Descriptor.eval m.descriptor s
   let eval_freq m f = Statespace.Descriptor.eval_freq m.descriptor f
-  let poles ?infinite_tol m =
-    Statespace.Poles.finite_poles ?infinite_tol m.descriptor
-  let stable ?infinite_tol m =
-    Statespace.Poles.is_stable ?infinite_tol m.descriptor
-  let is_real ?tol m = Statespace.Descriptor.is_real ?tol m.descriptor
+  let poles m = Statespace.Poles.finite_poles m.descriptor
+  let stable m = Statespace.Poles.is_stable m.descriptor
+  let is_real m = Statespace.Descriptor.is_real m.descriptor
   let save path m = Statespace.Descriptor.save path m.descriptor
   let err m samples = Metrics.err m.descriptor samples
   let err_vector m samples = Metrics.err_vector m.descriptor samples

@@ -183,9 +183,9 @@ module Model : sig
   val outputs : t -> int
   val eval : t -> Linalg.Cx.t -> Linalg.Cmat.t
   val eval_freq : t -> float -> Linalg.Cmat.t
-  val poles : ?infinite_tol:float -> t -> Linalg.Cx.t array
-  val stable : ?infinite_tol:float -> t -> bool
-  val is_real : ?tol:float -> t -> bool
+  val poles : t -> Linalg.Cx.t array
+  val stable : t -> bool
+  val is_real : t -> bool
   val save : string -> t -> unit
 
   val err : t -> Statespace.Sampling.sample array -> float

@@ -24,11 +24,8 @@ type options = {
   f_lo : float;
   f_hi : float;
   shifts : int;
-  batch : int;
-  max_rounds : int;
   max_order : int;
   tol : float;
-  deflation_tol : float;
   holdout : int;
   z0 : float option;
 }
@@ -37,13 +34,19 @@ let default_options =
   { f_lo = 1e4;
     f_hi = 1e10;
     shifts = 8;
-    batch = 4;
-    max_rounds = 6;
     max_order = 240;
     tol = 1e-6;
-    deflation_tol = 1e-8;
     holdout = 9;
     z0 = None }
+
+(* Shifts added per adaptive round, and adaptive rounds after the
+   initial sweep. *)
+let batch = 4
+let max_rounds = 6
+
+(* A basis candidate whose residual after re-orthogonalization falls
+   below this fraction of its block norm deflates. *)
+let deflation_tol = 1e-8
 
 type reduction = {
   model : Engine.Model.t;
@@ -64,12 +67,8 @@ let validate_options o =
   else if not (Float.is_finite o.f_hi) || o.f_hi <= o.f_lo then
     Error (invalid "f_hi must exceed f_lo")
   else if o.shifts < 2 then Error (invalid "need at least 2 initial shifts")
-  else if o.batch < 1 then Error (invalid "batch must be positive")
-  else if o.max_rounds < 0 then Error (invalid "max_rounds must be >= 0")
   else if o.max_order < 2 then Error (invalid "max_order must be >= 2")
   else if not (o.tol > 0.) then Error (invalid "tol must be positive")
-  else if not (o.deflation_tol > 0.) then
-    Error (invalid "deflation_tol must be positive")
   else if o.holdout < 1 then Error (invalid "need at least 1 hold-out probe")
   else
     match o.z0 with
@@ -175,7 +174,7 @@ let project_out v ~upto w ~j0 ~j1 coef =
      clears [deflation_tol] is normalized and appended to [v] in place,
      the rest deflate.
    Returns how many columns were appended. *)
-let extend_basis ~deflation_tol ~room ~limit v w =
+let extend_basis ~room ~limit v w =
   let n = v.rows in
   let b = Array.length w / n in
   let k = v.cols in
@@ -379,8 +378,7 @@ let reduce ?(options = default_options) sys =
                let k = order () in
                (match
                   timed "basis" (fun () ->
-                    extend_basis ~deflation_tol:o.deflation_tol
-                      ~room:(max_order - k) ~limit:max_order v
+                    extend_basis ~room:(max_order - k) ~limit:max_order v
                       (Array.append (Cmat.unsafe_re x) (Cmat.unsafe_im x)))
                 with
                 | 0 ->
@@ -435,7 +433,7 @@ let reduce ?(options = default_options) sys =
               :: !gaps)
         sorted;
       List.sort (fun (a, _) (b, _) -> compare b a) !gaps
-      |> List.filteri (fun i _ -> i < o.batch)
+      |> List.filteri (fun i _ -> i < batch)
       |> List.map snd
     in
     let next_shifts worst_freq =
@@ -450,7 +448,7 @@ let reduce ?(options = default_options) sys =
         else
           match
             Adaptive.suggest
-              ~options:{ Adaptive.default_options with count = o.batch }
+              ~options:{ Adaptive.default_options with count = batch }
               (Sampling.of_matrices freqs mats)
           with
           | Ok scores -> List.map (fun s -> s.Adaptive.freq) scores
@@ -460,7 +458,7 @@ let reduce ?(options = default_options) sys =
       (* Always press on the worst probe: interpolation there kills the
          dominant error term even when the suggester looks elsewhere. *)
       let picks = if used worst_freq then picks else worst_freq :: picks in
-      List.filteri (fun i _ -> i < o.batch) picks
+      List.filteri (fun i _ -> i < batch) picks
     in
     let history = ref [] in
     let initial = Array.to_list (Sampling.logspace o.f_lo o.f_hi o.shifts) in
@@ -472,7 +470,7 @@ let reduce ?(options = default_options) sys =
          | Error _ as e -> e
          | Ok (err, worst_freq) ->
            history := err :: !history;
-           if err <= o.tol || i >= o.max_rounds || order () >= max_order
+           if err <= o.tol || i >= max_rounds || order () >= max_order
            then Ok ()
            else rounds (i + 1) (expand (next_shifts worst_freq)))
     in

@@ -52,14 +52,9 @@ type options = {
   f_lo : float;            (** band of interest, Hz *)
   f_hi : float;
   shifts : int;            (** initial log-spaced interpolation shifts *)
-  batch : int;             (** shifts added per adaptive round *)
-  max_rounds : int;        (** adaptive rounds after the initial sweep *)
   max_order : int;         (** hard cap on the reduced order *)
   tol : float;             (** stop when the max relative hold-out
                                error drops below this *)
-  deflation_tol : float;   (** drop basis candidates whose residual
-                               after re-orthogonalization falls below
-                               this fraction of the block norm *)
   holdout : int;           (** held-out probe frequencies (interleaved
                                with the shift grid, never equal to a
                                shift) *)
@@ -68,8 +63,11 @@ type options = {
                                reference before returning *)
 }
 
-(** [1e4 .. 1e10] Hz, 8 initial shifts, 4 per round, 6 rounds, order
-    cap 240, [tol = 1e-6], [z0 = None]. *)
+(** [1e4 .. 1e10] Hz, 8 initial shifts, order cap 240, [tol = 1e-6],
+    9 hold-out probes, [z0 = None].  Each adaptive round adds up to 4
+    shifts, for at most 6 rounds; a basis candidate deflates when its
+    residual after re-orthogonalization falls below [1e-8] of its
+    block norm. *)
 val default_options : options
 
 type reduction = {

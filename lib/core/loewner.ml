@@ -74,8 +74,6 @@ let builder ?(right_capacity = 16) ?(left_capacity = 16) ~inputs ~outputs () =
     mu = Array.make cap_l Cx.zero;
     right_sizes_rev = []; left_sizes_rev = [] }
 
-let builder_dims b = (b.kl, b.kr)
-
 let grow_floats a cap =
   let g = Array.make cap 0. in
   Array.blit a 0 g 0 (Array.length a);

@@ -46,9 +46,6 @@ val builder :
   ?right_capacity:int -> ?left_capacity:int ->
   inputs:int -> outputs:int -> unit -> builder
 
-(** [builder_dims b] is [(kl, kr)] — current row and column counts. *)
-val builder_dims : builder -> int * int
-
 (** Append one right block: one new column strip of [LL]/[sLL] plus the
     matching columns of [W], [R] and entry of [Lambda].  Raises
     [Invalid_argument] on dimension mismatch or when the new point

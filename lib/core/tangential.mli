@@ -72,11 +72,7 @@ val right_sizes : t -> int array
 
 val left_sizes : t -> int array
 
-(** [residual_right model blk] is [|H(lambda) R - W|_F] — the right
-    interpolation condition of eq. (10); likewise {!residual_left}. *)
-val residual_right : Statespace.Descriptor.t -> right_block -> float
-
-val residual_left : Statespace.Descriptor.t -> left_block -> float
-
-(** Largest interpolation residual of eq. (10) over all blocks. *)
+(** Largest interpolation residual of eq. (10) over all blocks: the
+    right condition [|H(lambda) R - W|_F] and the left condition
+    [|L H(mu) - V|_F]. *)
 val max_residual : Statespace.Descriptor.t -> t -> float

@@ -48,13 +48,7 @@ let of_real (r : Rmat.t) =
     re = Array.copy r.Rmat.data;
     im = Array.make (Array.length r.Rmat.data) 0. }
 
-let of_parts (re : Rmat.t) (im : Rmat.t) =
-  if Rmat.dims re <> Rmat.dims im then invalid_arg "Cmat.of_parts: dimension mismatch";
-  { rows = re.Rmat.rows; cols = re.Rmat.cols;
-    re = Array.copy re.Rmat.data; im = Array.copy im.Rmat.data }
-
 let col_vector a = init (Array.length a) 1 (fun i _ -> a.(i))
-let row_vector a = init 1 (Array.length a) (fun _ jcol -> a.(jcol))
 let random rng rows cols = init rows cols (fun _ _ -> Rng.complex_gaussian rng)
 let random_real rng rows cols = init rows cols (fun _ _ -> Cx.of_float (Rng.gaussian rng))
 let dims m = (m.rows, m.cols)
@@ -284,10 +278,6 @@ let set_col m jcol v =
   if v.rows <> m.rows || v.cols <> 1 then invalid_arg "Cmat.set_col: shape mismatch";
   set_sub m ~r:0 ~c:jcol v
 
-let set_row m i v =
-  if v.cols <> m.cols || v.rows <> 1 then invalid_arg "Cmat.set_row: shape mismatch";
-  set_sub m ~r:i ~c:0 v
-
 let select_rows m idx =
   init (Array.length idx) m.cols (fun i jcol -> get m idx.(i) jcol)
 
@@ -404,7 +394,6 @@ let vec_dot x y =
   Cx.make !accr !acci
 
 let real_part m = Rmat.init m.rows m.cols (fun i jcol -> m.re.(i + (jcol * m.rows)))
-let imag_part m = Rmat.init m.rows m.cols (fun i jcol -> m.im.(i + (jcol * m.rows)))
 
 let max_imag m = Array.fold_left (fun acc x -> Stdlib.max acc (abs_float x)) 0. m.im
 

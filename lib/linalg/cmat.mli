@@ -23,14 +23,8 @@ val of_rows : Cx.t list list -> t
 (** [of_real r] embeds a real matrix ([im = 0]). *)
 val of_real : Rmat.t -> t
 
-(** [of_parts re im] combines real and imaginary parts (same dims). *)
-val of_parts : Rmat.t -> Rmat.t -> t
-
 (** [col_vector [| ... |]] is an [n x 1] matrix. *)
 val col_vector : Cx.t array -> t
-
-(** [row_vector [| ... |]] is a [1 x n] matrix. *)
-val row_vector : Cx.t array -> t
 
 (** Entries i.i.d. standard complex Gaussian. *)
 val random : Rng.t -> int -> int -> t
@@ -85,7 +79,6 @@ val axpy : Cx.t -> t -> t -> t
 val col : t -> int -> t
 val row : t -> int -> t
 val set_col : t -> int -> t -> unit
-val set_row : t -> int -> t -> unit
 val sub_matrix : t -> r:int -> c:int -> rows:int -> cols:int -> t
 val set_sub : t -> r:int -> c:int -> t -> unit
 
@@ -121,7 +114,6 @@ val vec_norm : t -> float
 val vec_dot : t -> t -> Cx.t
 
 val real_part : t -> Rmat.t
-val imag_part : t -> Rmat.t
 
 (** Largest absolute imaginary entry — for "is this numerically real?". *)
 val max_imag : t -> float

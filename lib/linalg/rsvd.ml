@@ -6,10 +6,11 @@ type t = {
   total : int;
 }
 
-let default_tol = 1e-10
-let default_oversample = 8
-let default_power = 1
-let default_seed = 0x5eed
+(* Certificate level [residual <= tol * |A|_F], power iterations per
+   sketch round, and the seed of the sketch's random stream. *)
+let tol = 1e-10
+let power = 1
+let seed = 0x5eed
 
 (* Below this spectrum length the exact path is already fast and a
    sketch cannot win; matches the Jacobi cutoff in {!Svd}. *)
@@ -60,7 +61,7 @@ let orthonormalize y =
 
 (* Subspace (power) iteration with re-orthonormalization after every
    product, so small singular directions are not washed out. *)
-let power_iterate a q power =
+let power_iterate a q =
   let q = ref q in
   for _ = 1 to power do
     let z = orthonormalize (Cmat.mul_cn a !q) in
@@ -105,7 +106,7 @@ let certify ~norm_a a q =
 
 (* Finish: small dense SVD of B (sketch x n), lifting U back
    through Q. *)
-let finish ~tol ~norm_a ~total q (b, residual) =
+let finish ~norm_a ~total q (b, residual) =
   let d = Svd.decompose b in
   {
     svd = { Svd.u = Cmat.mul q d.Svd.u; sigma = d.Svd.sigma; v = d.Svd.v };
@@ -124,24 +125,6 @@ let exact a =
 let transpose_result r =
   { r with svd = { r.svd with Svd.u = r.svd.Svd.v; v = r.svd.Svd.u } }
 
-let decompose_tall ?(seed = default_seed) ?(oversample = default_oversample)
-    ?(power = default_power) ?(tol = default_tol) ~rank a =
-  let m, n = Cmat.dims a in
-  assert (m >= n);
-  let l = Stdlib.min n (Stdlib.max 1 rank + oversample) in
-  if n <= small_cutoff || l >= n then exact a
-  else begin
-    let norm_a = Cmat.norm_fro a in
-    if norm_a = 0. then exact a
-    else begin
-      let rng = Rng.create seed in
-      let omega = Cmat.random rng n l in
-      let q = orthonormalize (Cmat.mul a omega) in
-      let q = power_iterate a q power in
-      finish ~tol ~norm_a ~total:n q (certify ~norm_a a q)
-    end
-  end
-
 (* The adaptive sketch doubles from [l] to [2l] only while [2l <= n/2].
    A wider sketch costs more than the exact SVD it is trying to avoid
    (at 320 x 160 the 40- and 80-column rounds together cost about
@@ -151,8 +134,7 @@ let decompose_tall ?(seed = default_seed) ?(oversample = default_oversample)
    exact path answers it. *)
 let capped ~l ~n = 2 * l > n / 2
 
-let decompose_adaptive_tall ?(seed = default_seed) ?(power = default_power)
-    ?(tol = default_tol) a =
+let decompose_adaptive_tall a =
   let m, n = Cmat.dims a in
   assert (m >= n);
   if n <= small_cutoff then exact a
@@ -167,20 +149,20 @@ let decompose_adaptive_tall ?(seed = default_seed) ?(power = default_power)
       let degraded = Fault.armed "svd.rsvd.degrade" in
       let l0 = Stdlib.min n (Stdlib.max 16 (n / 4)) in
       let omega = Cmat.random rng n l0 in
-      let q0 = power_iterate a (orthonormalize (Cmat.mul a omega)) power in
+      let q0 = power_iterate a (orthonormalize (Cmat.mul a omega)) in
       let rec grow q =
         let l = Cmat.cols q in
         let ((_, residual) as cert) = certify ~norm_a a q in
         (* only the returned round needs the SVD of B *)
         if residual <= tol *. norm_a || degraded || capped ~l ~n then
-          finish ~tol ~norm_a ~total:n q cert
+          finish ~norm_a ~total:n q cert
         else begin
           (* Geometric growth, reusing the basis built so far: fresh
              sketch columns are power-iterated, projected against the
              existing Q (twice), and orthonormalized — never
              recomputed from scratch. *)
           let omega = Cmat.random rng n l in
-          let y = power_iterate a (orthonormalize (Cmat.mul a omega)) power in
+          let y = power_iterate a (orthonormalize (Cmat.mul a omega)) in
           let fresh = orthonormalize (project_out q y) in
           grow (Cmat.hcat q fresh)
         end
@@ -189,17 +171,8 @@ let decompose_adaptive_tall ?(seed = default_seed) ?(power = default_power)
     end
   end
 
-let decompose ?seed ?oversample ?power ?tol ~rank a =
+let decompose_adaptive a =
   let m, n = Cmat.dims a in
   if m = 0 || n = 0 then exact a
-  else if m >= n then decompose_tall ?seed ?oversample ?power ?tol ~rank a
-  else
-    transpose_result
-      (decompose_tall ?seed ?oversample ?power ?tol ~rank (Cmat.ctranspose a))
-
-let decompose_adaptive ?seed ?power ?tol a =
-  let m, n = Cmat.dims a in
-  if m = 0 || n = 0 then exact a
-  else if m >= n then decompose_adaptive_tall ?seed ?power ?tol a
-  else
-    transpose_result (decompose_adaptive_tall ?seed ?power ?tol (Cmat.ctranspose a))
+  else if m >= n then decompose_adaptive_tall a
+  else transpose_result (decompose_adaptive_tall (Cmat.ctranspose a))

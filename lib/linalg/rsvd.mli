@@ -19,7 +19,7 @@
     need — {!Core.Svd_reduce} records ["svd.rsvd.fallback"] and reruns
     the exact SVD.
 
-    All randomness is drawn from a {!Rng} stream fixed by [seed], and
+    All randomness is drawn from a {!Rng} stream with a fixed seed, and
     every parallel kernel used is domain-count independent, so results
     are reproducible across runs and domain counts.
 
@@ -36,24 +36,15 @@ type t = {
       (** certified [|A - Q Q* A|_F]; every singular value the
           truncation cut off is [<= residual], so it is a valid
           [tail_bound] for {!Svd.rank_gap_of_values} *)
-  certified : bool;  (** [residual <= tol * |A|_F] *)
+  certified : bool;  (** [residual <= 1e-10 * |A|_F] *)
   sketch : int;      (** final sketch width [l] *)
   total : int;       (** [min (m, n)] — the full spectrum length *)
 }
 
-(** [decompose ?seed ?oversample ?power ?tol ~rank a] sketches with
-    [rank + oversample] Gaussian columns (default oversample [8]),
-    runs [power] power iterations (default [1]) with re-orthogonalization
-    between applications, and certifies against [tol * |A|_F] (default
-    [1e-10]).  Matrices with [min (m, n) <= 32] or a sketch covering
-    the full spectrum are dispatched to the exact path ([residual = 0],
-    [certified = true]). *)
-val decompose :
-  ?seed:int -> ?oversample:int -> ?power:int -> ?tol:float ->
-  rank:int -> Cmat.t -> t
-
-(** [decompose_adaptive ?seed ?power ?tol a] starts with a sketch of
-    [max 16 (k / 4)] columns, [k = min (m, n)], and doubles it from
+(** [decompose_adaptive a] starts with a sketch of
+    [max 16 (k / 4)] columns, [k = min (m, n)], runs one power iteration
+    with re-orthogonalization between applications, certifies against
+    [1e-10 * |A|_F], and doubles the sketch from
     [l] to [2l] while the residual does not certify and [2l <= k / 2].
     Each step reuses the already-orthonormalized block (new sketch
     columns are projected against the existing basis, not recomputed).
@@ -62,6 +53,7 @@ val decompose :
     than the exact SVD the caller falls back to, and a spectrum that
     wide is a noise floor (measured noisy data makes the Loewner pencil
     numerically full rank), not a low-rank matrix.  This is the
-    reduce-stage entry point: the pencil rank is not known a priori. *)
-val decompose_adaptive :
-  ?seed:int -> ?power:int -> ?tol:float -> Cmat.t -> t
+    reduce-stage entry point: the pencil rank is not known a priori.
+    Matrices with [min (m, n) <= 32] are dispatched to the exact path
+    ([residual = 0], [certified = true]). *)
+val decompose_adaptive : Cmat.t -> t

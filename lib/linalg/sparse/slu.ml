@@ -322,11 +322,6 @@ let factorize ?(ordering = `Amd) ?perm (a : Scsr.t) =
              ure = Array.sub u.re 0 u.len; uim = Array.sub u.im 0 u.len })
   end
 
-let factorize_exn ?ordering ?perm a =
-  match factorize ?ordering ?perm a with
-  | Ok f -> f
-  | Error e -> Mfti_error.raise_error e
-
 (* Smallest accepted |reused pivot| / max |candidate| in its column.
    Partial pivoting picked the candidate of largest modulus at the base
    shift; a reused pivot that has fallen this far below its column's

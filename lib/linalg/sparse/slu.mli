@@ -27,9 +27,6 @@ val factorize :
   ?ordering:ordering -> ?perm:int array -> Scsr.t ->
   (factor, Linalg.Mfti_error.t) result
 
-(** Raising form: wraps the error in {!Linalg.Mfti_error.Error}. *)
-val factorize_exn : ?ordering:ordering -> ?perm:int array -> Scsr.t -> factor
-
 (** [refactor base a] factors [a] numerically only, reusing [base]'s
     ordering, pivot sequence and L/U pattern: no ordering, no symbolic
     reach.  [a] must have exactly the pattern [base] was computed from

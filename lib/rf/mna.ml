@@ -176,15 +176,11 @@ let sparse_system t =
   let b, l = port_matrices t in
   (g, c, b, l)
 
-let sparse_ordering t =
-  let g, c = to_sparse t in
-  (* the pattern of sC + G is frequency-independent: a fill-reducing
-     ordering of the union pattern serves every frequency point *)
-  Sparse.Ordering.amd (Sparse.Scsr.scale_add ~alpha:Cx.one c ~beta:Cx.one g)
-
 let impedance_sparse t freqs =
   let g, c = to_sparse t in
   let b, cout = port_matrices t in
+  (* the pattern of sC + G is frequency-independent: a fill-reducing
+     ordering of the union pattern serves every frequency point *)
   let pattern = Sparse.Scsr.scale_add ~alpha:Cx.one c ~beta:Cx.one g in
   let perm = Sparse.Ordering.amd pattern in
   Array.map
@@ -200,14 +196,6 @@ let impedance_sparse t freqs =
 
 let impedance t freqs =
   Statespace.Sampling.sample_system (to_descriptor t) freqs
-
-(* beyond a few hundred states the dense descriptor sweep's cubic
-   factorizations lose to sparse LU on MNA patterns *)
-let sparse_threshold = 600
-
-let impedance_auto t freqs =
-  if num_states t <= sparse_threshold then impedance t freqs
-  else impedance_sparse t freqs
 
 (* insertion-order views for the netlist writer *)
 let elements t = List.rev t.elements

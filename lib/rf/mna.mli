@@ -56,10 +56,6 @@ val to_sparse : t -> Sparse.Scsr.t * Sparse.Scsr.t
 val sparse_system :
   t -> Sparse.Scsr.t * Sparse.Scsr.t * Linalg.Cmat.t * Linalg.Cmat.t
 
-(** AMD ordering of the frequency-independent pattern of [sC + G],
-    reusable across a whole sweep via [Slu.factorize ~perm]. *)
-val sparse_ordering : t -> int array
-
 (** [impedance circuit freqs] samples [Z(j 2 pi f)] via the dense model. *)
 val impedance : t -> float array -> Statespace.Sampling.sample array
 
@@ -67,9 +63,6 @@ val impedance : t -> float array -> Statespace.Sampling.sample array
     circuit size, the right path for plane grids with thousands of
     states. *)
 val impedance_sparse : t -> float array -> Statespace.Sampling.sample array
-
-(** Dense below ~600 states, sparse above. *)
-val impedance_auto : t -> float array -> Statespace.Sampling.sample array
 
 (** Elements in insertion order (for the netlist writer). *)
 val elements : t -> element list

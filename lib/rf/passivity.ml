@@ -5,7 +5,12 @@ type verdict =
   | Feedthrough_violation of float
   | Violations of float list
 
-let check ?(tol = 1e-8) ?(gamma_margin = 1e-6) sys =
+(* Hamiltonian test level [1 + gamma_margin], and the relative size
+   below which a Hamiltonian eigenvalue's real part counts as zero. *)
+let gamma_margin = 1e-6
+let tol = 1e-8
+
+let check sys =
   let gamma = 1. +. gamma_margin in
   let open Statespace in
   let n = Descriptor.order sys in

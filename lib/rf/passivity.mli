@@ -21,21 +21,19 @@ type verdict =
       (** crossing frequencies in Hz, ascending: boundaries of the bands
           where [sigma_max (S(jw)) > 1] *)
 
-(** [check ?tol ?gamma_margin sys] runs the Hamiltonian test at level
-    [gamma = 1 + gamma_margin] (default margin [1e-6]): violations are
-    frequencies where [sigma_max (S(jw))] crosses [gamma].  The margin
-    keeps physically borderline models — lossless circuits reflect fully
-    at infinite frequency, so [sigma_max D = 1] exactly — on the passive
-    side; tighten it to hunt for grazing violations.  A crossing is a
-    Hamiltonian eigenvalue with [|Re| <= tol * spectral radius] (default
-    [1e-8]) and [Im = w > 0] where [gamma] lies within [sqrt tol * gamma]
-    of a singular value of [S(jw)]: that rejects a real eigenvalue whose
-    imaginary part is roundoff.
+(** [check sys] runs the Hamiltonian test at level
+    [gamma = 1 + 1e-6]: violations are frequencies where
+    [sigma_max (S(jw))] crosses [gamma].  The margin keeps physically
+    borderline models — lossless circuits reflect fully at infinite
+    frequency, so [sigma_max D = 1] exactly — on the passive side.  A
+    crossing is a Hamiltonian eigenvalue with
+    [|Re| <= 1e-8 * spectral radius] and [Im = w > 0] where [gamma] lies
+    within [1e-4 * gamma] of a singular value of [S(jw)]: that rejects
+    a real eigenvalue whose imaginary part is roundoff.
 
     Singular-[E] models are reduced with {!Statespace.Descriptor.to_proper}
     first; an index > 1 descriptor raises [Invalid_argument]. *)
-val check :
-  ?tol:float -> ?gamma_margin:float -> Statespace.Descriptor.t -> verdict
+val check : Statespace.Descriptor.t -> verdict
 
 (** [max_violation sys ~freqs] supplements {!check} with a sampled upper
     bound: the largest [sigma_max (S(jw)) - 1] over the grid (negative

@@ -52,11 +52,6 @@ let z_to_y z =
   | exception Lu.Singular _ -> invalid_arg "Sparams.z_to_y: Z singular"
   | f -> Lu.solve f (Cmat.identity (Cmat.rows z))
 
-let y_to_z y =
-  match Lu.factorize y with
-  | exception Lu.Singular _ -> invalid_arg "Sparams.y_to_z: Y singular"
-  | f -> Lu.solve f (Cmat.identity (Cmat.rows y))
-
 let map_samples f samples =
   Array.map
     (fun smp -> { smp with Statespace.Sampling.s = f smp.Statespace.Sampling.s })

@@ -19,8 +19,6 @@ val s_to_y : z0:float -> Linalg.Cmat.t -> Linalg.Cmat.t
 (** [z_to_y z] is the plain inverse. *)
 val z_to_y : Linalg.Cmat.t -> Linalg.Cmat.t
 
-val y_to_z : Linalg.Cmat.t -> Linalg.Cmat.t
-
 (** Map a conversion over sampled data. *)
 val map_samples :
   (Linalg.Cmat.t -> Linalg.Cmat.t) ->

@@ -107,7 +107,16 @@ let probe_points poles =
       let frac = float_of_int i /. float_of_int (k - 1) in
       Cx.jw (lo *. ((hi /. lo) ** frac)))
 
-let accurate ~tol cand sys =
+(* Relative accuracy the pole-residue form must reach at every probe
+   point to be kept.  Deliberately looser than machine precision: probes
+   land on weakly-damped resonances where a diagonalized form genuinely
+   loses accuracy in proportion to the eigenvector conditioning (a few
+   digits for realistic Loewner realizations), while a defective pencil
+   mis-evaluates by whole orders of magnitude.  [1e-5] separates the two
+   cleanly and still sits below typical fit errors. *)
+let tol = 1e-5
+
+let accurate cand sys =
   Array.for_all
     (fun s ->
       let exact = Descriptor.eval sys s in
@@ -117,7 +126,7 @@ let accurate ~tol cand sys =
          <= tol *. Stdlib.max (Cmat.norm_fro exact) 1e-30)
     (probe_points cand.poles)
 
-let of_descriptor ?(tol = 1e-5) sys =
+let of_descriptor sys =
   if Descriptor.order sys = 0 then
     (* static network: pole-residue form with no poles *)
     { (direct sys) with mode = Pole_residue }
@@ -129,7 +138,7 @@ let of_descriptor ?(tol = 1e-5) sys =
   else begin
     let attempt realization =
       match try_diagonalize ~source:sys realization with
-      | cand when accurate ~tol cand sys -> Some cand
+      | cand when accurate cand sys -> Some cand
       | _ -> None
       | exception (Lu.Singular _ | Eig.No_convergence | Invalid_argument _) ->
         None
@@ -155,4 +164,4 @@ let of_descriptor ?(tol = 1e-5) sys =
          direct sys)
   end
 
-let of_model ?tol model = of_descriptor ?tol (Mfti.Engine.Model.descriptor model)
+let of_model model = of_descriptor (Mfti.Engine.Model.descriptor model)

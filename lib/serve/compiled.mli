@@ -20,7 +20,7 @@
     [Direct] mode — exact per-point LU solves — and records
     ["compiled.defective_fallback"] in the ambient {!Linalg.Diag}
     collector.  Either way {!eval} never lies: [Pole_residue] mode is
-    only kept when it reproduces the model to [tol].
+    only kept when it reproduces the model at the probes.
 
     {!eval_grid} batches points across the {!Linalg.Parallel} domain
     pool; each point is computed independently, so results are
@@ -35,20 +35,15 @@ type mode =
 
 type t
 
-(** [of_model ?tol model] compiles the model.  [tol] (default [1e-5])
-    is the relative accuracy the pole–residue form must achieve at the
-    probe points to be accepted.  The default is deliberately looser
-    than machine precision: probes land on weakly-damped resonances
-    where a diagonalized form genuinely loses accuracy in proportion to
-    the eigenvector conditioning (a few digits for realistic Loewner
-    realizations), while a defective pencil mis-evaluates by whole
-    orders of magnitude — [1e-5] separates the two cleanly and still
-    sits below typical fit errors.  Tighten it (e.g. [1e-11]) when the
-    evaluator must track a well-conditioned realization bitward. *)
-val of_model : ?tol:float -> Mfti.Engine.Model.t -> t
+(** [of_model model] compiles the model.  The pole–residue form is
+    kept only when it reproduces the model to [1e-5] relative at every
+    probe point: loose enough for the eigenvector conditioning of
+    realistic Loewner realizations, tight enough to reject a defective
+    pencil, which mis-evaluates by orders of magnitude. *)
+val of_model : Mfti.Engine.Model.t -> t
 
 (** Compile a bare descriptor realization. *)
-val of_descriptor : ?tol:float -> Statespace.Descriptor.t -> t
+val of_descriptor : Statespace.Descriptor.t -> t
 
 val mode : t -> mode
 val order : t -> int
@@ -58,7 +53,7 @@ val outputs : t -> int
 (** The system poles ([Pole_residue] mode only; empty in [Direct]). *)
 val poles : t -> Linalg.Cx.t array
 
-(** [eval t s] is [H(s)], identical (to compile [tol]) to
+(** [eval t s] is [H(s)], identical (to the compile tolerance) to
     {!Statespace.Descriptor.eval} of the source realization. *)
 val eval : t -> Linalg.Cx.t -> Linalg.Cmat.t
 

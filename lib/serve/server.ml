@@ -727,9 +727,7 @@ let op_fit_suggest t req =
   with_entry e (fun () ->
       let s = e.se_session in
       let options =
-        { Mfti.Adaptive.default_options with
-          Mfti.Adaptive.surrogate = Mfti.Engine.Session.options s;
-          count }
+        { Mfti.Adaptive.surrogate = Mfti.Engine.Session.options s; count }
       in
       match
         Mfti.Adaptive.suggest ~options ?candidates

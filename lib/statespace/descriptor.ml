@@ -225,17 +225,12 @@ let eval_grid sys freqs =
 
 let dc_gain sys = eval sys Cx.zero
 
-let is_real ?(tol = 1e-8) sys =
+let is_real sys =
   let part m =
     let scale = Stdlib.max (Cmat.norm_fro m) 1e-300 in
-    Cmat.max_imag m <= tol *. scale
+    Cmat.max_imag m <= 1e-8 *. scale
   in
   part sys.e && part sys.a && part sys.b && part sys.c && part sys.d
-
-let realify ?(tol = 1e-8) sys =
-  let strip m = Cmat.of_real (Cmat.to_real ~tol m) in
-  { e = strip sys.e; a = strip sys.a; b = strip sys.b; c = strip sys.c;
-    d = strip sys.d }
 
 let to_proper ?(rtol = 1e-11) sys =
   let n = order sys in

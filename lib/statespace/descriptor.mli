@@ -57,12 +57,9 @@ val eval_grid : t -> float array -> Linalg.Cmat.t array
 (** [dc_gain sys] is [H(0)]. *)
 val dc_gain : t -> Linalg.Cmat.t
 
-(** True when all matrices are numerically real (relative tol). *)
-val is_real : ?tol:float -> t -> bool
-
-(** Force real parts, failing loudly when the imaginary residue is above
-    the tolerance. *)
-val realify : ?tol:float -> t -> t
+(** True when every matrix's largest imaginary part is at most [1e-8]
+    of its Frobenius norm. *)
+val is_real : t -> bool
 
 (** [to_proper ?rtol sys] eliminates the algebraic (singular-[E]) part:
     the state space is split along the singular vectors of [E] and the

@@ -1,6 +1,10 @@
 open Linalg
 
-let finite_poles ?(infinite_tol = 1e8) sys =
+(* Eigenvalues of modulus beyond [infinite_tol * max(1, |A| / |E|)]
+   are modes at infinity. *)
+let infinite_tol = 1e8
+
+let finite_poles sys =
   let open Descriptor in
   let n = order sys in
   if n = 0 then [||]
@@ -32,6 +36,6 @@ let finite_poles ?(infinite_tol = 1e8) sys =
       Array.of_list (List.rev !poles)
   end
 
-let is_stable ?infinite_tol sys =
-  let poles = finite_poles ?infinite_tol sys in
+let is_stable sys =
+  let poles = finite_poles sys in
   Array.for_all (fun p -> Cx.re p < 0.) poles

@@ -58,10 +58,6 @@ val symmetrize : sample array -> sample array
     [Invalid_argument] when [every < 2]. *)
 val partition : every:int -> sample array -> sample array * sample array
 
-(** True when the sample has a finite positive frequency and all-finite
-    response entries. *)
-val sample_is_finite : sample -> bool
-
 (** [fault_corrupt samples] is the ["sample.corrupt"] fault-injection
     point: when armed it returns a copy with a NaN planted in the first
     response matrix (the caller's array is untouched); otherwise it

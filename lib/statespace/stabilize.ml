@@ -11,7 +11,10 @@ let breakdown ?condition message =
     (Mfti_error.Numerical_breakdown
        { context = "stabilize"; message; condition })
 
-let reflect ?(min_decay = 1e-9) ?(max_residual = infinity) sys =
+(* A reflected eigenvalue keeps at least this relative decay rate. *)
+let min_decay = 1e-9
+
+let reflect ?(max_residual = infinity) sys =
   let residual_threshold = max_residual in
   let sys = Descriptor.to_proper sys in
   let n = Descriptor.order sys in

@@ -20,9 +20,8 @@ type result = {
                               (<1e-6) when the flip is trustworthy *)
 }
 
-(** [reflect ?min_decay ?max_residual sys] mirrors eigenvalues with
-    [Re >= 0] to [Re = -max(|Re|, min_decay * |eig|)] (default
-    [min_decay = 1e-9]).  A model that is already stable is returned
+(** [reflect ?max_residual sys] mirrors eigenvalues with [Re >= 0] to
+    [Re = -max(|Re|, 1e-9 * |eig|)].  A model that is already stable is returned
     unchanged (with [flipped = 0]).
 
     Failure is typed, never [Invalid_argument], so the certification
@@ -32,4 +31,4 @@ type result = {
     {!Linalg.Mfti_error.Error} is raised with [Numerical_breakdown]
     carrying the residual as its condition estimate; a pencil whose [E]
     stays singular after index reduction raises the same typed error. *)
-val reflect : ?min_decay:float -> ?max_residual:float -> Descriptor.t -> result
+val reflect : ?max_residual:float -> Descriptor.t -> result

@@ -10,12 +10,10 @@ type options = {
   n_poles : int;
   iterations : int;
   selection : entry_selection;
-  enforce_stability : bool;
 }
 
 let default_options =
-  { n_poles = 20; iterations = 10; selection = Diagonal;
-    enforce_stability = true }
+  { n_poles = 20; iterations = 10; selection = Diagonal }
 
 type model = {
   basis : Basis.t;        (* poles in normalized rad/s: s' = s / w_scale *)
@@ -194,7 +192,7 @@ let clamp_damping (basis : Basis.t) =
             else Basis.Pair p)
         basis.Basis.groups }
 
-let relocate basis (ctilde, dtilde) ~enforce =
+let relocate basis (ctilde, dtilde) =
   (* zeros of sigma = d~ + sum c~ phi are eig(A - b (c~/d~)^T); guard a
      vanishing d~ (Gustavsen recommends re-solving, clamping is enough
      at our scales) *)
@@ -223,8 +221,7 @@ let relocate basis (ctilde, dtilde) ~enforce =
       else if p.Cx.im = 0. then groups := Basis.Real p.Cx.re :: !groups)
     snapped;
   let basis' = { Basis.groups = Array.of_list (List.rev !groups) } in
-  let basis' = if enforce then Basis.enforce_stability basis' else basis' in
-  clamp_damping basis'
+  clamp_damping (Basis.enforce_stability basis')
 
 (* --- residue identification ----------------------------------------- *)
 
@@ -298,7 +295,7 @@ let fit ?(options = default_options) samples =
       incr iter;
       let ctilde, dtilde = sigma_coefficients !basis ~w_scale samples entries in
       if Array.for_all Float.is_finite ctilde && Float.is_finite dtilde then begin
-        basis := relocate !basis (ctilde, dtilde) ~enforce:options.enforce_stability;
+        basis := relocate !basis (ctilde, dtilde);
         Logs.debug (fun l ->
             l "Vf iter %d: d~=%.3e, pole magnitudes up to %.3e" !iter dtilde
               (Array.fold_left (fun a p -> Stdlib.max a (Cx.abs p)) 0.

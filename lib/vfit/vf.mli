@@ -9,7 +9,8 @@
     engineering compromise) and eliminates the entry-local unknowns with
     a per-entry QR, keeping only the shared sigma block.  Residues are
     then identified for every entry against the final poles in one
-    multi-RHS solve. *)
+    multi-RHS solve.  Relocated poles in the right half-plane are
+    always reflected into the left. *)
 
 type entry_selection =
   | Diagonal          (** the [min(p,m)] diagonal entries *)
@@ -20,7 +21,6 @@ type options = {
   n_poles : int;
   iterations : int;          (** sigma iterations (the paper uses 10) *)
   selection : entry_selection;
-  enforce_stability : bool;  (** reflect unstable relocated poles *)
 }
 
 val default_options : options

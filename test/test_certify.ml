@@ -112,8 +112,7 @@ let test_certify_repairs_mild_violation () =
   check_close ~tol:1e-3 "pre-repair margin" 0.05
     c.Certify.Certificate.pre_margin;
   Alcotest.(check bool) "post-repair margin within tolerance" true
-    (c.Certify.Certificate.worst_margin
-     <= Certify.default_options.Certify.gamma_margin);
+    (c.Certify.Certificate.worst_margin <= 1e-6);
   Alcotest.(check bool) "repair cost recorded" true
     (c.Certify.Certificate.fit_delta > 0.);
   (* independent verdicts on the repaired realization *)
@@ -193,8 +192,7 @@ let test_fault_repair_stall () =
           (fun () -> Certify.run ~freqs:low_freqs passive_sys) with
   | Error (Mfti_error.Non_convergence nc) ->
     Alcotest.(check string) "context" "certify" nc.context;
-    Alcotest.(check int) "retry budget exhausted"
-      Certify.default_options.Certify.max_repair nc.iterations
+    Alcotest.(check int) "retry budget exhausted" 8 nc.iterations
   | Error e -> Alcotest.failf "wrong error: %s" (Mfti_error.to_string e)
   | Ok _ -> Alcotest.fail "stalled repair loop certified"
 
@@ -411,8 +409,7 @@ let test_admission_strict () =
   let cert = j_mem "certificate" j in
   Alcotest.(check bool) "certificate published" true (j_bool "passed" cert);
   Alcotest.(check bool) "margin published" true
-    (j_num "worst_margin" cert
-     <= Certify.default_options.Certify.gamma_margin);
+    (j_num "worst_margin" cert <= 1e-6);
   List.iter
     (fun id ->
       let j = request srv (info_req id) in

@@ -894,7 +894,7 @@ let low_rank_matrix seed m n r =
 
 let test_rsvd_certified_bound () =
   let a = low_rank_matrix 31 80 48 8 in
-  let r = Rsvd.decompose ~rank:8 a in
+  let r = Rsvd.decompose_adaptive a in
   Alcotest.(check bool) "certified" true r.Rsvd.certified;
   Alcotest.(check bool) "sketch narrower than spectrum" true
     (r.Rsvd.sketch < 48);
@@ -919,8 +919,8 @@ let test_rsvd_adaptive () =
 
 let test_rsvd_deterministic () =
   let a = low_rank_matrix 5 64 40 6 in
-  let r1 = Rsvd.decompose ~seed:42 ~rank:6 a in
-  let r2 = Rsvd.decompose ~seed:42 ~rank:6 a in
+  let r1 = Rsvd.decompose_adaptive a in
+  let r2 = Rsvd.decompose_adaptive a in
   Alcotest.(check bool) "sigma bit-identical" true
     (r1.Rsvd.svd.Svd.sigma = r2.Rsvd.svd.Svd.sigma);
   Alcotest.(check bool) "u bit-identical" true
@@ -935,8 +935,8 @@ let test_rsvd_domain_invariant () =
      GEMM output is chunking-invariant, so the factorization is
      bit-identical under any pool size. *)
   let a = low_rank_matrix 9 72 44 7 in
-  let r_par = Rsvd.decompose ~rank:7 a in
-  let r_seq = Parallel.with_sequential (fun () -> Rsvd.decompose ~rank:7 a) in
+  let r_par = Rsvd.decompose_adaptive a in
+  let r_seq = Parallel.with_sequential (fun () -> Rsvd.decompose_adaptive a) in
   Alcotest.(check bool) "sigma bit-identical" true
     (r_par.Rsvd.svd.Svd.sigma = r_seq.Rsvd.svd.Svd.sigma);
   Alcotest.(check bool) "u bit-identical" true
@@ -944,7 +944,7 @@ let test_rsvd_domain_invariant () =
 
 let test_rsvd_wide () =
   let a = low_rank_matrix 13 40 90 5 in
-  let r = Rsvd.decompose ~rank:5 a in
+  let r = Rsvd.decompose_adaptive a in
   Alcotest.(check bool) "certified" true r.Rsvd.certified;
   Alcotest.(check int) "u rows" 40 (Cmat.rows r.Rsvd.svd.Svd.u);
   Alcotest.(check int) "v rows" 90 (Cmat.rows r.Rsvd.svd.Svd.v);
@@ -957,7 +957,7 @@ let test_rsvd_small_exact () =
      zero-residual certificate. *)
   let rng = Rng.create 17 in
   let a = Cmat.random rng 20 10 in
-  let r = Rsvd.decompose ~rank:4 a in
+  let r = Rsvd.decompose_adaptive a in
   Alcotest.(check bool) "certified" true r.Rsvd.certified;
   Alcotest.(check (float 0.)) "residual" 0. r.Rsvd.residual;
   let d = Svd.decompose a in
@@ -970,7 +970,7 @@ let test_rsvd_degrade_fault () =
      itself stays intact but can never certify. *)
   let a = low_rank_matrix 31 80 48 8 in
   Fault.with_spec "svd.rsvd.degrade" (fun () ->
-      let r = Rsvd.decompose ~rank:8 a in
+      let r = Rsvd.decompose_adaptive a in
       Alcotest.(check bool) "uncertified" false r.Rsvd.certified;
       Alcotest.(check bool) "residual poisoned" true
         (r.Rsvd.residual = Float.infinity);

@@ -247,7 +247,7 @@ let test_full_matrix_interpolation () =
 let test_models_real () =
   let check name model =
     Alcotest.(check bool) (name ^ " model real") true
-      (Descriptor.is_real ~tol:1e-8 model)
+      (Descriptor.is_real model)
   in
   check "direct" (fit_default 6).Engine.model;
   check "vector" (Engine.fit ~strategy:Engine.Vector (samples 20)).Engine.model;

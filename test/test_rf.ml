@@ -409,8 +409,8 @@ let test_passivity_pdn () =
 let test_passivity_lossless_boundary () =
   (* all-pass S(s) = (s-1)/(s+1): |S(jw)| = 1 at every frequency and
      sigma_max D = 1 exactly — the lossless boundary.  The default
-     gamma margin must keep it on the passive side; at margin 0 the
-     feedthrough precondition itself trips. *)
+     gamma margin must keep it on the passive side; scaled just past
+     the margin, the feedthrough precondition itself trips. *)
   let sys =
     Descriptor.of_state_space
       ~a:(Cmat.scalar (cx (-1.) 0.)) ~b:(Cmat.scalar Cx.one)
@@ -425,10 +425,17 @@ let test_passivity_lossless_boundary () =
        (List.length fs));
   check_small ~tol:1e-9 "sampled margin sits on the boundary"
     (Passivity.max_violation sys ~freqs:(Sampling.logspace 1e-3 1e3 25));
-  match Passivity.check ~gamma_margin:0. sys with
-  | Passivity.Feedthrough_violation s -> check_close ~tol:1e-12 "sigma D" 1. s
+  (* just above the margin, the feedthrough precondition itself trips *)
+  let k = 1. +. 2e-6 in
+  let sys =
+    Descriptor.of_state_space
+      ~a:(Cmat.scalar (cx (-1.) 0.)) ~b:(Cmat.scalar Cx.one)
+      ~c:(Cmat.scalar (cx (-2. *. k) 0.)) ~d:(Cmat.scalar (cx k 0.))
+  in
+  match Passivity.check sys with
+  | Passivity.Feedthrough_violation s -> check_close ~tol:1e-12 "sigma D" k s
   | Passivity.Passive | Passivity.Violations _ ->
-    Alcotest.fail "margin 0 must trip the feedthrough precondition"
+    Alcotest.fail "sigma D above 1 + margin must trip the feedthrough precondition"
 
 let test_passivity_singular_e_descriptor () =
   (* index-1: one algebraic state (zero row of E) that Kron reduction

@@ -194,7 +194,7 @@ let test_compiled_accuracy () =
   List.iter
     (fun ports ->
       let sys = sys_of ports in
-      let c = Compiled.of_descriptor ~tol:1e-11 sys in
+      let c = Compiled.of_descriptor sys in
       Alcotest.(check bool)
         (Printf.sprintf "ports=%d compiles to pole-residue" ports)
         true (Compiled.mode c = Compiled.Pole_residue);
@@ -210,7 +210,7 @@ let test_compiled_accuracy () =
     [ 1; 2; 4; 8 ]
 
 let test_compiled_grid_matches_single () =
-  let c = Compiled.of_descriptor ~tol:1e-11 (sys_of 2) in
+  let c = Compiled.of_descriptor (sys_of 2) in
   let freqs = Sampling.logspace 1e2 1e6 33 in
   let grid = Compiled.eval_grid c freqs in
   Array.iteri
@@ -219,7 +219,7 @@ let test_compiled_grid_matches_single () =
     freqs
 
 let test_compiled_grid_domain_invariant () =
-  let c = Compiled.of_descriptor ~tol:1e-11 (sys_of 4) in
+  let c = Compiled.of_descriptor (sys_of 4) in
   let freqs = Sampling.logspace 1e2 1e6 257 in
   let pooled = Compiled.eval_grid c freqs in
   let sequential = Parallel.with_sequential (fun () -> Compiled.eval_grid c freqs) in

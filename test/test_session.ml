@@ -262,7 +262,7 @@ let test_adaptive_suggest () =
         (fun smp ->
           Alcotest.(check bool) "clear of samples" true
             (Float.abs (log10 s.Adaptive.freq -. log10 smp.Sampling.freq)
-             >= opts.Adaptive.min_gap))
+             >= 0.02))
         smps)
     s1;
   (* suggestions are spaced apart *)
@@ -273,7 +273,7 @@ let test_adaptive_suggest () =
           if i < j then
             Alcotest.(check bool) "mutual spacing" true
               (Float.abs (log10 a.Adaptive.freq -. log10 b.Adaptive.freq)
-               >= opts.Adaptive.min_gap))
+               >= 0.02))
         s1)
     s1;
   (* ranking is best-first *)
@@ -314,7 +314,8 @@ let test_adaptive_targets_gap () =
   let smps = Sampling.sample_system sys freqs in
   let sugg =
     ok (Adaptive.suggest
-          ~options:{ Adaptive.default_options with count = 1; grid = 96 }
+          ~options:{ Adaptive.default_options with count = 1 }
+          ~candidates:(Sampling.logspace 100. 1e5 96)
           smps)
   in
   match sugg with

@@ -578,8 +578,6 @@ let krylov_test_options =
     f_lo = 1e5;
     f_hi = 1e9;
     shifts = 6;
-    batch = 2;
-    max_rounds = 4;
     tol = 1e-9;
     holdout = 7 }
 
