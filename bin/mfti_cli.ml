@@ -87,16 +87,35 @@ let guarded f =
     Printf.eprintf "mfti: parse error: %s\n" msg;
     65
 
-let load ?(policy = Rf.Touchstone.Strict) path =
+let certify_name = function
+  | Certify.Off -> "off"
+  | Certify.Check -> "check"
+  | Certify.Repair -> "repair"
+
+(* [certify] is the command's --certify mode.  Passivity is bounded-
+   realness, an S-parameter property: checking Y or Z data against it
+   would fail, or contract, a passive network. *)
+let load ?(policy = Rf.Touchstone.Strict) ?(certify = Certify.Off) path =
   let data =
     match Rf.Touchstone.read_file_result ~policy path with
     | Ok data -> data
     | Error e -> Linalg.Mfti_error.raise_error e
   in
-  if data.Rf.Touchstone.parameter <> Rf.Touchstone.S then
+  if data.Rf.Touchstone.parameter <> Rf.Touchstone.S then begin
+    let parameter =
+      match data.Rf.Touchstone.parameter with
+      | Rf.Touchstone.Y -> "Y" | Rf.Touchstone.Z -> "Z" | Rf.Touchstone.S -> "S"
+    in
+    if certify <> Certify.Off then
+      validation ~context:"certify"
+        (Printf.sprintf
+           "--certify %s needs S-parameter data (passivity is an \
+            S-parameter property), but %s holds %s-parameter data; use \
+            --certify off"
+           (certify_name certify) path parameter);
     Printf.eprintf "note: treating %s data as generic frequency response\n"
-      (match data.Rf.Touchstone.parameter with
-       | Rf.Touchstone.Y -> "Y" | Rf.Touchstone.Z -> "Z" | Rf.Touchstone.S -> "S");
+      parameter
+  end;
   data
 
 let print_diagnostics diag =
@@ -178,7 +197,10 @@ let run_fit path policy algorithm width rank_tol seed poles save_model plot
     symmetrize certify_mode =
   guarded @@ fun () ->
   let load_diag = Linalg.Diag.create () in
-  let data = Linalg.Diag.using load_diag (fun () -> load ~policy path) in
+  let data =
+    Linalg.Diag.using load_diag (fun () ->
+        load ~policy ~certify:certify_mode path)
+  in
   List.iter
     (fun (ev : Linalg.Diag.event) ->
       Printf.eprintf "input recovery [%s]: %s\n" ev.Linalg.Diag.site
@@ -449,7 +471,7 @@ let run_engine path policy strategy width rank_tol seed batch threshold
     validation ~context:"engine"
       "netlist (.ckt) input needs --strategy krylov or krylov+mfti; the \
        dense strategies fit sampled Touchstone data";
-  let data = load ~policy path in
+  let data = load ~policy ~certify:certify_mode path in
   let dataset = Dataset.of_samples data.Rf.Touchstone.samples in
   let dataset =
     if holdout_every > 0 then
@@ -824,7 +846,7 @@ let fit_to_model ~algorithm ~width ~rank_tol ~seed ~poles ~certify samples =
 let run_pack path policy algorithm width rank_tol seed poles out name
     certify =
   guarded @@ fun () ->
-  let data = load ~policy path in
+  let data = load ~policy ~certify path in
   let samples = Tangential.trim_even data.Rf.Touchstone.samples in
   let model =
     fit_to_model ~algorithm ~width ~rank_tol ~seed ~poles ~certify samples
@@ -1170,11 +1192,6 @@ let model_id_arg =
   in
   Arg.(value & opt (some string) None & info [ "model-id" ] ~docv:"ID" ~doc)
 
-let certify_name = function
-  | Certify.Off -> "off"
-  | Certify.Check -> "check"
-  | Certify.Repair -> "repair"
-
 let stream_fail message =
   Linalg.Mfti_error.raise_error
     (Linalg.Mfti_error.Validation { context = "fit-stream"; message })
@@ -1264,7 +1281,7 @@ let run_fit_stream path policy socket batches holdout_every width rank_tol
   guarded @@ fun () ->
   if batches < 1 then invalid_arg "fit-stream: --batches must be >= 1";
   if suggest < 0 then invalid_arg "fit-stream: --suggest must be >= 0";
-  let data = load ~policy path in
+  let data = load ~policy ~certify:certify_mode path in
   let samples = data.Rf.Touchstone.samples in
   let fit, held =
     if holdout_every > 0 then Sampling.partition ~every:holdout_every samples

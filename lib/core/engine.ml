@@ -93,7 +93,8 @@ let stage_of ds ~assembled =
    yields the assembled pencil.  Every pencil the engine builds pairs
    each sample with its conjugate over real directions, so it can
    always be realified (Lemma 3.2); with [Stacked] reduction the model
-   is then real. *)
+   is then exactly real, from the exact SVD and from the randomized
+   sketch alike (its test matrices are real). *)
 let check_finite ~context p =
   match Loewner.check_finite ~context p with
   | Ok () -> ()

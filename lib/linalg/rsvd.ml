@@ -148,7 +148,7 @@ let decompose_adaptive_tall a =
          back, so return the first (degraded) round immediately. *)
       let degraded = Fault.armed "svd.rsvd.degrade" in
       let l0 = Stdlib.min n (Stdlib.max 16 (n / 4)) in
-      let omega = Cmat.random rng n l0 in
+      let omega = Cmat.random_real rng n l0 in
       let q0 = power_iterate a (orthonormalize (Cmat.mul a omega)) in
       let rec grow q =
         let l = Cmat.cols q in
@@ -161,7 +161,7 @@ let decompose_adaptive_tall a =
              sketch columns are power-iterated, projected against the
              existing Q (twice), and orthonormalized — never
              recomputed from scratch. *)
-          let omega = Cmat.random rng n l in
+          let omega = Cmat.random_real rng n l in
           let y = power_iterate a (orthonormalize (Cmat.mul a omega)) in
           let fresh = orthonormalize (project_out q y) in
           grow (Cmat.hcat q fresh)

@@ -2,10 +2,11 @@
 
     For a numerically low-rank [m x n] matrix — the regime of the MFTI
     pencil [[L sL]], whose rank is bounded by the model order (Lemma
-    3.3) — the full SVD is wasted work: a Gaussian sketch [Y = A Om]
-    captures the range with high probability, and the decomposition
-    reduces to a few large GEMMs (which go through the cache-blocked
-    parallel {!Cmat} kernel) plus a small dense SVD of [Q* A].
+    3.3) — the full SVD is wasted work: a real Gaussian sketch
+    [Y = A Om] captures the range with high probability, and the
+    decomposition reduces to a few large GEMMs (which go through the
+    cache-blocked parallel {!Cmat} kernel) plus a small dense SVD of
+    [Q* A].
 
     The factorization is {e certified}: because [Q] has orthonormal
     columns, [|A - Q Q* A|_F^2 = |A|_F^2 - |Q* A|_F^2] exactly, so the
@@ -19,6 +20,8 @@
     need — {!Core.Svd_reduce} records ["svd.rsvd.fallback"] and reruns
     the exact SVD.
 
+    [Om] is real, so a real [A] (the realified pencil) gets a real
+    factorization and the projected model stays real (Lemma 3.2).
     All randomness is drawn from a {!Rng} stream with a fixed seed, and
     every parallel kernel used is domain-count independent, so results
     are reproducible across runs and domain counts.

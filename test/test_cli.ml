@@ -276,6 +276,56 @@ let test_fit_stream_gives_up () =
   check_contains "diagnostic" "gave up connecting to" text;
   check_contains "attempts" "after 5 attempts" text
 
+(* Passivity is an S-parameter property, so certifying Y/Z data is a
+   usage error in every command that fits Touchstone input; without
+   --certify the same file still fits. *)
+let test_certify_needs_s () =
+  let zfile = workload ^ ".z.s2p" in
+  let ic = open_in workload in
+  let text = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  let header = "# HZ S RI R 50" in
+  let i =
+    let rec find i =
+      if String.sub text i (String.length header) = header then i
+      else find (i + 1)
+    in
+    find 0
+  in
+  let oc = open_out zfile in
+  output_string oc (String.sub text 0 i);
+  output_string oc "# HZ Z RI R 50";
+  let rest = i + String.length header in
+  output_string oc (String.sub text rest (String.length text - rest));
+  close_out oc;
+  let sock =
+    Filename.concat (Filename.get_temp_dir_name ()) "mfti_cli_nobody.sock"
+  in
+  let packed = zfile ^ ".mfti" in
+  List.iter
+    (fun mode ->
+      List.iter
+        (fun cmd ->
+          let code, text =
+            run (Printf.sprintf "%s --certify %s" (cmd zfile) mode)
+          in
+          let what = Printf.sprintf "%s --certify %s" (cmd "Z") mode in
+          Alcotest.(check int) (what ^ " exits 64") 64 code;
+          check_contains what "needs S-parameter data" text;
+          check_contains what "Z-parameter data" text)
+        [ Printf.sprintf "fit %s";
+          (fun f -> Printf.sprintf "pack %s --out %s" f packed);
+          Printf.sprintf "engine %s --strategy direct";
+          (fun f -> Printf.sprintf "fit-stream %s --socket %s" f sock) ])
+    [ "check"; "repair" ];
+  Alcotest.(check bool) "nothing packed" false (Sys.file_exists packed);
+  let code, text = run (Printf.sprintf "fit %s --certify off" zfile) in
+  Alcotest.(check int) "fit --certify off exits 0" 0 code;
+  check_contains "fit" "MFTI: order" text;
+  let code, _ = run (Printf.sprintf "engine %s --strategy direct" zfile) in
+  Alcotest.(check int) "engine without --certify exits 0" 0 code;
+  Sys.remove zfile
+
 (* a malformed MFTI_DOMAINS is a usage error with the usual diagnostic,
    not an uncaught exception *)
 let test_bad_domains () =
@@ -352,5 +402,7 @@ let () =
          Alcotest.test_case "bad MFTI_DOMAINS" `Quick test_bad_domains;
          Alcotest.test_case "bad rank-tol" `Quick test_bad_rank_tol;
          Alcotest.test_case "bad threshold" `Quick test_bad_threshold;
+         Alcotest.test_case "certify needs S-parameters" `Quick
+           test_certify_needs_s;
          Alcotest.test_case "fit-stream gives up connecting" `Quick
            test_fit_stream_gives_up ]) ]

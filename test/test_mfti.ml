@@ -242,28 +242,6 @@ let test_full_matrix_interpolation () =
          /. (1. +. Cmat.norm_fro smp.Sampling.s)))
     smps
 
-(* Every path realifies its pencil, so every model is real: one-shot
-   (Direct, Vector), Algorithm 2 and a session. *)
-let test_models_real () =
-  let check name model =
-    Alcotest.(check bool) (name ^ " model real") true
-      (Descriptor.is_real model)
-  in
-  check "direct" (fit_default 6).Engine.model;
-  check "vector" (Engine.fit ~strategy:Engine.Vector (samples 20)).Engine.model;
-  check "recursive incremental"
-    (Engine.fit ~strategy:recursive
-       ~options:{ Engine.default_recursive_options with batch = 2 }
-       (samples 20)).Engine.model;
-  let sess =
-    Result.get_ok
-      (Engine.Session.open_ ~inputs:test_spec.Random_sys.ports
-         ~outputs:test_spec.Random_sys.ports ())
-  in
-  ignore (Result.get_ok (Engine.Session.append sess (samples 6)));
-  check "session finalize"
-    (Engine.Model.descriptor (Result.get_ok (Engine.Session.finalize sess)))
-
 let test_pencil_mode_recovery () =
   let options = { Engine.default_options with mode = Svd_reduce.Pencil None } in
   let result = Engine.fit ~options (samples 6) in
@@ -635,6 +613,58 @@ let test_stacked_tol_domains () =
   Alcotest.(check int) "certified at 1" 0 (List.length (fallbacks d1));
   Alcotest.(check int) "certified at 4" 0 (List.length (fallbacks d4));
   check_bit_identical "1 vs 4 domains" r4.Svd_reduce.model r1.Svd_reduce.model
+
+(* Every path realifies its pencil, so every model is real: one-shot
+   (Direct, Vector), Algorithm 2 and a session.  A pencil 96 or more
+   wide is sketched, and the sketch's real test matrices keep the
+   projection of the real pencil exactly real too. *)
+let test_models_real () =
+  let check name model =
+    Alcotest.(check bool) (name ^ " model real") true
+      (Descriptor.is_real model)
+  in
+  check "direct" (fit_default 6).Engine.model;
+  check "vector" (Engine.fit ~strategy:Engine.Vector (samples 20)).Engine.model;
+  check "recursive incremental"
+    (Engine.fit ~strategy:recursive
+       ~options:{ Engine.default_recursive_options with batch = 2 }
+       (samples 20)).Engine.model;
+  let sess =
+    Result.get_ok
+      (Engine.Session.open_ ~inputs:test_spec.Random_sys.ports
+         ~outputs:test_spec.Random_sys.ports ())
+  in
+  ignore (Result.get_ok (Engine.Session.append sess (samples 6)));
+  check "session finalize"
+    (Engine.Model.descriptor (Result.get_ok (Engine.Session.finalize sess)));
+  (* fit-touchstone-shaped data: the noisy 4-port 40-point PDN at the
+     rank tolerance whose sketch the reduce keeps *)
+  let board =
+    { Rf.Pdn.default_spec with ports = 4; decaps = 2; nx = 3; ny = 3; seed = 7 }
+  in
+  let noisy =
+    Rf.Noise.add_relative ~seed:3000 ~level:1e-3
+      (Rf.Pdn.scattering board ~z0:50. noisy_pdn_freqs)
+  in
+  let options =
+    { Engine.default_options with rank_rule = Svd_reduce.Tol 3e-3 }
+  in
+  let st =
+    Result.get_ok
+      (Engine.ingest ~options ~strategy:Engine.Direct
+         (Dataset.trim_even (Dataset.of_samples noisy)))
+  in
+  Result.get_ok (Engine.reduce st);
+  Alcotest.(check bool) "pencil wide enough to sketch" true
+    (Cmat.cols (Option.get (Engine.pencil st)).Loewner.ll >= 96);
+  Alcotest.(check int) "sketch kept" 0
+    (List.length (fallbacks (Engine.diagnostics st)));
+  let m = (Option.get (Engine.reduction st)).Svd_reduce.model in
+  List.iter
+    (fun (name, x) ->
+      Alcotest.(check (float 0.)) ("sketched " ^ name ^ " exactly real") 0.
+        (Cmat.max_imag x))
+    Descriptor.[ ("E", m.e); ("A", m.a); ("B", m.b); ("C", m.c) ]
 
 (* property: whenever the Tol certificate keeps the sketch, the rank is
    the one the rule picks on the exact spectrum *)
