@@ -6,10 +6,9 @@ type t = {
   total : int;
 }
 
-(* Certificate level [residual <= tol * |A|_F], power iterations per
-   sketch round, and the seed of the sketch's random stream. *)
+(* Certificate level [residual <= tol * |A|_F], and the seed of the
+   sketch's random stream. *)
 let tol = 1e-10
-let power = 1
 let seed = 0x5eed
 
 (* Below this spectrum length the exact path is already fast and a
@@ -59,15 +58,11 @@ let orthonormalize y =
       "sketch Gram matrix not PD; Householder orthonormalization";
     Qr.orthonormalize y
 
-(* Subspace (power) iteration with re-orthonormalization after every
-   product, so small singular directions are not washed out. *)
+(* One subspace (power) iteration per sketch round, with
+   re-orthonormalization after every product, so small singular
+   directions are not washed out. *)
 let power_iterate a q =
-  let q = ref q in
-  for _ = 1 to power do
-    let z = orthonormalize (Cmat.mul_cn a !q) in
-    q := orthonormalize (Cmat.mul a z)
-  done;
-  !q
+  orthonormalize (Cmat.mul a (orthonormalize (Cmat.mul_cn a q)))
 
 (* Project the columns of [y] against the orthonormal basis [q],
    twice (classical Gram-Schmidt needs the second pass for
