@@ -137,7 +137,9 @@ let certify_arg =
      passivity (pole reflection + perturbative contraction; incurable \
      models are refused with a typed error), $(b,check) records the \
      stability/passivity verdict without modifying the model, $(b,off) \
-     skips certification.  A bare $(b,--certify) means $(b,repair)."
+     skips certification.  A bare $(b,--certify) means $(b,repair).  \
+     Passivity is an S-parameter property, so $(b,check) and \
+     $(b,repair) refuse Y- and Z-parameter input."
   in
   Arg.(value & opt ~vopt:Certify.Repair m Certify.Off
        & info [ "certify" ] ~docv:"MODE" ~doc)

@@ -440,11 +440,11 @@ let noisy_pdn_freqs = Sampling.logspace 1e6 1e9 40
 (* A noisy 4-port 40-point PDN, assembled and realified as the Direct
    engine does: a 320 x 160 stacked pencil that measured noise makes
    numerically full rank. *)
+let noisy_pdn_board =
+  { Rf.Pdn.default_spec with ports = 4; decaps = 2; nx = 3; ny = 3; seed = 7 }
+
 let noisy_pdn ~seed ~level =
-  let board =
-    { Rf.Pdn.default_spec with ports = 4; decaps = 2; nx = 3; ny = 3; seed = 7 }
-  in
-  let clean = Rf.Pdn.scattering board ~z0:50. noisy_pdn_freqs in
+  let clean = Rf.Pdn.scattering noisy_pdn_board ~z0:50. noisy_pdn_freqs in
   let noisy = Rf.Noise.add_relative ~seed ~level clean in
   let ok what = function
     | Ok x -> x
@@ -639,12 +639,9 @@ let test_models_real () =
     (Engine.Model.descriptor (Result.get_ok (Engine.Session.finalize sess)));
   (* fit-touchstone-shaped data: the noisy 4-port 40-point PDN at the
      rank tolerance whose sketch the reduce keeps *)
-  let board =
-    { Rf.Pdn.default_spec with ports = 4; decaps = 2; nx = 3; ny = 3; seed = 7 }
-  in
   let noisy =
     Rf.Noise.add_relative ~seed:3000 ~level:1e-3
-      (Rf.Pdn.scattering board ~z0:50. noisy_pdn_freqs)
+      (Rf.Pdn.scattering noisy_pdn_board ~z0:50. noisy_pdn_freqs)
   in
   let options =
     { Engine.default_options with rank_rule = Svd_reduce.Tol 3e-3 }
