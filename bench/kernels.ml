@@ -262,7 +262,9 @@ let run ?(smoke = false) () =
       let samples =
         Sampling.sample_system sys (Sampling.logspace 100. 1e5 nsamples)
       in
-      let t = Loewner.build (Tangential.build samples) in
+      (* realified as every engine path does (Lemma 3.2): the sketch
+         runs only on an exactly real pencil *)
+      let t = Realify.apply (Loewner.build (Tangential.build samples)) in
       let reduce () = Svd_reduce.reduce ~mode:Svd_reduce.Stacked t in
       let exact_factors () =
         ignore

@@ -97,29 +97,11 @@ let validate_system sys =
 
 (* ---- real column blocks ------------------------------------------- *)
 
-(* Vectorized real kernels (cmat_stubs.c), called on column ranges of
-   the growable blocks below so that the basis is orthogonalized and
-   projected in place:
-   [dot_block a b c kk ldc ilo ihi j0 j1] sets
-   [c.(i + j*ldc) <- a(:,i) . b(:,j)] and
-   [axpy_block a c y rows ldc ilo ihi j0 j1] adds
-   [sum_i a(:,i) c.(i + j*ldc)] to [y(:,j)], for [i] in [ilo, ihi) and
-   [j] in [j0, j1).  Neither transposes nor packs [a], and each result
-   entry is reduced in an order fixed by the shape arguments, so the
-   column split over the domain pool never changes a bit. *)
-external dot_block :
-  float array -> float array -> float array -> int -> int -> int -> int ->
-  int -> int -> unit
-  = "mfti_dot_block_byte" "mfti_dot_block"
-[@@noalloc]
-
-external axpy_block :
-  float array -> float array -> float array -> int -> int -> int -> int ->
-  int -> int -> unit
-  = "mfti_axpy_block_byte" "mfti_axpy_block"
-[@@noalloc]
-
-(* [f lo hi] over the columns [j0, j1), one chunk per domain. *)
+(* [f lo hi] over the columns [j0, j1), one chunk per domain.  The
+   vectorized kernels {!Rmat.dot_block} and {!Rmat.axpy_block} run on
+   such column ranges of the growable blocks below, so the basis is
+   orthogonalized and projected in place, and their per-entry
+   reduction order never changes with the split. *)
 let over_columns j0 j1 f =
   let nj = j1 - j0 in
   let dc = Parallel.domain_count () in
@@ -155,11 +137,11 @@ let col_norm data rows j =
 let project_out v ~upto w ~j0 ~j1 coef =
   if upto > 0 then
     over_columns j0 j1 (fun lo hi ->
-        dot_block v.data w coef v.rows upto 0 upto lo hi;
+        Rmat.dot_block v.data w coef v.rows upto 0 upto lo hi;
         for k = lo * upto to (hi * upto) - 1 do
           coef.(k) <- -.coef.(k)
         done;
-        axpy_block v.data coef w v.rows upto 0 upto lo hi)
+        Rmat.axpy_block v.data coef w v.rows upto 0 upto lo hi)
 
 (* Extend the orthonormal basis [v] by the directions of [w] (an
    [n x b] column-major block, overwritten) that it does not already
@@ -331,9 +313,9 @@ let reduce ?(options = default_options) sys =
             Array.blit old (j * k) sq (j * k') k
           done;
           over_columns k k' (fun lo hi ->
-              dot_block v.data x.data sq n k' 0 k' lo hi);
+              Rmat.dot_block v.data x.data sq n k' 0 k' lo hi);
           over_columns 0 k (fun lo hi ->
-              dot_block v.data x.data sq n k' k k' lo hi);
+              Rmat.dot_block v.data x.data sq n k' k k' lo hi);
           sq
         in
         er := grow_square !er cv;
@@ -342,11 +324,11 @@ let reduce ?(options = default_options) sys =
         for j = 0 to m - 1 do
           Array.blit !br (j * k) b' (j * k') k
         done;
-        over_columns 0 m (fun lo hi -> dot_block v.data bre b' n k' k k' lo hi);
+        over_columns 0 m (fun lo hi -> Rmat.dot_block v.data bre b' n k' k k' lo hi);
         br := b';
         let c' = Array.make (p * k') 0. in
         Array.blit !cr 0 c' 0 (p * k);
-        over_columns k k' (fun lo hi -> axpy_block lre v.data c' p n 0 n lo hi);
+        over_columns k k' (fun lo hi -> Rmat.axpy_block lre v.data c' p n 0 n lo hi);
         cr := c')
     in
     let rom () =

@@ -14,14 +14,15 @@ let default_rank_rule = Gap
 
 (* Below this spectrum length a sketch cannot beat the exact path, so
    the reduce stays exact; above it the MFTI pencil is numerically
-   low-rank (Lemma 3.3 bounds it by order + rank D) and the
+   low-rank (Lemma 3.3 bounds it by order + rank D) and the real
    randomized range finder turns the reduce-stage SVD into parallel
-   GEMMs. *)
+   real GEMMs. *)
 let randomized_cutoff = 96
 
 (* The [Tol tol] certificate: accept the sketch when it provably keeps
-   the rank the rule would pick on the exact spectrum.  With B = Q*A,
-   E = A - QQ*A and the residual r = |E|_F >= |E|_2, A*A = B*B + E*E,
+   the rank the rule would pick on the exact spectrum.  With B = Q^T A,
+   E = A - QQ^T A and the residual r = |E|_F >= |E|_2,
+   A^T A = B^T B + E^T E,
    and Weyl brackets every sigma_i in [s_i, sqrt (s_i^2 + r^2)] for
    i <= l (the sketch width) and bounds sigma_i <= r beyond it.  So
    the exact threshold tol sigma_1 lies in
@@ -32,7 +33,7 @@ let randomized_cutoff = 96
    reproduce the row side's count).  A sketch covering the whole
    spectrum is the exact factorization. *)
 let tol_certificate ~tol ?ranked (r : Rsvd.t) =
-  let s = r.Rsvd.svd.Svd.sigma and res = r.Rsvd.residual in
+  let s = r.Rsvd.sigma and res = r.Rsvd.residual in
   let l = Array.length s in
   if r.Rsvd.sketch = r.Rsvd.total then Ok ()
   else begin
@@ -65,21 +66,21 @@ let certificate ?ranked rule (r : Rsvd.t) =
     if r.Rsvd.certified then Ok ()
     else Error (Printf.sprintf "residual %.3g not certified" r.Rsvd.residual)
 
-(* Factor [a]: sketch it when its spectrum is at least
-   [randomized_cutoff] long; factor it exactly below that, and
-   whenever [accept] refuses the sketch.  [exact] is the exact factorization and
-   [of_sketch] adapts a randomized one to the same shape, so Pencil
-   mode (both sides) and Stacked mode (right vectors only) share the
-   size rule and the fallback.  Returns the factorization plus a
-   certified bound on every singular value a truncated (randomized)
-   spectrum cut off, for the gap rule. *)
-let factor ~exact ~of_sketch ~accept a =
+(* [(sigma, v)] of one Stacked side [a].  The sketch runs when [a] is
+   exactly real (the realified pencil, Lemma 3.2) and its spectrum is
+   at least [randomized_cutoff] long; otherwise, and whenever [accept]
+   refuses the sketch, {!Svd.right} factors [a] exactly and never
+   forms the U that Stacked mode would discard.  Returns the
+   factorization plus a certified bound on every singular value a
+   truncated (randomized) spectrum cut off, for the gap rule. *)
+let right_factor ~accept a =
   let m, n = Cmat.dims a in
-  if Stdlib.min m n < randomized_cutoff then (exact a, None)
+  if Stdlib.min m n < randomized_cutoff || not (Cmat.max_imag a = 0.) then
+    (Svd.right a, None)
   else begin
-    let r = Rsvd.decompose_adaptive a in
+    let r = Rsvd.decompose_adaptive (Cmat.real_part a) in
     match accept r with
-    | Ok () -> (of_sketch r.Rsvd.svd, Some r.Rsvd.residual)
+    | Ok () -> ((r.Rsvd.sigma, Cmat.of_real r.Rsvd.v), Some r.Rsvd.residual)
     | Error why ->
       (* A sketch narrower than the spectrum with a finite residual
          stopped at its half-width cap: the spectrum is a noise floor.
@@ -93,18 +94,8 @@ let factor ~exact ~of_sketch ~accept a =
         (Printf.sprintf "sketch %d/%d%s %s; exact cascade" r.Rsvd.sketch
            r.Rsvd.total capped why);
       Diag.incr_retries ();
-      (exact a, None)
+      (Svd.right a, None)
   end
-
-(* Both singular subspaces, for Pencil mode. *)
-let decompose_both =
-  factor ~exact:(fun x -> Svd.decompose x) ~of_sketch:Fun.id
-
-(* [(sigma, v)] only, for Stacked mode: {!Svd.right} never forms the U
-   that Stacked mode would discard. *)
-let right_only =
-  factor ~exact:(fun x -> Svd.right x)
-    ~of_sketch:(fun d -> (d.Svd.sigma, d.Svd.v))
 
 let pick_rank ?tail_bound rule sigma =
   match rule with
@@ -129,20 +120,20 @@ let reduce ?(mode = default_mode) ?(rank_rule = default_rank_rule)
     match mode with
     | Pencil x0 ->
       let _, p = pencil_matrix ~x0 t in
-      let d, tb = decompose_both ~accept:(certificate rank_rule) p in
-      (d.Svd.u, d.Svd.v, d.Svd.sigma, tb)
+      let d = Svd.decompose p in
+      (d.Svd.u, d.Svd.v, d.Svd.sigma, None)
     | Stacked ->
       (* Y is the left vectors of [LL sLL], i.e. the right vectors of
          its tall conjugate transpose; X is the right vectors of
          [LL; sLL]. *)
       let (sigma, y), tb =
-        right_only ~accept:(certificate rank_rule)
+        right_factor ~accept:(certificate rank_rule)
           (Cmat.ctranspose (Cmat.hcat t.Loewner.ll t.Loewner.sll))
       in
       (* the row side's spectrum fixes the rank; the column side must
          certify the same count *)
       let (_, x), _ =
-        right_only ~accept:(certificate ~ranked:sigma rank_rule)
+        right_factor ~accept:(certificate ~ranked:sigma rank_rule)
           (Cmat.vcat t.Loewner.ll t.Loewner.sll)
       in
       (y, x, sigma, tb)

@@ -10,7 +10,7 @@
 (** How to choose the projection subspaces. *)
 type mode =
   | Pencil of Linalg.Cx.t option
-      (** SVD of [x0 LL - sLL] (Lemma 3.4); [None] picks [x0 =
+      (** exact SVD of [x0 LL - sLL] (Lemma 3.4); [None] picks [x0 =
           lambda.(0)] as the paper suggests.  A complex [x0], such as
           that [j omega] default, yields a complex (equivalent) model. *)
   | Stacked
@@ -39,11 +39,12 @@ val default_rank_rule : rank_rule  (* Gap *)
 (** [reduce ?mode ?rank_rule loewner] projects and realizes; on the
     realified pencil {!Engine} passes, [Stacked] gives a real model.
 
-    The pencil's size picks the SVD: exact ({!Linalg.Svd}) for a
-    factored matrix with fewer than 96 singular values, else the
-    adaptive {!Linalg.Rsvd} sketch first, since the MFTI pencil is
-    numerically low-rank (Lemma 3.3).  The rank rule decides whether
-    the sketch stands in for the exact SVD.  [Tol tol] keeps it when
+    In [Stacked] mode a side that is exactly real (the realified
+    pencil) with at least 96 singular values runs the real adaptive
+    {!Linalg.Rsvd} sketch first, since the MFTI pencil is numerically
+    low-rank (Lemma 3.3); every other side, and [Pencil] mode, runs
+    the exact {!Linalg.Svd}.  The rank rule decides whether the sketch
+    stands in for the exact SVD.  [Tol tol] keeps it when
     the residual [r] proves the rank the rule would pick on the exact
     spectrum: each kept [sigma_i] lies in [[s_i, sqrt (s_i^2 + r^2)]]
     and each cut one below [r], so with [k] sketched values above

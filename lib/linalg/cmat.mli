@@ -118,11 +118,6 @@ val real_part : t -> Rmat.t
 (** Largest absolute imaginary entry — for "is this numerically real?". *)
 val max_imag : t -> float
 
-(** [to_real ~tol a] drops the imaginary part after checking it is below
-    [tol] relative to the Frobenius norm.  Raises [Invalid_argument]
-    otherwise. *)
-val to_real : tol:float -> t -> Rmat.t
-
 val equal : tol:float -> t -> t -> bool
 val pp : Format.formatter -> t -> unit
 

@@ -93,6 +93,55 @@ let vcat a b =
   set_sub m ~r:a.rows ~c:0 b;
   m
 
+(* ---- GEMM on the real column kernels (cmat_stubs.c) ---- *)
+
+external dot_block :
+  float array -> float array -> float array -> int -> int -> int -> int ->
+  int -> int -> unit
+  = "mfti_dot_block_byte" "mfti_dot_block"
+[@@noalloc]
+
+external axpy_block :
+  float array -> float array -> float array -> int -> int -> int -> int ->
+  int -> int -> unit
+  = "mfti_axpy_block_byte" "mfti_axpy_block"
+[@@noalloc]
+
+(* [f j0 j1] over the [n] result columns: one chunk per domain, or
+   inline below [32^3] multiply-adds where the pool handshake would
+   dominate.  Every result entry is reduced in an order fixed by the
+   operand shapes, so the split never changes a bit. *)
+let over_columns ~work n f =
+  let dc = Parallel.domain_count () in
+  let chunk = if work <= 32 * 32 * 32 then n else (n + dc - 1) / dc in
+  Parallel.parallel_for ~chunk:(Stdlib.max 1 chunk) n f
+
+(* Rows of the result per [dot_block] panel: the matching columns of
+   the left operand stay cache-resident while every right column
+   streams against them. *)
+let gemm_panel = 96
+
+let mul_tn a b =
+  if a.rows <> b.rows then invalid_arg "Rmat.mul_tn: dimension mismatch";
+  let kk = a.rows and m = a.cols and n = b.cols in
+  let c = create m n in
+  let ip = ref 0 in
+  while !ip < m do
+    let ilo = !ip and ihi = Stdlib.min m (!ip + gemm_panel) in
+    over_columns ~work:(kk * m * n) n (fun j0 j1 ->
+        dot_block a.data b.data c.data kk m ilo ihi j0 j1);
+    ip := ihi
+  done;
+  c
+
+let mul a b =
+  if a.cols <> b.rows then invalid_arg "Rmat.mul: dimension mismatch";
+  let m = a.rows and kk = a.cols and n = b.cols in
+  let c = create m n in
+  over_columns ~work:(m * kk * n) n (fun j0 j1 ->
+      axpy_block a.data b.data c.data m kk 0 kk j0 j1);
+  c
+
 let norm_fro m =
   Stdlib.sqrt (Array.fold_left (fun acc x -> acc +. (x *. x)) 0. m.data)
 

@@ -36,6 +36,25 @@ val sub_matrix : t -> r:int -> c:int -> rows:int -> cols:int -> t
 val set_sub : t -> r:int -> c:int -> t -> unit
 val hcat : t -> t -> t
 val vcat : t -> t -> t
+
+(** [mul a b] is [a b]; [mul_tn a b] is [a^T b] without forming the
+    transpose.  Both split result columns over the {!Parallel} pool,
+    bit-identically at any domain count. *)
+val mul : t -> t -> t
+val mul_tn : t -> t -> t
+
+(** C column kernels, for [i] in [[ilo, ihi)], [j] in [[j0, j1)]:
+    [dot_block a b c kk ldc ilo ihi j0 j1] sets [c.(i + j*ldc)] to
+    [a(:,i) . b(:,j)] (columns of length [kk]); [axpy_block a c y rows
+    ldc ilo ihi j0 j1] adds [sum_i a(:,i) c.(i + j*ldc)] to [y(:,j)].
+    Reduction order is fixed by the shapes, so [j] splits freely. *)
+external dot_block : float array -> float array -> float array -> int ->
+  int -> int -> int -> int -> int -> unit
+  = "mfti_dot_block_byte" "mfti_dot_block" [@@noalloc]
+external axpy_block : float array -> float array -> float array -> int ->
+  int -> int -> int -> int -> int -> unit
+  = "mfti_axpy_block_byte" "mfti_axpy_block" [@@noalloc]
+
 val norm_fro : t -> float
 val max_abs : t -> float
 val trace : t -> float

@@ -285,10 +285,10 @@ let rotate_cols_real m p q c s =
   done
 
 (* One implicit-shift Golub-Kahan step on the window [lo..hi] of the
-   real bidiagonal (d, e), accumulating rotations into v and, when
-   present, u.  The left rotations never feed back into d, e or v, so
-   skipping u leaves them bit-identical. *)
-let gk_step d e u v lo hi =
+   real bidiagonal (d, e).  [rot_v k c s] rotates columns k, k+1 of V
+   and [rot_u], when present, those of U.  The left rotations never
+   feed back into d, e or v, so skipping u leaves them bit-identical. *)
+let gk_step d e ~rot_u ~rot_v lo hi =
   (* Wilkinson shift from the trailing 2x2 of B^T B *)
   let dm = d.(hi - 1) and dn = d.(hi) and em = e.(hi - 1) in
   let el = if hi - 1 > lo then e.(hi - 2) else 0. in
@@ -317,7 +317,7 @@ let gk_step d e u v lo hi =
     e.(k) <- (c *. ek) -. (s *. dk);
     let below = s *. dk1 in
     d.(k + 1) <- c *. dk1;
-    rotate_cols_real v k (k + 1) c s;
+    rot_v k c s;
     (* left rotation on rows k, k+1 kills the subdiagonal bulge *)
     let c2, s2, r2 = givens d.(k) below in
     d.(k) <- r2;
@@ -328,15 +328,15 @@ let gk_step d e u v lo hi =
       bulge := s2 *. e.(k + 1);
       e.(k + 1) <- c2 *. e.(k + 1)
     end;
-    match u with
-    | Some u -> rotate_cols_real u k (k + 1) c2 s2
+    match rot_u with
+    | Some rot_u -> rot_u k c2 s2
     | None -> ()
   done
 
 let eps = 2.2e-16
 
 (* Iterate the bidiagonal QR to convergence. *)
-let bidiag_qr d e u v =
+let bidiag_qr d e ~rot_u ~rot_v =
   let n = Array.length d in
   if n > 1 then begin
     let anorm =
@@ -370,7 +370,7 @@ let bidiag_qr d e u v =
           while !lo > 0 && e.(!lo - 1) <> 0. do
             decr lo
           done;
-          gk_step d e u v !lo !hi
+          gk_step d e ~rot_u ~rot_v !lo !hi
         end
       done
     end
@@ -612,7 +612,8 @@ let decompose_gk_tall ~want_u a =
       dr := if gmag = 0. then Cx.one else Cx.conj (Cx.scale (1. /. gmag) g)
     end
   done;
-  bidiag_qr d e u v;
+  let rot m k c s = rotate_cols_real m k (k + 1) c s in
+  bidiag_qr d e ~rot_u:(Option.map rot u) ~rot_v:(rot v);
   (* signs, then sort descending *)
   for k = 0 to n - 1 do
     if d.(k) < 0. then begin
@@ -682,6 +683,127 @@ let right ?(algorithm = Auto) a =
       decompose ~algorithm a
   in
   (d.sigma, d.v)
+
+(* Real Householder bidiagonalization of a tall real [m x n] matrix
+   (column-major [b], overwritten): the bidiagonal (d, e) and the
+   accumulated right factor V ([n x n]), with a = U (bidiag d, e) V^T.
+   The left reflectors are applied but never accumulated.  Reflectors
+   are held as full zero-padded columns so every update runs in the
+   vectorized {!Rmat} column kernels; the padding only touches rows
+   and columns the later steps never read again. *)
+let bidiagonalize_real b m n =
+  let d = Array.make n 0. and e = Array.make (Stdlib.max 0 (n - 1)) 0. in
+  (* Reflector I - tau u u^T zeroing entries [k+1, len) of the
+     [len]-vector read by [get], with u zero before [k] and 1 at [k]:
+     returns (beta, tau, u), beta the surviving entry, or None when
+     the tail is already zero. *)
+  let reflector len k get =
+    let tail = ref 0. in
+    for i = k + 1 to len - 1 do
+      tail := !tail +. (get i *. get i)
+    done;
+    if not (!tail > 0.) then None
+    else begin
+      let alpha = get k in
+      let beta = -.Float.copy_sign (Float.hypot alpha (sqrt !tail)) alpha in
+      let scale = 1. /. (alpha -. beta) in
+      let u = Array.make len 0. in
+      u.(k) <- 1.;
+      for i = k + 1 to len - 1 do
+        u.(i) <- get i *. scale
+      done;
+      Some (beta, (beta -. alpha) /. beta, u)
+    end
+  in
+  let c = Array.make n 0. and s = Array.make m 0. in
+  (* columns [j0, n) of the [rows]-row [x] less tau u (u^T x) *)
+  let reflect_cols u tau x rows j0 =
+    Rmat.dot_block u x c rows 1 0 1 j0 n;
+    for j = j0 to n - 1 do
+      c.(j) <- -.tau *. c.(j)
+    done;
+    Rmat.axpy_block u c x rows 1 0 1 j0 n
+  in
+  let right = Array.make n None in
+  for k = 0 to n - 1 do
+    (* left: column k, rows k.. *)
+    let koff = k * m in
+    (match reflector m k (fun i -> b.(koff + i)) with
+     | None -> d.(k) <- b.(koff + k)
+     | Some (beta, tau, u) ->
+       d.(k) <- beta;
+       reflect_cols u tau b m (k + 1));
+    (* right: row k, columns k+1.. *)
+    if k < n - 1 then begin
+      let at j = b.(k + (j * m)) in
+      match if k < n - 2 then reflector n (k + 1) at else None with
+      | None -> e.(k) <- at (k + 1)
+      | Some (beta, tau, u) ->
+        e.(k) <- beta;
+        right.(k) <- Some (tau, u);
+        (* columns k+1.. less tau (x u) u^T: s = x u, then rank one *)
+        Array.fill s 0 m 0.;
+        Rmat.axpy_block b u s m n (k + 1) n 0 1;
+        for j = k + 1 to n - 1 do
+          c.(j) <- -.tau *. u.(j)
+        done;
+        Rmat.axpy_block s c b m 1 0 1 (k + 1) n
+    end
+  done;
+  (* V = G_0 G_1 ... accumulated backwards from the identity *)
+  let v = Array.make (n * n) 0. in
+  for i = 0 to n - 1 do
+    v.(i + (i * n)) <- 1.
+  done;
+  for k = n - 1 downto 0 do
+    Option.iter (fun (tau, u) -> reflect_cols u tau v n (k + 1)) right.(k)
+  done;
+  (d, e, v)
+
+let right_real (a : Rmat.t) =
+  let m, n = Rmat.dims a in
+  let complex () =
+    let sigma, v = right (Cmat.of_real a) in
+    (sigma, Cmat.real_part v)
+  in
+  if n <= 32 || m < n then complex ()
+  else begin
+    let d, e, v = bidiagonalize_real (Array.copy a.Rmat.data) m n in
+    (* make the bidiagonal nonnegative with sign flips of V's columns
+       (U's would absorb the left ones), as the complex path folds its
+       phases *)
+    let flip k =
+      for i = k * n to ((k + 1) * n) - 1 do
+        v.(i) <- -.v.(i)
+      done
+    in
+    let dr = ref 1. in
+    for k = 0 to n - 1 do
+      let dk = d.(k) *. !dr in
+      d.(k) <- abs_float dk;
+      if !dr < 0. then flip k;
+      if k < n - 1 then begin
+        let g = if dk < 0. then -.e.(k) else e.(k) in
+        e.(k) <- abs_float g;
+        dr := if g < 0. then -1. else 1.
+      end
+    done;
+    let rot_v k c s =
+      let poff = k * n and qoff = (k + 1) * n in
+      for i = 0 to n - 1 do
+        let p = v.(poff + i) and q = v.(qoff + i) in
+        v.(poff + i) <- (c *. p) +. (s *. q);
+        v.(qoff + i) <- (c *. q) -. (s *. p)
+      done
+    in
+    match bidiag_qr d e ~rot_u:None ~rot_v with
+    | exception No_convergence -> complex ()
+    | () ->
+      let order = Array.init n (fun i -> i) in
+      Array.sort (fun i j -> compare (abs_float d.(j)) (abs_float d.(i))) order;
+      ( Array.map (fun i -> abs_float d.(i)) order,
+        Rmat.init n n (fun i j -> v.(i + (order.(j) * n))) )
+  end
 
 let reconstruct d =
   let k = Array.length d.sigma in

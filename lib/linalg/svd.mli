@@ -56,6 +56,10 @@ val decompose : ?algorithm:algorithm -> Cmat.t -> t
     cheaply. *)
 val right : ?algorithm:algorithm -> Cmat.t -> float array * Cmat.t
 
+(** [right_real a] is {!right} in real arithmetic (Golub-Kahan) for a tall
+    [a] over 32 columns, else (or unconverged) {!right} of [of_real a]. *)
+val right_real : Rmat.t -> float array * Rmat.t
+
 (** [reconstruct d] re-multiplies [U diag(s) V*] (for tests). *)
 val reconstruct : t -> Cmat.t
 

@@ -115,17 +115,21 @@ let stamp t ~addg ~addc =
         (* KCL: current leaves a, enters b. *)
         if a > 0 then addg (vidx a) idx 1.;
         if b > 0 then addg (vidx b) idx (-1.);
-        (* Branch equation: v_a - v_b - R i - L di/dt = 0. *)
-        if a > 0 then addg idx (vidx a) 1.;
-        if b > 0 then addg idx (vidx b) (-1.);
-        addc idx idx (-.henries);
+        (* Branch equation L di/dt + R i - v_a + v_b = 0, in PRIMA's
+           sign convention: G = [[Gn, A], [-A^T, R]] and
+           C = diag(Cn, L), so G + G^T and C are positive
+           semidefinite and a congruence projection keeps the reduced
+           model passive (hence stable). *)
+        if a > 0 then addg idx (vidx a) (-1.);
+        if b > 0 then addg idx (vidx b) 1.;
+        addc idx idx henries;
         (match e with
-         | Rl_branch { ohms; _ } -> addg idx idx (-.ohms)
+         | Rl_branch { ohms; _ } -> addg idx idx ohms
          | Inductor _ | Resistor _ | Capacitor _ | Mutual _ -> ())
       | Mutual { k1; k2; henries } ->
         let i1 = inductive_states.(k1) and i2 = inductive_states.(k2) in
-        addc i1 i2 (-.henries);
-        addc i2 i1 (-.henries))
+        addc i1 i2 henries;
+        addc i2 i1 henries)
     elements
 
 (* dense port-injection/selection matrices *)

@@ -594,6 +594,37 @@ let test_plane_certified_in_check_mode () =
   | Ok (_, None) -> Alcotest.fail "no certificate"
   | Error e -> fail_error "check" e
 
+let test_rl_plane_certified_in_check_mode () =
+  (* `gen pdn --grid 16x16 --ports 8 --netlist`: RL plane segments, so
+     the MNA pencil has inductive branch rows.  Stamped in PRIMA's sign
+     convention (C = diag(Cn, L) and G + G^T both semidefinite), the
+     congruence-projected model keeps every pole in the left half
+     plane; with the branch rows negated it had real right-half-plane
+     poles and failed the certificate as unstable. *)
+  let spec =
+    { Rf.Pdn.default_spec with
+      nx = 16; ny = 16; ports = 8; decaps = 4; plane_rl = true; seed = 0 }
+  in
+  let options =
+    { Krylov.default_options with
+      f_lo = 1e5; f_hi = 1e9; shifts = 8; max_order = 240; tol = 1e-6;
+      z0 = Some 50. }
+  in
+  let kr =
+    match Krylov.reduce ~options (Krylov.of_mna (Rf.Pdn.build spec)) with
+    | Ok kr -> kr
+    | Error e -> fail_error "rl plane reduce" e
+  in
+  let certify = { Certify.default_options with mode = Certify.Check } in
+  match Engine.Model.certify ~options:certify ~freqs:plane_freqs kr.Krylov.model with
+  | Error e -> fail_error "check" e
+  | Ok m ->
+    (match Engine.Model.certificate m with
+     | None -> Alcotest.fail "no certificate"
+     | Some c ->
+       Alcotest.(check bool) "stable" true c.Certify.Certificate.stable;
+       Alcotest.(check bool) "certified" true (Certify.Certificate.passed c))
+
 let test_complex_hamiltonian_confirms_crossings () =
   (* a complex-typed copy of a violator takes the complex kernel, and
      the singular-value confirmation keeps its true crossing *)
@@ -656,5 +687,7 @@ let () =
            test_sweep_singular_point;
          Alcotest.test_case "plane certified in check mode" `Quick
            test_plane_certified_in_check_mode;
+         Alcotest.test_case "rl plane krylov model certified" `Quick
+           test_rl_plane_certified_in_check_mode;
          Alcotest.test_case "complex hamiltonian keeps crossings" `Quick
            test_complex_hamiltonian_confirms_crossings ]) ]

@@ -180,12 +180,8 @@ let test_cmat_real_round_trip () =
   let r = Rmat.random rng 3 4 in
   let c = Cmat.of_real r in
   check_small "max_imag of real" (Cmat.max_imag c);
-  let back = Cmat.to_real ~tol:1e-12 c in
-  Alcotest.(check bool) "round trip" true (Rmat.equal ~tol:0. r back);
-  let noisy = Cmat.add c (Cmat.scale (cx 0. 1.) (Cmat.of_real (Rmat.identity 3 |> fun i -> Rmat.hcat i (Rmat.create 3 1)))) in
-  match Cmat.to_real ~tol:1e-12 noisy with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "to_real should reject a genuinely complex matrix"
+  Alcotest.(check bool) "round trip" true
+    (Rmat.equal ~tol:0. r (Cmat.real_part c))
 
 let test_cmat_norms () =
   let m = Cmat.of_rows [ [ cx 3. 4.; Cx.zero ]; [ Cx.zero; Cx.zero ] ] in
@@ -870,6 +866,51 @@ let test_svd_right_domain_invariant () =
         [ ("sequential", Parallel.with_sequential); ("pool", fun f -> f ()) ])
     right_cases
 
+let test_svd_right_real () =
+  (* the real Golub-Kahan (tall, > 32 columns) matches the complex
+     factorization of the same matrix: equal spectra, and each right
+     vector equal up to sign; other shapes and the no_converge fault
+     take the complex path itself *)
+  let rng = Rng.create 65 in
+  let graded n =
+    (* an upper-triangular R with a graded spectrum, the sketch's case *)
+    Rmat.init n n (fun i j ->
+        if i > j then 0. else (0.7 ** float_of_int j) *. Rng.gaussian rng)
+  in
+  List.iter
+    (fun (what, a) ->
+      let sigma, v = Svd.right_real a in
+      let csigma, cv = Svd.right (Cmat.of_real a) in
+      let _, n = Rmat.dims a in
+      Alcotest.(check (pair int int)) (what ^ ": v dims")
+        (n, Array.length csigma) (Rmat.dims v);
+      Array.iteri
+        (fun i s ->
+          if not (abs_float (s -. csigma.(i)) <= 1e-13 *. csigma.(0)) then
+            Alcotest.failf "%s: sigma_%d %.17g vs %.17g" what i s csigma.(i))
+        sigma;
+      let cv = Cmat.real_part cv in
+      for j = 0 to Array.length sigma - 1 do
+        let dot = ref 0. in
+        for i = 0 to n - 1 do
+          dot := !dot +. (Rmat.get v i j *. Rmat.get cv i j)
+        done;
+        if not (abs_float (abs_float !dot -. 1.) <= 1e-8) then
+          Alcotest.failf "%s: v_%d differs (|dot| = %.17g)" what j !dot
+      done)
+    [ ("tall", Rmat.random rng 72 48); ("square", Rmat.random rng 40 40);
+      ("graded triangular", graded 80); ("small", Rmat.random rng 45 20);
+      ("wide", Rmat.random rng 40 66) ];
+  let a = Rmat.random rng 60 40 in
+  let sigma, v =
+    Fault.with_spec "svd.no_converge" (fun () -> Svd.right_real a)
+  in
+  let csigma, cv =
+    Fault.with_spec "svd.no_converge" (fun () -> Svd.right (Cmat.of_real a))
+  in
+  Alcotest.(check bool) "no_converge: complex path (bit)" true
+    (same_bits sigma csigma && Rmat.equal ~tol:0. v (Cmat.real_part cv))
+
 let test_svd_values_match_decompose () =
   let rng = Rng.create 64 in
   List.iter
@@ -885,12 +926,17 @@ let test_svd_values_match_decompose () =
 (* ------------------------------------------------------------------ *)
 (* Randomized range-finder SVD *)
 
-(* Exactly low-rank test matrix: the sketch captures the whole range,
-   so the certificate must reach machine precision with a sketch far
-   narrower than the spectrum. *)
+(* Exactly low-rank real test matrix: the sketch captures the whole
+   range, so the certificate must reach machine precision with a
+   sketch far narrower than the spectrum. *)
 let low_rank_matrix seed m n r =
   let rng = Rng.create seed in
-  Cmat.mul (Cmat.random rng m r) (Cmat.random rng r n)
+  Rmat.mul (Rmat.random rng m r) (Rmat.random rng r n)
+
+(* |A - A V V^T|_F: what the returned right vectors miss of A *)
+let projection_error a (r : Rsvd.t) =
+  let v = r.Rsvd.v in
+  Rmat.norm_fro (Rmat.sub a (Rmat.mul (Rmat.mul a v) (Rmat.transpose v)))
 
 let test_rsvd_certified_bound () =
   let a = low_rank_matrix 31 80 48 8 in
@@ -898,10 +944,8 @@ let test_rsvd_certified_bound () =
   Alcotest.(check bool) "certified" true r.Rsvd.certified;
   Alcotest.(check bool) "sketch narrower than spectrum" true
     (r.Rsvd.sketch < 48);
-  let recon = Cmat.norm_fro (Cmat.sub (Svd.reconstruct r.Rsvd.svd) a) in
-  let na = Cmat.norm_fro a in
-  Alcotest.(check bool) "reconstruction within certificate" true
-    (recon <= r.Rsvd.residual +. (1e-9 *. na))
+  Alcotest.(check bool) "projection within certificate" true
+    (projection_error a r <= r.Rsvd.residual +. (1e-9 *. Rmat.norm_fro a))
 
 let test_rsvd_adaptive () =
   let a = low_rank_matrix 32 90 60 12 in
@@ -909,61 +953,64 @@ let test_rsvd_adaptive () =
   Alcotest.(check bool) "certified" true r.Rsvd.certified;
   Alcotest.(check bool) "sketch narrower than spectrum" true
     (r.Rsvd.sketch < 60);
-  let recon = Cmat.norm_fro (Cmat.sub (Svd.reconstruct r.Rsvd.svd) a) in
-  Alcotest.(check bool) "reconstruction within certificate" true
-    (recon <= r.Rsvd.residual +. (1e-9 *. Cmat.norm_fro a));
+  Alcotest.(check bool) "projection within certificate" true
+    (projection_error a r <= r.Rsvd.residual +. (1e-9 *. Rmat.norm_fro a));
   (* The certified tail bound plugged into the gap rule recovers the
      true numerical rank. *)
   Alcotest.(check int) "rank via tail bound" 12
-    (Svd.rank_gap_of_values ~tail_bound:r.Rsvd.residual r.Rsvd.svd.Svd.sigma)
+    (Svd.rank_gap_of_values ~tail_bound:r.Rsvd.residual r.Rsvd.sigma)
+
+let same_rsvd what (r1 : Rsvd.t) (r2 : Rsvd.t) =
+  Alcotest.(check bool) (what ^ ": sigma bit-identical") true
+    (r1.Rsvd.sigma = r2.Rsvd.sigma);
+  Alcotest.(check bool) (what ^ ": v bit-identical") true
+    (Rmat.equal ~tol:0. r1.Rsvd.v r2.Rsvd.v);
+  Alcotest.(check (float 0.)) (what ^ ": residual bit-identical")
+    r1.Rsvd.residual r2.Rsvd.residual
 
 let test_rsvd_deterministic () =
   let a = low_rank_matrix 5 64 40 6 in
-  let r1 = Rsvd.decompose_adaptive a in
-  let r2 = Rsvd.decompose_adaptive a in
-  Alcotest.(check bool) "sigma bit-identical" true
-    (r1.Rsvd.svd.Svd.sigma = r2.Rsvd.svd.Svd.sigma);
-  Alcotest.(check bool) "u bit-identical" true
-    (Cmat.equal ~tol:0. r1.Rsvd.svd.Svd.u r2.Rsvd.svd.Svd.u);
-  Alcotest.(check bool) "v bit-identical" true
-    (Cmat.equal ~tol:0. r1.Rsvd.svd.Svd.v r2.Rsvd.svd.Svd.v);
-  Alcotest.(check (float 0.)) "residual bit-identical" r1.Rsvd.residual
-    r2.Rsvd.residual
+  same_rsvd "rerun" (Rsvd.decompose_adaptive a) (Rsvd.decompose_adaptive a)
 
 let test_rsvd_domain_invariant () =
   (* Sketch, power iteration and CholeskyQR2 are all GEMM-shaped, and
      GEMM output is chunking-invariant, so the factorization is
      bit-identical under any pool size. *)
   let a = low_rank_matrix 9 72 44 7 in
-  let r_par = Rsvd.decompose_adaptive a in
-  let r_seq = Parallel.with_sequential (fun () -> Rsvd.decompose_adaptive a) in
-  Alcotest.(check bool) "sigma bit-identical" true
-    (r_par.Rsvd.svd.Svd.sigma = r_seq.Rsvd.svd.Svd.sigma);
-  Alcotest.(check bool) "u bit-identical" true
-    (Cmat.equal ~tol:0. r_par.Rsvd.svd.Svd.u r_seq.Rsvd.svd.Svd.u)
+  let before = Parallel.domain_count () in
+  let at domains =
+    Parallel.set_domain_count domains;
+    Fun.protect
+      ~finally:(fun () -> Parallel.set_domain_count before)
+      (fun () -> Rsvd.decompose_adaptive a)
+  in
+  same_rsvd "1 vs 4 domains" (at 1) (at 4)
 
 let test_rsvd_wide () =
   let a = low_rank_matrix 13 40 90 5 in
   let r = Rsvd.decompose_adaptive a in
   Alcotest.(check bool) "certified" true r.Rsvd.certified;
-  Alcotest.(check int) "u rows" 40 (Cmat.rows r.Rsvd.svd.Svd.u);
-  Alcotest.(check int) "v rows" 90 (Cmat.rows r.Rsvd.svd.Svd.v);
-  check_small ~tol:1e-9 "wide reconstruction"
-    (Cmat.norm_fro (Cmat.sub (Svd.reconstruct r.Rsvd.svd) a)
-    /. (1. +. Cmat.norm_fro a))
+  Alcotest.(check (pair int int)) "v dims" (90, r.Rsvd.sketch) (Rmat.dims r.Rsvd.v);
+  check_small ~tol:1e-9 "wide projection"
+    (projection_error a r /. (1. +. Rmat.norm_fro a))
 
 let test_rsvd_small_exact () =
   (* Below the sketch cutoff the exact path answers directly with a
      zero-residual certificate. *)
   let rng = Rng.create 17 in
-  let a = Cmat.random rng 20 10 in
+  let a = Rmat.random rng 20 10 in
   let r = Rsvd.decompose_adaptive a in
   Alcotest.(check bool) "certified" true r.Rsvd.certified;
   Alcotest.(check (float 0.)) "residual" 0. r.Rsvd.residual;
-  let d = Svd.decompose a in
+  let d = Svd.decompose (Cmat.of_real a) in
   Array.iteri
-    (fun i s -> check_float (Printf.sprintf "sigma %d" i) s r.Rsvd.svd.Svd.sigma.(i))
-    d.Svd.sigma
+    (fun i s -> check_float (Printf.sprintf "sigma %d" i) s r.Rsvd.sigma.(i))
+    d.Svd.sigma;
+  (* a zero matrix past the cutoff takes the exact path too *)
+  let z = Rsvd.decompose_adaptive (Rmat.zeros 64 40) in
+  Alcotest.(check bool) "zero: certified" true z.Rsvd.certified;
+  Alcotest.(check (float 0.)) "zero: sigma_1" 0. z.Rsvd.sigma.(0);
+  Alcotest.(check (pair int int)) "zero: v dims" (40, 40) (Rmat.dims z.Rsvd.v)
 
 let test_rsvd_degrade_fault () =
   (* The degrade fault poisons the certificate only: the factorization
@@ -975,8 +1022,42 @@ let test_rsvd_degrade_fault () =
       Alcotest.(check bool) "residual poisoned" true
         (r.Rsvd.residual = Float.infinity);
       check_small ~tol:1e-9 "factorization intact"
-        (Cmat.norm_fro (Cmat.sub (Svd.reconstruct r.Rsvd.svd) a)
-        /. (1. +. Cmat.norm_fro a)))
+        (projection_error a r /. (1. +. Rmat.norm_fro a)))
+
+let test_rsvd_cholqr_fallback () =
+  (* A rank-1 matrix makes the 16-column sketch rank 1, so its Gram
+     matrix is singular: CholeskyQR stops at a non-positive pivot and
+     Householder orthonormalizes instead. *)
+  let a = low_rank_matrix 41 64 40 1 in
+  let r, diag = Diag.with_collector (fun () -> Rsvd.decompose_adaptive a) in
+  Alcotest.(check bool) "fallback recorded" true
+    (Diag.recorded diag "svd.rsvd.cholqr_fallback");
+  Alcotest.(check bool) "certified" true r.Rsvd.certified;
+  Alcotest.(check bool) "projection within certificate" true
+    (projection_error a r <= r.Rsvd.residual +. (1e-9 *. Rmat.norm_fro a))
+
+let test_rsvd_weyl () =
+  (* A graded spectrum the sketch cannot capture at half width: B = Q^T A
+     interlaces A, and A^T A = B^T B + E^T E with |E|_2 <= residual, so
+     every sketched sigma_i lies in [sigma_i - residual, sigma_i]. *)
+  let m = 120 and n = 100 in
+  let rng = Rng.create 43 in
+  let u = Qr.orthonormalize (Cmat.random_real rng m n) in
+  let v = Qr.orthonormalize (Cmat.random_real rng n n) in
+  let sigma = Array.init n (fun i -> 0.8 ** float_of_int i) in
+  let us = Cmat.init m n (fun i j -> Cx.scale sigma.(j) (Cmat.get u i j)) in
+  let a = Cmat.real_part (Cmat.mul us (Cmat.ctranspose v)) in
+  let exact = Svd.values (Cmat.of_real a) in
+  let r = Rsvd.decompose_adaptive a in
+  Alcotest.(check bool) "not certified" false r.Rsvd.certified;
+  let slack = 1e-12 *. exact.(0) in
+  Array.iteri
+    (fun i s ->
+      if not (s <= exact.(i) +. slack && s >= exact.(i) -. r.Rsvd.residual -. slack)
+      then
+        Alcotest.failf "sigma_%d = %.17g outside [%.17g, %.17g]" (i + 1) s
+          (exact.(i) -. r.Rsvd.residual) exact.(i))
+    r.Rsvd.sigma
 
 (* ------------------------------------------------------------------ *)
 (* Property-based tests *)
@@ -1083,17 +1164,17 @@ let arb_low_rank =
       int_range 1 10 >>= fun r ->
       int_bound 1_000_000 >|= fun seed ->
       let rng = Rng.create seed in
-      Cmat.mul (Cmat.random rng m r) (Cmat.random rng r n))
+      Rmat.mul (Rmat.random rng m r) (Rmat.random rng r n))
     ~print:(fun m ->
-      Format.asprintf "%dx%d matrix@.%a" (Cmat.rows m) (Cmat.cols m) Cmat.pp m)
+      let rows, cols = Rmat.dims m in
+      Format.asprintf "%dx%d matrix@.%a" rows cols Rmat.pp m)
 
 let prop_rsvd_certificate =
   QCheck.Test.make ~name:"rsvd certificate bounds reconstruction" ~count:15
     arb_low_rank (fun a ->
       let r = Rsvd.decompose_adaptive a in
-      let recon = Cmat.norm_fro (Cmat.sub (Svd.reconstruct r.Rsvd.svd) a) in
       r.Rsvd.certified
-      && recon <= r.Rsvd.residual +. (1e-8 *. (1. +. Cmat.norm_fro a)))
+      && projection_error a r <= r.Rsvd.residual +. (1e-8 *. (1. +. Rmat.norm_fro a)))
 
 let props =
   List.map QCheck_alcotest.to_alcotest
@@ -1155,7 +1236,9 @@ let () =
          Alcotest.test_case "sequential = pool (bit)" `Quick
            test_svd_right_domain_invariant;
          Alcotest.test_case "values and norm2 (bit)" `Quick
-           test_svd_values_match_decompose ]);
+           test_svd_values_match_decompose;
+         Alcotest.test_case "real Golub-Kahan = complex" `Quick
+           test_svd_right_real ]);
       ("rank rules",
        [ Alcotest.test_case "rank_of_values" `Quick test_rank_of_values;
          Alcotest.test_case "gap at truncation boundary" `Quick
@@ -1177,7 +1260,11 @@ let () =
          Alcotest.test_case "small falls back to exact" `Quick
            test_rsvd_small_exact;
          Alcotest.test_case "degrade fault poisons certificate" `Quick
-           test_rsvd_degrade_fault ]);
+           test_rsvd_degrade_fault;
+         Alcotest.test_case "Gram not PD: Householder fallback" `Quick
+           test_rsvd_cholqr_fallback;
+         Alcotest.test_case "sketched sigma within Weyl bounds" `Quick
+           test_rsvd_weyl ]);
       ("eig",
        [ Alcotest.test_case "2x2 rotation" `Quick test_eig_2x2;
          Alcotest.test_case "triangular" `Quick test_eig_triangular;
