@@ -262,18 +262,17 @@ let run ?(smoke = false) () =
       let samples =
         Sampling.sample_system sys (Sampling.logspace 100. 1e5 nsamples)
       in
-      (* realified as every engine path does (Lemma 3.2): the sketch
-         runs only on an exactly real pencil *)
+      (* realified as every engine path does (Lemma 3.2): the reduce
+         takes only an exactly real pencil *)
       let t = Realify.apply (Loewner.build (Tangential.build samples)) in
-      let reduce () = Svd_reduce.reduce ~mode:Svd_reduce.Stacked t in
+      let reduce () = Svd_reduce.reduce t in
+      let ll = Cmat.real_part t.Loewner.ll
+      and sll = Cmat.real_part t.Loewner.sll in
       let exact_factors () =
         ignore
           (Sys.opaque_identity
-             (Svd.right
-                (Cmat.ctranspose (Cmat.hcat t.Loewner.ll t.Loewner.sll))));
-        ignore
-          (Sys.opaque_identity
-             (Svd.right (Cmat.vcat t.Loewner.ll t.Loewner.sll)))
+             (Svd.right_real (Rmat.transpose (Rmat.hcat ll sll))));
+        ignore (Sys.opaque_identity (Svd.right_real (Rmat.vcat ll sll)))
       in
       let exact =
         Fault.with_spec "svd.rsvd.degrade" (fun () ->

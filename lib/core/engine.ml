@@ -6,7 +6,6 @@ open Linalg
 type options = {
   weight : Tangential.weight;
   directions : Direction.kind;
-  mode : Svd_reduce.mode;
   rank_rule : Svd_reduce.rank_rule;
   batch : int;
   threshold : float;
@@ -19,7 +18,6 @@ type options = {
 let default_options =
   { weight = Tangential.Full;
     directions = Direction.Orthonormal 0;
-    mode = Svd_reduce.default_mode;
     rank_rule = Svd_reduce.default_rank_rule;
     batch = 8;
     threshold = 1e-3;
@@ -92,9 +90,8 @@ let stage_of ds ~assembled =
 (* Each stage runs unless cached, after the stages before it; [pencil]
    yields the assembled pencil.  Every pencil the engine builds pairs
    each sample with its conjugate over real directions, so it can
-   always be realified (Lemma 3.2); with [Stacked] reduction the model
-   is then exactly real, from the exact SVD and from the randomized
-   sketch alike (its test matrices are real). *)
+   always be realified (Lemma 3.2), and the reduce of the realified
+   pencil gives an exactly real model. *)
 let check_finite ~context p =
   match Loewner.check_finite ~context p with
   | Ok () -> ()
@@ -113,7 +110,7 @@ let reduce_stage ~context ds o pencil =
     ds.reduction <-
       Some
         (timed ds "reduce" (fun () ->
-             Svd_reduce.reduce ~mode:o.mode ~rank_rule:o.rank_rule
+             Svd_reduce.reduce ~rank_rule:o.rank_rule
                (Option.get ds.realified)))
   end
 

@@ -24,7 +24,6 @@
 type options = {
   weight : Tangential.weight;        (** tangential block widths *)
   directions : Direction.kind;
-  mode : Svd_reduce.mode;
   rank_rule : Svd_reduce.rank_rule;
   batch : int;                       (** units added per iteration *)
   threshold : float;                 (** stop when the mean held-out
@@ -43,8 +42,8 @@ type options = {
           and passivity (see {!Certify.run}) *)
 }
 
-(** [Full] weight, [Stacked]/[Gap] reduction, recursion knobs at the
-    Algorithm 2 defaults, [probe = None]. *)
+(** [Full] weight, [Gap] rank rule, recursion knobs at the Algorithm 2
+    defaults, [probe = None]. *)
 val default_options : options
 
 (** {!default_options} with the [Uniform 2] weight Algorithm 2 uses. *)
@@ -83,8 +82,9 @@ val ingest :
     pencil grows inside the reduce stage). *)
 val assemble : state -> (unit, Linalg.Mfti_error.t) result
 
-(** Realify the pencil (Lemma 3.2; [Stacked] then gives a real model);
-    a no-op for [Recursive] strategies, whose loop realifies sub-pencils. *)
+(** Realify the pencil (Lemma 3.2), so the reduce gives an exactly real
+    model ({!Svd_reduce.reduce}, [Stacked] mode); a no-op for
+    [Recursive] strategies, whose loop realifies sub-pencils. *)
 val realify : state -> (unit, Linalg.Mfti_error.t) result
 
 (** Run the SVD projection — for recursive strategies, the whole

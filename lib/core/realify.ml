@@ -99,10 +99,3 @@ let apply (t : Loewner.t) =
     v = apply_rows ls t.Loewner.v;
     r = apply_cols rs t.Loewner.r;
     l = apply_rows ls t.Loewner.l }
-
-let imaginary_residue (t : Loewner.t) =
-  let rel m =
-    Cmat.max_imag m /. Stdlib.max (Cmat.norm_fro m) 1e-300
-  in
-  List.fold_left Stdlib.max 0.
-    [ rel t.Loewner.ll; rel t.Loewner.sll; rel t.Loewner.w; rel t.Loewner.v ]

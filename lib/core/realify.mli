@@ -17,7 +17,3 @@ val transform_matrix : int array -> Linalg.Cmat.t
     change).  Raises [Invalid_argument] if the block structure is not
     conjugate-paired. *)
 val apply : Loewner.t -> Loewner.t
-
-(** Largest imaginary entry across the transformed matrices relative to
-    their norms — should be at roundoff level; exposed for tests. *)
-val imaginary_residue : Loewner.t -> float

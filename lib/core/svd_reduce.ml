@@ -1,6 +1,6 @@
 open Linalg
 
-type mode = Pencil of Cx.t option | Stacked
+type mode = Pencil of float option | Stacked
 type rank_rule = Fixed of int | Tol of float | Gap
 
 type result = {
@@ -9,7 +9,6 @@ type result = {
   sigma : float array;
 }
 
-let default_mode = Stacked
 let default_rank_rule = Gap
 
 (* Below this spectrum length a sketch cannot beat the exact path, so
@@ -66,21 +65,19 @@ let certificate ?ranked rule (r : Rsvd.t) =
     if r.Rsvd.certified then Ok ()
     else Error (Printf.sprintf "residual %.3g not certified" r.Rsvd.residual)
 
-(* [(sigma, v)] of one Stacked side [a].  The sketch runs when [a] is
-   exactly real (the realified pencil, Lemma 3.2) and its spectrum is
-   at least [randomized_cutoff] long; otherwise, and whenever [accept]
-   refuses the sketch, {!Svd.right} factors [a] exactly and never
-   forms the U that Stacked mode would discard.  Returns the
-   factorization plus a certified bound on every singular value a
-   truncated (randomized) spectrum cut off, for the gap rule. *)
+(* [(sigma, v)] of one real side [a].  The sketch runs when its
+   spectrum is at least [randomized_cutoff] long; otherwise, and
+   whenever [accept] refuses the sketch, {!Svd.right_real} factors [a]
+   exactly and never forms the U the projection would discard.
+   Returns the factorization plus a certified bound on every singular
+   value a truncated (randomized) spectrum cut off, for the gap rule. *)
 let right_factor ~accept a =
-  let m, n = Cmat.dims a in
-  if Stdlib.min m n < randomized_cutoff || not (Cmat.max_imag a = 0.) then
-    (Svd.right a, None)
+  let m, n = Rmat.dims a in
+  if Stdlib.min m n < randomized_cutoff then (Svd.right_real a, None)
   else begin
-    let r = Rsvd.decompose_adaptive (Cmat.real_part a) in
+    let r = Rsvd.decompose_adaptive a in
     match accept r with
-    | Ok () -> ((r.Rsvd.sigma, Cmat.of_real r.Rsvd.v), Some r.Rsvd.residual)
+    | Ok () -> ((r.Rsvd.sigma, r.Rsvd.v), Some r.Rsvd.residual)
     | Error why ->
       (* A sketch narrower than the spectrum with a finite residual
          stopped at its half-width cap: the spectrum is a noise floor.
@@ -94,7 +91,7 @@ let right_factor ~accept a =
         (Printf.sprintf "sketch %d/%d%s %s; exact cascade" r.Rsvd.sketch
            r.Rsvd.total capped why);
       Diag.incr_retries ();
-      (Svd.right a, None)
+      (Svd.right_real a, None)
   end
 
 let pick_rank ?tail_bound rule sigma =
@@ -103,46 +100,54 @@ let pick_rank ?tail_bound rule sigma =
   | Tol tol -> Stdlib.max 1 (Svd.rank_of_values ~rtol:tol sigma)
   | Gap -> Stdlib.max 1 (Svd.rank_gap_of_values ?tail_bound sigma)
 
-let pencil_matrix ?(x0 = None) (t : Loewner.t) =
-  let x0 =
-    match x0 with
-    | Some x -> x
-    | None ->
-      if Array.length t.Loewner.lambda = 0 then
-        invalid_arg "Svd_reduce: empty pencil";
-      t.Loewner.lambda.(0)
-  in
-  (x0, Cmat.sub (Cmat.scale x0 t.Loewner.ll) t.Loewner.sll)
+(* [lambda.(0)], the paper's choice of shift (Lemma 3.4). *)
+let first_point (t : Loewner.t) =
+  if Array.length t.Loewner.lambda = 0 then
+    invalid_arg "Svd_reduce: empty pencil";
+  t.Loewner.lambda.(0)
 
-let reduce ?(mode = default_mode) ?(rank_rule = default_rank_rule)
+(* A pencil block as a real matrix; the realified pencil (Lemma 3.2)
+   is exactly real, anything else is the caller's error. *)
+let real_block name m =
+  if not (Array.for_all (fun x -> x = 0.) m.Cmat.im) then
+    invalid_arg
+      (Printf.sprintf "Svd_reduce.reduce: %s is not real (realify the pencil)"
+         name);
+  Cmat.real_part m
+
+let reduce ?(mode = Stacked) ?(rank_rule = default_rank_rule)
     (t : Loewner.t) =
-  let y, x, sigma, tail_bound =
+  let ll = real_block "LL" t.Loewner.ll
+  and sll = real_block "sLL" t.Loewner.sll
+  and v = real_block "V" t.Loewner.v
+  and w = real_block "W" t.Loewner.w in
+  (* Both modes factor a row side and a column side.  Y is the left
+     vectors of [LL sLL] (or of the shifted pencil), i.e. the right
+     vectors of its transpose, the row side; X is the right vectors of
+     the column side [LL; sLL] (or of the pencil itself). *)
+  let row, col =
     match mode with
+    | Stacked -> (Rmat.transpose (Rmat.hcat ll sll), Rmat.vcat ll sll)
     | Pencil x0 ->
-      let _, p = pencil_matrix ~x0 t in
-      let d = Svd.decompose p in
-      (d.Svd.u, d.Svd.v, d.Svd.sigma, None)
-    | Stacked ->
-      (* Y is the left vectors of [LL sLL], i.e. the right vectors of
-         its tall conjugate transpose; X is the right vectors of
-         [LL; sLL]. *)
-      let (sigma, y), tb =
-        right_factor ~accept:(certificate rank_rule)
-          (Cmat.ctranspose (Cmat.hcat t.Loewner.ll t.Loewner.sll))
+      let x0 =
+        match x0 with Some x -> x | None -> Cx.abs (first_point t)
       in
-      (* the row side's spectrum fixes the rank; the column side must
-         certify the same count *)
-      let (_, x), _ =
-        right_factor ~accept:(certificate ~ranked:sigma rank_rule)
-          (Cmat.vcat t.Loewner.ll t.Loewner.sll)
-      in
-      (y, x, sigma, tb)
+      let p = Rmat.sub (Rmat.scale x0 ll) sll in
+      (Rmat.transpose p, p)
+  in
+  let (sigma, y), tail_bound =
+    right_factor ~accept:(certificate rank_rule) row
+  in
+  (* the row side's spectrum fixes the rank; the column side must
+     certify the same count *)
+  let (_, x), _ =
+    right_factor ~accept:(certificate ~ranked:sigma rank_rule) col
   in
   let rank = pick_rank ?tail_bound rank_rule sigma in
   (* A truncated (randomized) factorization retains [sketch] columns
      per side; the projection can only keep directions present in
      both. *)
-  let rank = Stdlib.min rank (Stdlib.min (Cmat.cols y) (Cmat.cols x)) in
+  let rank = Stdlib.min rank (Stdlib.min y.Rmat.cols x.Rmat.cols) in
   let nsig = Array.length sigma in
   (* Keeping directions whose singular value sits at the roundoff floor
      only injects noise into the projected realization; demote the rank
@@ -173,20 +178,22 @@ let reduce ?(mode = default_mode) ?(rank_rule = default_rank_rule)
       Diag.set_rank_gap
         (log10 (sigma.(rank - 1) /. Stdlib.max sigma.(rank) 1e-300))
   end;
-  let yk = Cmat.sub_matrix y ~r:0 ~c:0 ~rows:(Cmat.rows y) ~cols:rank in
-  let xk = Cmat.sub_matrix x ~r:0 ~c:0 ~rows:(Cmat.rows x) ~cols:rank in
-  let e = Cmat.neg (Cmat.mul_cn yk (Cmat.mul t.Loewner.ll xk)) in
-  let a = Cmat.neg (Cmat.mul_cn yk (Cmat.mul t.Loewner.sll xk)) in
-  let b = Cmat.mul_cn yk t.Loewner.v in
-  let c = Cmat.mul t.Loewner.w xk in
-  let p = Cmat.rows t.Loewner.w and m = Cmat.cols t.Loewner.v in
-  let d = Cmat.zeros p m in
-  let model = Statespace.Descriptor.create ~e ~a ~b ~c ~d in
+  let first m = Rmat.sub_matrix m ~r:0 ~c:0 ~rows:m.Rmat.rows ~cols:rank in
+  let yk = first y and xk = first x in
+  let e = Rmat.neg (Rmat.mul_tn yk (Rmat.mul ll xk)) in
+  let a = Rmat.neg (Rmat.mul_tn yk (Rmat.mul sll xk)) in
+  let b = Rmat.mul_tn yk v and c = Rmat.mul w xk in
+  let model =
+    Statespace.Descriptor.create ~e:(Cmat.of_real e) ~a:(Cmat.of_real a)
+      ~b:(Cmat.of_real b) ~c:(Cmat.of_real c)
+      ~d:(Cmat.zeros c.Rmat.rows b.Rmat.cols)
+  in
   { model; rank; sigma }
 
 let fig1_singular_values ?x0 (t : Loewner.t) =
-  let _, p = pencil_matrix ~x0 t in
-  ( Svd.values t.Loewner.ll, Svd.values t.Loewner.sll, Svd.values p )
+  let x0 = match x0 with Some x -> x | None -> first_point t in
+  let p = Cmat.sub (Cmat.scale x0 t.Loewner.ll) t.Loewner.sll in
+  (Svd.values t.Loewner.ll, Svd.values t.Loewner.sll, Svd.values p)
 
 let minimal_samples ~order ~rank_d ~inputs ~outputs =
   if order < 1 || rank_d < 0 || inputs < 1 || outputs < 1 then

@@ -7,18 +7,17 @@
     gives the descriptor realization
     [E = -Y* LL X, A = -Y* sLL X, B = Y* V, C = W X]. *)
 
-(** How to choose the projection subspaces. *)
+(** How to choose the projection subspaces.  Both modes factor two
+    real sides of the realified pencil (Lemma 3.2) with one-sided SVDs,
+    never forming the singular vectors they discard. *)
 type mode =
-  | Pencil of Linalg.Cx.t option
-      (** exact SVD of [x0 LL - sLL] (Lemma 3.4); [None] picks [x0 =
-          lambda.(0)] as the paper suggests.  A complex [x0], such as
-          that [j omega] default, yields a complex (equivalent) model. *)
+  | Pencil of float option
+      (** [x0 LL - sLL] (Lemma 3.4): [Y] from its transpose, [X] from
+          itself.  The shift is real, so the model is; [None] picks
+          [x0 = |lambda.(0)|]. *)
   | Stacked
-      (** [Y] from svd [[LL sLL]], [X] from svd [[LL; sLL]] — the
-          Lefteriu-Antoulas practical variant; keeps realified pencils
-          real.  Each side needs one set of singular vectors only, so
-          the exact path runs {!Linalg.Svd.right} on [[LL sLL]^H] and
-          [[LL; sLL]] and never forms the other set. *)
+      (** [Y] from [[LL sLL]^T], [X] from [[LL; sLL]] — the
+          Lefteriu-Antoulas practical variant, and the default. *)
 
 (** How many singular values to keep; on noisy data, [Tol] near the
     noise floor. *)
@@ -33,25 +32,26 @@ type result = {
   sigma : float array;     (** singular values the rank decision saw *)
 }
 
-val default_mode : mode       (* Stacked *)
 val default_rank_rule : rank_rule  (* Gap *)
 
-(** [reduce ?mode ?rank_rule loewner] projects and realizes; on the
-    realified pencil {!Engine} passes, [Stacked] gives a real model.
+(** [reduce ?mode ?rank_rule loewner] projects and realizes.  The
+    pencil must be exactly real: realify it first, as {!Engine} does
+    ([Invalid_argument] otherwise).  The sides, the SVDs and the
+    projection run in real arithmetic, so the model is exactly real in
+    both modes.
 
-    In [Stacked] mode a side that is exactly real (the realified
-    pencil) with at least 96 singular values runs the real adaptive
+    A side with at least 96 singular values runs the real adaptive
     {!Linalg.Rsvd} sketch first, since the MFTI pencil is numerically
-    low-rank (Lemma 3.3); every other side, and [Pencil] mode, runs
-    the exact {!Linalg.Svd}.  The rank rule decides whether the sketch
+    low-rank (Lemma 3.3); every other side runs the exact
+    {!Linalg.Svd.right_real}.  The rank rule decides whether the sketch
     stands in for the exact SVD.  [Tol tol] keeps it when
     the residual [r] proves the rank the rule would pick on the exact
     spectrum: each kept [sigma_i] lies in [[s_i, sqrt (s_i^2 + r^2)]]
     and each cut one below [r], so with [k] sketched values above
     [tol s_1] the rank is [k] when [r <= tol s_1], [k] is less than
     the sketch width, [sqrt (s_k+1^2 + r^2) <= tol s_1] and
-    [s_k > tol sqrt (s_1^2 + r^2)].  In Stacked mode the column side
-    must prove the row side's [k].  [Gap] and [Fixed] need Rsvd's
+    [s_k > tol sqrt (s_1^2 + r^2)].  The column side must prove the
+    row side's [k].  [Gap] and [Fixed] need Rsvd's
     own certificate ([r <= 1e-10 |A|_F]).  A refused sketch (a noise
     floor too high for the rule, or the ["svd.rsvd.degrade"] fault
     poisoning [r]) reruns that side's exact SVD and records

@@ -391,7 +391,10 @@ let vec_dot x y =
   done;
   Cx.make !accr !acci
 
-let real_part m = Rmat.init m.rows m.cols (fun i jcol -> m.re.(i + (jcol * m.rows)))
+let real_part m =
+  let r = Rmat.create m.rows m.cols in
+  Array.blit m.re 0 r.Rmat.data 0 (Array.length m.re);
+  r
 
 let max_imag m =
   let acc = ref 0. in

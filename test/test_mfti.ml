@@ -193,9 +193,24 @@ let test_realify_matches_dense_transform () =
      /. (1. +. Cmat.norm_fro dense_v))
 
 let test_realify_produces_real () =
-  let data = Tangential.build (samples 6) in
-  let p = Realify.apply (Loewner.build data) in
-  check_small ~tol:1e-12 "imaginary residue" (Realify.imaginary_residue p)
+  (* Lemma 3.2 holds exactly, not to roundoff: the reduce refuses any
+     block with a nonzero imaginary entry *)
+  List.iter
+    (fun (name, directions, weight, k) ->
+      let data = Tangential.build ~directions ~weight (samples k) in
+      let p = Realify.apply (Loewner.build data) in
+      List.iter
+        (fun (m, x) ->
+          Alcotest.(check (float 0.)) (name ^ " " ^ m ^ " imaginary part") 0.
+            (Cmat.max_imag x))
+        [ ("LL", p.Loewner.ll); ("sLL", p.Loewner.sll); ("V", p.Loewner.v);
+          ("W", p.Loewner.w) ])
+    [ ("full", Direction.Orthonormal 0, Tangential.Full, 6);
+      ("uniform 1", Direction.Orthonormal 0, Tangential.Uniform 1, 6);
+      ("uniform 2", Direction.Orthonormal 0, Tangential.Uniform 2, 6);
+      ( "per-sample 20x30", Direction.Orthonormal 0,
+        Tangential.Per_sample [| 3; 2; 3; 2; 3; 2; 3; 2; 3; 2 |], 10 );
+      ("identity cycle", Direction.Identity_cycle, Tangential.Full, 6) ]
 
 let test_realify_preserves_singular_values () =
   (* T is unitary, so the pencil's singular values are invariant *)
@@ -212,6 +227,9 @@ let test_realify_preserves_singular_values () =
 (* Algorithm 1: recovery *)
 
 let fit_default k = Engine.fit (samples k)
+
+(* The pencil as the engine reduces it: assembled, then realified. *)
+let realified k = Realify.apply (Loewner.build (Tangential.build (samples k)))
 
 let test_minimal_samples_estimate () =
   Alcotest.(check int) "theorem 3.5"
@@ -243,10 +261,20 @@ let test_full_matrix_interpolation () =
     smps
 
 let test_pencil_mode_recovery () =
-  let options = { Engine.default_options with mode = Svd_reduce.Pencil None } in
-  let result = Engine.fit ~options (samples 6) in
-  let verr = Metrics.err result.Engine.model validation_samples in
+  let reduced = Svd_reduce.reduce ~mode:(Svd_reduce.Pencil None) (realified 6) in
+  Alcotest.(check int) "rank at x0 = |lambda0|" 15 reduced.Svd_reduce.rank;
+  let verr = Metrics.err reduced.Svd_reduce.model validation_samples in
   check_small ~tol:1e-7 "pencil-mode validation ERR" verr
+
+let test_unrealified_refused () =
+  (* the assembled pencil is complex until Realify.apply (Lemma 3.2) *)
+  let p = Loewner.build (Tangential.build (samples 6)) in
+  List.iter
+    (fun (name, mode) ->
+      match Svd_reduce.reduce ~mode p with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "%s reduced a complex pencil" name)
+    [ ("stacked", Svd_reduce.Stacked); ("pencil", Svd_reduce.Pencil None) ]
 
 let test_undersampled_fails () =
   (* 4 samples -> K = 12 < 15: recovery impossible *)
@@ -301,16 +329,15 @@ let test_per_sample_weights_recovery () =
   check_small ~tol:1e-6 "non-square recovery" verr
 
 let test_pencil_explicit_x0 () =
-  let data = Tangential.build (samples 6) in
-  let pencil = Loewner.build data in
-  (* x0 = mu_0 must also satisfy Lemma 3.4 *)
-  let x0 = pencil.Loewner.mu.(0) in
+  let pencil = realified 6 in
+  (* the real shift x0 = |mu_0| must also satisfy Lemma 3.4 *)
+  let x0 = Cx.abs pencil.Loewner.mu.(0) in
   let reduced =
     Svd_reduce.reduce ~mode:(Svd_reduce.Pencil (Some x0)) pencil
   in
-  Alcotest.(check int) "rank at x0 = mu0" 15 reduced.Svd_reduce.rank;
+  Alcotest.(check int) "rank at x0 = |mu0|" 15 reduced.Svd_reduce.rank;
   let verr = Metrics.err reduced.Svd_reduce.model validation_samples in
-  check_small ~tol:1e-7 "x0 = mu0 recovery" verr
+  check_small ~tol:1e-7 "x0 = |mu0| recovery" verr
 
 let test_model_transient_matches_original () =
   (* end-to-end: the fitted macromodel must track the original system in
@@ -432,8 +459,8 @@ let test_algorithm2_validation () =
 (* Stacked reduce on a noisy pencil.  The randomized sketch stops at
    its half-width cap.  Under [Tol] the reduce keeps it when the
    residual brackets prove the rule's rank, and otherwise the exact
-   fallback (which forms no U) yields the model the full two-sided
-   SVD factors give. *)
+   fallback runs the real one-sided SVD of each side; the complex
+   two-sided SVD factors give the same model to roundoff. *)
 
 let noisy_pdn_freqs = Sampling.logspace 1e6 1e9 40
 
@@ -500,8 +527,28 @@ let check_details what needles events =
         needles)
     events
 
-(* The reference: two-sided exact factors, projected as Lemma 3.4
-   does, at the rank [Tol tol] picks on the exact row spectrum. *)
+(* The exact path spelled out: {!Svd.right_real} of the real sides,
+   projected in real arithmetic at the rank [Tol tol] picks on the
+   exact row spectrum. *)
+let exact_reference ~tol p =
+  let ll = Cmat.real_part p.Loewner.ll and sll = Cmat.real_part p.Loewner.sll in
+  let sigma, y =
+    Svd.right_real (Rmat.vcat (Rmat.transpose ll) (Rmat.transpose sll))
+  in
+  let _, x = Svd.right_real (Rmat.vcat ll sll) in
+  let rank = Stdlib.max 1 (Svd.rank_of_values ~rtol:tol sigma) in
+  let first m = Rmat.sub_matrix m ~r:0 ~c:0 ~rows:m.Rmat.rows ~cols:rank in
+  let y = first y and x = first x in
+  let project m = Cmat.of_real (Rmat.mul_tn y (Rmat.mul m x)) in
+  let e = Cmat.neg (project ll) and a = Cmat.neg (project sll) in
+  let b = Cmat.of_real (Rmat.mul_tn y (Cmat.real_part p.Loewner.v)) in
+  let c = Cmat.of_real (Rmat.mul (Cmat.real_part p.Loewner.w) x) in
+  let d = Cmat.zeros (Cmat.rows c) (Cmat.cols b) in
+  (rank, Descriptor.create ~e ~a ~b ~c ~d)
+
+(* An independent oracle: two-sided complex exact factors, projected as
+   Lemma 3.4 does, at the rank [Tol tol] picks on the exact row
+   spectrum. *)
 let two_sided_reference ~tol p =
   let row = Svd.decompose (Cmat.hcat p.Loewner.ll p.Loewner.sll) in
   let col = Svd.decompose (column_side p) in
@@ -525,6 +572,21 @@ let check_bit_identical what (got : Descriptor.t) (want : Descriptor.t) =
       ("B", got.Descriptor.b, want.Descriptor.b);
       ("C", got.Descriptor.c, want.Descriptor.c) ]
 
+(* Same rank as the two-sided oracle, and H within 1e-10 relative at
+   every sample frequency. *)
+let check_two_sided what ~tol p (r : Svd_reduce.result) =
+  let rank, reference = two_sided_reference ~tol p in
+  Alcotest.(check int) (what ^ " rank = two-sided rank") rank r.Svd_reduce.rank;
+  Array.iter
+    (fun f ->
+      let want = Descriptor.eval_freq reference f in
+      let got = Descriptor.eval_freq r.Svd_reduce.model f in
+      let rel = Cmat.norm_fro (Cmat.sub got want) /. Cmat.norm_fro want in
+      if not (rel <= 1e-10) then
+        Alcotest.failf "%s: H(j2pi %.4g) differs from the two-sided model by %.3g"
+          what f rel)
+    noisy_pdn_freqs
+
 let test_stacked_tol_certified () =
   (* At tol 3e-3 the half-width sketch proves rank 6 on both sides:
      no exact SVD runs, and the model agrees with the exact one. *)
@@ -532,16 +594,7 @@ let test_stacked_tol_certified () =
   let r, diag = stacked_tol ~tol:3e-3 p in
   Alcotest.(check int) "no fallback" 0 (List.length (fallbacks diag));
   Alcotest.(check int) "no retry" 0 diag.Diag.retries;
-  let rank, reference = two_sided_reference ~tol:3e-3 p in
-  Alcotest.(check int) "rank = exact rank" rank r.Svd_reduce.rank;
-  Array.iter
-    (fun f ->
-      let want = Descriptor.eval_freq reference f in
-      let got = Descriptor.eval_freq r.Svd_reduce.model f in
-      let rel = Cmat.norm_fro (Cmat.sub got want) /. Cmat.norm_fro want in
-      if not (rel <= 1e-10) then
-        Alcotest.failf "H(j2pi %.4g) differs from the exact model by %.3g" f rel)
-    noisy_pdn_freqs
+  check_two_sided "sketch" ~tol:3e-3 p r
 
 let test_stacked_fallback_bit_identical () =
   (* At tol 1e-4 the residual exceeds the threshold, so neither side
@@ -555,9 +608,10 @@ let test_stacked_fallback_bit_identical () =
     [ "sketch 80/160 capped at n/2, tol 0.0001 rank ";
       " not certified: residual "; " > tol*sigma_1 "; "; exact cascade" ]
     fallbacks;
-  let rank, reference = two_sided_reference ~tol:1e-4 p in
+  let rank, reference = exact_reference ~tol:1e-4 p in
   Alcotest.(check int) "rank" rank r.Svd_reduce.rank;
-  check_bit_identical "fallback" r.Svd_reduce.model reference
+  check_bit_identical "fallback" r.Svd_reduce.model reference;
+  check_two_sided "fallback" ~tol:1e-4 p r
 
 let test_stacked_tol_straddle () =
   (* A prescribed spectrum (seeded orthonormal factors): rank 6 above
@@ -585,9 +639,10 @@ let test_stacked_tol_straddle () =
     [ "tol 0.003 rank 6 not certified: sigma_7 in [";
       "] straddles tol*sigma_1 in [" ]
     fallbacks;
-  let rank, reference = two_sided_reference ~tol p in
+  let rank, reference = exact_reference ~tol p in
   Alcotest.(check int) "rank" rank r.Svd_reduce.rank;
-  check_bit_identical "straddle" r.Svd_reduce.model reference
+  check_bit_identical "straddle" r.Svd_reduce.model reference;
+  check_two_sided "straddle" ~tol p r
 
 let test_stacked_tol_degrade () =
   (* The degrade fault poisons the residual, so the rule refuses even
@@ -597,38 +652,54 @@ let test_stacked_tol_degrade () =
   let fallbacks = fallbacks diag in
   Alcotest.(check int) "two fallbacks" 2 (List.length fallbacks);
   check_details "degrade" [ "not certified: residual inf > tol*sigma_1 " ] fallbacks;
-  let rank, reference = two_sided_reference ~tol:3e-3 p in
+  let rank, reference = exact_reference ~tol:3e-3 p in
   Alcotest.(check int) "rank" rank r.Svd_reduce.rank;
-  check_bit_identical "degrade" r.Svd_reduce.model reference
+  check_bit_identical "degrade" r.Svd_reduce.model reference;
+  check_two_sided "degrade" ~tol:3e-3 p r
 
-let test_stacked_tol_domains () =
+(* The reduce at 1 and 4 domains, bit for bit, with [expect] sides
+   falling back; the degrade [fault] forces the exact real SVD. *)
+let domain_invariant ?fault ~expect () =
   let p = Lazy.force noisy_pdn_pencil in
+  let reduce () = stacked_tol ~tol:3e-3 p in
   let at domains =
     Parallel.set_domain_count domains;
     Fun.protect
       ~finally:(fun () -> Parallel.set_domain_count 1)
-      (fun () -> stacked_tol ~tol:3e-3 p)
+      (fun () ->
+        match fault with None -> reduce () | Some f -> Fault.with_spec f reduce)
   in
   let r1, d1 = at 1 and r4, d4 = at 4 in
-  Alcotest.(check int) "certified at 1" 0 (List.length (fallbacks d1));
-  Alcotest.(check int) "certified at 4" 0 (List.length (fallbacks d4));
+  Alcotest.(check int) "fallbacks at 1" expect (List.length (fallbacks d1));
+  Alcotest.(check int) "fallbacks at 4" expect (List.length (fallbacks d4));
   check_bit_identical "1 vs 4 domains" r4.Svd_reduce.model r1.Svd_reduce.model
 
-(* Every path realifies its pencil, so every model is real: one-shot
-   (Direct, Vector), Algorithm 2 and a session.  A pencil 96 or more
-   wide is sketched, and the sketch's real test matrices keep the
-   projection of the real pencil exactly real too. *)
+let test_stacked_tol_domains = domain_invariant ~expect:0
+let test_stacked_exact_domains = domain_invariant ~fault:"svd.rsvd.degrade" ~expect:2
+
+(* Every path realifies its pencil and the reduce runs in real
+   arithmetic, so every model is exactly real: one-shot (Direct,
+   Vector), Algorithm 2 (both assemblies), a session, both projection
+   modes, and the noisy PDN whether the sketch is kept or the degrade
+   fault forces the exact SVD. *)
 let test_models_real () =
-  let check name model =
-    Alcotest.(check bool) (name ^ " model real") true
-      (Descriptor.is_real model)
+  let check name (model : Descriptor.t) =
+    List.iter
+      (fun (m, x) ->
+        Alcotest.(check (float 0.)) (name ^ " " ^ m ^ " exactly real") 0.
+          (Cmat.max_imag x))
+      Descriptor.[ ("E", model.e); ("A", model.a); ("B", model.b); ("C", model.c) ]
   in
   check "direct" (fit_default 6).Engine.model;
   check "vector" (Engine.fit ~strategy:Engine.Vector (samples 20)).Engine.model;
-  check "recursive incremental"
-    (Engine.fit ~strategy:recursive
-       ~options:{ Engine.default_recursive_options with batch = 2 }
-       (samples 20)).Engine.model;
+  List.iter
+    (fun (name, assembly) ->
+      check name
+        (Engine.fit ~strategy:(Engine.Recursive assembly)
+           ~options:{ Engine.default_recursive_options with batch = 2 }
+           (samples 20)).Engine.model)
+    [ ("recursive incremental", Engine.Incremental);
+      ("recursive batch", Engine.Batch) ];
   let sess =
     Result.get_ok
       (Engine.Session.open_ ~inputs:test_spec.Random_sys.ports
@@ -637,6 +708,13 @@ let test_models_real () =
   ignore (Result.get_ok (Engine.Session.append sess (samples 6)));
   check "session finalize"
     (Engine.Model.descriptor (Result.get_ok (Engine.Session.finalize sess)));
+  let pencil = realified 6 in
+  List.iter
+    (fun (name, x0) ->
+      check name
+        (Svd_reduce.reduce ~mode:(Svd_reduce.Pencil x0) pencil).Svd_reduce.model)
+    [ ("pencil |lambda0|", None);
+      ("pencil |mu0|", Some (Cx.abs pencil.Loewner.mu.(0))) ];
   (* fit-touchstone-shaped data: the noisy 4-port 40-point PDN at the
      rank tolerance whose sketch the reduce keeps *)
   let noisy =
@@ -646,22 +724,25 @@ let test_models_real () =
   let options =
     { Engine.default_options with rank_rule = Svd_reduce.Tol 3e-3 }
   in
-  let st =
-    Result.get_ok
-      (Engine.ingest ~options ~strategy:Engine.Direct
-         (Dataset.trim_even (Dataset.of_samples noisy)))
+  let reduce_noisy () =
+    let st =
+      Result.get_ok
+        (Engine.ingest ~options ~strategy:Engine.Direct
+           (Dataset.trim_even (Dataset.of_samples noisy)))
+    in
+    Result.get_ok (Engine.reduce st);
+    st
   in
-  Result.get_ok (Engine.reduce st);
+  let st = reduce_noisy () in
   Alcotest.(check bool) "pencil wide enough to sketch" true
     (Cmat.cols (Option.get (Engine.pencil st)).Loewner.ll >= 96);
   Alcotest.(check int) "sketch kept" 0
     (List.length (fallbacks (Engine.diagnostics st)));
-  let m = (Option.get (Engine.reduction st)).Svd_reduce.model in
-  List.iter
-    (fun (name, x) ->
-      Alcotest.(check (float 0.)) ("sketched " ^ name ^ " exactly real") 0.
-        (Cmat.max_imag x))
-    Descriptor.[ ("E", m.e); ("A", m.a); ("B", m.b); ("C", m.c) ]
+  check "sketched" (Option.get (Engine.reduction st)).Svd_reduce.model;
+  let st = Fault.with_spec "svd.rsvd.degrade" reduce_noisy in
+  Alcotest.(check int) "sketch refused" 2
+    (List.length (fallbacks (Engine.diagnostics st)));
+  check "fault-forced exact" (Option.get (Engine.reduction st)).Svd_reduce.model
 
 (* property: whenever the Tol certificate keeps the sketch, the rank is
    the one the rule picks on the exact spectrum *)
@@ -792,6 +873,7 @@ let () =
          Alcotest.test_case "full-matrix interpolation (lemma 3.1)" `Quick test_full_matrix_interpolation;
          Alcotest.test_case "real model (lemma 3.2)" `Quick test_models_real;
          Alcotest.test_case "pencil mode (lemma 3.4)" `Quick test_pencil_mode_recovery;
+         Alcotest.test_case "unrealified pencil refused" `Quick test_unrealified_refused;
          Alcotest.test_case "undersampled fails" `Quick test_undersampled_fails;
          Alcotest.test_case "uniform weight" `Quick test_uniform_weight_recovery;
          Alcotest.test_case "identity directions" `Quick test_identity_directions_recovery;
@@ -826,6 +908,8 @@ let () =
            test_stacked_tol_degrade;
          Alcotest.test_case "tol certified domain-invariant (bit)" `Quick
            test_stacked_tol_domains;
+         Alcotest.test_case "exact path domain-invariant (bit)" `Quick
+           test_stacked_exact_domains;
          QCheck_alcotest.to_alcotest prop_tol_rank_matches ]);
       ("properties",
        [ QCheck_alcotest.to_alcotest prop_minimal_recovery ]) ]
