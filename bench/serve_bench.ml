@@ -63,7 +63,9 @@ let run ?(smoke = false) () =
   (match Serve.Compiled.mode compiled with
    | Serve.Compiled.Pole_residue -> ()
    | Serve.Compiled.Direct ->
-     failwith "serve bench: compilation fell back to direct mode");
+     failwith
+       "serve bench: compilation fell back to the direct \
+        Hessenberg-triangular solve");
   let direct_grid () = Array.map (Descriptor.eval_freq sys) freqs in
   let exact = direct_grid () in
   let got = Serve.Compiled.eval_grid compiled freqs in

@@ -922,7 +922,7 @@ let run_inspect path =
   Printf.printf "compiled: %s (%d poles)\n"
     (match Serve.Compiled.mode compiled with
      | Serve.Compiled.Pole_residue -> "pole-residue"
-     | Serve.Compiled.Direct -> "direct LU fallback")
+     | Serve.Compiled.Direct -> "direct Hessenberg-triangular solve")
     (Array.length (Serve.Compiled.poles compiled));
   0
 

@@ -26,7 +26,8 @@
                                artifact (serving layer)
     - ["artifact.truncate"]    encoded model artifact cut short
     - ["compiled.defective"]   pole-residue compilation forced into the
-                               direct-LU fallback
+                               [Direct] fallback, which serves the
+                               Hessenberg–triangular solve
     - ["serve.torn_write"]     artifact save killed mid-write: half the
                                bytes reach the temp file, no rename
     - ["serve.slow_client"]    supervisor treats a partial request frame

@@ -10,6 +10,7 @@ type t = {
   br : Cmat.t;  (* V^{-1} E^{-1} B, n x m *)
   d : Cmat.t;   (* feedthrough of the compiled realization, p x m *)
   sys : Descriptor.t;  (* exact source realization (Direct mode, probes) *)
+  form : Descriptor.hessenberg option;  (* Direct mode, real source *)
 }
 
 let mode t = t.mode
@@ -47,22 +48,35 @@ let eval_pr t s =
   done;
   res
 
+(* Direct mode: one elimination on the stored Hessenberg-triangular
+   form, or [Descriptor.eval] for a complex source or at a zero pivot. *)
+let eval_direct t point s =
+  match Option.bind point (fun point -> point s) with
+  | Some g -> g
+  | None -> Descriptor.eval t.sys s
+
 let eval t s =
   match t.mode with
   | Pole_residue -> eval_pr t s
-  | Direct -> Descriptor.eval t.sys s
+  | Direct -> eval_direct t (Option.map Descriptor.hessenberg_eval t.form) s
 
 let eval_freq t f = eval t (Cx.jw (2. *. Float.pi *. f))
 
 let eval_grid t freqs =
-  let n = Array.length freqs in
-  let out = Array.make n t.d in
-  (* each point writes its own slot: bit-identical at any domain count *)
-  Parallel.parallel_for n (fun lo hi ->
-      for i = lo to hi - 1 do
-        out.(i) <- eval_freq t freqs.(i)
-      done);
-  out
+  match t.form with
+  | Some form ->
+    (* one scratch for the whole grid, so the points run in order *)
+    let point = Some (Descriptor.hessenberg_eval form) in
+    Array.map (fun f -> eval_direct t point (Cx.jw (2. *. Float.pi *. f))) freqs
+  | None ->
+    let n = Array.length freqs in
+    let out = Array.make n t.d in
+    (* each point writes its own slot: bit-identical at any domain count *)
+    Parallel.parallel_for n (fun lo hi ->
+        for i = lo to hi - 1 do
+          out.(i) <- eval_freq t freqs.(i)
+        done);
+    out
 
 (* ------------------------------------------------------------------ *)
 (* Compilation *)
@@ -73,7 +87,18 @@ let direct sys =
     cl = Cmat.create (Descriptor.outputs sys) 0;
     br = Cmat.create 0 (Descriptor.inputs sys);
     d = sys.Descriptor.d;
-    sys }
+    sys;
+    form = Descriptor.hessenberg sys }
+
+(* Records why the pole-residue form was refused and what serves
+   instead. *)
+let fallback sys why =
+  let t = direct sys in
+  Diag.record ~site:"compiled.defective_fallback"
+    (Printf.sprintf "%s; serving %s" why
+       (if Option.is_some t.form then "the Hessenberg-triangular solve"
+        else "per-point LU (complex realization)"));
+  t
 
 let try_diagonalize ~source realization =
   let fe = Lu.factorize realization.Descriptor.e in
@@ -83,7 +108,7 @@ let try_diagonalize ~source realization =
   let br = Lu.solve fv (Lu.solve fe realization.Descriptor.b) in
   let cl = Cmat.mul realization.Descriptor.c v in
   { mode = Pole_residue; poles = lam; cl; br;
-    d = realization.Descriptor.d; sys = source }
+    d = realization.Descriptor.d; sys = source; form = None }
 
 (* Deterministic probe grid spanning the pole band on the jw axis —
    the region serving requests actually hit. *)
@@ -130,11 +155,8 @@ let of_descriptor sys =
   if Descriptor.order sys = 0 then
     (* static network: pole-residue form with no poles *)
     { (direct sys) with mode = Pole_residue }
-  else if Fault.armed "compiled.defective" then begin
-    Diag.record ~site:"compiled.defective_fallback"
-      "fault-injected defective pencil; serving direct LU evaluation";
-    direct sys
-  end
+  else if Fault.armed "compiled.defective" then
+    fallback sys "fault-injected defective pencil"
   else begin
     let attempt realization =
       match try_diagonalize ~source:sys realization with
@@ -156,12 +178,9 @@ let of_descriptor sys =
       (match proper with
        | Some c -> c
        | None ->
-         Diag.record ~site:"compiled.defective_fallback"
-           (Printf.sprintf
-              "pencil not diagonalizable to %.1e at order %d; serving \
-               direct LU evaluation"
-              tol (Descriptor.order sys));
-         direct sys)
+         fallback sys
+           (Printf.sprintf "pencil not diagonalizable to %.1e at order %d"
+              tol (Descriptor.order sys)))
   end
 
 let of_model model = of_descriptor (Mfti.Engine.Model.descriptor model)

@@ -17,21 +17,30 @@
     When the pencil is defective (repeated poles with a deficient
     eigenvector basis), ill-conditioned, or [E] is singular even after
     {!Statespace.Descriptor.to_proper}, the compiler falls back to
-    [Direct] mode — exact per-point LU solves — and records
-    ["compiled.defective_fallback"] in the ambient {!Linalg.Diag}
-    collector.  Either way {!eval} never lies: [Pole_residue] mode is
-    only kept when it reproduces the model at the probes.
+    [Direct] mode and records ["compiled.defective_fallback"] in the
+    ambient {!Linalg.Diag} collector.  [Direct] reduces a real source
+    once to {!Statespace.Descriptor.hessenberg} form, so each point is
+    one O(n^2 m) Hessenberg elimination that never inverts [E].  A
+    complex (legacy v1/v2) source, or a point where that elimination
+    meets a zero pivot, is evaluated by
+    {!Statespace.Descriptor.eval}'s dense LU.  Either way {!eval} never
+    lies: [Pole_residue] mode is only kept when it reproduces the model
+    at the probes.
 
-    {!eval_grid} batches points across the {!Linalg.Parallel} domain
-    pool; each point is computed independently, so results are
-    bit-identical for any domain count.
+    In [Pole_residue] mode {!eval_grid} batches points across the
+    {!Linalg.Parallel} domain pool; in [Direct] mode it runs them in
+    order on one scratch.  Each point is computed independently, so
+    results are bit-identical for any domain count.
 
     Fault-injection site: ["compiled.defective"] forces the [Direct]
     fallback (see {!Linalg.Fault}). *)
 
 type mode =
   | Pole_residue  (** diagonalized; O(n m p) per point *)
-  | Direct        (** defective/singular fallback; LU solve per point *)
+  | Direct
+      (** defective/singular fallback: the Hessenberg–triangular
+          solve, O(n^2 m) per point (per-point LU for a complex
+          source) *)
 
 type t
 
@@ -57,10 +66,12 @@ val poles : t -> Linalg.Cx.t array
     {!Statespace.Descriptor.eval} of the source realization. *)
 val eval : t -> Linalg.Cx.t -> Linalg.Cmat.t
 
-(** [eval_freq t f] evaluates at [s = j 2 pi f]. *)
+(** [eval_freq t f] evaluates at [s = j 2 pi f].  In [Direct] mode it
+    is bit-identical to [(Descriptor.eval_grid sys [|f|]).(0)] of the
+    source [sys]. *)
 val eval_freq : t -> float -> Linalg.Cmat.t
 
-(** [eval_grid t freqs] evaluates every frequency, distributing points
-    over the domain pool.  [eval_grid t [|f|]].(0) is bit-identical to
-    [eval_freq t f] at any domain count. *)
+(** [eval_grid t freqs] evaluates every frequency, distributing
+    [Pole_residue] points over the domain pool.  [eval_grid t [|f|]].(0)
+    is bit-identical to [eval_freq t f] at any domain count. *)
 val eval_grid : t -> float array -> Linalg.Cmat.t array

@@ -198,30 +198,56 @@ let hessenberg_point ~n ~m ~p h t qb cz d (s : Cx.t) ur ui xr xi =
     Some out
   end
 
-let eval_grid sys freqs =
+type hessenberg = {
+  hn : int;
+  hm : int;
+  hp : int;
+  h : float array;   (* Q^T A Z, upper Hessenberg, column-major n x n *)
+  t : float array;   (* Q^T E Z, upper triangular, column-major n x n *)
+  qb : float array;  (* Q^T B, column-major n x m *)
+  cz : float array;  (* C Z, column-major p x n *)
+  hd : Cmat.t;       (* D *)
+}
+
+let hessenberg sys =
   let n = order sys in
   let real m = Cmat.max_imag m = 0. in
   if
     n = 0
     || not (real sys.e && real sys.a && real sys.b && real sys.c)
     || Fault.armed "lu.singular"
-  then Array.map (eval_freq sys) freqs
+  then None
   else begin
     let m = inputs sys and p = outputs sys in
     let part x = Array.copy (Cmat.unsafe_re x) in
     let h = part sys.a and t = part sys.e and qb = part sys.b
     and cz = part sys.c in
     hessenberg_triangular ~n ~m ~p h t qb cz;
-    let ur = Array.make (n * n) 0. and ui = Array.make (n * n) 0. in
-    let xr = Array.make (n * m) 0. and xi = Array.make (n * m) 0. in
+    Some { hn = n; hm = m; hp = p; h; t; qb; cz; hd = sys.d }
+  end
+
+(* The scratch is allocated at partial application and every entry the
+   elimination reads is written first for each point, so a reused
+   closure gives the same bits as a fresh one. *)
+let hessenberg_eval form =
+  let n = form.hn and m = form.hm in
+  let ur = Array.make (n * n) 0. and ui = Array.make (n * n) 0. in
+  let xr = Array.make (n * m) 0. and xi = Array.make (n * m) 0. in
+  fun s ->
+    hessenberg_point ~n ~m ~p:form.hp form.h form.t form.qb form.cz form.hd s
+      ur ui xr xi
+
+let eval_grid sys freqs =
+  match hessenberg sys with
+  | None -> Array.map (eval_freq sys) freqs
+  | Some form ->
+    let point = hessenberg_eval form in
     Array.map
       (fun f ->
-        let s = Cx.jw (2. *. Float.pi *. f) in
-        match hessenberg_point ~n ~m ~p h t qb cz sys.d s ur ui xr xi with
+        match point (Cx.jw (2. *. Float.pi *. f)) with
         | Some g -> g
         | None -> eval_freq sys f)
       freqs
-  end
 
 let dc_gain sys = eval sys Cx.zero
 

@@ -47,11 +47,33 @@ val eval : t -> Linalg.Cx.t -> Linalg.Cmat.t
 (** [eval_freq sys f] evaluates at [s = j 2 pi f]. *)
 val eval_freq : t -> float -> Linalg.Cmat.t
 
+(** Hessenberg–triangular form of an exactly real model: orthogonal
+    [Q], [Z] (products of Givens rotations, the first stage of Moler &
+    Stewart's QZ) with [H = Q^T A Z] upper Hessenberg and
+    [T = Q^T E Z] upper triangular, stored with [Q^T B], [C Z] and
+    [D].  Then [H(s) = C Z (sT - H)^{-1} Q^T B + D], and [E] is never
+    inverted, so a nearly singular [E] costs nothing extra.  Immutable:
+    one form may be shared between domains. *)
+type hessenberg
+
+(** [hessenberg sys] reduces [sys] once, in O(n^3).  [None] when the
+    order is 0, when [E], [A], [B] or [C] has a nonzero imaginary
+    entry, or when the ["lu.singular"] fault is armed (so the fault
+    keeps every point on {!eval}'s LU path). *)
+val hessenberg : t -> hessenberg option
+
+(** [hessenberg_eval form s] is [H(s)] by one O(n^2 m) Gaussian
+    elimination on the Hessenberg [sT - H], pivoting between adjacent
+    rows; [None] on a zero pivot, where {!eval}'s QR fallback applies.
+    Partial application [hessenberg_eval form] allocates the scratch,
+    and the returned function reuses it: give each domain its own.
+    Its answers do not depend on what it evaluated before. *)
+val hessenberg_eval : hessenberg -> Linalg.Cx.t -> Linalg.Cmat.t option
+
 (** [eval_grid sys freqs] is [Array.map (eval_freq sys) freqs] up to
-    roundoff.  An exactly real model is reduced once to
-    Hessenberg-triangular form, then each point is one O(n^2 m)
-    Hessenberg elimination; a zero pivot or a complex model uses
-    {!eval_freq}. *)
+    roundoff: the {!hessenberg} form built once, then {!hessenberg_eval}
+    at each point, with {!eval_freq} where there is no form or the
+    elimination meets a zero pivot. *)
 val eval_grid : t -> float array -> Linalg.Cmat.t array
 
 (** [dc_gain sys] is [H(0)]. *)

@@ -237,9 +237,108 @@ let test_compiled_defective_fault () =
   Alcotest.(check int) "no poles" 0 (Array.length (Compiled.poles c));
   Alcotest.(check bool) "fallback recorded" true
     (Diag.recorded diag "compiled.defective_fallback");
-  (* Direct mode is the exact per-point LU evaluation *)
-  let s = Cx.jw 1e4 in
-  same_mat "direct eval" (Compiled.eval c s) (Descriptor.eval sys s)
+  (* Direct mode serves the certifier's Hessenberg-triangular sweep *)
+  let f = 1.5e3 in
+  let got = Compiled.eval_freq c f in
+  same_mat "direct eval = eval_grid" got (Descriptor.eval_grid sys [| f |]).(0);
+  let e = rel_err got (Descriptor.eval_freq sys f) in
+  if e > eval_tol then
+    Alcotest.failf "direct eval: rel err %.3e against Descriptor.eval" e
+
+(* Direct-mode models: the fault-forced random system, and the 4-port
+   PDN fit from a 100-point Touchstone round trip (what `gen pdn` then
+   `pack` produce), whose nearly singular E fails the pole-residue
+   probe. *)
+let pdn_fit =
+  lazy
+    (let board =
+       { Rf.Pdn.default_spec with ports = 4; decaps = 2; nx = 3; ny = 3; seed = 1 }
+     in
+     let path = Filename.concat (fresh_dir ()) "pdn.s4p" in
+     Rf.Touchstone.write_file path
+       { Rf.Touchstone.parameter = Rf.Touchstone.S; z0 = 50.;
+         samples = Rf.Pdn.scattering board ~z0:50. (Sampling.logspace 1e6 3e9 100) };
+     let data = Rf.Touchstone.read_file path in
+     Mfti.Engine.Model.of_fit
+       (Mfti.Engine.fit (Mfti.Tangential.trim_even data.Rf.Touchstone.samples)))
+
+let direct_cases () =
+  let forced = sys_of 2 in
+  let pdn = Mfti.Engine.Model.descriptor (Lazy.force pdn_fit) in
+  [ ( "fault-forced sys_of 2",
+      Fault.with_spec "compiled.defective" (fun () -> Compiled.of_descriptor forced),
+      forced,
+      Sampling.logspace 1e2 1e6 64 );
+    ( "round-tripped PDN fit",
+      Compiled.of_model (Lazy.force pdn_fit),
+      pdn,
+      Sampling.logspace 1e6 3e9 64 ) ]
+
+let test_compiled_direct_hessenberg () =
+  List.iter
+    (fun (what, c, sys, freqs) ->
+      Alcotest.(check bool) (what ^ ": direct mode") true
+        (Compiled.mode c = Compiled.Direct);
+      let grid = Compiled.eval_grid c freqs in
+      let sweep = Descriptor.eval_grid sys freqs in
+      let sequential = Parallel.with_sequential (fun () -> Compiled.eval_grid c freqs) in
+      Array.iteri
+        (fun i f ->
+          let at = Printf.sprintf "%s point %d" what i in
+          same_mat (at ^ " = Descriptor.eval_grid") grid.(i) sweep.(i);
+          same_mat (at ^ " = eval_freq") (Compiled.eval_grid c [| f |]).(0)
+            (Compiled.eval_freq c f);
+          same_mat (at ^ " pooled = sequential") grid.(i) sequential.(i);
+          let e = rel_err grid.(i) (Descriptor.eval_freq sys f) in
+          if e > eval_tol then
+            Alcotest.failf "%s: rel err %.3e against Descriptor.eval" at e)
+        freqs)
+    (direct_cases ())
+
+let test_compiled_direct_complex () =
+  (* a complex (legacy) realization has no real Hessenberg-triangular
+     form: every point is Descriptor.eval's LU *)
+  let real = sys_of 2 in
+  let sys =
+    Descriptor.create ~e:real.Descriptor.e ~a:real.Descriptor.a
+      ~b:(Cmat.scale { Cx.re = 0.6; im = 0.8 } real.Descriptor.b)
+      ~c:real.Descriptor.c ~d:real.Descriptor.d
+  in
+  Alcotest.(check bool) "no real form" true (Descriptor.hessenberg sys = None);
+  let c = Fault.with_spec "compiled.defective" (fun () -> Compiled.of_descriptor sys) in
+  Alcotest.(check bool) "direct mode" true (Compiled.mode c = Compiled.Direct);
+  let freqs = Sampling.logspace 1e2 1e6 17 in
+  let grid = Compiled.eval_grid c freqs in
+  Array.iteri
+    (fun i f ->
+      same_mat (Printf.sprintf "point %d" i) grid.(i) (Descriptor.eval_freq sys f))
+    freqs
+
+let test_compiled_direct_zero_pivot () =
+  (* poles at +-j w0 on the axis: the elimination meets an exact zero
+     pivot at f0, and the point goes to Descriptor.eval, whose LU takes
+     the column-pivoted QR fallback *)
+  let f0 = 3. in
+  let w0 = 2. *. Float.pi *. f0 in
+  let sys =
+    Descriptor.of_state_space
+      ~a:(Cmat.of_rows [ [ Cx.zero; { Cx.re = -.w0; im = 0. } ];
+                         [ { Cx.re = w0; im = 0. }; Cx.zero ] ])
+      ~b:(Cmat.identity 2) ~c:(Cmat.identity 2) ~d:(Cmat.zeros 2 2)
+  in
+  let form = Option.get (Descriptor.hessenberg sys) in
+  Alcotest.(check bool) "zero pivot at f0" true
+    (Descriptor.hessenberg_eval form (Cx.jw w0) = None);
+  let c = Fault.with_spec "compiled.defective" (fun () -> Compiled.of_descriptor sys) in
+  let grid, diag = Diag.with_collector (fun () -> Compiled.eval_grid c [| 1.; f0 |]) in
+  let exact = Descriptor.eval_freq sys f0 in
+  Alcotest.(check bool) "QR fallback recorded" true
+    (Diag.recorded diag "lu.qr_fallback");
+  Alcotest.(check bool) "finite" true (Cmat.is_finite grid.(1));
+  same_mat "grid = Descriptor.eval" grid.(1) exact;
+  same_mat "eval_freq = Descriptor.eval" (Compiled.eval_freq c f0) exact;
+  same_mat "regular point = eval_grid" grid.(0)
+    (Descriptor.eval_grid sys [| 1. |]).(0)
 
 let test_compiled_static () =
   let d = Cmat.create 2 2 in
@@ -1549,6 +1648,12 @@ let () =
            test_compiled_grid_domain_invariant;
          Alcotest.test_case "fault: defective pencil" `Quick
            test_compiled_defective_fault;
+         Alcotest.test_case "direct: Hessenberg-triangular serving" `Quick
+           test_compiled_direct_hessenberg;
+         Alcotest.test_case "direct: complex realization" `Quick
+           test_compiled_direct_complex;
+         Alcotest.test_case "direct: zero pivot" `Quick
+           test_compiled_direct_zero_pivot;
          Alcotest.test_case "static system" `Quick test_compiled_static;
          Alcotest.test_case "pack/load/eval bit-identical" `Quick
            test_pack_load_eval_bit_identical ]);
