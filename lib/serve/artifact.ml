@@ -306,7 +306,17 @@ let write_all fd s ~len =
 let save path t =
   let data = to_string t in
   let tmp = path ^ temp_suffix in
-  let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
+  let fd =
+    try Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
+    with Unix.Unix_error (err, _, _) ->
+      (* a missing or unwritable directory is a bad destination, not a
+         crash *)
+      Mfti_error.raise_error
+        (Mfti_error.Validation
+           { context = "artifact";
+             message =
+               Printf.sprintf "cannot write %s: %s" path (Unix.error_message err) })
+  in
   (match
      if Fault.armed "serve.torn_write" then begin
        write_all fd data ~len:(String.length data / 2);

@@ -88,7 +88,9 @@ val to_string : t -> string
 val of_string : ?source:string -> string -> (t, Linalg.Mfti_error.t) result
 
 (** [save path t] writes [to_string t] atomically: temp file + fsync +
-    rename.  Raises {!Linalg.Mfti_error.Error} at the
+    rename.  Raises {!Linalg.Mfti_error.Error}: [Validation] naming
+    [path] when the temp file cannot be created (a missing or
+    unwritable directory), and [Fault_injected] at the
     ["serve.torn_write"] fault site (leaving a torn temp file behind,
     as a killed writer would). *)
 val save : string -> t -> unit

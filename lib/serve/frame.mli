@@ -57,10 +57,18 @@ val grid_body : meta:Sjson.t -> grid:Linalg.Cmat.t array -> string
     Raises {!Linalg.Mfti_error.Error} ([Parse]) on a damaged body. *)
 val decode_grid_body : string -> Sjson.t * Linalg.Cmat.t array
 
-(** The JSON ["results"] array for a grid — one [p x m] matrix per
-    frequency, each entry a [[re, im]] pair.  Shared by {!Server} (JSON
-    eval-grid responses) and {!Router} (re-rendering a binary upstream
-    reply for a JSON client), so the two emit bit-identical text. *)
+(** [grid_json ~meta ~grid] is the JSON text of the eval-grid response
+    whose fields are [meta] followed by ["results"]: one [p x m] matrix
+    per frequency, each entry a [[re, im]] pair.  It is written straight
+    into one buffer, with no {!Sjson.t} tree, and its bytes are those of
+    [Sjson.to_string (Obj (meta @ [("results", results_json grid)]))].
+    Shared by {!Server} (JSON eval-grid responses) and {!Router}
+    (re-rendering a binary upstream reply for a JSON client), so the two
+    emit bit-identical text. *)
+val grid_json : meta:(string * Sjson.t) list -> grid:Linalg.Cmat.t array -> string
+
+(** The JSON ["results"] array for a grid as a tree: the reference that
+    {!grid_json} must match byte for byte. *)
 val results_json : Linalg.Cmat.t array -> Sjson.t
 
 (** Incremental frame extraction over a byte stream.  The reader owns

@@ -714,7 +714,7 @@ let text j = Server.Text (Sjson.to_string j)
    binary client, JSON re-rendered from the bits for a JSON one. *)
 let grid_reply ~binary fields grid =
   if binary then Server.Grid (Frame.grid_body ~meta:(Sjson.Obj fields) ~grid)
-  else text (Sjson.Obj (fields @ [ ("results", Frame.results_json grid) ]))
+  else Server.Text (Frame.grid_json ~meta:fields ~grid)
 
 let member_str req k =
   match Sjson.member k req with Some (Sjson.Str s) -> Some s | _ -> None

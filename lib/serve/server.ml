@@ -874,11 +874,7 @@ let handle_request t ~binary line =
     | Json_out response -> Text (Sjson.to_string response)
     | Grid_out (meta, grid) ->
       if binary then Grid (Frame.grid_body ~meta:(Sjson.Obj meta) ~grid)
-      else
-        Text
-          (Sjson.to_string
-             (Sjson.Obj
-                (meta @ [ ("results", Frame.results_json grid) ])))
+      else Text (Frame.grid_json ~meta ~grid)
   in
   let out_bytes =
     match reply with

@@ -24,37 +24,57 @@ let buf_add_escaped b s =
       | c -> Buffer.add_char b c)
     s
 
-(* The runtime primitive behind [string_of_float] and Printf's %g/%f:
-   the same bytes as [Printf.sprintf] for a finite float, at about half
-   the cost. *)
-external format_float : string -> float -> string = "caml_format_float"
+(* The number kernel (sjson_stubs.cpp): [print buf off prec x] writes
+   the text of [x] under %.0f (prec = 0) or %.<prec>g into [buf] at
+   [off], the same bytes as [Printf.sprintf], and returns its length.
+   It allocates nothing. *)
+external print :
+  bytes -> (int[@untagged]) -> (int[@untagged]) -> (float[@unboxed]) ->
+  (int[@untagged]) = "mfti_sjson_print_byte" "mfti_sjson_print"
+[@@noalloc]
 
-(* Index of the first significant digit of the %g text [s] of a
-   nonzero float: past the sign, leading zeros and the point. *)
+(* A writer's scratch: the %.17g text at [0, half), a shorter candidate
+   at [half, 2 half).  The longest %.17g text is 24 bytes. *)
+let half = 32
+
+(* The %.17g text [s.[0 .. len - 1]] of a nonzero float is a sign, the
+   mantissa's significant digits from index [i] (past leading zeros and
+   the point) up to [m] (the 'e' of an exponent, or [len]), broken by
+   at most one '.' at [dot] ([m] when there is none), then the
+   exponent, whose 'e' sits four or five bytes from the end. *)
 let rec first_sig s i =
-  match s.[i] with '-' | '0' | '.' -> first_sig s (i + 1) | _ -> i
+  match Bytes.get s i with '-' | '0' | '.' -> first_sig s (i + 1) | _ -> i
 
-(* Significant digit [k] (1-based) counting from index [i] of [s];
-   positions past the printed digits (%g strips trailing zeros) read as
-   '0'. *)
-let rec sig_digit s i k =
-  if i >= String.length s then '0'
-  else
-    match s.[i] with
-    | '.' -> sig_digit s (i + 1) k
-    | 'e' -> '0'
-    | c -> if k = 1 then c else sig_digit s (i + 1) (k - 1)
+let mantissa_end s len =
+  if len >= 5 && Bytes.get s (len - 4) = 'e' then len - 4
+  else if len >= 6 && Bytes.get s (len - 5) = 'e' then len - 5
+  else len
+
+let rec index_of s c j stop =
+  if j >= stop || Bytes.get s j = c then j else index_of s c (j + 1) stop
+
+(* Significant digit [k] (1-based) of that text; positions past the
+   printed digits (%g strips trailing zeros) read as '0'. *)
+let sig_digit s i dot m k =
+  let p = i + k - 1 in
+  let p = if i < dot && dot <= p then p + 1 else p in
+  if p < m then Bytes.get s p else '0'
 
 (* Digits n+1 and n+2 of the 17-digit text are both '0' or both '9'. *)
-let near_short s17 n =
-  let i = first_sig s17 0 in
-  let d = sig_digit s17 i (n + 1) in
-  (d = '0' || d = '9') && sig_digit s17 i (n + 2) = d
+let near_short s17 i dot m n =
+  let d = sig_digit s17 i dot m (n + 1) in
+  (d = '0' || d = '9') && sig_digit s17 i dot m (n + 2) = d
 
-(* The shortest of %.6g / %.12g / %.17g that parses back to the same
-   float: compact for round numbers, exact always.  The serving
-   protocol relies on emitted values surviving a write/parse cycle
-   bitwise.
+(* Appends the %.<n>g text of [x] to [b] when it parses back to [x]. *)
+let add_if_exact sc b n x =
+  let len = print sc half n x in
+  float_of_string (Bytes.sub_string sc half len) = x
+  && (Buffer.add_subbytes b sc half len; true)
+
+(* Appends to [b] the shortest of %.6g / %.12g / %.17g that parses back
+   to the finite float [x] (%.0f for an integer below 1e15): compact for
+   round numbers, exact always.  The serving protocol relies on emitted
+   values surviving a write/parse cycle bitwise.
 
    The %.17g text is formatted first, and a shorter candidate is only
    formatted and parse-checked when that text says it can round-trip.
@@ -69,28 +89,36 @@ let near_short s17 n =
    round-trip, and skipping it returns what the full cascade would.
    Subnormals have an absolute, not relative, ulp (5e-324 prints as
    4.94066e-324 under %.6g), so they try every candidate. *)
-let float_repr x =
-  if Float.is_integer x && Float.abs x < 1e15 then format_float "%.0f" x
-  else
-    let s17 = format_float "%.17g" x in
+let add_finite sc b x =
+  if Float.is_integer x && Float.abs x < 1e15 then
+    Buffer.add_subbytes b sc 0 (print sc 0 0 x)
+  else begin
+    let len17 = print sc 0 17 x in
+    let i = first_sig sc 0 and m = mantissa_end sc len17 in
+    let dot = index_of sc '.' 0 m in
     let subnormal = Float.abs x < Float.min_float in
-    let candidate n fmt =
-      if subnormal || near_short s17 n then
-        let s = format_float fmt x in
-        if float_of_string s = x then Some s else None
-      else None
-    in
-    match candidate 6 "%.6g" with
-    | Some s -> s
-    | None -> Option.value (candidate 12 "%.12g") ~default:s17
+    if not
+         (((subnormal || near_short sc i dot m 6) && add_if_exact sc b 6 x)
+         || ((subnormal || near_short sc i dot m 12) && add_if_exact sc b 12 x))
+    then Buffer.add_subbytes b sc 0 len17
+  end
 
-let rec write b = function
+type writer = { buf : Buffer.t; scratch : bytes }
+
+let writer n = { buf = Buffer.create n; scratch = Bytes.create (2 * half) }
+let buffer w = w.buf
+
+let add_num w x =
+  (* JSON has no NaN/infinity; emit null rather than invalid text *)
+  if Float.is_finite x then add_finite w.scratch w.buf x
+  else Buffer.add_string w.buf "null"
+
+let rec add w v =
+  let b = w.buf in
+  match v with
   | Null -> Buffer.add_string b "null"
   | Bool v -> Buffer.add_string b (if v then "true" else "false")
-  | Num x ->
-    (* JSON has no NaN/infinity; emit null rather than invalid text *)
-    if not (Float.is_finite x) then Buffer.add_string b "null"
-    else Buffer.add_string b (float_repr x)
+  | Num x -> add_num w x
   | Str s ->
     Buffer.add_char b '"';
     buf_add_escaped b s;
@@ -100,7 +128,7 @@ let rec write b = function
     List.iteri
       (fun i x ->
         if i > 0 then Buffer.add_string b ", ";
-        write b x)
+        add w x)
       xs;
     Buffer.add_char b ']'
   | Obj kvs ->
@@ -108,16 +136,16 @@ let rec write b = function
     List.iteri
       (fun i (k, x) ->
         if i > 0 then Buffer.add_string b ", ";
-        write b (Str k);
+        add w (Str k);
         Buffer.add_string b ": ";
-        write b x)
+        add w x)
       kvs;
     Buffer.add_char b '}'
 
 let to_string t =
-  let b = Buffer.create 4096 in
-  write b t;
-  Buffer.contents b
+  let w = writer 4096 in
+  add w t;
+  Buffer.contents w.buf
 
 exception Parse_error of string
 

@@ -19,7 +19,10 @@
     both [0] or both [9], since no other candidate can parse back to
     [x].  Subnormals, whose spacing is absolute rather than relative,
     try every candidate.  The emitted bytes are those of the plain
-    three-try cascade. *)
+    three-try cascade.  Each [%g] / [%.0f] text comes from C++17
+    [std::to_chars], which the standard defines to print what [printf]
+    does, into a writer's scratch bytes: no string is allocated per
+    number. *)
 
 type t =
   | Null
@@ -30,6 +33,28 @@ type t =
   | Obj of (string * t) list
 
 val to_string : t -> string
+
+(** {2 Appending writer}
+
+    What {!to_string} prints with, open to writers that stream a
+    response too large to build as a tree ({!Frame.grid_json}).  A
+    writer is a buffer plus the scratch bytes the number printer works
+    in, so it belongs to one thread at a time. *)
+
+type writer
+
+(** [writer n] is an empty writer whose buffer starts at [n] bytes. *)
+val writer : int -> writer
+
+(** The writer's output so far; separators and brackets go straight
+    into it. *)
+val buffer : writer -> Buffer.t
+
+(** [add w v] appends the text {!to_string} gives [v]. *)
+val add : writer -> t -> unit
+
+(** [add_num w x] is [add w (Num x)] without the box. *)
+val add_num : writer -> float -> unit
 
 exception Parse_error of string
 

@@ -136,6 +136,22 @@ let test_pack () =
   check_contains "pack" "2x2 ports" text;
   Alcotest.(check bool) "artifact exists" true (Sys.file_exists artifact_path)
 
+(* packing into a directory that does not exist is a usage error that
+   names the path, for pack and for engine --pack alike *)
+let test_pack_missing_dir () =
+  let out =
+    Filename.concat
+      (Filename.concat (Filename.get_temp_dir_name ()) "mfti_cli_no_such_dir")
+      "x.mfti"
+  in
+  List.iter
+    (fun cmd ->
+      let code, text = run (Printf.sprintf "%s %s" cmd out) in
+      Alcotest.(check int) (cmd ^ " exits 64") 64 code;
+      check_contains "diagnostic" ("cannot write " ^ out) text)
+    [ Printf.sprintf "pack %s --out" workload;
+      Printf.sprintf "engine %s --strategy direct --pack" workload ]
+
 let test_inspect () =
   let code, text = run (Printf.sprintf "inspect %s" artifact_path) in
   Alcotest.(check int) "exit code" 0 code;
@@ -387,6 +403,8 @@ let () =
          Alcotest.test_case "exit codes" `Quick test_exit_codes;
          Alcotest.test_case "lenient recovery" `Quick test_lenient_recovers;
          Alcotest.test_case "pack" `Quick test_pack;
+         Alcotest.test_case "pack into a missing directory" `Quick
+           test_pack_missing_dir;
          Alcotest.test_case "inspect" `Quick test_inspect;
          Alcotest.test_case "inspect corrupt" `Quick test_inspect_corrupt;
          Alcotest.test_case "serve over stdio" `Quick test_serve_stdio;

@@ -746,10 +746,28 @@ let test_sjson_printer_edges () =
         [ x; -.x ])
     [ 5e-324; 1e-310; Float.min_float; Float.max_float; 0.; 0.1; 0.3; 1e-5;
       1e15; 1e22; 1e23; 9007199254740993.; 0.1234565; 9.9999995; 999999.5;
-      1e300; 1e-300 ];
-  Alcotest.(check string) "-0" "-0" (Sjson.to_string (Sjson.Num (-0.)));
-  Alcotest.(check string) "subnormal keeps its short form" "4.94066e-324"
-    (Sjson.to_string (Sjson.Num 5e-324))
+      1e300; 1e-300;
+      (* the %.0f integer path and its edge *)
+      1e15 -. 1.; 999999999999999.5; Float.pred 1e15; Float.succ 1e15;
+      (2. ** 53.) -. 1.; 2. ** 53.; (2. ** 53.) +. 2.; 1e16; 1e17; 1e21;
+      (* %g's switch from fixed to exponent notation *)
+      1e-4; Float.pred 1e-4; Float.succ 1e-4; 1e-5; Float.pred 1e-5;
+      123456.5; 0.30000000000000004;
+      (* extreme normal and subnormal values *)
+      Float.pred Float.max_float; Float.succ Float.min_float;
+      Float.pred Float.min_float; 2. *. 5e-324 ];
+  List.iter
+    (fun (want, x) ->
+      Alcotest.(check string) want want (Sjson.to_string (Sjson.Num x)))
+    [ ("-0", -0.); ("4.94066e-324", 5e-324); ("999999999999999", 1e15 -. 1.);
+      ("1e+15", 1e15); ("999999999999999.5", 999999999999999.5);
+      ("9007199254740991", (2. ** 53.) -. 1.); ("9007199254740992", 2. ** 53.);
+      ("1e+16", 1e16); ("1e+17", 1e17); ("1e+21", 1e21); ("0.0001", 1e-4);
+      ("1e-05", 1e-5); ("123456.5", 123456.5);
+      ("0.30000000000000004", 0.30000000000000004);
+      ("1.7976931348623157e+308", Float.max_float);
+      ("2.2250738585072014e-308", Float.min_float);
+      ("2.2250738585072009e-308", Float.pred Float.min_float) ]
 
 (* ------------------------------------------------------------------ *)
 (* Crash-safe artifact store *)
@@ -1247,6 +1265,44 @@ let test_frame_grid_body_roundtrip () =
   | _ -> Alcotest.fail "garbage grid body accepted"
   | exception Mfti_error.Error (Mfti_error.Parse _) -> ()
 
+(* The tree-free JSON writer against the tree it replaced: the same
+   bytes for empty, 1x1 and non-square grids, and for the values the
+   number printer treats specially. *)
+let test_frame_grid_json () =
+  let meta =
+    [ ("ok", Sjson.Bool true);
+      ("op", Sjson.Str "eval-grid");
+      ("model", Sjson.Str "a \"quoted\" id");
+      ("points", Sjson.Num 3.);
+      ("cached", Sjson.Bool false) ]
+  in
+  let check what meta grid =
+    Alcotest.(check string) what
+      (Sjson.to_string (Sjson.Obj (meta @ [ ("results", Frame.results_json grid) ])))
+      (Frame.grid_json ~meta ~grid)
+  in
+  let mat p m f = Cmat.init p m (fun i j -> f ((i * m) + j)) in
+  check "0 points" meta [||];
+  check "0 points, no meta" [] [||];
+  check "1x1" meta [| Cmat.scalar (Cx.make 0.25 (-1.5e-3)) |];
+  let special =
+    [| nan; infinity; neg_infinity; -0.; 0.; 5e-324; 1e-310; -2.2250738585072009e-308;
+       1e15; -1e15; 999999999999999.; 9007199254740993.; 1e16; 1e21; 1.5e300;
+       0.1; 1. /. 3.; -123456.5 |]
+  in
+  let n = Array.length special in
+  check "2x3, special values" meta
+    (Array.init 4 (fun k ->
+         mat 2 3 (fun e ->
+             Cx.make special.(((k * 6) + e) mod n) special.(((k * 6) + e + 7) mod n))));
+  (* per-point dimensions, as the tree renders them *)
+  check "3x2 then 1x1" meta
+    [| mat 3 2 (fun e -> Cx.make (float_of_int e *. 0.1) (-.float_of_int e));
+       Cmat.scalar (Cx.make nan 2.) |];
+  (* non-finite entries are JSON null *)
+  let text = Frame.grid_json ~meta:[] ~grid:[| Cmat.scalar (Cx.make nan infinity) |] in
+  Alcotest.(check string) "null entries" {|{"results": [[[[null, null]]]]}|} text
+
 let feed_bytes r s =
   (* one byte at a time: the reader must reassemble across any split *)
   String.iter
@@ -1623,6 +1679,59 @@ let test_router_golden () =
       in
       Alcotest.(check string) "bytes" (Lazy.force golden_response) text)
 
+(* The golden file pins a pole-residue model.  A Direct one (the
+   4-port PDN fit, served from its Hessenberg-triangular form) must
+   also answer with the same bytes served directly and through the
+   router's re-render of a binary replica frame. *)
+let test_router_direct_identical () =
+  let dir = fresh_dir () in
+  Artifact.save (Filename.concat dir "pdn.mfti")
+    (Artifact.v ~name:"pdn" ~fit_err:1e-9 ~created:1.7e9 (Lazy.force pdn_fit));
+  let info, _ =
+    request (Server.create ~root:dir ()) {|{"op":"model-info","model":"pdn"}|}
+  in
+  Alcotest.(check string) "served in Direct mode" "direct" (j_str "mode" info);
+  let req =
+    Sjson.to_string
+      (Sjson.Obj
+         [ ("op", Sjson.Str "eval-grid");
+           ("model", Sjson.Str "pdn");
+           ("freqs",
+            Sjson.Arr
+              (Array.to_list
+                 (Array.map (fun f -> Sjson.Num f) (Sampling.logspace 1e6 3e9 16)))) ])
+  in
+  let direct =
+    match Server.handle_request (Server.create ~root:dir ()) ~binary:false req with
+    | Server.Text text, false -> text
+    | _ -> Alcotest.fail "eval-grid did not answer in JSON"
+  in
+  Alcotest.(check bool) "direct answer is ok" true (j_bool "ok" (Sjson.parse direct));
+  let replica = Filename.concat dir "r.sock" and front = Filename.concat dir "rt.sock" in
+  let sup =
+    Supervisor.start ~config:transport_config (Server.create ~root:dir ())
+      ~listen:(Supervisor.Unix_path replica)
+  in
+  let router =
+    Router.start
+      ~config:{ Router.default_config with request_timeout_ms = 4_000 }
+      ~listen:(Supervisor.Unix_path front) ~replicas:[ replica ] ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Router.stop router;
+      try Supervisor.stop sup with _ -> ())
+    (fun () ->
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+      Unix.connect fd (Unix.ADDR_UNIX front);
+      send_all fd (req ^ "\n");
+      let routed =
+        expect_text "routed eval-grid"
+          (next_frame fd (Frame.Reader.create ()) ~mode:Frame.Json)
+      in
+      Alcotest.(check string) "routed bytes = direct bytes" direct routed)
+
 let () =
   Alcotest.run "serve"
     [ ("artifact",
@@ -1706,6 +1815,7 @@ let () =
       ("frame",
        [ Alcotest.test_case "grid body bitwise round trip" `Quick
            test_frame_grid_body_roundtrip;
+         Alcotest.test_case "grid json = tree" `Quick test_frame_grid_json;
          Alcotest.test_case "json reader" `Quick test_frame_reader_json;
          Alcotest.test_case "binary reader" `Quick test_frame_reader_binary;
          Alcotest.test_case "hello negotiation parsing" `Quick
@@ -1722,4 +1832,6 @@ let () =
          Alcotest.test_case "client drop counted typed" `Quick
            test_supervisor_conn_drop_typed;
          Alcotest.test_case "golden eval-grid via router" `Quick
-           test_router_golden ]) ]
+           test_router_golden;
+         Alcotest.test_case "Direct eval-grid via router" `Quick
+           test_router_direct_identical ]) ]
