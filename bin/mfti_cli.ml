@@ -58,6 +58,22 @@ let validation ~context message =
 
 let is_netlist path = Filename.check_suffix path ".ckt"
 
+(* Refuse an artifact destination whose directory cannot take the file
+   before any stage runs, with the text {!Serve.Artifact.save} gives
+   when it cannot open the file. *)
+let check_destination out =
+  let dir = Filename.dirname out in
+  let refuse err =
+    validation ~context:"artifact"
+      (Printf.sprintf "cannot write %s: %s" out (Unix.error_message err))
+  in
+  match Unix.stat dir with
+  | exception Unix.Unix_error (err, _, _) -> refuse err
+  | { Unix.st_kind = Unix.S_DIR; _ } ->
+    (try Unix.access dir [ Unix.W_OK; Unix.X_OK ]
+     with Unix.Unix_error (err, _, _) -> refuse err)
+  | _ -> refuse Unix.ENOTDIR
+
 let policy_arg =
   let lenient =
     let doc =
@@ -464,6 +480,7 @@ let run_engine path policy strategy width rank_tol seed batch threshold
     max_iterations probe holdout_every certify_mode flo fhi
     shifts krylov_order krylov_tol z0 pack_out =
   guarded @@ fun () ->
+  Option.iter check_destination pack_out;
   match strategy with
   | (`Krylov | `KrylovMfti) as strategy ->
     run_engine_krylov ~path ~strategy ~width ~rank_tol ~seed ~certify_mode
@@ -848,6 +865,7 @@ let fit_to_model ~algorithm ~width ~rank_tol ~seed ~poles ~certify samples =
 let run_pack path policy algorithm width rank_tol seed poles out name
     certify =
   guarded @@ fun () ->
+  check_destination out;
   let data = load ~policy ~certify path in
   let samples = Tangential.trim_even data.Rf.Touchstone.samples in
   let model =

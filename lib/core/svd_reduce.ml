@@ -20,19 +20,22 @@ let randomized_cutoff = 96
 
 (* The [Tol tol] certificate: accept the sketch when it provably keeps
    the rank the rule would pick on the exact spectrum.  With B = Q^T A,
-   E = A - QQ^T A and the residual r = |E|_F >= |E|_2,
+   E = A - QQ^T A and any r >= |E|_2,
    A^T A = B^T B + E^T E,
    and Weyl brackets every sigma_i in [s_i, sqrt (s_i^2 + r^2)] for
-   i <= l (the sketch width) and bounds sigma_i <= r beyond it.  So
-   the exact threshold tol sigma_1 lies in
+   i <= l (the sketch width) and bounds sigma_i <= r beyond it.  r is
+   Rsvd's spectral bound: min (|E|_F, |E^T E|_F^(1/2)) with a roundoff
+   margin, about 3x under the Frobenius residual on a flat noise tail,
+   which is what lets the first (quarter-width) round prove the rank.
+   So the exact threshold tol sigma_1 lies in
    [tol s_1, tol sqrt (s_1^2 + r^2)].  Rank [k] is certified when the
-   residual is under the threshold, sigma_k+1's bracket lies below it
+   bound is under the threshold, sigma_k+1's bracket lies below it
    and sigma_k's above.  [k] is the count above [tol s_1] on the
    sketch, or on [ranked] when given (Stacked mode's column side must
    reproduce the row side's count).  A sketch covering the whole
    spectrum is the exact factorization. *)
 let tol_certificate ~tol ?ranked (r : Rsvd.t) =
-  let s = r.Rsvd.sigma and res = r.Rsvd.residual in
+  let s = r.Rsvd.sigma and res = r.Rsvd.spectral in
   let l = Array.length s in
   if r.Rsvd.sketch = r.Rsvd.total then Ok ()
   else begin
@@ -67,16 +70,26 @@ let certificate ?ranked rule (r : Rsvd.t) =
 
 (* [(sigma, v)] of one real side [a].  The sketch runs when its
    spectrum is at least [randomized_cutoff] long; otherwise, and
-   whenever [accept] refuses the sketch, {!Svd.right_real} factors [a]
-   exactly and never forms the U the projection would discard.
-   Returns the factorization plus a certified bound on every singular
-   value a truncated (randomized) spectrum cut off, for the gap rule. *)
-let right_factor ~accept a =
+   whenever the rule's certificate refuses the sketch,
+   {!Svd.right_real} factors [a] exactly and never forms the U the
+   projection would discard.  Only [Tol] hands its certificate to
+   Rsvd, which then stops growing the sketch at the first round the
+   rule accepts; [Gap] and [Fixed] need Rsvd's own test, which the
+   growth rule already applies.  Returns the factorization plus a
+   certified bound on every singular value a truncated (randomized)
+   spectrum cut off, for the gap rule. *)
+let right_factor ?ranked rule a =
   let m, n = Rmat.dims a in
   if Stdlib.min m n < randomized_cutoff then (Svd.right_real a, None)
   else begin
-    let r = Rsvd.decompose_adaptive a in
-    match accept r with
+    let certify = certificate ?ranked rule in
+    let accept =
+      match rule with
+      | Tol _ -> Some (fun r -> Result.is_ok (certify r))
+      | Fixed _ | Gap -> None
+    in
+    let r = Rsvd.decompose_adaptive ?accept a in
+    match certify r with
     | Ok () -> ((r.Rsvd.sigma, r.Rsvd.v), Some r.Rsvd.residual)
     | Error why ->
       (* A sketch narrower than the spectrum with a finite residual
@@ -135,14 +148,10 @@ let reduce ?(mode = Stacked) ?(rank_rule = default_rank_rule)
       let p = Rmat.sub (Rmat.scale x0 ll) sll in
       (Rmat.transpose p, p)
   in
-  let (sigma, y), tail_bound =
-    right_factor ~accept:(certificate rank_rule) row
-  in
+  let (sigma, y), tail_bound = right_factor rank_rule row in
   (* the row side's spectrum fixes the rank; the column side must
      certify the same count *)
-  let (_, x), _ =
-    right_factor ~accept:(certificate ~ranked:sigma rank_rule) col
-  in
+  let (_, x), _ = right_factor ~ranked:sigma rank_rule col in
   let rank = pick_rank ?tail_bound rank_rule sigma in
   (* A truncated (randomized) factorization retains [sketch] columns
      per side; the projection can only keep directions present in

@@ -45,14 +45,12 @@ val default_rank_rule : rank_rule  (* Gap *)
     low-rank (Lemma 3.3); every other side runs the exact
     {!Linalg.Svd.right_real}.  The rank rule decides whether the sketch
     stands in for the exact SVD.  [Tol tol] keeps it when
-    the residual [r] proves the rank the rule would pick on the exact
-    spectrum: each kept [sigma_i] lies in [[s_i, sqrt (s_i^2 + r^2)]]
-    and each cut one below [r], so with [k] sketched values above
-    [tol s_1] the rank is [k] when [r <= tol s_1], [k] is less than
-    the sketch width, [sqrt (s_k+1^2 + r^2) <= tol s_1] and
-    [s_k > tol sqrt (s_1^2 + r^2)].  The column side must prove the
-    row side's [k].  [Gap] and [Fixed] need Rsvd's
-    own certificate ([r <= 1e-10 |A|_F]).  A refused sketch (a noise
+    {!tol_certificate} proves the rank the rule would pick on the exact
+    spectrum, and stops the sketch at the first round that does (on a
+    noisy 160-wide pencil, the quarter-width first round).  The column
+    side must prove the row side's [k].  [Gap] and [Fixed] need Rsvd's
+    own certificate ([r <= 1e-10 |A|_F]) and pass Rsvd no test of
+    their own.  A refused sketch (a noise
     floor too high for the rule, or the ["svd.rsvd.degrade"] fault
     poisoning [r]) reruns that side's exact SVD and records
     ["svd.rsvd.fallback"] in the ambient {!Linalg.Diag} collector; the
@@ -74,6 +72,20 @@ val default_rank_rule : rank_rule  (* Gap *)
     rule is not checked here: {!Engine} refuses a bad one when a fit is
     ingested or a session opened. *)
 val reduce : ?mode:mode -> ?rank_rule:rank_rule -> Loewner.t -> result
+
+(** [tol_certificate ~tol ?ranked r] is [Ok ()] when the sketch [r]
+    provably keeps the rank [Tol tol] picks on the exact spectrum, and
+    otherwise names the failed test.  With [r]'s spectral bound
+    {!Linalg.Rsvd.field-spectral} [e >= |A - Q Q^T A|_2], each kept
+    [sigma_i] lies in [[s_i, sqrt (s_i^2 + e^2)]] and each cut one
+    below [e], so with [k] sketched values above [tol s_1] (or [k]
+    counted on [ranked], the row side's spectrum, when given) the rank
+    is [k] when [e <= tol s_1], [k] is less than the sketch width,
+    [sqrt (s_k+1^2 + e^2) <= tol s_1] and [s_k > tol sqrt (s_1^2 + e^2)].
+    A sketch covering the whole spectrum is exact and always passes. *)
+val tol_certificate :
+  tol:float -> ?ranked:float array -> Linalg.Rsvd.t ->
+  (unit, string) Stdlib.result
 
 (** Singular values of [LL], [sLL] and [x0 LL - sLL] — the three curves
     of the paper's Fig. 1.  [x0] defaults to [lambda.(0)]. *)

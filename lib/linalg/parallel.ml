@@ -7,7 +7,11 @@
    between jobs; a job submission bumps [generation] and broadcasts.
 
    Chunks are handed out under the pool mutex.  The kernels built on
-   top use coarse chunks (a handful per domain), so the lock is cold. *)
+   top use coarse chunks (a handful per domain), so the lock is cold.
+
+   The pool holds one job at a time.  A submission that finds a job in
+   flight (from another domain, or another thread of the submitting
+   one) runs inline instead of waiting or sharing the job slot. *)
 
 let env_domains () =
   match Sys.getenv_opt "MFTI_DOMAINS" with
@@ -32,6 +36,7 @@ type pool = {
   mutable chunk : int;
   mutable active : int;       (* chunks currently executing *)
   mutable failure : exn option;
+  mutable busy : bool;        (* a job is in flight *)
   mutable stop : bool;
   mutable workers : unit Domain.t list;
 }
@@ -100,7 +105,8 @@ let make_pool size =
     { mutex = Mutex.create (); work = Condition.create ();
       finished = Condition.create (); generation = 0;
       task = (fun _ _ -> ()); next = 0; limit = 0; chunk = 1;
-      active = 0; failure = None; stop = false; workers = [] }
+      active = 0; failure = None; busy = false; stop = false;
+      workers = [] }
   in
   p.workers <- List.init (size - 1) (fun _ -> Domain.spawn (worker p));
   p
@@ -121,13 +127,21 @@ let set_domain_count n =
   shutdown ();
   requested_size := Some n
 
+(* Two domains making their first parallel call at once must not
+   build two pools. *)
+let creating = Mutex.create ()
+
 let get_pool () =
   match !the_pool with
   | Some p -> p
   | None ->
-    let p = make_pool (domain_count ()) in
-    the_pool := Some p;
-    p
+    Mutex.protect creating (fun () ->
+        match !the_pool with
+        | Some p -> p
+        | None ->
+          let p = make_pool (domain_count ()) in
+          the_pool := Some p;
+          p)
 
 let sequential_here () =
   !(Domain.DLS.get forced_sequential) || !(Domain.DLS.get inside_task)
@@ -138,32 +152,44 @@ let with_sequential f =
   flag := true;
   Fun.protect ~finally:(fun () -> flag := saved) f
 
-let run_pool p n task chunk =
-  Mutex.lock p.mutex;
-  p.generation <- p.generation + 1;
-  p.task <- task;
-  p.next <- 0;
-  p.limit <- n;
-  p.chunk <- chunk;
-  p.active <- 0;
-  p.failure <- None;
-  Condition.broadcast p.work;
-  consume p;
-  while p.active > 0 do
-    Condition.wait p.finished p.mutex
-  done;
-  let failure = p.failure in
-  p.task <- (fun _ _ -> ());
-  Mutex.unlock p.mutex;
-  match failure with Some e -> raise e | None -> ()
-
-let default_chunk n size = Stdlib.max 1 ((n + (4 * size) - 1) / (4 * size))
-
 (* The inline paths arm the same fault site as the pool workers so the
    [pool.worker] scenario behaves identically at any domain count. *)
 let run_inline n f =
   Fault.check "pool.worker";
   f 0 n
+
+(* A second submitter would overwrite the job slot (task, range, chunk
+   counters) under the first one's chunks, so a busy pool sends it
+   inline.  Kernels write disjoint, chunk-independent elements, so the
+   inline run gives the same bits. *)
+let run_pool p n task chunk =
+  Mutex.lock p.mutex;
+  if p.busy then begin
+    Mutex.unlock p.mutex;
+    run_inline n task
+  end
+  else begin
+    p.busy <- true;
+    p.generation <- p.generation + 1;
+    p.task <- task;
+    p.next <- 0;
+    p.limit <- n;
+    p.chunk <- chunk;
+    p.active <- 0;
+    p.failure <- None;
+    Condition.broadcast p.work;
+    consume p;
+    while p.active > 0 do
+      Condition.wait p.finished p.mutex
+    done;
+    let failure = p.failure in
+    p.task <- (fun _ _ -> ());
+    p.busy <- false;
+    Mutex.unlock p.mutex;
+    match failure with Some e -> raise e | None -> ()
+  end
+
+let default_chunk n size = Stdlib.max 1 ((n + (4 * size) - 1) / (4 * size))
 
 let parallel_for ?chunk n f =
   if n > 0 then begin

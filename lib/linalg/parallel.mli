@@ -15,7 +15,13 @@
     the chunk decomposition, so results are bit-identical for any
     domain count.  {!parallel_for_reduce} combines per-chunk partials in
     chunk-index order with a chunk grid that does not depend on the
-    domain count, so it too is deterministic. *)
+    domain count, so it too is deterministic.
+
+    The pool runs one job at a time.  Any domain or thread may submit:
+    a loop submitted while another job is in flight (a second domain,
+    a thread beside the submitter, or a loop nested in a chunk) runs
+    inline in its caller, as under {!with_sequential}, which by the
+    rule above gives the same bits. *)
 
 (** Effective pool size: the value set by {!set_domain_count}, else
     [MFTI_DOMAINS], else [Domain.recommended_domain_count ()].  An
@@ -34,10 +40,10 @@ val set_domain_count : int -> unit
     exactly tile [0, n): every index is covered once.  [f] must only
     write state disjoint between ranges.  Runs inline as [f 0 n] when
     the pool size is 1, when called from inside another parallel loop
-    (nested parallelism degrades gracefully), or under
-    {!with_sequential}.  Default [chunk] splits [n] into about
-    4 chunks per domain.  Exceptions raised by [f] are re-raised in the
-    caller after the loop drains. *)
+    (nested parallelism degrades gracefully), while another loop holds
+    the pool, or under {!with_sequential}.  Default [chunk] splits [n]
+    into about 4 chunks per domain.  Exceptions raised by [f] are
+    re-raised in the caller after the loop drains. *)
 val parallel_for : ?chunk:int -> int -> (int -> int -> unit) -> unit
 
 (** [parallel_for_result ~context ?chunk n f] is {!parallel_for} with a

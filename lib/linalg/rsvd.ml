@@ -2,6 +2,7 @@ type t = {
   sigma : float array;
   v : Rmat.t;
   residual : float;
+  spectral : float;
   certified : bool;
   sketch : int;
   total : int;
@@ -163,6 +164,80 @@ let certify ~norm_a a q =
   in
   (b, residual)
 
+(* Unit roundoff. *)
+let u = epsilon_float /. 2.
+
+(* E = A - Q B in one pass: a copy of A accumulates Q (-B) in the
+   column kernel, each column of E on its own, so the bits do not
+   depend on the domain count. *)
+let residual_matrix a q b =
+  let m, n = Rmat.dims a and l = q.Rmat.cols in
+  let e = Rmat.copy a in
+  let neg_b = Array.map Float.neg b.Rmat.data in
+  Parallel.parallel_for n (fun j0 j1 ->
+      Rmat.axpy_block q.Rmat.data neg_b e.Rmat.data m l 0 l j0 j1);
+  e
+
+(* Columns of E per panel of the Gram matrix. *)
+let gram_panel = 32
+
+(* |E^T E|_F from the upper block triangle of the symmetric Gram
+   matrix: each panel of [gram_panel] columns of E is dotted with the
+   columns from its own first one onward, and an entry right of the
+   panel's diagonal block stands for its mirror image too.  About 60%
+   of the full product at n = 160.  The sum runs in a fixed order. *)
+let gram_fro (e : Rmat.t) =
+  let m, n = Rmat.dims e in
+  let g = Array.make (n * n) 0. in
+  let acc = ref 0. in
+  let lo = ref 0 in
+  while !lo < n do
+    let ilo = !lo and ihi = Stdlib.min n (!lo + gram_panel) in
+    Parallel.parallel_for (n - ilo) (fun j0 j1 ->
+        Rmat.dot_block e.Rmat.data e.Rmat.data g m n ilo ihi (ilo + j0)
+          (ilo + j1));
+    for j = ilo to n - 1 do
+      let w = if j < ihi then 1. else 2. in
+      for i = ilo to ihi - 1 do
+        let x = g.(i + (j * n)) in
+        acc := !acc +. (w *. x *. x)
+      done
+    done;
+    lo := ihi
+  done;
+  Stdlib.sqrt !acc
+
+(* A certified bound on the spectral norm of the residual: with
+   E = A - Q B formed explicitly, |E|_2^2 = |E^T E|_2 <= |E^T E|_F, so
+   |E|_2 <= |E^T E|_F^(1/2), the Schatten-4 norm of E.  On a flat noise
+   tail of width w that is about w^(1/4) times the tail level, where
+   the Frobenius norm is w^(1/2) times it.
+
+   Roundoff margin, for [a] m x n and [q] m x l.  Forming
+   E' = fl (A - fl (Q B)) errs entrywise by at most
+   gamma_(l+1) (|A| + |Q| |B|), so |E - E'|_F is below
+   (l+1) u (|A|_F + sqrt l |B|_F) up to O(u^2), which the factor 2
+   covers ([|B|_F <= |A|_F] for an orthonormal Q).  The Gram product of
+   inner length m errs by at most gamma_m |E'|^T |E'|, at most
+   m u |E'|_F^2 in Frobenius norm, and the norm of the n x n Gram
+   matrix errs relatively by at most n^2 u; the factor 2 again covers
+   the second-order terms.  Like the Frobenius residual, the bound
+   takes Q as orthonormal (CholeskyQR2 leaves |Q^T Q - I| at O(u)) and
+   the small SVD's values as exact. *)
+let spectral_bound ~norm_a a q b =
+  let m, n = Rmat.dims a and l = q.Rmat.cols in
+  let e = residual_matrix a q b in
+  let norm_e = Rmat.norm_fro e in
+  let gram = gram_fro e in
+  let gram_err = 2. *. float_of_int (n * n) *. u in
+  let prod_err = 2. *. float_of_int m *. u in
+  let form_err =
+    2. *. float_of_int (l + 1) *. u *. (1. +. Stdlib.sqrt (float_of_int l))
+    *. norm_a
+  in
+  Stdlib.sqrt ((gram *. (1. +. gram_err)) +. (prod_err *. norm_e *. norm_e))
+  +. form_err
+
 (* The small SVD of B ([l x n], l <= n) through its R factor:
    B^T = Q_b R, so B = R^T Q_b^T and a real SVD of the [l x l] R^T,
    R^T = U S W^T, gives B = U S (Q_b W)^T.  Householder, not
@@ -180,7 +255,8 @@ let exact a =
   let m, n = Rmat.dims a in
   let k = Stdlib.min m n in
   let sigma, v = Svd.right_real a in
-  { sigma; v; residual = 0.; certified = true; sketch = k; total = k }
+  { sigma; v; residual = 0.; spectral = 0.; certified = true; sketch = k;
+    total = k }
 
 (* The adaptive sketch doubles from [l] to [2l] only while [2l <= n/2].
    A wider sketch costs more than the exact SVD it is trying to avoid,
@@ -191,7 +267,7 @@ let capped ~l ~n = 2 * l > n / 2
 
 (* Sketch the tall [at] ([m >= n]); [right] says whether the caller
    wants the right vectors of [at] itself, or of the wide [at^T]. *)
-let sketch_tall ~right at =
+let sketch_tall ?accept ~right at =
   let n = at.Rmat.cols in
   let norm_a = Rmat.norm_fro at in
   let rng = Rng.create seed in
@@ -202,30 +278,40 @@ let sketch_tall ~right at =
   let l0 = Stdlib.min n (Stdlib.max 16 (n / 4)) in
   let omega = Rmat.random rng n l0 in
   let q0 = power_iterate at (orthonormalize (Rmat.mul at omega)) in
+  let finish q b ~residual ~spectral =
+    let sigma, w = small_svd ~right b in
+    { sigma; v = (if right then w else Rmat.mul q w); residual; spectral;
+      certified = residual <= tol *. norm_a; sketch = q.Rmat.cols; total = n }
+  in
   let rec grow q =
     let l = q.Rmat.cols in
     let b, residual = certify ~norm_a at q in
-    if residual <= tol *. norm_a || degraded || capped ~l ~n then begin
+    let settled = residual <= tol *. norm_a || degraded in
+    let last = settled || capped ~l ~n in
+    match accept with
+    | Some accept when not settled ->
+      (* The caller's rule may be met by a round Rsvd's own test does
+         not certify: that round pays the spectral bound and the small
+         SVD, and is returned as soon as the rule accepts it. *)
+      let spectral = Float.min residual (spectral_bound ~norm_a at q b) in
+      let r = finish q b ~residual ~spectral in
+      if last || accept r then r else grow (extend q)
+    | _ ->
       (* only the returned round needs the SVD of B *)
-      let sigma, w = small_svd ~right b in
-      { sigma; v = (if right then w else Rmat.mul q w); residual;
-        certified = residual <= tol *. norm_a; sketch = l; total = n }
-    end
-    else begin
-      (* Geometric growth, reusing the basis built so far: fresh
-         sketch columns are power-iterated, projected against the
-         existing Q (twice), and orthonormalized — never recomputed
-         from scratch. *)
-      let omega = Rmat.random rng n l in
-      let y = power_iterate at (orthonormalize (Rmat.mul at omega)) in
-      let fresh = orthonormalize (project_out q y) in
-      grow (Rmat.hcat q fresh)
-    end
+      if last then finish q b ~residual ~spectral:residual
+      else grow (extend q)
+  (* Geometric growth, reusing the basis built so far: fresh sketch
+     columns are power-iterated, projected against the existing Q
+     (twice), and orthonormalized — never recomputed from scratch. *)
+  and extend q =
+    let omega = Rmat.random rng n q.Rmat.cols in
+    let y = power_iterate at (orthonormalize (Rmat.mul at omega)) in
+    Rmat.hcat q (orthonormalize (project_out q y))
   in
   grow q0
 
-let decompose_adaptive a =
+let decompose_adaptive ?accept a =
   let m, n = Rmat.dims a in
   if Stdlib.min m n <= small_cutoff || Rmat.norm_fro a = 0. then exact a
-  else if m >= n then sketch_tall ~right:true a
-  else sketch_tall ~right:false (Rmat.transpose a)
+  else if m >= n then sketch_tall ?accept ~right:true a
+  else sketch_tall ?accept ~right:false (Rmat.transpose a)

@@ -148,7 +148,14 @@ let test_pack_missing_dir () =
     (fun cmd ->
       let code, text = run (Printf.sprintf "%s %s" cmd out) in
       Alcotest.(check int) (cmd ^ " exits 64") 64 code;
-      check_contains "diagnostic" ("cannot write " ^ out) text)
+      check_contains "diagnostic" ("cannot write " ^ out) text;
+      (* the destination is refused before any stage runs *)
+      List.iter
+        (fun stage ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s prints no %S" cmd stage)
+            false (contains ~needle:stage text))
+        [ "diagnostics:"; "stage "; "engine:"; "packed " ])
     [ Printf.sprintf "pack %s --out" workload;
       Printf.sprintf "engine %s --strategy direct --pack" workload ]
 

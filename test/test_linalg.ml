@@ -1176,11 +1176,56 @@ let prop_rsvd_certificate =
       r.Rsvd.certified
       && projection_error a r <= r.Rsvd.residual +. (1e-8 *. (1. +. Rmat.norm_fro a)))
 
+(* Low-rank-plus-noise matrices, tall: rank 1-10 with a Gaussian noise
+   floor 1e-4..1e-2 of the signal, and a sketch that either stops on
+   its first round or grows to its cap. *)
+let arb_noisy_low_rank =
+  QCheck.make
+    QCheck.Gen.(
+      int_range 60 110 >>= fun m ->
+      int_range 36 (m - 10) >>= fun n ->
+      int_range 1 10 >>= fun r ->
+      oneofl [ 1e-4; 1e-3; 1e-2 ] >>= fun level ->
+      bool >>= fun first ->
+      int_bound 1_000_000 >|= fun seed ->
+      let rng = Rng.create seed in
+      let signal = Rmat.mul (Rmat.random rng m r) (Rmat.random rng r n) in
+      let noise = Rmat.random rng m n in
+      let scale =
+        level *. Rmat.norm_fro signal /. Stdlib.max (Rmat.norm_fro noise) 1e-300
+      in
+      (Rmat.add signal (Rmat.scale scale noise), first))
+    ~print:(fun (a, first) ->
+      let rows, cols = Rmat.dims a in
+      Format.asprintf "%dx%d matrix (stop on first round: %b)@.%a" rows cols
+        first Rmat.pp a)
+
+(* |E|_2 <= spectral <= residual for E = A - Q Q^T A.  A wide input is
+   sketched through its transpose, and its returned vectors Q U_b span
+   Q, so E = A^T - V V^T A^T is formed from them exactly; the tall
+   input runs the same sketch of the same matrix and must report the
+   same bounds.  The slack covers the test's own forming of E. *)
+let prop_rsvd_spectral_bound =
+  QCheck.Test.make ~name:"rsvd spectral bound brackets |E|_2" ~count:20
+    arb_noisy_low_rank (fun (a, first) ->
+      let accept _ = first in
+      let tall = Rsvd.decompose_adaptive ~accept a in
+      let wide = Rsvd.decompose_adaptive ~accept (Rmat.transpose a) in
+      let v = wide.Rsvd.v in
+      let e = Rmat.sub a (Rmat.mul v (Rmat.mul_tn v a)) in
+      let norm_e = (fst (Svd.right_real e)).(0) in
+      let slack = 1e-12 *. Rmat.norm_fro a in
+      tall.Rsvd.spectral = wide.Rsvd.spectral
+      && tall.Rsvd.residual = wide.Rsvd.residual
+      && norm_e <= wide.Rsvd.spectral +. slack
+      && wide.Rsvd.spectral <= wide.Rsvd.residual)
+
 let props =
   List.map QCheck_alcotest.to_alcotest
     [ prop_ctranspose_involution; prop_mul_ctranspose; prop_fro_triangle;
       prop_lu_solve; prop_svd_reconstruct; prop_svd_norm_bound; prop_eig_det;
-      prop_qr_preserves_norm; prop_rsvd_certificate ]
+      prop_qr_preserves_norm; prop_rsvd_certificate;
+      prop_rsvd_spectral_bound ]
 
 let () =
   Alcotest.run "linalg"

@@ -456,11 +456,12 @@ let test_algorithm2_validation () =
        { Engine.default_recursive_options with threshold = -1. }) ]
 
 (* ------------------------------------------------------------------ *)
-(* Stacked reduce on a noisy pencil.  The randomized sketch stops at
-   its half-width cap.  Under [Tol] the reduce keeps it when the
-   residual brackets prove the rule's rank, and otherwise the exact
-   fallback runs the real one-sided SVD of each side; the complex
-   two-sided SVD factors give the same model to roundoff. *)
+(* Stacked reduce on a noisy pencil.  Left to its own test, the
+   randomized sketch stops at its half-width cap.  Under [Tol] the
+   reduce keeps the first round whose residual brackets prove the
+   rule's rank, and otherwise the exact fallback runs the real
+   one-sided SVD of each side; the complex two-sided SVD factors give
+   the same model to roundoff. *)
 
 let noisy_pdn_freqs = Sampling.logspace 1e6 1e9 40
 
@@ -572,29 +573,66 @@ let check_bit_identical what (got : Descriptor.t) (want : Descriptor.t) =
       ("B", got.Descriptor.b, want.Descriptor.b);
       ("C", got.Descriptor.c, want.Descriptor.c) ]
 
-(* Same rank as the two-sided oracle, and H within 1e-10 relative at
-   every sample frequency. *)
-let check_two_sided what ~tol p (r : Svd_reduce.result) =
-  let rank, reference = two_sided_reference ~tol p in
-  Alcotest.(check int) (what ^ " rank = two-sided rank") rank r.Svd_reduce.rank;
+(* H within 1e-10 relative of [reference]'s at every sample frequency. *)
+let check_response what ~against reference (r : Svd_reduce.result) =
   Array.iter
     (fun f ->
       let want = Descriptor.eval_freq reference f in
       let got = Descriptor.eval_freq r.Svd_reduce.model f in
       let rel = Cmat.norm_fro (Cmat.sub got want) /. Cmat.norm_fro want in
       if not (rel <= 1e-10) then
-        Alcotest.failf "%s: H(j2pi %.4g) differs from the two-sided model by %.3g"
-          what f rel)
+        Alcotest.failf "%s: H(j2pi %.4g) differs from the %s model by %.3g"
+          what f against rel)
     noisy_pdn_freqs
 
+(* Same rank as the two-sided oracle, and the same response. *)
+let check_two_sided what ~tol p (r : Svd_reduce.result) =
+  let rank, reference = two_sided_reference ~tol p in
+  Alcotest.(check int) (what ^ " rank = two-sided rank") rank r.Svd_reduce.rank;
+  check_response what ~against:"two-sided" reference r
+
 let test_stacked_tol_certified () =
-  (* At tol 3e-3 the half-width sketch proves rank 6 on both sides:
-     no exact SVD runs, and the model agrees with the exact one. *)
+  (* At tol 3e-3 the sketch proves rank 6 on both sides: no exact SVD
+     runs, and the model agrees with the exact one. *)
   let p = Lazy.force noisy_pdn_pencil in
   let r, diag = stacked_tol ~tol:3e-3 p in
   Alcotest.(check int) "no fallback" 0 (List.length (fallbacks diag));
   Alcotest.(check int) "no retry" 0 diag.Diag.retries;
   check_two_sided "sketch" ~tol:3e-3 p r
+
+let test_stacked_tol_first_round () =
+  (* The spectral residual bound proves rank 6 at tol 3e-3 on the
+     quarter-width first round of both sides, at every noise seed: the
+     sketch stops at 40 of 160 columns, no exact SVD runs, and the
+     model has the exact path's rank and response. *)
+  let tol = 3e-3 in
+  List.iter
+    (fun seed ->
+      let what = Printf.sprintf "seed %d" seed in
+      let p = noisy_pdn ~seed ~level:1e-3 in
+      let accept ?ranked r =
+        Result.is_ok (Svd_reduce.tol_certificate ~tol ?ranked r)
+      in
+      let row =
+        Rsvd.decompose_adaptive ~accept (Cmat.real_part (row_side p))
+      in
+      let col =
+        Rsvd.decompose_adaptive ~accept:(accept ~ranked:row.Rsvd.sigma)
+          (Cmat.real_part (column_side p))
+      in
+      List.iter
+        (fun (side, (r : Rsvd.t)) ->
+          Alcotest.(check (pair int int))
+            (Printf.sprintf "%s %s sketch/total" what side)
+            (40, 160) (r.Rsvd.sketch, r.Rsvd.total))
+        [ ("row", row); ("column", col) ];
+      let r, diag = stacked_tol ~tol p in
+      Alcotest.(check int) (what ^ " no fallback") 0
+        (List.length (fallbacks diag));
+      let rank, reference = exact_reference ~tol p in
+      Alcotest.(check int) (what ^ " rank = exact rank") rank r.Svd_reduce.rank;
+      check_response what ~against:"exact-path" reference r)
+    [ 3000; 3001; 5000; 5001; 5002; 5003; 5004 ]
 
 let test_stacked_fallback_bit_identical () =
   (* At tol 1e-4 the residual exceeds the threshold, so neither side
@@ -616,14 +654,16 @@ let test_stacked_fallback_bit_identical () =
 let test_stacked_tol_straddle () =
   (* A prescribed spectrum (seeded orthonormal factors): rank 6 above
      tol, sigma_7 just under it, and a plateau whose residual pushes
-     sigma_7's upper bracket across tol sigma_1.  The exact spectrum
-     could keep 6 or 7, so both sides must fall back. *)
+     sigma_7's upper bracket across tol sigma_1.  The plateau is heavy
+     enough (5e-4, so even the spectral bound of the half-width sketch
+     is about 1.5e-3) that the bracket straddles: the sketch cannot
+     tell 6 from 7, so both sides must fall back. *)
   let n = 160 and tol = 3e-3 in
   let sigma =
     Array.init n (fun i ->
         if i < 6 then 0.5 ** float_of_int i
         else if i = 6 then 0.95 *. tol
-        else 1.5e-4)
+        else 5e-4)
   in
   let rng = Rng.create 42 in
   let u = Qr.orthonormalize (Cmat.random_real rng n n) in
@@ -900,6 +940,8 @@ let () =
            test_stacked_sketch_capped;
          Alcotest.test_case "tol certified = exact rank and response" `Quick
            test_stacked_tol_certified;
+         Alcotest.test_case "tol certified on the first round" `Quick
+           test_stacked_tol_first_round;
          Alcotest.test_case "fallback = two-sided factors (bit)" `Quick
            test_stacked_fallback_bit_identical;
          Alcotest.test_case "straddling bracket falls back" `Quick

@@ -310,6 +310,32 @@ let test_sample_system_deterministic () =
 
 (* ------------------------------------------------------------------ *)
 
+(* Two domains submitting at once: each runs 2,000 loops over its own
+   64 entries while the other's jobs are in flight.  With one shared
+   job slot, the second submission would overwrite the first's range
+   and task mid-job; a submission that finds the pool busy must run
+   inline instead, so every entry of every run is right. *)
+let test_concurrent_submitters () =
+  let submitter id () =
+    let a = Array.make 64 (-1) in
+    let wrong = ref 0 in
+    for run = 1 to 2000 do
+      Parallel.parallel_for 64 (fun lo hi ->
+          for i = lo to hi - 1 do
+            a.(i) <- (id * 1_000_000) + (run * 64) + i
+          done);
+      Array.iteri
+        (fun i x -> if x <> (id * 1_000_000) + (run * 64) + i then incr wrong)
+        a
+    done;
+    !wrong
+  in
+  let other = Domain.spawn (submitter 2) in
+  let mine = submitter 1 () in
+  let theirs = Domain.join other in
+  Alcotest.(check (pair int int)) "wrong entries (main, spawned)" (0, 0)
+    (mine, theirs)
+
 let () =
   Alcotest.run "parallel"
     [ ( "primitives",
@@ -322,7 +348,9 @@ let () =
           Alcotest.test_case "typed errors + pool reuse" `Quick
             test_parallel_for_result_typed;
           Alcotest.test_case "nested loops inline" `Quick
-            test_nested_parallel_for ] );
+            test_nested_parallel_for;
+          Alcotest.test_case "concurrent submitters run inline" `Quick
+            test_concurrent_submitters ] );
       ( "gemm",
         [ Alcotest.test_case "mul = sequential (bit)" `Quick
             test_mul_matches_sequential;
