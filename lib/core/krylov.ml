@@ -211,6 +211,61 @@ let sparse_mul_into (s : Sparse.Scsr.t) src dst ~j0 ~j1 =
 
 (* ---- the reduction -------------------------------------------------- *)
 
+let pencil_scale f = Cx.jw (2. *. Float.pi *. f)
+
+(* Threshold of the probe sweep's full factorizations: keep the AMD
+   order's diagonal pivot while it is at least this fraction of its
+   column's largest candidate ({!Sparse.Slu.factorize} [~diagonal]).
+   Partial pivoting at the top probe of an RL plane picks pivots that
+   stop being safe lower in the band, and the refactor fallback there
+   lands on a pattern up to ~23x the fill (24x24 plane, 1 MHz-3 GHz:
+   19k -> 439k entries), which makes every later probe ~100x dearer.
+   With 1e-2 the probes stepped down 1e4-1e10 Hz on 12x12-24x24 RL
+   and resistive planes with at most one fallback, never slower than
+   partial pivoting; 1e-1 fell back where partial pivoting did not.
+   It leaves a factor of 10 before {!Sparse.Slu.refactor}'s own 1e-3
+   pivot check trips.  The shift chain keeps partial pivoting, so the
+   basis and the model keep their bits. *)
+let probe_diagonal = 1e-2
+
+(* Lane B of the first round: the exact samples L X at [freqs], highest
+   first, each factored on the pivots of the probe above it through one
+   {!Sparse.Slu.sweep}.  The pencil and the sweep's buffers are
+   allocated here, and [lh] (L^H) by the caller, all on the calling
+   domain; the returned closure may run on another domain, where it
+   allocates little beyond its p x m samples, so that domain's malloc
+   arena stays small.  It writes nothing shared: it returns the
+   samples, the seconds spent factoring and solving, and the Diag
+   events it recorded, for the caller to account after the join. *)
+let probe_lane sys ~perm ~lh freqs =
+  match freqs with
+  | [] -> fun () -> ((Ok [], 0.), [])
+  | top :: _ ->
+    let pencil =
+      Sparse.Scsr.scale_add ~alpha:(pencil_scale top) sys.c ~beta:Cx.one sys.g
+    in
+    let sweep =
+      Sparse.Slu.sweep ~perm ~diagonal:probe_diagonal ~nrhs:(Cmat.cols sys.b)
+        pencil
+    in
+    fun () ->
+      Diag.hold (fun () ->
+        let seconds = ref 0. in
+        let rec go acc = function
+          | [] -> Ok (List.rev acc)
+          | f :: rest ->
+            Sparse.Scsr.scale_add_into pencil ~alpha:(pencil_scale f) sys.c
+              ~beta:Cx.one sys.g;
+            let t0 = Unix.gettimeofday () in
+            let x = Sparse.Slu.sweep_solve sweep pencil sys.b in
+            seconds := !seconds +. (Unix.gettimeofday () -. t0);
+            (match x with
+             | Error _ as e -> e
+             | Ok x -> go ((f, Cmat.mul_cn lh x) :: acc) rest)
+        in
+        let samples = go [] freqs in
+        (samples, !seconds))
+
 let reduce ?(options = default_options) sys =
   match
     match validate_options options with
@@ -225,45 +280,49 @@ let reduce ?(options = default_options) sys =
     let p = Cmat.rows sys.l in
     let max_order = Stdlib.min o.max_order n in
     let timings = Hashtbl.create 8 in
+    let charge key dt =
+      Hashtbl.replace timings key
+        (dt +. Option.value ~default:0. (Hashtbl.find_opt timings key))
+    in
     let timed key f =
       let t0 = Unix.gettimeofday () in
       let r = f () in
-      let dt = Unix.gettimeofday () -. t0 in
-      Hashtbl.replace timings key
-        (dt +. Option.value ~default:0. (Hashtbl.find_opt timings key));
+      charge key (Unix.gettimeofday () -. t0);
       r
     in
     let factorizations = ref 0 in
     (* One AMD ordering for the whole sweep: scale_add keeps the union
        pattern stable across (alpha, beta), so the permutation computed
        on C + G is valid for every shifted pencil. *)
-    let perm =
-      timed "ordering" (fun () ->
-        Sparse.Ordering.amd
-          (Sparse.Scsr.scale_add ~alpha:Cx.one sys.c ~beta:Cx.one sys.g))
+    let chain_pencil =
+      Sparse.Scsr.scale_add ~alpha:Cx.one sys.c ~beta:Cx.one sys.g
     in
-    (* x = (j 2 pi f C + G)^{-1} B.  The first shift gets a full sparse
-       LU on the shared AMD order; every later one is a numeric-only
-       refactorization on that pivot sequence and pattern, which falls
-       back to (and rebases on) a full LU when a reused pivot degrades. *)
-    let base = ref None in
+    let perm = timed "ordering" (fun () -> Sparse.Ordering.amd chain_pencil) in
+    (* x = (j 2 pi f C + G)^{-1} B, through one sweep whose buffers every
+       shift reuses: the first shift gets a full sparse LU on the shared
+       AMD order; every later one is a numeric-only refactorization on
+       that pivot sequence and pattern, which falls back to (and
+       rebases on) a full LU when a reused pivot degrades.  [x] lives
+       until the next call. *)
+    let chain = Sparse.Slu.sweep ~perm ~nrhs:m chain_pencil in
     let solve_at f =
-      let s = Cx.jw (2. *. Float.pi *. f) in
-      let pencil = Sparse.Scsr.scale_add ~alpha:s sys.c ~beta:Cx.one sys.g in
+      Sparse.Scsr.scale_add_into chain_pencil ~alpha:(pencil_scale f) sys.c
+        ~beta:Cx.one sys.g;
       match
         timed "factor" (fun () ->
-          match !base with
-          | None -> Sparse.Slu.factorize ~perm pencil
-          | Some fac -> Sparse.Slu.refactor fac pencil)
+          Sparse.Slu.sweep_solve chain chain_pencil sys.b)
       with
       | Error _ as e -> e
-      | Ok fac ->
-        base := Some fac;
+      | Ok x ->
         incr factorizations;
-        Ok (timed "factor" (fun () -> Sparse.Slu.solve fac sys.b))
+        Ok x
     in
+    (* L X as conj(L^H)^T X: [Cmat.mul]'s kernel on the transpose it
+       would otherwise form per solve *)
+    let lh = Cmat.ctranspose sys.l in
     (* Exact transfer samples, cached: shifts get theirs free from the
-       basis solve, hold-out probes pay one factorization each, once. *)
+       basis solve, hold-out probes pay one factorization each, once
+       (in lane B, or here for a probe that lane B left to a shift). *)
     let truth = Hashtbl.create 32 in
     let truth_at f =
       match Hashtbl.find_opt truth f with
@@ -272,7 +331,7 @@ let reduce ?(options = default_options) sys =
         (match solve_at f with
          | Error _ as e -> e
          | Ok x ->
-           let h = Cmat.mul sys.l x in
+           let h = Cmat.mul_cn lh x in
            Hashtbl.add truth f h;
            Ok h)
     in
@@ -355,7 +414,7 @@ let reduce ?(options = default_options) sys =
             (match solve_at f with
              | Error _ as e -> e
              | Ok x ->
-               Hashtbl.replace truth f (Cmat.mul sys.l x);
+               Hashtbl.replace truth f (Cmat.mul_cn lh x);
                shift_log := f :: !shift_log;
                let k = order () in
                (match
@@ -374,29 +433,34 @@ let reduce ?(options = default_options) sys =
       in
       go freqs
     in
-    (* Max relative hold-out error of the current reduced model. *)
+    (* Max relative hold-out error of the current reduced model, the
+       reduced model evaluated at every probe on one Hessenberg-
+       triangular form. *)
     let holdout_err () =
-      let model = rom () in
-      let worst = ref (neg_infinity, 0.) in
-      let rec go i =
-        if i >= Array.length holdout_freqs then
-          Ok (fst !worst, snd !worst)
+      let rec exact i acc =
+        if i = Array.length holdout_freqs then Ok (List.rev acc)
         else
-          let f = holdout_freqs.(i) in
-          match truth_at f with
+          match truth_at holdout_freqs.(i) with
           | Error _ as e -> e
-          | Ok ht ->
-            let hr =
-              timed "evaluate" (fun () -> Descriptor.eval_freq model f)
-            in
+          | Ok ht -> exact (i + 1) (ht :: acc)
+      in
+      match exact 0 [] with
+      | Error _ as e -> e
+      | Ok exact ->
+        let model = rom () in
+        let approx =
+          timed "evaluate" (fun () -> Descriptor.eval_grid model holdout_freqs)
+        in
+        let worst = ref (neg_infinity, 0.) in
+        List.iteri
+          (fun i ht ->
             let rel =
-              Cmat.norm_fro (Cmat.sub hr ht)
+              Cmat.norm_fro (Cmat.sub approx.(i) ht)
               /. Float.max (Cmat.norm_fro ht) 1e-300
             in
-            if rel > fst !worst then worst := (rel, f);
-            go (i + 1)
-      in
-      go 0
+            if rel > fst !worst then worst := (rel, holdout_freqs.(i)))
+          exact;
+        Ok !worst
     in
     (* Next shifts: adaptive cross-validation suggestion over every
        exact sample seen so far, falling back to log-gap bisection of
@@ -444,6 +508,45 @@ let reduce ?(options = default_options) sys =
     in
     let history = ref [] in
     let initial = Array.to_list (Sampling.logspace o.f_lo o.f_hi o.shifts) in
+    (* The first round runs as two lanes on the pool.  Lane A is the
+       shift chain: [expand] on the initial shifts, the first factored
+       in full and every later one refactored on its predecessor, with
+       the basis and the projection.  Lane B factors the hold-out
+       probes that are not also shifts, on pivots of its own (see
+       {!probe_lane}).  Neither reads what the other writes, so the
+       bits do not depend on where or in what order they run: the
+       submitting domain takes lane A, so its allocations and the
+       timings stay there, and at one domain, or with the pool busy,
+       the lanes run inline one after the other.  Lane B's count, time
+       and events are accounted after the join, in probe order. *)
+    let lane_b =
+      probe_lane sys ~perm ~lh
+        (List.rev
+           (List.filter
+              (fun f -> not (List.mem f initial))
+              (Array.to_list holdout_freqs)))
+    in
+    let lane_a_result = ref (Ok ()) in
+    let lane_b_result = ref ((Ok [], 0.), []) in
+    Parallel.parallel_for ~chunk:1 2 (fun lo hi ->
+        for lane = lo to hi - 1 do
+          if lane = 0 then lane_a_result := expand initial
+          else lane_b_result := lane_b ()
+        done);
+    let (probed, probe_seconds), probe_events = !lane_b_result in
+    List.iter
+      (fun e -> Diag.record ~site:e.Diag.site e.Diag.detail)
+      probe_events;
+    charge "factor" probe_seconds;
+    let first_round =
+      match (!lane_a_result, probed) with
+      | (Error _ as e), _ -> e
+      | Ok (), (Error _ as e) -> e
+      | Ok (), Ok samples ->
+        factorizations := !factorizations + List.length samples;
+        List.iter (fun (f, h) -> Hashtbl.replace truth f h) samples;
+        Ok ()
+    in
     let rec rounds i prev =
       match prev with
       | Error _ as e -> e
@@ -456,7 +559,7 @@ let reduce ?(options = default_options) sys =
            then Ok ()
            else rounds (i + 1) (expand (next_shifts worst_freq)))
     in
-    (match rounds 0 (expand initial) with
+    (match rounds 0 first_round with
      | Error _ as e -> e
      | Ok () ->
        if order () = 0 then

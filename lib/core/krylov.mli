@@ -19,6 +19,23 @@
     a held-out probe says the response is not yet pinned down, reusing
     {!Adaptive.suggest} once enough probes have accumulated.
 
+    The first round runs as two lanes on the {!Linalg.Parallel} pool.
+    Lane A, on the calling domain, is the shift chain above: the first
+    shift factored in full, every later shift refactored on its
+    predecessor, with the basis and the projection.  Lane B factors the
+    hold-out probes (those that are not also initial shifts) on its own
+    base: a full factorization at the highest probe, with threshold
+    pivoting that keeps the ordering's diagonal ({!Sparse.Slu.factorize}
+    [~diagonal:1e-2]), then each lower probe refactored on the one
+    above; it keeps only [L X] per probe.  Each lane steps one
+    {!Sparse.Slu.sweep}, whose buffers the calling domain allocated
+    once per reduction.  The lanes share nothing
+    they write, so the basis, the model and every count are the same
+    at any pool size: at one domain, or while the pool is busy, they
+    run inline one after the other.  Adaptive rounds, after the join,
+    continue lane A's chain; a probe they pick as a shift is solved
+    again there.
+
     The basis is kept {e real} — each complex block contributes
     [[Re X, Im X]] — so the reduced model is real and matches both
     [H(sigma)] and [H(conj sigma)]: the downstream realify / certify
@@ -77,12 +94,16 @@ type reduction = {
                                  order the basis absorbed them *)
   history : float array;     (** max relative hold-out error after
                                  each round *)
-  factorizations : int;      (** sparse LU factorizations performed *)
+  factorizations : int;      (** sparse LU factorizations performed,
+                                 in both lanes *)
   timings : (string * float) list;
       (** ["ordering"], ["factor"], ["basis"], ["project"],
-          ["evaluate"] wall times in seconds.  ["factor"] covers each
-          shifted factorization {e and} its solve against [B];
-          ["basis"] is the orthonormalization alone. *)
+          ["evaluate"] times in seconds, measured on the domain that
+          did the work.  ["factor"] sums every factorization {e and}
+          its solve against [B] over both lanes, so with the probe
+          lane on a second domain it can exceed the wall time of the
+          first round it overlaps; ["basis"] is the orthonormalization
+          alone, ["evaluate"] the reduced model at the probes. *)
 }
 
 (** [reduce ?options sys] runs the projection.  Ill-posed options,

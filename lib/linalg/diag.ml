@@ -23,11 +23,26 @@ let with_lock f =
   Mutex.lock lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
 
+(* Events recorded inside [hold] on this domain, newest first. *)
+let held : event list ref option ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref None)
+
 let record ~site detail =
-  with_lock (fun () ->
-      match !current with
-      | None -> ()
-      | Some d -> d.fallbacks <- { site; detail } :: d.fallbacks)
+  match !(Domain.DLS.get held) with
+  | Some events -> events := { site; detail } :: !events
+  | None ->
+    with_lock (fun () ->
+        match !current with
+        | None -> ()
+        | Some d -> d.fallbacks <- { site; detail } :: d.fallbacks)
+
+let hold f =
+  let slot = Domain.DLS.get held in
+  let saved = !slot in
+  let events = ref [] in
+  slot := Some events;
+  let x = Fun.protect ~finally:(fun () -> slot := saved) f in
+  (x, List.rev !events)
 
 let incr_retries () =
   with_lock (fun () ->

@@ -39,6 +39,14 @@ val with_collector : (unit -> 'a) -> 'a * t
     collector (no-op when none is installed).  Safe from any domain. *)
 val record : site:string -> string -> unit
 
+(** [hold f] runs [f ()] with the events this domain {!record}s held
+    back from the collector, and returns them, oldest first, beside
+    [f]'s result; {!record} each to put them in.  For work on a second
+    domain whose events must land in a fixed place in the list, not
+    wherever the schedule interleaves them.  Events recorded by other
+    domains (a parallel loop [f] starts) are not held. *)
+val hold : (unit -> 'a) -> 'a * event list
+
 val incr_retries : unit -> unit
 val set_condition : float -> unit
 val set_rank_gap : float -> unit

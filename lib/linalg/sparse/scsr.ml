@@ -217,11 +217,46 @@ let mul_mat t x =
     y
   end
 
+(* The values of [alpha*a + beta*b] on the union pattern, row by row
+   into [dst].  With [fill] the pattern is written too; without, it
+   must already be the union's, which the merge checks as it goes. *)
+let merge_values ~alpha a ~beta b dst ~fill =
+  let alr = alpha.Cx.re and ali = alpha.Cx.im in
+  let ber = beta.Cx.re and bei = beta.Cx.im in
+  let { rowptr; colind; re; im; _ } = dst in
+  for i = 0 to a.rows - 1 do
+    let pa = ref a.rowptr.(i) and pb = ref b.rowptr.(i) in
+    let ea = a.rowptr.(i + 1) and eb = b.rowptr.(i + 1) in
+    let w = ref rowptr.(i) in
+    while !pa < ea || !pb < eb do
+      let ja = if !pa < ea then a.colind.(!pa) else max_int in
+      let jb = if !pb < eb then b.colind.(!pb) else max_int in
+      let j = Stdlib.min ja jb in
+      let sr = ref 0. and si = ref 0. in
+      if ja = j then begin
+        sr := (alr *. a.re.(!pa)) -. (ali *. a.im.(!pa));
+        si := (alr *. a.im.(!pa)) +. (ali *. a.re.(!pa));
+        incr pa
+      end;
+      if jb = j then begin
+        sr := !sr +. (ber *. b.re.(!pb)) -. (bei *. b.im.(!pb));
+        si := !si +. (ber *. b.im.(!pb)) +. (bei *. b.re.(!pb));
+        incr pb
+      end;
+      if fill then colind.(!w) <- j
+      else if !w >= rowptr.(i + 1) || colind.(!w) <> j then
+        invalid_arg "Scsr.scale_add_into: pattern is not the operands' union";
+      re.(!w) <- !sr;
+      im.(!w) <- !si;
+      incr w
+    done;
+    if !w <> rowptr.(i + 1) then
+      invalid_arg "Scsr.scale_add_into: pattern is not the operands' union"
+  done
+
 let scale_add ~alpha a ~beta b =
   if a.rows <> b.rows || a.cols <> b.cols then
     invalid_arg "Scsr.scale_add: dimension mismatch";
-  let alr = alpha.Cx.re and ali = alpha.Cx.im in
-  let ber = beta.Cx.re and bei = beta.Cx.im in
   let n = a.rows in
   let rowptr = Array.make (n + 1) 0 in
   (* pass 1: count the merged row lengths.  The result pattern is the
@@ -247,34 +282,18 @@ let scale_add ~alpha a ~beta b =
     rowptr.(i + 1) <- rowptr.(i + 1) + rowptr.(i)
   done;
   let total = rowptr.(n) in
-  let colind = Array.make total 0 in
-  let re = Array.make total 0. and im = Array.make total 0. in
-  for i = 0 to n - 1 do
-    let pa = ref a.rowptr.(i) and pb = ref b.rowptr.(i) in
-    let ea = a.rowptr.(i + 1) and eb = b.rowptr.(i + 1) in
-    let w = ref rowptr.(i) in
-    while !pa < ea || !pb < eb do
-      let ja = if !pa < ea then a.colind.(!pa) else max_int in
-      let jb = if !pb < eb then b.colind.(!pb) else max_int in
-      let j = Stdlib.min ja jb in
-      let sr = ref 0. and si = ref 0. in
-      if ja = j then begin
-        sr := (alr *. a.re.(!pa)) -. (ali *. a.im.(!pa));
-        si := (alr *. a.im.(!pa)) +. (ali *. a.re.(!pa));
-        incr pa
-      end;
-      if jb = j then begin
-        sr := !sr +. (ber *. b.re.(!pb)) -. (bei *. b.im.(!pb));
-        si := !si +. (ber *. b.im.(!pb)) +. (bei *. b.re.(!pb));
-        incr pb
-      end;
-      colind.(!w) <- j;
-      re.(!w) <- !sr;
-      im.(!w) <- !si;
-      incr w
-    done
-  done;
-  { rows = n; cols = a.cols; rowptr; colind; re; im }
+  let dst =
+    { rows = n; cols = a.cols; rowptr; colind = Array.make total 0;
+      re = Array.make total 0.; im = Array.make total 0. }
+  in
+  merge_values ~alpha a ~beta b dst ~fill:true;
+  dst
+
+let scale_add_into dst ~alpha a ~beta b =
+  if a.rows <> b.rows || a.cols <> b.cols || dst.rows <> a.rows
+     || dst.cols <> a.cols
+  then invalid_arg "Scsr.scale_add_into: dimension mismatch";
+  merge_values ~alpha a ~beta b dst ~fill:false
 
 let transpose t =
   let m = t.cols in

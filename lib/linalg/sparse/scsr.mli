@@ -54,6 +54,15 @@ val mul_mat : t -> Linalg.Cmat.t -> Linalg.Cmat.t
     frequency sweep relies on. *)
 val scale_add : alpha:Linalg.Cx.t -> t -> beta:Linalg.Cx.t -> t -> t
 
+(** [scale_add_into dst ~alpha a ~beta b] overwrites the values of
+    [dst] with those of [scale_add ~alpha a ~beta b], bit for bit and
+    without allocating.  [dst] must have that union pattern (it is a
+    previous [scale_add] of the same operands); any other pattern, or
+    mismatched dimensions, raise [Invalid_argument], possibly after
+    some values were written. *)
+val scale_add_into :
+  t -> alpha:Linalg.Cx.t -> t -> beta:Linalg.Cx.t -> t -> unit
+
 val transpose : t -> t
 
 (** [permute t ~perm] applies a symmetric permutation to a square

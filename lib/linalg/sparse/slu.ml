@@ -62,6 +62,7 @@ type ordering = [ `Natural | `Rcm | `Amd ]
    view.  Shared by every factor refactored from the same base. *)
 type symbolic = {
   n : int;
+  diagonal : float;     (* the threshold pivoting rule; 0 = largest *)
   sym_perm : int array option;  (* new_position -> original index *)
   pinv : int array;     (* (permuted) row -> pivot step *)
   lp : int array;       (* n+1 column pointers into lidx *)
@@ -84,14 +85,16 @@ type factor = {
 }
 
 (* [acolptr/arowind/are/aim] is a column-major (CSC) view of the
-   already-permuted matrix *)
-let factorize_core n acolptr arowind are aim =
-  let l = growbuf_make (4 * acolptr.(n)) in
-  let u = growbuf_make (4 * acolptr.(n)) in
+   already-permuted matrix.  L and U are pushed into [l] and [u] from
+   length 0; [xre]/[xim] are n-vectors of scratch, zero on return.
+   Each pivot is the candidate of largest modulus, or with [diagonal]
+   > 0 the diagonal when it is within that factor of it. *)
+let factorize_core ~diagonal ~l ~u ~xre ~xim n acolptr arowind are aim =
+  l.len <- 0;
+  u.len <- 0;
   let lp = Array.make (n + 1) 0 in
   let up = Array.make (n + 1) 0 in
   let pinv = Array.make n (-1) in
-  let xre = Array.make n 0. and xim = Array.make n 0. in
   let marked = Array.make n false in
   let xi = Array.make n 0 in         (* reach, xi[top..n-1] in toporder *)
   let stack = Array.make n 0 in
@@ -177,7 +180,15 @@ let factorize_core n acolptr arowind are aim =
         growbuf_push u pinv.(i) xre.(i) xim.(i)
     done;
     if !ipiv < 0 || !best = 0. then raise (Singular k);
-    let ipiv = !ipiv in
+    (* threshold pivoting: keep the fill-reducing order's diagonal
+       while it is at least [diagonal] of the largest candidate *)
+    let ipiv =
+      let mag = (xre.(k) *. xre.(k)) +. (xim.(k) *. xim.(k)) in
+      if diagonal > 0. && pinv.(k) < 0 && mag > 0.
+         && mag >= diagonal *. diagonal *. !best
+      then k
+      else !ipiv
+    in
     pinv.(ipiv) <- k;
     (* pivot onto U's diagonal *)
     growbuf_push u k xre.(ipiv) xim.(ipiv);
@@ -208,7 +219,7 @@ let factorize_core n acolptr arowind are aim =
   for p = 0 to l.len - 1 do
     l.idx.(p) <- pinv.(l.idx.(p))
   done;
-  (lp, l, up, u, pinv)
+  (lp, up, pinv)
 
 let singular ?(injected = false) k =
   Mfti_error.Numerical_breakdown
@@ -263,17 +274,64 @@ let column_view (a : Scsr.t) perm =
   done;
   (acolptr, arowind, scatter)
 
-let scatter_values scatter (a : Scsr.t) =
-  let nnz = Array.length scatter in
-  let are = Array.make nnz 0. and aim = Array.make nnz 0. in
-  for p = 0 to nnz - 1 do
+let scatter_into scatter (a : Scsr.t) are aim =
+  for p = 0 to Array.length scatter - 1 do
     let q = scatter.(p) in
     are.(q) <- a.Scsr.re.(p);
     aim.(q) <- a.Scsr.im.(p)
-  done;
+  done
+
+let scatter_values scatter a =
+  let nnz = Array.length scatter in
+  let are = Array.make nnz 0. and aim = Array.make nnz 0. in
+  scatter_into scatter a are aim;
   (are, aim)
 
-let factorize ?(ordering = `Amd) ?perm (a : Scsr.t) =
+(* Full factorization of [a] from its column view ([view] and the
+   values [are]/[aim]) into the buffers [l] and [u].  With [trim] the
+   factor's arrays are cut to the final fill unless already exact: a
+   base factor outlives its sweep step, so growth slack would be
+   retained with it. *)
+let eliminate ~diagonal ~trim ~l ~u ~xre ~xim ~perm ~view (a : Scsr.t) are
+    aim =
+  let acolptr, arowind, scatter = view in
+  let n = a.Scsr.rows in
+  match
+    factorize_core ~diagonal ~l ~u ~xre ~xim n acolptr arowind are aim
+  with
+  | exception Singular k -> Error (singular k)
+  | lp, up, pinv ->
+    let fit g arr =
+      if trim && g.len < Array.length arr then Array.sub arr 0 g.len else arr
+    in
+    let sym =
+      { n; diagonal; sym_perm = perm; pinv; lp; lidx = fit l l.idx; up;
+        uidx = fit u u.idx; rowptr = a.Scsr.rowptr;
+        colind = a.Scsr.colind; acolptr; arowind; scatter }
+    in
+    Ok
+      { sym; lre = fit l l.re; lim = fit l l.im; ure = fit u u.re;
+        uim = fit u u.im }
+
+let check_perm n p =
+  if Array.length p <> n then Error (bad_perm "bad permutation length")
+  else begin
+    let seen = Array.make n false in
+    let ok = ref true in
+    Array.iter
+      (fun old ->
+        if old < 0 || old >= n || seen.(old) then ok := false
+        else seen.(old) <- true)
+      p;
+    if !ok then Ok (Some p) else Error (bad_perm "not a permutation")
+  end
+
+let check_diagonal d =
+  if not (d >= 0. && d <= 1.) then
+    invalid_arg "Slu: diagonal threshold must be in [0, 1]"
+
+let factorize ?(ordering = `Amd) ?perm ?(diagonal = 0.) (a : Scsr.t) =
+  check_diagonal diagonal;
   let n, n' = Scsr.dims a in
   if n <> n' then Error (bad_perm "matrix not square")
   else if Fault.armed "sparse.singular_pivot" then
@@ -281,18 +339,7 @@ let factorize ?(ordering = `Amd) ?perm (a : Scsr.t) =
   else begin
     let perm_ok =
       match perm with
-      | Some p ->
-        if Array.length p <> n then Error (bad_perm "bad permutation length")
-        else begin
-          let seen = Array.make n false in
-          let ok = ref true in
-          Array.iter
-            (fun old ->
-              if old < 0 || old >= n || seen.(old) then ok := false
-              else seen.(old) <- true)
-            p;
-          if !ok then Ok (Some p) else Error (bad_perm "not a permutation")
-        end
+      | Some p -> check_perm n p
       | None ->
         Ok
           (match ordering with
@@ -303,23 +350,13 @@ let factorize ?(ordering = `Amd) ?perm (a : Scsr.t) =
     match perm_ok with
     | Error e -> Error e
     | Ok perm ->
-      let acolptr, arowind, scatter = column_view a perm in
+      let view = column_view a perm in
+      let _, _, scatter = view in
       let are, aim = scatter_values scatter a in
-      (match factorize_core n acolptr arowind are aim with
-       | exception Singular k -> Error (singular k)
-       | lp, l, up, u, pinv ->
-         (* trimmed to the final fill: a base factor outlives its sweep
-            step, so the growth slack would be retained with it *)
-         let sym =
-           { n; sym_perm = perm; pinv; lp; lidx = Array.sub l.idx 0 l.len;
-             up; uidx = Array.sub u.idx 0 u.len;
-             rowptr = a.Scsr.rowptr; colind = a.Scsr.colind;
-             acolptr; arowind; scatter }
-         in
-         Ok
-           { sym;
-             lre = Array.sub l.re 0 l.len; lim = Array.sub l.im 0 l.len;
-             ure = Array.sub u.re 0 u.len; uim = Array.sub u.im 0 u.len })
+      let cap = 4 * Scsr.nnz a in
+      eliminate ~diagonal ~trim:true ~l:(growbuf_make cap)
+        ~u:(growbuf_make cap) ~xre:(Array.make n 0.) ~xim:(Array.make n 0.)
+        ~perm ~view a are aim
   end
 
 (* Smallest accepted |reused pivot| / max |candidate| in its column.
@@ -338,13 +375,8 @@ exception Unstable of int * float
    every later row the reach touched.  The arithmetic is the base's,
    operation for operation, so refactoring the base matrix reproduces
    its factor bit for bit. *)
-let refactor_core sym are aim =
+let refactor_core sym { lre; lim; ure; uim; _ } ~xre ~xim are aim =
   let n = sym.n in
-  let lre = Array.make (Array.length sym.lidx) 0. in
-  let lim = Array.make (Array.length sym.lidx) 0. in
-  let ure = Array.make (Array.length sym.uidx) 0. in
-  let uim = Array.make (Array.length sym.uidx) 0. in
-  let xre = Array.make n 0. and xim = Array.make n 0. in
   let lidx = sym.lidx in
   let ratio2 = pivot_ratio *. pivot_ratio in
   for k = 0 to n - 1 do
@@ -388,6 +420,7 @@ let refactor_core sym are aim =
     xre.(k) <- 0.;
     xim.(k) <- 0.;
     lre.(sym.lp.(k)) <- 1.;
+    lim.(sym.lp.(k)) <- 0.;
     for q = sym.lp.(k) + 1 to sym.lp.(k + 1) - 1 do
       let i = sym.lidx.(q) in
       lre.(q) <- ((xre.(i) *. pr) +. (xim.(i) *. pi)) /. pmag;
@@ -395,33 +428,51 @@ let refactor_core sym are aim =
       xre.(i) <- 0.;
       xim.(i) <- 0.
     done
-  done;
-  { sym; lre; lim; ure; uim }
+  done
 
-let same_pattern sym (a : Scsr.t) =
-  Scsr.dims a = (sym.n, sym.n)
-  && a.Scsr.rowptr = sym.rowptr
-  && a.Scsr.colind = sym.colind
+let same_pattern ~rowptr ~colind (a : Scsr.t) =
+  Scsr.dims a = (Array.length rowptr - 1, Array.length rowptr - 1)
+  && a.Scsr.rowptr = rowptr
+  && a.Scsr.colind = colind
+
+(* [refactor_core] into [f], or when a reused pivot is no longer safe,
+   the event and [full ()] on cleared scratch. *)
+let refactor_or_full sym f ~xre ~xim are aim full =
+  match refactor_core sym f ~xre ~xim are aim with
+  | () -> Ok f
+  | exception Unstable (k, ratio) ->
+    Diag.record ~site:"sparse.refactor_fallback"
+      (Printf.sprintf
+         "reused pivot at step %d is %.3g of its column's largest; full \
+          refactorization"
+         k ratio);
+    Array.fill xre 0 sym.n 0.;
+    Array.fill xim 0 sym.n 0.;
+    full ()
 
 let refactor base a =
   let sym = base.sym in
-  if not (same_pattern sym a) then
+  if not (same_pattern ~rowptr:sym.rowptr ~colind:sym.colind a) then
     Error (bad_perm "refactor: pattern differs from the base factorization")
   else if Fault.armed "sparse.singular_pivot" then
     Error (singular ~injected:true 0)
   else begin
+    let n = sym.n in
     let are, aim = scatter_values sym.scatter a in
-    match refactor_core sym are aim with
-    | f -> Ok f
-    | exception Unstable (k, ratio) ->
-      Diag.record ~site:"sparse.refactor_fallback"
-        (Printf.sprintf
-           "reused pivot at step %d is %.3g of its column's largest; full \
-            refactorization"
-           k ratio);
-      (match sym.sym_perm with
-       | Some perm -> factorize ~perm a
-       | None -> factorize ~ordering:`Natural a)
+    let lfill = sym.lp.(n) and ufill = sym.up.(n) in
+    let values fill = Array.make fill 0. in
+    let f =
+      { sym; lre = values lfill; lim = values lfill; ure = values ufill;
+        uim = values ufill }
+    in
+    let xre = Array.make n 0. and xim = Array.make n 0. in
+    (* a fallback factors in full under the base's ordering and pivot
+       rule, from the same column view and values, with the base's
+       fill as the first guess of its own *)
+    refactor_or_full sym f ~xre ~xim are aim (fun () ->
+        eliminate ~diagonal:sym.diagonal ~trim:true ~l:(growbuf_make lfill)
+          ~u:(growbuf_make ufill) ~xre ~xim ~perm:sym.sym_perm
+          ~view:(sym.acolptr, sym.arowind, sym.scatter) a are aim)
   end
 
 (* Every right-hand side walks the factors in the same order as a
@@ -431,12 +482,10 @@ let refactor base a =
    is loaded and update one contiguous run per entry; the row offsets
    come from the factor's own pattern, so the hot loops index without
    bounds checks. *)
-let solve f b =
+let solve_into f ~wr ~wi x b =
   let s = f.sym in
-  if Cmat.rows b <> s.n then invalid_arg "Slu.solve: dimension mismatch";
   let n = s.n in
   let nrhs = Cmat.cols b in
-  let wr = Array.make (n * nrhs) 0. and wi = Array.make (n * nrhs) 0. in
   let br = Cmat.unsafe_re b and bi = Cmat.unsafe_im b in
   (* y = P Q b: with a symmetric ordering row [perm.(i)] of b is row i
      of the permuted system, which partial pivoting sends to step
@@ -496,7 +545,6 @@ let solve f b =
     done
   done;
   (* x = Q^T x': step i of the permuted system is row [perm.(i)] *)
-  let x = Cmat.zeros n nrhs in
   let xr = Cmat.unsafe_re x and xi = Cmat.unsafe_im x in
   for i = 0 to n - 1 do
     let dst = match s.sym_perm with None -> i | Some perm -> perm.(i) in
@@ -504,9 +552,89 @@ let solve f b =
       xr.((jcol * n) + dst) <- wr.((i * nrhs) + jcol);
       xi.((jcol * n) + dst) <- wi.((i * nrhs) + jcol)
     done
-  done;
+  done
+
+let solve f b =
+  let n = f.sym.n in
+  if Cmat.rows b <> n then invalid_arg "Slu.solve: dimension mismatch";
+  let len = n * Cmat.cols b in
+  let x = Cmat.zeros n (Cmat.cols b) in
+  solve_into f ~wr:(Array.make len 0.) ~wi:(Array.make len 0.) x b;
   x
 
-let fill f = Array.length f.lre + Array.length f.ure
+(* ---- a sweep in caller-owned buffers -------------------------------- *)
+
+(* Everything a factor-and-solve step allocates, allocated once by
+   [sweep]: the L/U buffers (which hold the factor: a refactorization
+   overwrites its values in place, which is sound because
+   [refactor_core] reads only values it wrote in the same call), the
+   column-view values, the elimination scratch and the solve vectors. *)
+type sweep = {
+  sw_perm : int array;
+  sw_diagonal : float;
+  view : int array * int array * int array;
+  sw_rowptr : int array;
+  sw_colind : int array;
+  l : growbuf;
+  u : growbuf;
+  sare : float array;
+  saim : float array;
+  sxre : float array;
+  sxim : float array;
+  wr : float array;
+  wi : float array;
+  x : Cmat.t;
+  mutable last : factor option;
+}
+
+let sweep ~perm ?(diagonal = 0.) ~nrhs (a : Scsr.t) =
+  check_diagonal diagonal;
+  let n, n' = Scsr.dims a in
+  if n <> n' then invalid_arg "Slu.sweep: matrix not square";
+  if nrhs < 1 then invalid_arg "Slu.sweep: need nrhs >= 1";
+  (match check_perm n perm with
+   | Ok _ -> ()
+   | Error _ -> invalid_arg "Slu.sweep: not a permutation");
+  let nnz = Scsr.nnz a in
+  { sw_perm = perm; sw_diagonal = diagonal; view = column_view a (Some perm);
+    sw_rowptr = a.Scsr.rowptr; sw_colind = a.Scsr.colind;
+    l = growbuf_make (4 * nnz); u = growbuf_make (4 * nnz);
+    sare = Array.make nnz 0.; saim = Array.make nnz 0.;
+    sxre = Array.make n 0.; sxim = Array.make n 0.;
+    wr = Array.make (n * nrhs) 0.; wi = Array.make (n * nrhs) 0.;
+    x = Cmat.zeros n nrhs; last = None }
+
+let sweep_solve s (a : Scsr.t) b =
+  if Cmat.rows b <> Cmat.rows s.x || Cmat.cols b <> Cmat.cols s.x then
+    invalid_arg "Slu.sweep_solve: dimension mismatch";
+  if not (same_pattern ~rowptr:s.sw_rowptr ~colind:s.sw_colind a) then
+    Error (bad_perm "sweep: pattern differs from the sweep's")
+  else if Fault.armed "sparse.singular_pivot" then
+    Error (singular ~injected:true 0)
+  else begin
+    let _, _, scatter = s.view in
+    scatter_into scatter a s.sare s.saim;
+    let full () =
+      eliminate ~diagonal:s.sw_diagonal ~trim:false ~l:s.l ~u:s.u
+        ~xre:s.sxre ~xim:s.sxim ~perm:(Some s.sw_perm) ~view:s.view a
+        s.sare s.saim
+    in
+    let fac =
+      match s.last with
+      | None -> full ()
+      | Some f ->
+        refactor_or_full f.sym f ~xre:s.sxre ~xim:s.sxim s.sare s.saim full
+    in
+    match fac with
+    | Error _ as e ->
+      s.last <- None;
+      e
+    | Ok f ->
+      s.last <- Some f;
+      solve_into f ~wr:s.wr ~wi:s.wi s.x b;
+      Ok s.x
+  end
+
+let fill f = f.sym.lp.(f.sym.n) + f.sym.up.(f.sym.n)
 let order f = f.sym.sym_perm
 let size f = f.sym.n

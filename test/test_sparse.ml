@@ -93,6 +93,28 @@ let test_scale_add_pattern_union () =
   (* the (0,1) entries cancel exactly but the slot must survive *)
   Alcotest.(check int) "union pattern" 3 (Scsr.nnz s)
 
+let test_scale_add_into () =
+  (* the sweep rewrites one pencil's values in place: the same bits as
+     a fresh scale_add, and a foreign pattern is refused *)
+  let rng = Rng.create 233 in
+  let a = random_sparse rng 15 2 and b = random_sparse rng 15 3 in
+  let alpha = cx 0. 2.5e3 and beta = Cx.one in
+  let dst = Scsr.scale_add ~alpha:(cx 0. 7.) a ~beta b in
+  Scsr.scale_add_into dst ~alpha a ~beta b;
+  let fresh = Scsr.scale_add ~alpha a ~beta b in
+  let bits = Array.map Int64.bits_of_float in
+  Alcotest.(check bool) "values bit-identical" true
+    (bits dst.Scsr.re = bits fresh.Scsr.re
+     && bits dst.Scsr.im = bits fresh.Scsr.im);
+  Alcotest.(check bool) "pattern kept" true
+    (dst.Scsr.rowptr = fresh.Scsr.rowptr
+     && dst.Scsr.colind = fresh.Scsr.colind);
+  Alcotest.check_raises "foreign pattern"
+    (Invalid_argument
+       "Scsr.scale_add_into: pattern is not the operands' union")
+    (fun () ->
+      Scsr.scale_add_into (Scsr.scale_add ~alpha a ~beta a) ~alpha a ~beta b)
+
 let test_transpose () =
   let rng = Rng.create 231 in
   let sp = random_sparse rng 12 2 in
@@ -119,8 +141,8 @@ let test_permute () =
 (* ------------------------------------------------------------------ *)
 (* Slu *)
 
-let factorize_ok ?ordering ?perm sp =
-  match Slu.factorize ?ordering ?perm sp with
+let factorize_ok ?ordering ?perm ?diagonal sp =
+  match Slu.factorize ?ordering ?perm ?diagonal sp with
   | Ok f -> f
   | Error e -> Alcotest.failf "factorize failed: %s" (Mfti_error.to_string e)
 
@@ -267,6 +289,152 @@ let test_refactor_fault () =
     | Error (Mfti_error.Numerical_breakdown { context = "sparse.lu"; _ }) -> ()
     | Error e -> Alcotest.failf "wrong error: %s" (Mfti_error.to_string e)
     | Ok _ -> Alcotest.fail "armed fault did not fire")
+
+(* A 12x12 plane's shifted pencils on one AMD order, as the Krylov
+   sweep builds them. *)
+let plane_pencils ?(plane_rl = false) () =
+  let circuit =
+    Pdn.build
+      { Pdn.default_spec with
+        nx = 12; ny = 12; ports = 3; decaps = 4; plane_rl }
+  in
+  let g, c, b, _ = Mna.sparse_system circuit in
+  let perm = Ordering.amd (Scsr.scale_add ~alpha:Cx.one c ~beta:Cx.one g) in
+  let pencil f =
+    Scsr.scale_add ~alpha:(Cx.jw (2. *. Float.pi *. f)) c ~beta:Cx.one g
+  in
+  (perm, pencil, b)
+
+(* The allocating sweep: factorize at the first frequency, then
+   refactor each next one on the previous factor; every solve. *)
+let refactor_chain ~perm ~diagonal pencil b freqs =
+  let base = ref None in
+  List.map
+    (fun f ->
+      let a = pencil f in
+      let fac =
+        match !base with
+        | None -> factorize_ok ~perm ~diagonal a
+        | Some fac -> refactor_ok fac a
+      in
+      base := Some fac;
+      Slu.solve fac b)
+    freqs
+
+let test_refactor_fallback_bits () =
+  (* a fallback reuses its base's column view and pivot rule and sizes
+     its buffers to the base's fill: the factor must still be a fresh
+     factorize's, whether its own fill is smaller (the resistive plane
+     stepping up the band: trimmed) or larger (the RL plane stepping
+     down under threshold pivoting: grown) *)
+  List.iter
+    (fun (plane_rl, diagonal, f0, f1, grows) ->
+      let perm, pencil, b = plane_pencils ~plane_rl () in
+      let base = factorize_ok ~perm ~diagonal (pencil f0) in
+      let a = pencil f1 in
+      let r, d = Diag.with_collector (fun () -> refactor_ok base a) in
+      let at what = Printf.sprintf "%s (%.0e -> %.0e Hz)" what f0 f1 in
+      Alcotest.(check bool) (at "the step falls back") true
+        (Diag.recorded d "sparse.refactor_fallback");
+      let fresh = factorize_ok ~perm ~diagonal a in
+      Alcotest.(check int) (at "same fill") (Slu.fill fresh) (Slu.fill r);
+      Alcotest.(check bool) (at "fill moved as expected") grows
+        (Slu.fill r > Slu.fill base);
+      Alcotest.(check bool) (at "fallback = factorize (bits)") true
+        (same_bits (Slu.solve r b) (Slu.solve fresh b));
+      (* and it is the same base for the next step *)
+      let a' = pencil (3. *. f1) in
+      Alcotest.(check bool) (at "next refactor (bits)") true
+        (same_bits
+           (Slu.solve (refactor_ok r a') b)
+           (Slu.solve (refactor_ok fresh a') b)))
+    [ (false, 0., 1e5, 1e10, false); (true, 1e-2, 1e6, 1e4, true) ]
+
+let test_sweep_matches_chain () =
+  (* the sweep is factorize, then refactor on the previous factor, in
+     reused buffers: every solve and every fallback event as the
+     allocating chain's, up across the band and back down, under
+     partial pivoting (the Krylov shift chain) and threshold pivoting
+     (its probe lane) *)
+  let perm, pencil, b = plane_pencils () in
+  let freqs = [ 1e4; 1e6; 1e10; 5e9; 2e8; 1e5; 3e7 ] in
+  let chain diagonal () = refactor_chain ~perm ~diagonal pencil b freqs in
+  let swept diagonal () =
+    let a = pencil (List.hd freqs) in
+    let sw = Slu.sweep ~perm ~diagonal ~nrhs:(Cmat.cols b) a in
+    List.map
+      (fun f ->
+        match Slu.sweep_solve sw (pencil f) b with
+        | Ok x -> Cmat.copy x
+        | Error e -> Alcotest.failf "sweep: %s" (Mfti_error.to_string e))
+      freqs
+  in
+  List.iter
+    (fun diagonal ->
+      let xs, d1 = Diag.with_collector (chain diagonal) in
+      let ys, d2 = Diag.with_collector (swept diagonal) in
+      let at what = Printf.sprintf "%s (diagonal %g)" what diagonal in
+      Alcotest.(check bool) (at "a fallback happened") true
+        (Diag.recorded d1 "sparse.refactor_fallback");
+      Alcotest.(check bool) (at "same events") true
+        (Diag.events d1 = Diag.events d2);
+      List.iteri
+        (fun i (x, y) ->
+          Alcotest.(check bool) (at (Printf.sprintf "step %d bit-identical" i))
+            true (same_bits x y))
+        (List.combine xs ys))
+    [ 0.; 1e-2 ];
+  (* typed errors: a foreign pattern, the armed fault *)
+  let sw = Slu.sweep ~perm ~nrhs:(Cmat.cols b) (pencil 1e6) in
+  let g, _, _, _ =
+    Mna.sparse_system
+      (Pdn.build
+         { Pdn.default_spec with nx = 12; ny = 12; ports = 3; decaps = 4 })
+  in
+  (match Slu.sweep_solve sw g b with
+   | Error (Mfti_error.Validation _) -> ()
+   | Error e -> Alcotest.failf "wrong error: %s" (Mfti_error.to_string e)
+   | Ok _ -> Alcotest.fail "foreign pattern accepted");
+  Fault.with_spec "sparse.singular_pivot" (fun () ->
+    match Slu.sweep_solve sw (pencil 1e6) b with
+    | Error (Mfti_error.Numerical_breakdown { context = "sparse.lu"; _ }) -> ()
+    | Error e -> Alcotest.failf "wrong error: %s" (Mfti_error.to_string e)
+    | Ok _ -> Alcotest.fail "armed fault did not fire")
+
+let test_threshold_pivoting () =
+  (* the Krylov probe sweep on a 16x16 RL plane: stepping down
+     1e4-1e10 Hz from a full factorization at the top.  Partial pivoting
+     there picks pivots (with ~3x the ordered diagonal's fill) that
+     stop being safe lower down; the 1e-2 threshold keeps the ordered
+     diagonal and steps down with no fallback, to the same solutions *)
+  let g, c, b, _ =
+    Mna.sparse_system
+      (Pdn.build
+         { Pdn.default_spec with nx = 16; ny = 16; ports = 3; decaps = 4 })
+  in
+  let perm = Ordering.amd (Scsr.scale_add ~alpha:Cx.one c ~beta:Cx.one g) in
+  let pencil f =
+    Scsr.scale_add ~alpha:(Cx.jw (2. *. Float.pi *. f)) c ~beta:Cx.one g
+  in
+  let probes =
+    (* the bin centres of 1e4-1e10 Hz, highest first *)
+    List.init 9 (fun i ->
+        1e4 *. (1e6 ** ((17. -. (2. *. float_of_int i)) /. 18.)))
+  in
+  let down diagonal =
+    Diag.with_collector (fun () ->
+      refactor_chain ~perm ~diagonal pencil b probes)
+  in
+  let partial, dp = down 0. and threshold, dt = down 1e-2 in
+  Alcotest.(check bool) "partial pivoting falls back" true
+    (Diag.recorded dp "sparse.refactor_fallback");
+  Alcotest.(check int) "threshold pivoting does not" 0 (Diag.fallback_count dt);
+  List.iter2
+    (fun x y -> check_small ~tol:1e-9 "same solution" (rel_diff y x))
+    partial threshold;
+  Alcotest.check_raises "threshold out of range"
+    (Invalid_argument "Slu: diagonal threshold must be in [0, 1]")
+    (fun () -> ignore (Slu.factorize ~perm ~diagonal:1.5 (pencil 1e6)))
 
 (* ------------------------------------------------------------------ *)
 (* Orderings *)
@@ -612,25 +780,91 @@ let test_krylov_reduce_accuracy () =
         rel)
     exact
 
-let test_krylov_domain_invariant () =
-  let sys = Krylov.of_mna (Pdn.build small_grid_spec) in
-  let reduce_at domains =
-    let saved = Parallel.domain_count () in
-    Fun.protect
-      ~finally:(fun () -> Parallel.set_domain_count saved)
-      (fun () ->
-        Parallel.set_domain_count domains;
-        match Krylov.reduce ~options:krylov_test_options sys with
-        | Ok kr -> Engine.Model.descriptor kr.Krylov.model
-        | Error e -> Alcotest.failf "reduce: %s" (Mfti_error.to_string e))
+(* [Krylov.reduce] at a pool size, with the Diag events it recorded. *)
+let reduce_at ?(options = krylov_test_options) domains sys =
+  let saved = Parallel.domain_count () in
+  Fun.protect
+    ~finally:(fun () -> Parallel.set_domain_count saved)
+    (fun () ->
+      Parallel.set_domain_count domains;
+      Diag.with_collector (fun () -> Krylov.reduce ~options sys))
+
+(* The lanes of the first round must not show in anything the
+   reduction returns or records: the model, the history, the shifts,
+   the factorization count and the event list, at 1, 2 and 4 domains. *)
+let check_domain_invariant ?options sys =
+  let run domains =
+    match reduce_at ?options domains sys with
+    | Ok kr, d -> (kr, Diag.events d)
+    | Error e, _ -> Alcotest.failf "reduce: %s" (Mfti_error.to_string e)
   in
-  let d1 = reduce_at 1 and d4 = reduce_at 4 in
+  let floats a = Array.map Int64.bits_of_float a in
+  let kr1, ev1 = run 1 in
+  (* one factorization per shift solved in the chain and one per probe
+     in the probe lane (no probe is an initial shift here) *)
+  let holdout =
+    (Option.value ~default:krylov_test_options options).Krylov.holdout
+  in
+  Alcotest.(check int) "factorizations = shifts + probes"
+    (Array.length kr1.Krylov.shift_freqs + holdout)
+    kr1.Krylov.factorizations;
   List.iter
-    (fun (name, m1, m4) ->
-      Alcotest.(check bool) (name ^ " bit-identical") true (same_bits m1 m4))
-    Statespace.Descriptor.
-      [ ("E", d1.e, d4.e); ("A", d1.a, d4.a); ("B", d1.b, d4.b);
-        ("C", d1.c, d4.c) ]
+    (fun domains ->
+      let kr, ev = run domains in
+      let d1 = Engine.Model.descriptor kr1.Krylov.model in
+      let d = Engine.Model.descriptor kr.Krylov.model in
+      let at name = Printf.sprintf "%s at %d domains" name domains in
+      List.iter
+        (fun (name, m1, m) ->
+          Alcotest.(check bool) (at (name ^ " bit-identical")) true
+            (same_bits m1 m))
+        Statespace.Descriptor.
+          [ ("E", d1.e, d.e); ("A", d1.a, d.a); ("B", d1.b, d.b);
+            ("C", d1.c, d.c); ("D", d1.d, d.d) ];
+      Alcotest.(check bool) (at "history") true
+        (floats kr1.Krylov.history = floats kr.Krylov.history);
+      Alcotest.(check bool) (at "shift_freqs") true
+        (floats kr1.Krylov.shift_freqs = floats kr.Krylov.shift_freqs);
+      Alcotest.(check int) (at "factorizations") kr1.Krylov.factorizations
+        kr.Krylov.factorizations;
+      Alcotest.(check bool) (at "Diag events") true (ev1 = ev))
+    [ 2; 4 ];
+  kr1
+
+let test_krylov_domain_invariant () =
+  ignore (check_domain_invariant (Krylov.of_mna (Pdn.build small_grid_spec)))
+
+let test_krylov_adaptive_invariant () =
+  (* a tolerance the first round cannot meet: adaptive rounds run on
+     the shift chain after the lanes joined, from the probes' samples *)
+  let options = { krylov_test_options with tol = 1e-15 } in
+  let kr =
+    check_domain_invariant ~options
+      (Krylov.of_mna (Pdn.build small_grid_spec))
+  in
+  Alcotest.(check bool) "an adaptive round ran" true
+    (Array.length kr.Krylov.history >= 2);
+  Alcotest.(check bool) "it added shifts" true
+    (Array.length kr.Krylov.shift_freqs > krylov_test_options.Krylov.shifts)
+
+let test_krylov_singular_typed () =
+  (* both lanes fail on the armed pivot fault; the shift chain's error
+     is the one returned, at any pool size *)
+  let sys = Krylov.of_mna (Pdn.build small_grid_spec) in
+  let failure domains =
+    Fault.with_spec "sparse.singular_pivot" (fun () ->
+      match reduce_at domains sys with
+      | ( Error
+            (Mfti_error.Numerical_breakdown { context = "sparse.lu"; _ } as e),
+          d ) ->
+        (e, Diag.events d)
+      | Error e, _ -> Alcotest.failf "wrong error: %s" (Mfti_error.to_string e)
+      | Ok _, _ -> Alcotest.fail "armed fault did not fire")
+  in
+  let e1, ev1 = failure 1 and e4, ev4 = failure 4 in
+  Alcotest.(check string) "same error at 1 and 4 domains"
+    (Mfti_error.to_string e1) (Mfti_error.to_string e4);
+  Alcotest.(check bool) "same events" true (ev1 = ev4)
 
 let test_krylov_interpolates_shifts () =
   (* the projection space holds (sigma C + G)^-1 B for every shift, so
@@ -713,7 +947,8 @@ let () =
          Alcotest.test_case "scale_add pattern union" `Quick
            test_scale_add_pattern_union;
          Alcotest.test_case "transpose" `Quick test_transpose;
-         Alcotest.test_case "permute" `Quick test_permute ]);
+         Alcotest.test_case "permute" `Quick test_permute;
+         Alcotest.test_case "scale_add_into" `Quick test_scale_add_into ]);
       ("slu",
        [ Alcotest.test_case "matches dense" `Quick test_lu_matches_dense;
          Alcotest.test_case "permutation matrix" `Quick
@@ -724,7 +959,13 @@ let () =
          Alcotest.test_case "refactor sweep" `Quick test_refactor_sweep;
          Alcotest.test_case "refactor fallback" `Quick test_refactor_fallback;
          Alcotest.test_case "refactor fault typed" `Quick
-           test_refactor_fault ]);
+           test_refactor_fault;
+         Alcotest.test_case "fallback = factorize (bits)" `Quick
+           test_refactor_fallback_bits;
+         Alcotest.test_case "sweep = refactor chain (bits)" `Quick
+           test_sweep_matches_chain;
+         Alcotest.test_case "threshold pivoting steps down an RL band" `Quick
+           test_threshold_pivoting ]);
       ("ordering",
        [ Alcotest.test_case "correct and helpful" `Quick
            test_orderings_correct_and_helpful;
@@ -753,5 +994,9 @@ let () =
          Alcotest.test_case "1 = 4 domains (bit)" `Quick
            test_krylov_domain_invariant;
          Alcotest.test_case "interpolates at shifts" `Quick
-           test_krylov_interpolates_shifts ])
+           test_krylov_interpolates_shifts;
+         Alcotest.test_case "adaptive rounds 1 = 2 = 4 domains (bit)" `Quick
+           test_krylov_adaptive_invariant;
+         Alcotest.test_case "singular pivot typed at 1 and 4 domains" `Quick
+           test_krylov_singular_typed ])
     ]
