@@ -44,18 +44,26 @@ let run () =
     Util.print_series ~name:(name ^ " sigma(LL)") ll_s;
     Util.print_series ~name:(name ^ " sigma(sLL)") sll_s;
     Util.print_series ~name:(name ^ " sigma(x0*LL - sLL)") pen_s;
-    (drop ll_s, drop sll_s, drop pen_s)
+    ( (drop ll_s, drop sll_s, drop pen_s),
+      List.map Array.length [ ll_s; sll_s; pen_s ] )
   in
 
   let vfti_data = Tangential.build_vector samples in
-  let v_drops = report "VFTI" vfti_data in
+  let v_drops, v_lengths = report "VFTI" vfti_data in
   let mfti_data = Tangential.build samples in
-  let m_drops = report "MFTI" mfti_data in
+  let m_drops, _ = report "MFTI" mfti_data in
 
   Util.subheading "summary (paper: VFTI no drop; MFTI drops at 150/180/180)";
   let d1, d2, d3 = v_drops and e1, e2, e3 = m_drops in
   Printf.printf "VFTI drops: %d %d %d (of 8; no informative drop expected)\n" d1 d2 d3;
-  Printf.printf "MFTI drops: %d %d %d (expect 150, 180, 180)\n%!" e1 e2 e3;
+  Util.claim
+    (Printf.sprintf "VFTI spectra have %s values (8 samples: 8 each)"
+       (String.concat "/" (List.map string_of_int v_lengths)))
+    (List.for_all (( = ) k_samples) v_lengths);
+  Util.claim
+    (Printf.sprintf "MFTI drops at %d/%d/%d = order/order+rank D = 150/180/180"
+       e1 e2 e3)
+    ((e1, e2, e3) = (150, 180, 180));
   if not (Sys.file_exists "figures") then Sys.mkdir "figures" 0o755;
   Plot.Svg.write_file "figures/fig1_singular_values.svg"
     ~title:"Fig. 1: singular value patterns (VFTI vs MFTI)"

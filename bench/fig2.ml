@@ -47,8 +47,12 @@ let run () =
       curve "VFTI model" vfti.Engine.model ];
   Printf.printf "wrote figures/fig2_bode.svg\n";
   let validation = Sampling.sample_system sys grid in
+  let err_mfti = Metrics.err mfti.Engine.model validation
+  and err_vfti = Metrics.err vfti.Engine.model validation in
   Printf.printf "\nvalidation ERR over the plotted band:\n";
-  Printf.printf "  MFTI %.3e (expect ~machine precision)\n"
-    (Metrics.err mfti.Engine.model validation);
-  Printf.printf "  VFTI %.3e (expect O(1): samples inadequate)\n%!"
-    (Metrics.err vfti.Engine.model validation)
+  Util.claim
+    (Printf.sprintf "MFTI ERR %.3e <= 1e-9 (machine precision)" err_mfti)
+    (err_mfti <= 1e-9);
+  Util.claim
+    (Printf.sprintf "VFTI ERR %.3e >= 1 (8 samples are inadequate)" err_vfti)
+    (err_vfti >= 1.)

@@ -1,80 +1,46 @@
-(* Experiment harness: regenerates every table and figure of the paper.
+(* Experiment harness: regenerates every table and figure of the paper,
+   and exits 1 when one of the paper's claims does not hold (the
+   runtest rule in bench/dune runs it).
 
-     dune exec bench/main.exe            -- everything
-     dune exec bench/main.exe -- fig1    -- singular-value patterns
-     dune exec bench/main.exe -- fig2    -- Bode comparison
-     dune exec bench/main.exe -- table1  -- noisy-PDN algorithm table
-     dune exec bench/main.exe -- minsample -- Theorem 3.5 / sampling sweep
-     dune exec bench/main.exe -- ablation  -- design-choice ablations
-     dune exec bench/main.exe -- scale     -- dense vs sparse MNA scaling
-     dune exec bench/main.exe -- micro     -- bechamel micro-benchmarks
-     dune exec bench/main.exe -- kernels [--smoke] -- kernel perf trajectory
-                                            (writes BENCH_kernels.json)
-     dune exec bench/main.exe -- engine [--smoke]  -- batch vs incremental
-                                            Algorithm 2 (BENCH_engine.json)
-     dune exec bench/main.exe -- serve [--smoke]   -- compiled pole-residue
-                                            vs per-point LU (BENCH_serve.json)
-     dune exec bench/main.exe -- supervisor [--smoke] -- socket transport
-                                            throughput at 1/2/4 workers and
-                                            overload shed rate
-                                            (BENCH_supervisor.json)
-     dune exec bench/main.exe -- session [--smoke] -- adaptive vs uniform
-                                            frequency selection on the PDN
-                                            workload (BENCH_session.json)
-     dune exec bench/main.exe -- sparse [--smoke] -- assemble / factor /
-                                            Krylov-reduce a ~100k-node
-                                            plane grid (BENCH_sparse.json)
-     dune exec bench/main.exe -- router [--smoke] -- sharded routing tier:
-                                            req/s at 1/2/4 replicas (cache
-                                            affinity), coalescing hit rate,
-                                            binary vs JSON frame bytes
-                                            (BENCH_router.json) *)
+     dune exec bench/main.exe              -- everything
+     dune exec bench/main.exe -- fig1      -- singular-value patterns
+     dune exec bench/main.exe -- fig2      -- Bode comparison
+     dune exec bench/main.exe -- table1    -- noisy-PDN algorithm table
+     dune exec bench/main.exe -- minsample -- Theorem 3.5 / sampling sweep *)
 
 let commands =
   [ ("fig1", Fig1.run);
     ("fig2", Fig2.run);
     ("table1", Table1.run);
-    ("minsample", Minsample.run);
-    ("ablation", Ablation.run);
-    ("scale", Scale.run);
-    ("micro", Micro.run);
-    ("kernels", Kernels.run ?smoke:None);
-    ("engine", Engine_bench.run ?smoke:None);
-    ("serve", Serve_bench.run ?smoke:None);
-    ("supervisor", Supervisor_bench.run ?smoke:None);
-    ("session", Session_bench.run ?smoke:None);
-    ("sparse", Sparse_bench.run ?smoke:None);
-    ("router", Router_bench.run ?smoke:None) ]
-
-let run_all () =
-  List.iter (fun (_, f) -> f ()) commands
+    ("minsample", Minsample.run) ]
 
 let () =
-  match Array.to_list Sys.argv with
-  | _ :: "kernels" :: rest ->
-    (* --smoke runs tiny sizes and validates the emitted JSON *)
-    Kernels.run ~smoke:(List.mem "--smoke" rest) ()
-  | _ :: "engine" :: rest ->
-    Engine_bench.run ~smoke:(List.mem "--smoke" rest) ()
-  | _ :: "serve" :: rest ->
-    Serve_bench.run ~smoke:(List.mem "--smoke" rest) ()
-  | _ :: "supervisor" :: rest ->
-    Supervisor_bench.run ~smoke:(List.mem "--smoke" rest) ()
-  | _ :: "session" :: rest ->
-    Session_bench.run ~smoke:(List.mem "--smoke" rest) ()
-  | _ :: "sparse" :: rest ->
-    Sparse_bench.run ~smoke:(List.mem "--smoke" rest) ()
-  | _ :: "router" :: rest ->
-    Router_bench.run ~smoke:(List.mem "--smoke" rest) ()
-  | [ _ ] | [ _; "all" ] -> run_all ()
-  | [ _; cmd ] ->
-    (match List.assoc_opt cmd commands with
-     | Some f -> f ()
-     | None ->
-       Printf.eprintf "unknown experiment %S; available: all %s\n" cmd
-         (String.concat " " (List.map fst commands));
-       exit 1)
-  | _ ->
-    Printf.eprintf "usage: main.exe [all|%s]\n"
-      (String.concat "|" (List.map fst commands));
+  let selected =
+    match Array.to_list Sys.argv with
+    | [ _ ] | [ _; "all" ] -> commands
+    | [ _; cmd ] ->
+      (match List.assoc_opt cmd commands with
+       | Some f -> [ (cmd, f) ]
+       | None ->
+         Printf.eprintf "unknown experiment %S; available: all %s\n" cmd
+           (String.concat " " (List.map fst commands));
+         exit 1)
+    | _ ->
+      Printf.eprintf "usage: main.exe [all|%s]\n"
+        (String.concat "|" (List.map fst commands));
+      exit 1
+  in
+  (* an experiment that raises fails its claims; the others still run *)
+  List.iter
+    (fun (name, f) ->
+      try f () with
+      | Linalg.Mfti_error.Error e ->
+        Util.claim
+          (Printf.sprintf "%s runs to the end: %s" name
+             (Linalg.Mfti_error.to_string e))
+          false)
+    selected;
+  if !Util.failed_claims > 0 then begin
+    Printf.eprintf "%d paper claim(s) failed\n%!" !Util.failed_claims;
     exit 1
+  end

@@ -25,8 +25,7 @@ let f_hi = 3e9
    determine the regular part") *)
 let noisy_rank = Mfti.Svd_reduce.Tol 3e-3
 (* hand-calibrated against the noise floor, exactly as the paper sets its
-   threshold "manually to trade off between speed and accuracy"; the
-   bench/main.exe ablation includes the tolerance sweep behind this *)
+   threshold "manually to trade off between speed and accuracy" *)
 
 type row = {
   label : string;
@@ -152,10 +151,8 @@ let run () =
     List.find (fun r -> String.length r.label >= String.length prefix
                         && String.sub r.label 0 (String.length prefix) = prefix) rows
   in
-  let claim name ok = Printf.printf "  [%s] %s\n" (if ok then "ok" else "MISS") name in
   List.iter
     (fun (tag, rows) ->
-      Printf.printf "%s:\n" tag;
       (* n=280 skips its degenerate pole iteration, so n=140 is the
          meaningful VF timing *)
       let vf = find rows "VF (10 iter), n=140" in
@@ -163,10 +160,20 @@ let run () =
       let m2 = find rows "MFTI-1, t=2" in
       let m3 = find rows "MFTI-1, t=3" in
       let mr = find rows "MFTI-2" in
-      claim "MFTI-1 (t=2) more accurate than VFTI" (m2.err_data < vfti.err_data);
-      claim "accuracy improves with t" (m3.err_data <= m2.err_data);
-      claim "MFTI-2 more accurate than VFTI" (mr.err_data < vfti.err_data);
-      claim "MFTI-1 faster than VF" (m3.seconds < vf.seconds);
-      claim "VFTI fastest" (vfti.seconds <= m2.seconds))
-    [ ("Test 1", test1); ("Test 2", test2) ];
-  Printf.printf "%!"
+      let beats_vfti r =
+        Util.claim
+          (Printf.sprintf "%s: %s ERR %s < VFTI ERR %s" tag r.label
+             (Util.fmt_sci r.err_data) (Util.fmt_sci vfti.err_data))
+          (r.err_data < vfti.err_data)
+      in
+      beats_vfti m2;
+      Util.claim
+        (Printf.sprintf "%s: t=3 ERR %s <= t=2 ERR %s" tag
+           (Util.fmt_sci m3.err_data) (Util.fmt_sci m2.err_data))
+        (m3.err_data <= m2.err_data);
+      beats_vfti mr;
+      Util.observe (tag ^ ": MFTI-1 (t=3) faster than VF n=140")
+        (m3.seconds < vf.seconds);
+      Util.observe (tag ^ ": VFTI faster than MFTI-1 (t=2)")
+        (vfti.seconds <= m2.seconds))
+    [ ("Test 1", test1); ("Test 2", test2) ]

@@ -717,6 +717,49 @@ let domain_invariant ?fault ~expect () =
 let test_stacked_tol_domains = domain_invariant ~expect:0
 let test_stacked_exact_domains = domain_invariant ~fault:"svd.rsvd.degrade" ~expect:2
 
+(* CI's noisy board, `mfti gen pdn --ports 4 --points 80 --f-lo 1e6
+   --f-hi 2e9 --noise 0.001` (3x3 RL plane, seed 0, 80 log-spaced
+   points):
+   its sides are 640 x 320, and [Tol 3e-3] keeps the quarter-width
+   first round (80 of 320 columns).  The certificate proves the rank,
+   not the accuracy of the kept subspace, so this board gets a looser
+   bar than the 40-point one: the sketched and the fault-forced exact
+   fit must have one rank and agree in H to 1e-6 relative at every
+   sample, both as reduced ([Check]) and after [Repair]. *)
+let test_ci_board_sketch_vs_exact () =
+  let freqs = Sampling.logspace 1e6 2e9 80 in
+  let board = { noisy_pdn_board with Rf.Pdn.seed = 0 } in
+  let noisy =
+    Rf.Noise.add_relative ~seed:0 ~level:1e-3
+      (Rf.Pdn.scattering board ~z0:50. freqs)
+  in
+  List.iter
+    (fun (what, certify) ->
+      let options =
+        { Engine.default_options with
+          rank_rule = Svd_reduce.Tol 3e-3; certify }
+      in
+      let fit () = Engine.fit ~options noisy in
+      let sketch = fit () and exact = Fault.with_spec "svd.rsvd.degrade" fit in
+      Alcotest.(check int) (what ^ " sketch kept") 0
+        (List.length (fallbacks sketch.Engine.diagnostics));
+      Alcotest.(check int) (what ^ " exact forced") 2
+        (List.length (fallbacks exact.Engine.diagnostics));
+      Alcotest.(check int) (what ^ " rank") exact.Engine.rank sketch.Engine.rank;
+      let worst =
+        Array.fold_left
+          (fun acc f ->
+            let want = Descriptor.eval_freq exact.Engine.model f in
+            let got = Descriptor.eval_freq sketch.Engine.model f in
+            Float.max acc
+              (Cmat.norm_fro (Cmat.sub got want) /. Cmat.norm_fro want))
+          0. freqs
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: H differs by %.2g <= 1e-6" what worst)
+        true (worst <= 1e-6))
+    [ ("check", Certify.Check); ("repair", Certify.Repair) ]
+
 (* Every path realifies its pencil and the reduce runs in real
    arithmetic, so every model is exactly real: one-shot (Direct,
    Vector), Algorithm 2 (both assemblies), a session, both projection
@@ -952,6 +995,8 @@ let () =
            test_stacked_tol_domains;
          Alcotest.test_case "exact path domain-invariant (bit)" `Quick
            test_stacked_exact_domains;
+         Alcotest.test_case "80-point board sketch = exact (1e-6)" `Quick
+           test_ci_board_sketch_vs_exact;
          QCheck_alcotest.to_alcotest prop_tol_rank_matches ]);
       ("properties",
        [ QCheck_alcotest.to_alcotest prop_minimal_recovery ]) ]

@@ -1577,7 +1577,13 @@ let test_supervisor_binary_negotiation () =
          in
          Alcotest.(check string)
            "binary grid re-renders byte-identical to the JSON response"
-           json_line rendered
+           json_line rendered;
+         let frame_bytes = String.length (Frame.encode_grid body)
+         and json_bytes = String.length json_line + 1 in
+         Alcotest.(check bool)
+           (Printf.sprintf "grid frame %d bytes < JSON line %d bytes"
+              frame_bytes json_bytes)
+           true (frame_bytes < json_bytes)
        | Frame.Json_text l ->
          Alcotest.failf "expected a grid frame, got text: %s" l);
       (* non-grid ops stay JSON text, framed *)
