@@ -34,11 +34,7 @@ let run () =
           { Plot.Svg.label = name ^ " x0LL-sLL"; points = to_points pen_s } ];
     Util.subheading (Printf.sprintf "%s (pencil %dx%d, %.2f s of SVDs)" name
                        (Tangential.left_width data) (Tangential.right_width data) dt);
-    let drop tagged =
-      let d = { Linalg.Svd.u = Linalg.Cmat.create 0 0; sigma = tagged;
-                v = Linalg.Cmat.create 0 0 } in
-      Linalg.Svd.rank_gap d
-    in
+    let drop = Linalg.Svd.rank_gap_of_values in
     Printf.printf "detected drops: LL at %d, sLL at %d, x0*LL-sLL at %d\n"
       (drop ll_s) (drop sll_s) (drop pen_s);
     Util.print_series ~name:(name ^ " sigma(LL)") ll_s;

@@ -113,11 +113,12 @@ let pick_rank ?tail_bound rule sigma =
   | Tol tol -> Stdlib.max 1 (Svd.rank_of_values ~rtol:tol sigma)
   | Gap -> Stdlib.max 1 (Svd.rank_gap_of_values ?tail_bound sigma)
 
-(* [lambda.(0)], the paper's choice of shift (Lemma 3.4). *)
-let first_point (t : Loewner.t) =
+(* [|lambda.(0)|], the real stand-in for the paper's shift
+   [lambda.(0)] (Lemma 3.4). *)
+let default_shift (t : Loewner.t) =
   if Array.length t.Loewner.lambda = 0 then
     invalid_arg "Svd_reduce: empty pencil";
-  t.Loewner.lambda.(0)
+  Cx.abs t.Loewner.lambda.(0)
 
 (* A pencil block as a real matrix; the realified pencil (Lemma 3.2)
    is exactly real, anything else is the caller's error. *)
@@ -142,9 +143,7 @@ let reduce ?(mode = Stacked) ?(rank_rule = default_rank_rule)
     match mode with
     | Stacked -> (Rmat.transpose (Rmat.hcat ll sll), Rmat.vcat ll sll)
     | Pencil x0 ->
-      let x0 =
-        match x0 with Some x -> x | None -> Cx.abs (first_point t)
-      in
+      let x0 = match x0 with Some x -> x | None -> default_shift t in
       let p = Rmat.sub (Rmat.scale x0 ll) sll in
       (Rmat.transpose p, p)
   in
@@ -199,9 +198,13 @@ let reduce ?(mode = Stacked) ?(rank_rule = default_rank_rule)
   in
   { model; rank; sigma }
 
-let fig1_singular_values ?x0 (t : Loewner.t) =
-  let x0 = match x0 with Some x -> x | None -> first_point t in
-  let p = Cmat.sub (Cmat.scale x0 t.Loewner.ll) t.Loewner.sll in
+(* The realified pencil has the complex one's singular values (T is
+   unitary) and is exactly real, so every factorization here runs on
+   the real kernel. *)
+let fig1_singular_values (t : Loewner.t) =
+  let x0 = default_shift t in
+  let t = Realify.apply t in
+  let p = Cmat.sub (Cmat.scale_float x0 t.Loewner.ll) t.Loewner.sll in
   (Svd.values t.Loewner.ll, Svd.values t.Loewner.sll, Svd.values p)
 
 let minimal_samples ~order ~rank_d ~inputs ~outputs =

@@ -24,7 +24,8 @@ type mode =
 type rank_rule =
   | Fixed of int        (** exact order [>= 1] (clipped to the pencil size) *)
   | Tol of float        (** keep sigma > tol * sigma_max, [0 < tol < 1] *)
-  | Gap                 (** the largest log10 drop ({!Linalg.Svd.rank_gap}) *)
+  | Gap
+      (** the largest log10 drop ({!Linalg.Svd.rank_gap_of_values}) *)
 
 type result = {
   model : Statespace.Descriptor.t;
@@ -88,9 +89,12 @@ val tol_certificate :
   (unit, string) Stdlib.result
 
 (** Singular values of [LL], [sLL] and [x0 LL - sLL] — the three curves
-    of the paper's Fig. 1.  [x0] defaults to [lambda.(0)]. *)
+    of the paper's Fig. 1 — for the complex pencil {!Loewner.build}
+    returns.  They are computed on its realification ({!Realify.apply};
+    the transform is unitary, so the spectra are the complex pencil's),
+    with the real shift [x0 = |lambda.(0)|], as in [Pencil None]. *)
 val fig1_singular_values :
-  ?x0:Linalg.Cx.t -> Loewner.t -> float array * float array * float array
+  Loewner.t -> float array * float array * float array
 
 (** Theorem 3.5: the empirical minimum number of (noise-free) samples,
     [ceil ((order + rank_d) / min (m, p))], rounded up to even so the

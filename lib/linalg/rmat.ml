@@ -33,14 +33,28 @@ let of_rows rows_list =
       rows_list;
     m
 
-let random rng rows cols = init rows cols (fun _ _ -> Rng.gaussian rng)
+(* drawn in storage (column-major) order *)
+let random rng rows cols =
+  let m = create rows cols in
+  for k = 0 to (rows * cols) - 1 do
+    m.data.(k) <- Rng.gaussian rng
+  done;
+  m
+
 let dims m = (m.rows, m.cols)
 let get m i jcol = m.data.(i + (jcol * m.rows))
 let set m i jcol x = m.data.(i + (jcol * m.rows)) <- x
 let copy m = { m with data = Array.copy m.data }
 
-let transpose m =
-  init m.cols m.rows (fun i jcol -> get m jcol i)
+let transpose a =
+  let m = a.rows and n = a.cols in
+  let t = create n m in
+  for jcol = 0 to n - 1 do
+    for i = 0 to m - 1 do
+      t.data.(jcol + (i * n)) <- a.data.(i + (jcol * m))
+    done
+  done;
+  t
 
 let map f m = { m with data = Array.map f m.data }
 
@@ -55,7 +69,11 @@ let add a b =
 
 let sub a b =
   same_dims a b "sub";
-  { a with data = Array.init (Array.length a.data) (fun k -> a.data.(k) -. b.data.(k)) }
+  let d = Array.copy a.data in
+  for k = 0 to Array.length d - 1 do
+    d.(k) <- d.(k) -. b.data.(k)
+  done;
+  { a with data = d }
 
 let scale s m = { m with data = Array.map (fun x -> s *. x) m.data }
 let neg m = scale (-1.) m
@@ -70,7 +88,11 @@ let set_col m jcol v =
 let sub_matrix m ~r ~c ~rows ~cols =
   if r < 0 || c < 0 || r + rows > m.rows || c + cols > m.cols then
     invalid_arg "Rmat.sub_matrix: block out of range";
-  init rows cols (fun i jcol -> get m (r + i) (c + jcol))
+  let blk = create rows cols in
+  for jcol = 0 to cols - 1 do
+    Array.blit m.data (r + ((c + jcol) * m.rows)) blk.data (jcol * rows) rows
+  done;
+  blk
 
 let set_sub m ~r ~c blk =
   if r < 0 || c < 0 || r + blk.rows > m.rows || c + blk.cols > m.cols then

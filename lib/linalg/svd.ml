@@ -175,7 +175,7 @@ let complete_columns u zero_cols =
       try_basis 0)
     zero_cols
 
-let decompose_tall ~want_u a =
+let jacobi_tall ~want_u a =
   let m, n = Cmat.dims a in
   let b = ref (Cmat.copy a) in
   let v = Cmat.identity n in
@@ -252,10 +252,11 @@ let decompose_tall ~want_u a =
   { u; sigma; v = vs }
 
 (* ------------------------------------------------------------------ *)
-(* Golub-Kahan SVD: Householder bidiagonalization, phase normalization,
-   then implicit-shift QR on the real bidiagonal.  O(m n^2) overall,
-   roughly an order of magnitude faster than cyclic Jacobi at the pencil
-   sizes the Loewner pipeline produces. *)
+(* Real Golub-Kahan SVD: Householder bidiagonalization, then
+   implicit-shift QR on the bidiagonal.  O(m n^2) overall, roughly an
+   order of magnitude faster than cyclic Jacobi at the pencil sizes the
+   Loewner pipeline produces.  It serves exactly real tall input over
+   32 columns; everything else goes to Jacobi. *)
 
 exception No_convergence
 
@@ -268,21 +269,6 @@ let givens f g =
     let r = if f >= 0. then r else -.r in
     (f /. r, g /. r, r)
   end
-
-(* Rotate columns p and q of a complex matrix by a real rotation:
-   col_p' = c col_p + s col_q ; col_q' = -s col_p + c col_q. *)
-let rotate_cols_real m p q c s =
-  let rows = Cmat.rows m in
-  let re = Cmat.unsafe_re m and im = Cmat.unsafe_im m in
-  let poff = p * rows and qoff = q * rows in
-  for i = 0 to rows - 1 do
-    let pr = re.(poff + i) and pi = im.(poff + i) in
-    let qr = re.(qoff + i) and qi = im.(qoff + i) in
-    re.(poff + i) <- (c *. pr) +. (s *. qr);
-    im.(poff + i) <- (c *. pi) +. (s *. qi);
-    re.(qoff + i) <- (c *. qr) -. (s *. pr);
-    im.(qoff + i) <- (c *. qi) -. (s *. pi)
-  done
 
 (* One implicit-shift Golub-Kahan step on the window [lo..hi] of the
    real bidiagonal (d, e).  [rot_v k c s] rotates columns k, k+1 of V
@@ -376,322 +362,16 @@ let bidiag_qr d e ~rot_u ~rot_v =
     end
   end
 
-(* Complex Householder bidiagonalization of a (m >= n); returns
-   (u, d, e, v) with a = u (bidiag d, e) v^H, u: m x n, v: n x n.
-   Without [want_u] the left reflectors are never accumulated and u is
-   [None]; d, e and v do not depend on them. *)
-let bidiagonalize ~want_u a =
-  let m, n = Cmat.dims a in
-  let b = Cmat.copy a in
-  let re = Cmat.unsafe_re b and im = Cmat.unsafe_im b in
-  (* reflector scratch *)
-  let taul = Array.make n 0. in
-  let taur = Array.make (Stdlib.max 0 (n - 1)) 0. in
-  for k = 0 to n - 1 do
-    (* left reflector annihilating column k below the diagonal *)
-    let koff = k * m in
-    let xnorm2 = ref 0. in
-    for i = k to m - 1 do
-      xnorm2 := !xnorm2 +. (re.(koff + i) *. re.(koff + i)) +. (im.(koff + i) *. im.(koff + i))
-    done;
-    let xnorm = Stdlib.sqrt !xnorm2 in
-    if xnorm > 0. then begin
-      let ar = re.(koff + k) and ai = im.(koff + k) in
-      let amag = Stdlib.sqrt ((ar *. ar) +. (ai *. ai)) in
-      let br, bi =
-        if amag = 0. then (-.xnorm, 0.)
-        else (-.xnorm *. ar /. amag, -.xnorm *. ai /. amag)
-      in
-      let u0r = ar -. br and u0i = ai -. bi in
-      let u0mag2 = (u0r *. u0r) +. (u0i *. u0i) in
-      if u0mag2 > 0. then begin
-        let unorm2 = 2. *. (!xnorm2 +. (xnorm *. amag)) in
-        taul.(k) <- 2. *. u0mag2 /. unorm2;
-        let inv = 1. /. u0mag2 in
-        for i = k + 1 to m - 1 do
-          let xr = re.(koff + i) and xi = im.(koff + i) in
-          re.(koff + i) <- ((xr *. u0r) +. (xi *. u0i)) *. inv;
-          im.(koff + i) <- ((xi *. u0r) -. (xr *. u0i)) *. inv
-        done;
-        re.(koff + k) <- br;
-        im.(koff + k) <- bi;
-        for jcol = k + 1 to n - 1 do
-          let joff = jcol * m in
-          let sr = ref re.(joff + k) and si = ref im.(joff + k) in
-          for i = k + 1 to m - 1 do
-            let vr = re.(koff + i) and vi = -.im.(koff + i) in
-            let cr = re.(joff + i) and ci = im.(joff + i) in
-            sr := !sr +. (vr *. cr) -. (vi *. ci);
-            si := !si +. (vr *. ci) +. (vi *. cr)
-          done;
-          let sr = taul.(k) *. !sr and si = taul.(k) *. !si in
-          re.(joff + k) <- re.(joff + k) -. sr;
-          im.(joff + k) <- im.(joff + k) -. si;
-          for i = k + 1 to m - 1 do
-            let vr = re.(koff + i) and vi = im.(koff + i) in
-            re.(joff + i) <- re.(joff + i) -. (vr *. sr) +. (vi *. si);
-            im.(joff + i) <- im.(joff + i) -. (vr *. si) -. (vi *. sr)
-          done
-        done
-      end
-    end;
-    (* right reflector annihilating row k beyond the superdiagonal *)
-    if k < n - 2 then begin
-      (* z = conj of row k entries k+1..n-1 *)
-      let len = n - 1 - k in
-      let zr = Array.make len 0. and zi = Array.make len 0. in
-      for j = 0 to len - 1 do
-        let idx = k + ((k + 1 + j) * m) in
-        zr.(j) <- re.(idx);
-        zi.(j) <- -.im.(idx)
-      done;
-      let znorm2 = ref 0. in
-      Array.iteri (fun j x -> znorm2 := !znorm2 +. (x *. x) +. (zi.(j) *. zi.(j))) zr;
-      let znorm = Stdlib.sqrt !znorm2 in
-      if znorm > 0. then begin
-        let ar = zr.(0) and ai = zi.(0) in
-        let amag = Stdlib.sqrt ((ar *. ar) +. (ai *. ai)) in
-        let br, bi =
-          if amag = 0. then (-.znorm, 0.)
-          else (-.znorm *. ar /. amag, -.znorm *. ai /. amag)
-        in
-        let u0r = ar -. br and u0i = ai -. bi in
-        let u0mag2 = (u0r *. u0r) +. (u0i *. u0i) in
-        if u0mag2 > 0. then begin
-          let unorm2 = 2. *. (!znorm2 +. (znorm *. amag)) in
-          taur.(k) <- 2. *. u0mag2 /. unorm2;
-          let inv = 1. /. u0mag2 in
-          (* v_j = z_j / u0, v_0 = 1; store conj(v_j) back into row k *)
-          let vre = Array.make len 0. and vim = Array.make len 0. in
-          vre.(0) <- 1.;
-          for j = 1 to len - 1 do
-            vre.(j) <- ((zr.(j) *. u0r) +. (zi.(j) *. u0i)) *. inv;
-            vim.(j) <- ((zi.(j) *. u0r) -. (zr.(j) *. u0i)) *. inv
-          done;
-          (* apply P = I - tau v v^H from the right to rows k..m-1:
-             row := row - tau (row . v) v^H  (v^H entries conj(v)) *)
-          for i = k to m - 1 do
-            let sr = ref 0. and si = ref 0. in
-            for j = 0 to len - 1 do
-              let cidx = i + ((k + 1 + j) * m) in
-              let rr = re.(cidx) and ri = im.(cidx) in
-              (* row_j * v_j *)
-              sr := !sr +. (rr *. vre.(j)) -. (ri *. vim.(j));
-              si := !si +. (rr *. vim.(j)) +. (ri *. vre.(j))
-            done;
-            let sr = taur.(k) *. !sr and si = taur.(k) *. !si in
-            for j = 0 to len - 1 do
-              let cidx = i + ((k + 1 + j) * m) in
-              (* subtract s * conj(v_j) *)
-              let vr = vre.(j) and vi = -.vim.(j) in
-              re.(cidx) <- re.(cidx) -. (sr *. vr) +. (si *. vi);
-              im.(cidx) <- im.(cidx) -. (sr *. vi) -. (si *. vr)
-            done
-          done;
-          (* store v (j >= 1) in row k for later accumulation; the row is
-             now [d, beta', 0...] plus our stash *)
-          for j = 1 to len - 1 do
-            let cidx = k + ((k + 1 + j) * m) in
-            re.(cidx) <- vre.(j);
-            im.(cidx) <- vim.(j)
-          done
-        end
-      end
-    end
-  done;
-  (* accumulate thin U by applying left reflectors to [I; 0] *)
-  let u =
-    if not want_u then None
-    else begin
-      let u = Cmat.create m n in
-      let ure = Cmat.unsafe_re u and uim = Cmat.unsafe_im u in
-      for k = 0 to n - 1 do
-        ure.(k + (k * m)) <- 1.
-      done;
-      for k = n - 1 downto 0 do
-        if taul.(k) <> 0. then
-          for jcol = 0 to n - 1 do
-            let joff = jcol * m in
-            let koff = k * m in
-            let sr = ref ure.(joff + k) and si = ref uim.(joff + k) in
-            for i = k + 1 to m - 1 do
-              let vr = re.(koff + i) and vi = -.im.(koff + i) in
-              let cr = ure.(joff + i) and ci = uim.(joff + i) in
-              sr := !sr +. (vr *. cr) -. (vi *. ci);
-              si := !si +. (vr *. ci) +. (vi *. cr)
-            done;
-            let sr = taul.(k) *. !sr and si = taul.(k) *. !si in
-            ure.(joff + k) <- ure.(joff + k) -. sr;
-            uim.(joff + k) <- uim.(joff + k) -. si;
-            for i = k + 1 to m - 1 do
-              let vr = re.(koff + i) and vi = im.(koff + i) in
-              ure.(joff + i) <- ure.(joff + i) -. (vr *. sr) +. (vi *. si);
-              uim.(joff + i) <- uim.(joff + i) -. (vr *. si) -. (vi *. sr)
-            done
-          done
-      done;
-      Some u
-    end
-  in
-  (* accumulate V by applying right reflectors (v stored in rows) *)
-  let v = Cmat.identity n in
-  let vre_m = Cmat.unsafe_re v and vim_m = Cmat.unsafe_im v in
-  for k = n - 3 downto 0 do
-    if taur.(k) <> 0. then begin
-      let len = n - 1 - k in
-      (* reload v from the stash in row k *)
-      let wre = Array.make len 0. and wim = Array.make len 0. in
-      wre.(0) <- 1.;
-      for j = 1 to len - 1 do
-        let cidx = k + ((k + 1 + j) * m) in
-        wre.(j) <- re.(cidx);
-        wim.(j) <- im.(cidx)
-      done;
-      (* V := P V with P = I - tau w w^H acting on rows k+1..n-1 of V *)
-      for jcol = 0 to n - 1 do
-        let joff = jcol * n in
-        let sr = ref 0. and si = ref 0. in
-        for j = 0 to len - 1 do
-          let idx = joff + k + 1 + j in
-          let wr = wre.(j) and wi = -.wim.(j) in
-          let cr = vre_m.(idx) and ci = vim_m.(idx) in
-          sr := !sr +. (wr *. cr) -. (wi *. ci);
-          si := !si +. (wr *. ci) +. (wi *. cr)
-        done;
-        let sr = taur.(k) *. !sr and si = taur.(k) *. !si in
-        for j = 0 to len - 1 do
-          let idx = joff + k + 1 + j in
-          let wr = wre.(j) and wi = wim.(j) in
-          vre_m.(idx) <- vre_m.(idx) -. (wr *. sr) +. (wi *. si);
-          vim_m.(idx) <- vim_m.(idx) -. (wr *. si) -. (wi *. sr)
-        done
-      done
-    end
-  done;
-  (* extract the complex bidiagonal *)
-  let dc = Array.init n (fun k -> Cmat.get b k k) in
-  let ec = Array.init (Stdlib.max 0 (n - 1)) (fun k -> Cmat.get b k (k + 1)) in
-  (u, dc, ec, v)
-
-(* Scale column k of m by the unit complex z. *)
-let scale_col m k (z : Cx.t) =
-  let rows = Cmat.rows m in
-  let re = Cmat.unsafe_re m and im = Cmat.unsafe_im m in
-  let off = k * rows in
-  for i = 0 to rows - 1 do
-    let xr = re.(off + i) and xi = im.(off + i) in
-    re.(off + i) <- (xr *. z.Cx.re) -. (xi *. z.Cx.im);
-    im.(off + i) <- (xr *. z.Cx.im) +. (xi *. z.Cx.re)
-  done
-
-(* Without [want_u] the returned [u] has no columns: the left
-   reflectors, phases, rotations and sign flips are all skipped, and
-   sigma and v come out bit-identical to the [want_u] run. *)
-let decompose_gk_tall ~want_u a =
-  let m, n = Cmat.dims a in
-  let u, dc, ec, v = bidiagonalize ~want_u a in
-  (* phase-normalize the bidiagonal to real nonnegative entries;
-     fold the phases into U and V column scalings *)
-  let d = Array.make n 0. and e = Array.make (Stdlib.max 0 (n - 1)) 0. in
-  let dr = ref Cx.one in
-  for k = 0 to n - 1 do
-    (* effective diagonal after right phase: dc_k * dr *)
-    let dk = Cx.mul dc.(k) !dr in
-    let mag = Cx.abs dk in
-    d.(k) <- mag;
-    let dl = if mag = 0. then Cx.one else Cx.scale (1. /. mag) dk in
-    (* fold dl into U column k, dr into V column k *)
-    Option.iter (fun u -> scale_col u k dl) u;
-    scale_col v k !dr;
-    if k < n - 1 then begin
-      (* superdiagonal after phases: conj(dl) * ec_k * dr_{k+1}; choose
-         dr_{k+1} to make it real nonnegative *)
-      let g = Cx.mul (Cx.conj dl) ec.(k) in
-      let gmag = Cx.abs g in
-      e.(k) <- gmag;
-      dr := if gmag = 0. then Cx.one else Cx.conj (Cx.scale (1. /. gmag) g)
-    end
-  done;
-  let rot m k c s = rotate_cols_real m k (k + 1) c s in
-  bidiag_qr d e ~rot_u:(Option.map rot u) ~rot_v:(rot v);
-  (* signs, then sort descending *)
-  for k = 0 to n - 1 do
-    if d.(k) < 0. then begin
-      d.(k) <- -.d.(k);
-      Option.iter
-        (fun u ->
-          let rows = Cmat.rows u in
-          let re = Cmat.unsafe_re u and im = Cmat.unsafe_im u in
-          let off = k * rows in
-          for i = 0 to rows - 1 do
-            re.(off + i) <- -.re.(off + i);
-            im.(off + i) <- -.im.(off + i)
-          done)
-        u
-    end
-  done;
-  let order = Array.init n (fun i -> i) in
-  Array.sort (fun i j -> compare d.(j) d.(i)) order;
-  { u = (match u with Some u -> Cmat.select_cols u order | None -> Cmat.create m 0);
-    sigma = Array.map (fun i -> d.(i)) order;
-    v = Cmat.select_cols v order }
-
-type algorithm = Auto | Jacobi | Golub_kahan
-
-(* Factor a tall (m >= n) matrix.  Without [want_u] the result's [u]
-   has no columns, and [sigma] and [v] are bit-identical to the
-   [want_u] run on every path, the Jacobi fallback included. *)
-let decompose_tall_algo ~algorithm ~want_u x =
-  (* GK is the fast path but its implicit-shift QR has a hard
-     iteration budget; on exhaustion fall back to the Jacobi cascade,
-     which always terminates and reports its achieved orthogonality
-     through the diagnostics instead of raising. *)
-  let gk_with_fallback x =
-    match decompose_gk_tall ~want_u x with
-    | d -> d
-    | exception No_convergence ->
-      Diag.record ~site:"svd.gk.jacobi_fallback"
-        "bidiagonal QR budget exhausted; one-sided Jacobi retry";
-      Diag.incr_retries ();
-      decompose_tall ~want_u x
-  in
-  match algorithm with
-  | Jacobi -> decompose_tall ~want_u x
-  | Golub_kahan -> gk_with_fallback x
-  | Auto ->
-    (* Jacobi is competitive (and slightly more accurate on the
-       smallest singular values) below ~32 columns *)
-    if Cmat.cols x <= 32 then decompose_tall ~want_u x else gk_with_fallback x
-
-let decompose ?(algorithm = Auto) a =
-  let m, n = Cmat.dims a in
-  if m = 0 || n = 0 then { u = Cmat.create m 0; sigma = [||]; v = Cmat.create n 0 }
-  else if m >= n then decompose_tall_algo ~algorithm ~want_u:true a
-  else begin
-    (* A = (A^H)^H: svd(A^H) = U' S V'^H  =>  A = V' S U'^H *)
-    let d = decompose_tall_algo ~algorithm ~want_u:true (Cmat.ctranspose a) in
-    { u = d.v; sigma = d.sigma; v = d.u }
-  end
-
-let right ?(algorithm = Auto) a =
-  let m, n = Cmat.dims a in
-  let d =
-    if n > 0 && m >= n then decompose_tall_algo ~algorithm ~want_u:false a
-    else
-      (* the right vectors of a wide matrix are the left vectors of
-         its tall conjugate transpose, so that U is needed *)
-      decompose ~algorithm a
-  in
-  (d.sigma, d.v)
-
 (* Real Householder bidiagonalization of a tall real [m x n] matrix
-   (column-major [b], overwritten): the bidiagonal (d, e) and the
-   accumulated right factor V ([n x n]), with a = U (bidiag d, e) V^T.
-   The left reflectors are applied but never accumulated.  Reflectors
-   are held as full zero-padded columns so every update runs in the
-   vectorized {!Rmat} column kernels; the padding only touches rows
-   and columns the later steps never read again. *)
-let bidiagonalize_real b m n =
+   (column-major [b], overwritten): the bidiagonal (d, e), the
+   accumulated left factor U ([m x n], only with [want_u]) and right
+   factor V ([n x n]), with a = U (bidiag d, e) V^T.  Without [want_u]
+   the left reflectors are applied but never kept; d, e and V do not
+   depend on them.  Reflectors are held as full zero-padded columns so
+   every update runs in the vectorized {!Rmat} column kernels; the
+   padding only touches rows and columns the later steps never read
+   again. *)
+let bidiagonalize_real ~want_u b m n =
   let d = Array.make n 0. and e = Array.make (Stdlib.max 0 (n - 1)) 0. in
   (* Reflector I - tau u u^T zeroing entries [k+1, len) of the
      [len]-vector read by [get], with u zero before [k] and 1 at [k]:
@@ -724,7 +404,7 @@ let bidiagonalize_real b m n =
     done;
     Rmat.axpy_block u c x rows 1 0 1 j0 n
   in
-  let right = Array.make n None in
+  let left = Array.make n None and right = Array.make n None in
   for k = 0 to n - 1 do
     (* left: column k, rows k.. *)
     let koff = k * m in
@@ -732,6 +412,7 @@ let bidiagonalize_real b m n =
      | None -> d.(k) <- b.(koff + k)
      | Some (beta, tau, u) ->
        d.(k) <- beta;
+       if want_u then left.(k) <- Some (tau, u);
        reflect_cols u tau b m (k + 1));
     (* right: row k, columns k+1.. *)
     if k < n - 1 then begin
@@ -750,60 +431,122 @@ let bidiagonalize_real b m n =
         Rmat.axpy_block s c b m 1 0 1 (k + 1) n
     end
   done;
-  (* V = G_0 G_1 ... accumulated backwards from the identity *)
-  let v = Array.make (n * n) 0. in
-  for i = 0 to n - 1 do
-    v.(i + (i * n)) <- 1.
-  done;
-  for k = n - 1 downto 0 do
-    Option.iter (fun (tau, u) -> reflect_cols u tau v n (k + 1)) right.(k)
-  done;
-  (d, e, v)
-
-let right_real (a : Rmat.t) =
-  let m, n = Rmat.dims a in
-  let complex () =
-    let sigma, v = right (Cmat.of_real a) in
-    (sigma, Cmat.real_part v)
-  in
-  if n <= 32 || m < n then complex ()
-  else begin
-    let d, e, v = bidiagonalize_real (Array.copy a.Rmat.data) m n in
-    (* make the bidiagonal nonnegative with sign flips of V's columns
-       (U's would absorb the left ones), as the complex path folds its
-       phases *)
-    let flip k =
-      for i = k * n to ((k + 1) * n) - 1 do
-        v.(i) <- -.v.(i)
-      done
-    in
-    let dr = ref 1. in
-    for k = 0 to n - 1 do
-      let dk = d.(k) *. !dr in
-      d.(k) <- abs_float dk;
-      if !dr < 0. then flip k;
-      if k < n - 1 then begin
-        let g = if dk < 0. then -.e.(k) else e.(k) in
-        e.(k) <- abs_float g;
-        dr := if g < 0. then -1. else 1.
-      end
+  (* a product of reflectors accumulated backwards from the first n
+     columns of the identity; reflector k leaves columns before [j0 k]
+     alone *)
+  let accumulate rows refl j0 =
+    let x = Array.make (rows * n) 0. in
+    for i = 0 to n - 1 do
+      x.(i + (i * rows)) <- 1.
     done;
-    let rot_v k c s =
-      let poff = k * n and qoff = (k + 1) * n in
-      for i = 0 to n - 1 do
-        let p = v.(poff + i) and q = v.(qoff + i) in
-        v.(poff + i) <- (c *. p) +. (s *. q);
-        v.(qoff + i) <- (c *. q) -. (s *. p)
-      done
-    in
-    match bidiag_qr d e ~rot_u:None ~rot_v with
-    | exception No_convergence -> complex ()
-    | () ->
-      let order = Array.init n (fun i -> i) in
-      Array.sort (fun i j -> compare (abs_float d.(j)) (abs_float d.(i))) order;
-      ( Array.map (fun i -> abs_float d.(i)) order,
-        Rmat.init n n (fun i j -> v.(i + (order.(j) * n))) )
+    for k = n - 1 downto 0 do
+      Option.iter (fun (tau, u) -> reflect_cols u tau x rows (j0 k)) refl.(k)
+    done;
+    x
+  in
+  let u = if want_u then Some (accumulate m left Fun.id) else None in
+  (d, e, u, accumulate n right succ)
+
+(* Rotate columns k, k+1 of the column-major [rows]-row [x]:
+   col_k' = c col_k + s col_k+1 ; col_k+1' = c col_k+1 - s col_k. *)
+let rotate_pair x rows k c s =
+  let poff = k * rows and qoff = (k + 1) * rows in
+  for i = 0 to rows - 1 do
+    let p = x.(poff + i) and q = x.(qoff + i) in
+    x.(poff + i) <- (c *. p) +. (s *. q);
+    x.(qoff + i) <- (c *. q) -. (s *. p)
+  done
+
+let negate_col x rows k =
+  for i = k * rows to ((k + 1) * rows) - 1 do
+    x.(i) <- -.x.(i)
+  done
+
+(* The real SVD of a tall real [m x n] matrix (column-major [b],
+   overwritten): sigma descending, U ([m x n]) with [want_u] and V.
+   Without [want_u] U is never formed, and sigma and V are
+   bit-identical to the [want_u] run.  Raises [No_convergence] when the
+   bidiagonal QR exhausts its budget. *)
+let gk_real ~want_u b m n =
+  let d, e, u, v = bidiagonalize_real ~want_u b m n in
+  (* make the bidiagonal nonnegative: diag(dl) B diag(dr) with sign
+     flips of U's columns (dl) and V's (dr) *)
+  let dr = ref 1. in
+  for k = 0 to n - 1 do
+    let dk = d.(k) *. !dr in
+    d.(k) <- abs_float dk;
+    if !dr < 0. then negate_col v n k;
+    if dk < 0. then Option.iter (fun u -> negate_col u m k) u;
+    if k < n - 1 then begin
+      let g = if dk < 0. then -.e.(k) else e.(k) in
+      e.(k) <- abs_float g;
+      dr := if g < 0. then -1. else 1.
+    end
+  done;
+  bidiag_qr d e
+    ~rot_u:(Option.map (fun u -> rotate_pair u m) u)
+    ~rot_v:(rotate_pair v n);
+  let order = Array.init n (fun i -> i) in
+  Array.sort (fun i j -> compare (abs_float d.(j)) (abs_float d.(i))) order;
+  let pick x rows = Rmat.init rows n (fun i j -> x.(i + (order.(j) * rows))) in
+  let u =
+    Option.map
+      (fun u ->
+        Array.iteri (fun k dk -> if dk < 0. then negate_col u m k) d;
+        pick u m)
+      u
+  in
+  (Array.map (fun i -> abs_float d.(i)) order, u, pick v n)
+
+(* Exactly real: every imaginary part is zero. *)
+let is_real a = Array.for_all (fun x -> x = 0.) (Cmat.unsafe_im a)
+
+(* Factor a tall (m >= n) matrix: the real kernel for exactly real
+   input over 32 columns, Jacobi otherwise (it is competitive, and
+   slightly more accurate on the smallest singular values, below ~32
+   columns).  Without [want_u] the result's [u] has no columns, and
+   [sigma] and [v] are bit-identical to the [want_u] run on every
+   path, the Jacobi fallback included. *)
+let decompose_tall ~want_u a =
+  let m, n = Cmat.dims a in
+  if n <= 32 || not (is_real a) then jacobi_tall ~want_u a
+  else
+    match gk_real ~want_u (Array.copy (Cmat.unsafe_re a)) m n with
+    | sigma, u, v ->
+      { u = (match u with Some u -> Cmat.of_real u | None -> Cmat.create m 0);
+        sigma; v = Cmat.of_real v }
+    | exception No_convergence ->
+      (* the Jacobi cascade always terminates and reports its achieved
+         orthogonality instead *)
+      Diag.record ~site:"svd.gk.jacobi_fallback"
+        "bidiagonal QR budget exhausted; one-sided Jacobi retry";
+      Diag.incr_retries ();
+      jacobi_tall ~want_u a
+
+let decompose a =
+  let m, n = Cmat.dims a in
+  if m = 0 || n = 0 then { u = Cmat.create m 0; sigma = [||]; v = Cmat.create n 0 }
+  else if m >= n then decompose_tall ~want_u:true a
+  else begin
+    (* A = (A^H)^H: svd(A^H) = U' S V'^H  =>  A = V' S U'^H *)
+    let d = decompose_tall ~want_u:true (Cmat.ctranspose a) in
+    { u = d.v; sigma = d.sigma; v = d.u }
   end
+
+let right a =
+  let m, n = Cmat.dims a in
+  let d =
+    if n > 0 && m >= n then decompose_tall ~want_u:false a
+    else
+      (* the right vectors of a wide matrix are the left vectors of
+         its tall conjugate transpose, so that U is needed *)
+      decompose a
+  in
+  (d.sigma, d.v)
+
+let right_real a =
+  let sigma, v = right (Cmat.of_real a) in
+  (sigma, Cmat.real_part v)
 
 let reconstruct d =
   let k = Array.length d.sigma in
@@ -870,7 +613,6 @@ let rank_gap_of_values ?(floor = 1e-13) ?tail_bound sigma =
   end
 
 let rank ~rtol d = rank_of_values ~rtol d.sigma
-let rank_gap ?floor d = rank_gap_of_values ?floor d.sigma
 
 (* Singular values from the tall orientation, where {!right} forms no U;
    the same factorization {!decompose} runs, so sigma is bit-identical. *)

@@ -103,10 +103,10 @@ let test_svd_no_converge_degrades () =
 
 let test_svd_gk_fallback () =
   Fault.with_spec "svd.no_converge" (fun () ->
-      let a = Cmat.random rng 40 40 in
+      (* exactly real and over 32 columns: the real kernel *)
+      let a = Cmat.of_real (Rmat.random rng 40 40) in
       let r, diag =
-        Diag.with_collector (fun () ->
-            Svd.decompose ~algorithm:Svd.Golub_kahan a)
+        Diag.with_collector (fun () -> Svd.decompose a)
       in
       Alcotest.(check bool) "GK fell back to Jacobi" true
         (Diag.recorded diag "svd.gk.jacobi_fallback");

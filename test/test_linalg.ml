@@ -330,7 +330,7 @@ let test_svd_rank () =
   let a = Cmat.mul (Cmat.random rng 8 3) (Cmat.random rng 3 8) in
   let d = Svd.decompose a in
   Alcotest.(check int) "rank" 3 (Svd.rank ~rtol:1e-10 d);
-  Alcotest.(check int) "rank_gap" 3 (Svd.rank_gap d)
+  Alcotest.(check int) "rank_gap" 3 (Svd.rank_gap_of_values d.Svd.sigma)
 
 let test_svd_ordering () =
   let rng = Rng.create 73 in
@@ -347,34 +347,92 @@ let test_svd_pinv () =
   check_small ~tol:1e-8 "A P A = A" (Cmat.norm_fro (Cmat.sub (Cmat.mul a (Cmat.mul p a)) a));
   check_small ~tol:1e-8 "P A P = P" (Cmat.norm_fro (Cmat.sub (Cmat.mul p (Cmat.mul a p)) p))
 
+(* The real kernel against an independent reference: e^{i theta} A
+   has A's singular values, and its singular vectors up to column
+   phases, but it is complex, so it goes through Jacobi.  The
+   rank-one projectors v v^H are phase-free. *)
+let phased a = Cmat.scale (Cx.polar 1. 0.7) (Cmat.of_real a)
+
+let projector_gap x y j =
+  let outer c = Cmat.mul c (Cmat.ctranspose c) in
+  Cmat.norm_fro (Cmat.sub (outer (Cmat.col x j)) (outer (Cmat.col y j)))
+
+let check_against_jacobi ~what ?u ~sigma ~v a =
+  let dj = Svd.decompose (phased a) in
+  Alcotest.(check int) (what ^ ": k") (Array.length dj.Svd.sigma)
+    (Array.length sigma);
+  Array.iteri
+    (fun i s ->
+      if not (abs_float (s -. sigma.(i)) <= 1e-13 *. dj.Svd.sigma.(0)) then
+        Alcotest.failf "%s: sigma_%d %.17g vs %.17g" what i sigma.(i) s)
+    dj.Svd.sigma;
+  let check_vectors name x y =
+    for j = 0 to Array.length sigma - 1 do
+      check_small ~tol:1e-9
+        (Printf.sprintf "%s: %s_%d projector" what name j)
+        (projector_gap x y j)
+    done
+  in
+  check_vectors "v" v dj.Svd.v;
+  Option.iter (fun u -> check_vectors "u" u dj.Svd.u) u
+
+let real_gk_shapes = [ (40, 36); (72, 48); (48, 72); (64, 64) ]
+
 let test_svd_algorithms_agree () =
   let rng = Rng.create 91 in
   List.iter
     (fun (m, n) ->
-      let a = Cmat.random rng m n in
-      let dj = Svd.decompose ~algorithm:Svd.Jacobi a in
-      let dg = Svd.decompose ~algorithm:Svd.Golub_kahan a in
-      Array.iteri
-        (fun i s ->
-          check_small ~tol:1e-12 "sigma agreement"
-            ((s -. dg.Svd.sigma.(i)) /. (1. +. s)))
-        dj.Svd.sigma;
-      check_small ~tol:1e-12 "gk reconstruction"
-        (Cmat.norm_fro (Cmat.sub (Svd.reconstruct dg) a) /. (1. +. Cmat.norm_fro a)))
-    [ (1, 1); (4, 3); (3, 4); (12, 12); (40, 25); (25, 40); (64, 64) ]
+      let a = Rmat.random rng m n in
+      let dg = Svd.decompose (Cmat.of_real a) in
+      check_against_jacobi ~what:(Printf.sprintf "%dx%d" m n) ~u:dg.Svd.u
+        ~sigma:dg.Svd.sigma ~v:dg.Svd.v a)
+    real_gk_shapes
+
+let test_svd_real_orthonormal () =
+  (* the real kernel's U and V are real and orthonormal, and
+     U diag(sigma) V^T is A *)
+  let rng = Rng.create 92 in
+  List.iter
+    (fun (m, n) ->
+      let what = Printf.sprintf "%dx%d" m n in
+      let a = Cmat.of_real (Rmat.random rng m n) in
+      let d = Svd.decompose a in
+      let check_factor name x =
+        Alcotest.(check (float 0.)) (what ^ ": " ^ name ^ " real") 0.
+          (Cmat.max_imag x);
+        check_small ~tol:1e-13 (what ^ ": " ^ name ^ "^T " ^ name ^ " = I")
+          (Cmat.norm_fro
+             (Cmat.sub (Cmat.mul_cn x x) (Cmat.identity (Stdlib.min m n))))
+      in
+      check_factor "U" d.Svd.u;
+      check_factor "V" d.Svd.v;
+      check_small ~tol:1e-14 (what ^ ": U S V^T = A")
+        (Cmat.norm_fro (Cmat.sub (Svd.reconstruct d) a) /. Cmat.norm_fro a))
+    real_gk_shapes
+
+(* A random orthogonal matrix: a product of n Householder reflectors. *)
+let random_orthogonal rng n =
+  let q = ref (Rmat.identity n) in
+  for _ = 1 to n do
+    let u = Rmat.random rng n 1 in
+    let uut = Rmat.mul u (Rmat.transpose u) in
+    let h = Rmat.sub (Rmat.identity n) (Rmat.scale (2. /. Rmat.trace uut) uut) in
+    q := Rmat.mul h !q
+  done;
+  !q
 
 let test_svd_gk_graded_spectrum () =
-  (* a steeply graded spectrum, the shape Loewner pencils produce *)
+  (* a steeply graded spectrum, the shape Loewner pencils produce, on
+     the real kernel *)
   let n = 40 in
   let rng = Rng.create 93 in
-  let q1 = Qr.orthonormalize (Cmat.random rng n n) in
-  let q2 = Qr.orthonormalize (Cmat.random rng n n) in
+  let q1 = random_orthogonal rng n and q2 = random_orthogonal rng n in
   let sig_true = Array.init n (fun i -> 10. ** (-.(float_of_int i) /. 2.)) in
-  let s = Cmat.init n n (fun i jcol ->
-      if i = jcol then Cx.of_float sig_true.(i) else Cx.zero)
-  in
-  let a = Cmat.mul q1 (Cmat.mul s (Cmat.ctranspose q2)) in
-  let d = Svd.decompose ~algorithm:Svd.Golub_kahan a in
+  let s = Rmat.init n n (fun i j -> if i = j then sig_true.(i) else 0.) in
+  let a = Rmat.mul q1 (Rmat.mul s (Rmat.transpose q2)) in
+  let d = Svd.decompose (Cmat.of_real a) in
+  Alcotest.(check (float 0.)) "factored in real arithmetic" 0.
+    (Cmat.max_imag d.Svd.v);
   Array.iteri
     (fun i s ->
       (* absolute accuracy at the eps * sigma_max level *)
@@ -810,55 +868,58 @@ let same_bits a b =
   Array.length a = Array.length b
   && Array.for_all2 (fun x y -> Int64.bits_of_float x = Int64.bits_of_float y) a b
 
-(* (label, algorithm, shape): GK above 32 columns, the Jacobi path at
-   or below it, tall and wide *)
+(* (label, real, shape): the real kernel for real input above 32
+   columns, Jacobi for complex input and at or below 32, tall and
+   wide *)
 let right_cases =
-  [ ("tall auto (gk)", Svd.Auto, (72, 48));
-    ("wide auto (gk)", Svd.Auto, (40, 66));
-    ("tall auto (<= 32 cols, jacobi)", Svd.Auto, (45, 20));
-    ("wide auto (<= 32 rows, jacobi)", Svd.Auto, (12, 30));
-    ("square golub_kahan", Svd.Golub_kahan, (40, 40));
-    ("tall jacobi", Svd.Jacobi, (50, 36)) ]
+  [ ("tall real (gk)", true, (72, 48));
+    ("wide real (gk)", true, (40, 66));
+    ("square real (gk)", true, (40, 40));
+    ("tall complex (jacobi)", false, (50, 36));
+    ("tall (<= 32 cols, jacobi)", true, (45, 20));
+    ("wide (<= 32 rows, jacobi)", false, (12, 30)) ]
 
-let check_right_matches ~what algorithm a =
-  let d = Svd.decompose ~algorithm a in
-  let sigma, v = Svd.right ~algorithm a in
+let case_matrix rng real (m, n) =
+  if real then Cmat.of_real (Rmat.random rng m n) else Cmat.random rng m n
+
+let check_right_matches ~what a =
+  let d = Svd.decompose a in
+  let sigma, v = Svd.right a in
   Alcotest.(check bool) (what ^ ": sigma bit-identical") true (same_bits sigma d.Svd.sigma);
   Alcotest.(check bool) (what ^ ": v bit-identical") true (Cmat.equal ~tol:0. v d.Svd.v)
 
 let test_svd_right_matches_decompose () =
   let rng = Rng.create 61 in
   List.iter
-    (fun (what, algorithm, (m, n)) ->
-      check_right_matches ~what algorithm (Cmat.random rng m n))
+    (fun (what, real, shape) ->
+      check_right_matches ~what (case_matrix rng real shape))
     right_cases
 
 let test_svd_right_no_converge_fault () =
-  (* the fault collapses the GK budget, so [Auto] and [Golub_kahan]
-     take the Jacobi fallback; the Jacobi cascade itself runs on
+  (* the fault collapses the bidiagonal QR budget, so the real kernel
+     takes the Jacobi fallback; the Jacobi cascade itself runs on
      one-sweep budgets *)
   let rng = Rng.create 62 in
-  let a = Cmat.random rng 64 40 in
+  let a = Cmat.of_real (Rmat.random rng 64 40) in
   Fault.with_spec "svd.no_converge" (fun () ->
       let (), diag =
         Diag.with_collector (fun () ->
-            check_right_matches ~what:"auto under fault" Svd.Auto a)
+            check_right_matches ~what:"real under fault" a)
       in
       Alcotest.(check bool) "gk fell back to jacobi" true
-        (Diag.recorded diag "svd.gk.jacobi_fallback");
-      check_right_matches ~what:"golub_kahan under fault" Svd.Golub_kahan a)
+        (Diag.recorded diag "svd.gk.jacobi_fallback"))
 
 let test_svd_right_domain_invariant () =
   (* sequential and pooled runs of [right] both equal the pooled
      [decompose] *)
   let rng = Rng.create 63 in
   List.iter
-    (fun (what, algorithm, (m, n)) ->
-      let a = Cmat.random rng m n in
-      let d = Svd.decompose ~algorithm a in
+    (fun (what, real, shape) ->
+      let a = case_matrix rng real shape in
+      let d = Svd.decompose a in
       List.iter
         (fun (how, run) ->
-          let sigma, v = run (fun () -> Svd.right ~algorithm a) in
+          let sigma, v = run (fun () -> Svd.right a) in
           Alcotest.(check bool) (what ^ " " ^ how ^ ": sigma") true
             (same_bits sigma d.Svd.sigma);
           Alcotest.(check bool) (what ^ " " ^ how ^ ": v") true
@@ -867,10 +928,9 @@ let test_svd_right_domain_invariant () =
     right_cases
 
 let test_svd_right_real () =
-  (* the real Golub-Kahan (tall, > 32 columns) matches the complex
-     factorization of the same matrix: equal spectra, and each right
-     vector equal up to sign; other shapes and the no_converge fault
-     take the complex path itself *)
+  (* [right_real] against Jacobi on e^{i theta} A on every shape;
+     under the no_converge fault it is the Jacobi fallback of
+     [right], bit for bit *)
   let rng = Rng.create 65 in
   let graded n =
     (* an upper-triangular R with a graded spectrum, the sketch's case *)
@@ -880,35 +940,23 @@ let test_svd_right_real () =
   List.iter
     (fun (what, a) ->
       let sigma, v = Svd.right_real a in
-      let csigma, cv = Svd.right (Cmat.of_real a) in
-      let _, n = Rmat.dims a in
       Alcotest.(check (pair int int)) (what ^ ": v dims")
-        (n, Array.length csigma) (Rmat.dims v);
-      Array.iteri
-        (fun i s ->
-          if not (abs_float (s -. csigma.(i)) <= 1e-13 *. csigma.(0)) then
-            Alcotest.failf "%s: sigma_%d %.17g vs %.17g" what i s csigma.(i))
-        sigma;
-      let cv = Cmat.real_part cv in
-      for j = 0 to Array.length sigma - 1 do
-        let dot = ref 0. in
-        for i = 0 to n - 1 do
-          dot := !dot +. (Rmat.get v i j *. Rmat.get cv i j)
-        done;
-        if not (abs_float (abs_float !dot -. 1.) <= 1e-8) then
-          Alcotest.failf "%s: v_%d differs (|dot| = %.17g)" what j !dot
-      done)
+        (a.Rmat.cols, Array.length sigma) (Rmat.dims v);
+      check_against_jacobi ~what ~sigma ~v:(Cmat.of_real v) a)
     [ ("tall", Rmat.random rng 72 48); ("square", Rmat.random rng 40 40);
       ("graded triangular", graded 80); ("small", Rmat.random rng 45 20);
       ("wide", Rmat.random rng 40 66) ];
   let a = Rmat.random rng 60 40 in
-  let sigma, v =
-    Fault.with_spec "svd.no_converge" (fun () -> Svd.right_real a)
+  let (sigma, v), diag =
+    Fault.with_spec "svd.no_converge" (fun () ->
+        Diag.with_collector (fun () -> Svd.right_real a))
   in
+  Alcotest.(check bool) "no_converge: fallback recorded" true
+    (Diag.recorded diag "svd.gk.jacobi_fallback");
   let csigma, cv =
     Fault.with_spec "svd.no_converge" (fun () -> Svd.right (Cmat.of_real a))
   in
-  Alcotest.(check bool) "no_converge: complex path (bit)" true
+  Alcotest.(check bool) "no_converge: Jacobi fallback of right (bit)" true
     (same_bits sigma csigma && Rmat.equal ~tol:0. v (Cmat.real_part cv))
 
 let test_svd_values_match_decompose () =
@@ -1272,6 +1320,8 @@ let () =
          Alcotest.test_case "pinv" `Quick test_svd_pinv;
          Alcotest.test_case "algorithms agree" `Quick test_svd_algorithms_agree;
          Alcotest.test_case "gk graded spectrum" `Quick test_svd_gk_graded_spectrum;
+         Alcotest.test_case "real kernel orthonormal factors" `Quick
+           test_svd_real_orthonormal;
          Alcotest.test_case "norm2" `Quick test_svd_norm2 ]);
       ("svd right",
        [ Alcotest.test_case "matches decompose (bit)" `Quick

@@ -223,6 +223,33 @@ let test_realify_preserves_singular_values () =
       check_small ~tol:1e-9 "invariant sigma" ((s -. s2.(i)) /. (1. +. s)))
     s1
 
+let test_fig1_realified_spectra () =
+  (* Fig. 1 factors the realified pencil: its LL, sLL and x0 LL - sLL
+     spectra equal the complex pencil's, each factored by complex
+     Jacobi (a 4-port, 8-sample pencil is 32 wide) *)
+  let sys =
+    Random_sys.generate { test_spec with Random_sys.ports = 4; rank_d = 4 }
+  in
+  let smps = Sampling.sample_system sys (sample_freqs 8) in
+  let p = Loewner.build (Tangential.build smps) in
+  Alcotest.(check int) "pencil width" 32 (Cmat.cols p.Loewner.ll);
+  let x0 = Cx.abs p.Loewner.lambda.(0) in
+  let shifted = Cmat.sub (Cmat.scale_float x0 p.Loewner.ll) p.Loewner.sll in
+  let ll, sll, pen = Svd_reduce.fig1_singular_values p in
+  List.iter
+    (fun (name, complex, real) ->
+      let sigma = Svd.values complex in
+      Alcotest.(check int) (name ^ " length") (Array.length sigma)
+        (Array.length real);
+      Array.iteri
+        (fun i s ->
+          check_small ~tol:1e-12
+            (Printf.sprintf "%s sigma_%d" name i)
+            ((s -. real.(i)) /. sigma.(0)))
+        sigma)
+    [ ("LL", p.Loewner.ll, ll); ("sLL", p.Loewner.sll, sll);
+      ("x0 LL - sLL", shifted, pen) ]
+
 (* ------------------------------------------------------------------ *)
 (* Algorithm 1: recovery *)
 
@@ -949,7 +976,9 @@ let () =
          Alcotest.test_case "transform validation" `Quick test_transform_validation;
          Alcotest.test_case "pairwise = dense" `Quick test_realify_matches_dense_transform;
          Alcotest.test_case "produces real" `Quick test_realify_produces_real;
-         Alcotest.test_case "preserves sigma" `Quick test_realify_preserves_singular_values ]);
+         Alcotest.test_case "preserves sigma" `Quick test_realify_preserves_singular_values;
+         Alcotest.test_case "fig1 spectra: realified = complex" `Quick
+           test_fig1_realified_spectra ]);
       ("algorithm1",
        [ Alcotest.test_case "minimal samples (thm 3.5)" `Quick test_minimal_samples_estimate;
          Alcotest.test_case "exact recovery" `Quick test_exact_recovery;

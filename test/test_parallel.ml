@@ -202,17 +202,15 @@ let test_axpy_equal_fastpaths () =
   Alcotest.(check bool) "equal on itself" true (Cmat.equal ~tol:0. fused fused)
 
 (* ------------------------------------------------------------------ *)
-(* Jacobi SVD: tournament sweeps vs forced-sequential *)
+(* Jacobi SVD: tournament sweeps vs forced-sequential (the matrices
+   are complex, so every shape takes Jacobi) *)
 
 let test_svd_jacobi_deterministic () =
   List.iter
     (fun (m, n) ->
       let a = Cmat.random rng m n in
-      let seq =
-        Parallel.with_sequential (fun () ->
-            Svd.decompose ~algorithm:Svd.Jacobi a)
-      in
-      let par = Svd.decompose ~algorithm:Svd.Jacobi a in
+      let seq = Parallel.with_sequential (fun () -> Svd.decompose a) in
+      let par = Svd.decompose a in
       Array.iteri
         (fun i s ->
           if s <> par.Svd.sigma.(i) then
