@@ -1,21 +1,22 @@
 (* mfti: command-line macromodeling tool.
 
    Subcommands:
-     fit      fit a Touchstone file with MFTI / VFTI / recursive MFTI
-     engine   drive the staged fitting engine, printing per-stage timings
+     fit      fit a Touchstone file (MFTI, recursive MFTI, VFTI, VF) or
+              reduce an MNA netlist (Krylov), printing per-stage timings;
+              --out writes the binary model artifact (.mfti)
      gen      generate a synthetic workload (PDN or RLC ladder) as Touchstone
      compare  run every algorithm on a Touchstone file and print a table
      info     summarize a Touchstone file
-     pack     fit and write a binary model artifact (.mfti)
      inspect  print a packed artifact's metadata (checksum-verified)
      serve    answer eval-grid queries over stdio or a Unix socket
+     route    front a fleet of serve replicas
      fit-stream  stream a Touchstone file into a server-resident fit
                  session in batches and finalize into the model store
 
    Examples:
      mfti gen pdn --ports 8 --out board.s8p
-     mfti fit board.s8p --algorithm mfti --width 2
-     mfti pack board.s8p --out models/board.mfti
+     mfti fit board.s8p --width 2
+     mfti fit board.s8p --out models/board.mfti
      mfti serve --root models *)
 
 open Statespace
@@ -56,7 +57,9 @@ let validation ~context message =
   Linalg.Mfti_error.raise_error
     (Linalg.Mfti_error.Validation { context; message })
 
-let is_netlist path = Filename.check_suffix path ".ckt"
+let ok = function
+  | Ok x -> x
+  | Error e -> Linalg.Mfti_error.raise_error e
 
 (* Refuse an artifact destination whose directory cannot take the file
    before any stage runs, with the text {!Serve.Artifact.save} gives
@@ -112,11 +115,7 @@ let certify_name = function
    realness, an S-parameter property: checking Y or Z data against it
    would fail, or contract, a passive network. *)
 let load ?(policy = Rf.Touchstone.Strict) ?(certify = Certify.Off) path =
-  let data =
-    match Rf.Touchstone.read_file_result ~policy path with
-    | Ok data -> data
-    | Error e -> Linalg.Mfti_error.raise_error e
-  in
+  let data = ok (Rf.Touchstone.read_file_result ~policy path) in
   if data.Rf.Touchstone.parameter <> Rf.Touchstone.S then begin
     let parameter =
       match data.Rf.Touchstone.parameter with
@@ -134,13 +133,7 @@ let load ?(policy = Rf.Touchstone.Strict) ?(certify = Certify.Off) path =
   end;
   data
 
-let print_diagnostics diag =
-  Printf.eprintf "diagnostics: %s\n%!" (Linalg.Diag.summary diag)
-
 let weight_of_width w = if w = 0 then Tangential.Full else Tangential.Uniform w
-
-let rank_rule_of_tol tol =
-  if tol = 0. then Svd_reduce.Gap else Svd_reduce.Tol tol
 
 let certify_arg =
   let m =
@@ -160,213 +153,36 @@ let certify_arg =
   Arg.(value & opt ~vopt:Certify.Repair m Certify.Off
        & info [ "certify" ] ~docv:"MODE" ~doc)
 
-let print_certificate = function
-  | None -> ()
-  | Some c -> Printf.printf "certificate: %s\n" (Certify.Certificate.to_string c)
-
-let sample_freqs samples = Array.map (fun s -> s.Sampling.freq) samples
-
 (* ------------------------------------------------------------------ *)
-(* fit *)
+(* fit: every strategy, per-stage timings, and the packed artifact *)
 
-let algorithm_arg =
-  let alg =
-    Arg.enum
-      [ ("mfti", `Mfti); ("vfti", `Vfti); ("mfti2", `Mfti2); ("vf", `Vf) ]
-  in
-  let doc = "Fitting algorithm: $(b,mfti) (Algorithm 1), $(b,vfti) \
-             (vector-format baseline), $(b,mfti2) (recursive Algorithm 2), \
-             or $(b,vf) (vector fitting)." in
-  Arg.(value & opt alg `Mfti & info [ "algorithm"; "a" ] ~docv:"ALG" ~doc)
-
-let poles_arg =
-  let doc = "Pole count for vector fitting." in
-  Arg.(value & opt int 50 & info [ "poles" ] ~docv:"N" ~doc)
-
-let save_model_arg =
-  let doc = "Write the fitted state-space model to this file              (mfti-descriptor-v1 text format; reload with              Statespace.Descriptor.load)." in
-  Arg.(value & opt (some string) None & info [ "save-model" ] ~docv:"FILE" ~doc)
-
-let plot_arg =
-  let doc = "Write an SVG of the per-frequency relative fit error." in
-  Arg.(value & opt (some string) None & info [ "plot" ] ~docv:"FILE" ~doc)
-
-let symmetrize_arg =
-  let doc = "Symmetrize the data ((S + S^T)/2) before fitting — noise              reduction for reciprocal devices." in
-  Arg.(value & flag & info [ "symmetrize" ] ~doc)
-
-(* The three Loewner paths of `fit` and `pack` are strategies over the
-   same engine: display name, strategy and options. *)
-let loewner_setup ~width ~rank_tol ~seed ~certify alg =
-  let rank_rule = rank_rule_of_tol rank_tol in
-  let directions = Direction.Orthonormal seed in
-  let base = { Engine.default_options with rank_rule; directions; certify } in
-  match alg with
-  | `Mfti ->
-    ("MFTI", Engine.Direct,
-     { base with weight = weight_of_width width })
-  | `Vfti -> ("VFTI", Engine.Vector, base)
-  | `Mfti2 ->
-    ( "MFTI-2", Engine.Recursive Engine.Incremental,
-      { base with
-        weight = Tangential.Uniform (if width = 0 then 2 else width) } )
-
-let run_fit path policy algorithm width rank_tol seed poles save_model plot
-    symmetrize certify_mode =
-  guarded @@ fun () ->
-  let load_diag = Linalg.Diag.create () in
-  let data =
-    Linalg.Diag.using load_diag (fun () ->
-        load ~policy ~certify:certify_mode path)
-  in
-  List.iter
-    (fun (ev : Linalg.Diag.event) ->
-      Printf.eprintf "input recovery [%s]: %s\n" ev.Linalg.Diag.site
-        ev.Linalg.Diag.detail)
-    (Linalg.Diag.events load_diag);
-  let samples = Tangential.trim_even data.Rf.Touchstone.samples in
-  let samples = if symmetrize then Sampling.symmetrize samples else samples in
-  let describe name model rank =
-    Printf.printf "%s\n" (Metrics.report ~name model samples);
-    Printf.printf "retained order: %d; stable: %b; real: %b\n" rank
-      (Poles.is_stable model) (Descriptor.is_real model);
-    if data.Rf.Touchstone.parameter = Rf.Touchstone.S then
-      match Rf.Passivity.check model with
-      | Rf.Passivity.Passive -> Printf.printf "passivity: passive\n"
-      | Rf.Passivity.Feedthrough_violation sd ->
-        Printf.printf "passivity: VIOLATED at infinite frequency (sigma D = %.4f)\n" sd
-      | Rf.Passivity.Violations fs ->
-        Printf.printf "passivity: sigma_max(S) crosses 1 at %d frequencies (first %.4g Hz)\n"
-          (List.length fs) (List.hd fs)
-      | exception Invalid_argument msg ->
-        Printf.printf "passivity: not checkable (%s)\n" msg
-  in
-  let post_process name model =
-    (match save_model with
-     | None -> ()
-     | Some file ->
-       Descriptor.save file model;
-       Printf.printf "saved model -> %s\n" file);
-    match plot with
-    | None -> ()
-    | Some file ->
-      let errs = Metrics.err_vector model samples in
-      let points =
-        Array.mapi (fun i e -> (samples.(i).Sampling.freq, e)) errs
-      in
-      Plot.Svg.write_file file
-        ~title:(name ^ " fit: per-frequency relative error")
-        ~xlabel:"frequency (Hz)" ~ylabel:"|H - S| / |S|"
-        ~xaxis:Plot.Svg.Log ~yaxis:Plot.Svg.Log
-        [ { Plot.Svg.label = name; points } ];
-      Printf.printf "wrote error plot -> %s\n" file
-  in
-  (match algorithm with
-   | `Vf ->
-     let options = { Vfit.Vf.default_options with n_poles = poles } in
-     let model, _ = Vfit.Vf.fit ~options samples in
-     Printf.printf "VF: order %d, ERR %.3e\n" (Vfit.Vf.order model)
-       (Vfit.Vf.err model samples);
-     let d = Vfit.Vf.to_descriptor model in
-     let d =
-       match certify_mode with
-       | Certify.Off -> d
-       | mode ->
-         (match
-            Certify.run ~options:{ Certify.default_options with mode }
-              ~freqs:(sample_freqs samples) d
-          with
-          | Ok (d, cert) ->
-            print_certificate cert;
-            d
-          | Error e -> Linalg.Mfti_error.raise_error e)
-     in
-     post_process "VF" d
-   | (`Mfti | `Vfti | `Mfti2) as alg ->
-     let name, strategy, options =
-       loewner_setup ~width ~rank_tol ~seed ~certify:certify_mode alg
-     in
-     let r = Engine.fit ~options ~strategy samples in
-     (match alg with
-      | `Mfti2 ->
-        Printf.printf "recursive MFTI: used %d/%d units in %d iterations\n"
-          r.Engine.selected_units r.Engine.total_units r.Engine.iterations
-      | `Mfti | `Vfti -> ());
-     describe name r.Engine.model r.Engine.rank;
-     print_certificate r.Engine.certificate;
-     print_diagnostics r.Engine.diagnostics;
-     post_process name r.Engine.model);
-  0
-
-let fit_cmd =
-  let info = Cmd.info "fit" ~doc:"Fit a macromodel to sampled data." in
-  Cmd.v info
-    Term.(const run_fit $ touchstone_arg $ policy_arg $ algorithm_arg
-          $ width_arg $ rank_tol_arg $ seed_arg $ poles_arg $ save_model_arg
-          $ plot_arg $ symmetrize_arg $ certify_arg)
-
-(* ------------------------------------------------------------------ *)
-(* engine: drive the staged pipeline explicitly, with per-stage timing *)
-
-let engine_input_arg =
+let input_arg =
   let doc =
-    "Input: Touchstone (.sNp) sampled data for the dense strategies, or \
-     an MNA netlist (.ckt, from $(b,mfti gen --netlist)) for the sparse \
-     krylov strategies."
+    "Input: Touchstone (.sNp) sampled data, or an MNA netlist (.ckt, from \
+     $(b,mfti gen --netlist)) for the krylov strategies."
   in
   Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc)
 
 let strategy_arg =
   let s =
     Arg.enum
-      [ ("direct", `Direct); ("vector", `Vector);
-        ("incremental", `Incremental); ("batch", `Batch);
-        ("krylov", `Krylov); ("krylov+mfti", `KrylovMfti) ]
+      [ ("mfti", `Mfti); ("mfti2", `Mfti2); ("vfti", `Vfti); ("vf", `Vf);
+        ("krylov", `Krylov); ("krylov+mfti", `Krylov_mfti) ]
   in
   let doc =
-    "Engine strategy: $(b,direct) (Algorithm 1), $(b,vector) (VFTI), \
-     $(b,incremental) (recursive Algorithm 2 with incremental Loewner \
-     assembly), $(b,batch) (recursive over the full pencil), \
-     $(b,krylov) (sparse tangential rational Krylov pre-reduction of an \
-     MNA netlist) or $(b,krylov+mfti) (Krylov pre-reduction, then the \
-     direct MFTI engine on samples of the reduced model)."
+    "Fitting strategy: $(b,mfti) (Algorithm 1), $(b,mfti2) (recursive \
+     Algorithm 2 with incremental Loewner assembly), $(b,vfti) \
+     (vector-format baseline), $(b,vf) (vector fitting), $(b,krylov) \
+     (sparse tangential rational Krylov reduction of an MNA netlist) or \
+     $(b,krylov+mfti) (Krylov reduction, then $(b,mfti) on samples of \
+     the reduced model).  Default: $(b,krylov) for a .ckt netlist, \
+     $(b,mfti) otherwise."
   in
-  Arg.(value & opt s `Incremental & info [ "strategy" ] ~docv:"STRAT" ~doc)
+  Arg.(value & opt (some s) None & info [ "strategy" ] ~docv:"STRAT" ~doc)
 
-let shifts_arg =
-  let doc =
-    "Initial log-spaced interpolation shifts for the krylov strategies."
-  in
-  Arg.(value & opt int 8 & info [ "shifts" ] ~docv:"N" ~doc)
-
-let krylov_order_arg =
-  let doc = "Hard cap on the Krylov-reduced order." in
-  Arg.(value & opt int 240 & info [ "krylov-order" ] ~docv:"N" ~doc)
-
-let krylov_tol_arg =
-  let doc =
-    "Hold-out relative-error target for the adaptive shift rounds."
-  in
-  Arg.(value & opt float 1e-6 & info [ "krylov-tol" ] ~docv:"TOL" ~doc)
-
-let z0_arg =
-  let doc =
-    "Reference impedance (ohms) for the Z-to-S conversion of a reduced \
-     netlist model."
-  in
-  Arg.(value & opt float 50. & info [ "z0" ] ~docv:"OHMS" ~doc)
-
-let engine_pack_arg =
-  let doc = "Also write the final model as a packed artifact (.mfti)." in
-  Arg.(value & opt (some string) None & info [ "pack" ] ~docv:"FILE" ~doc)
-
-let pack_artifact ~path ~fit_err ~out model =
-  let name = Filename.remove_extension (Filename.basename path) in
-  let artifact = Serve.Artifact.v ~name ~fit_err model in
-  Serve.Artifact.save out artifact;
-  Printf.printf "packed %s -> %s (order %d, %dx%d ports)\n" name out
-    (Engine.Model.order model) (Engine.Model.outputs model)
-    (Engine.Model.inputs model)
+let poles_arg =
+  let doc = "Pole count for vector fitting." in
+  Arg.(value & opt int 50 & info [ "poles" ] ~docv:"N" ~doc)
 
 let batch_arg =
   let doc = "Units moved into the active set per recursion iteration." in
@@ -393,20 +209,98 @@ let holdout_arg =
   in
   Arg.(value & opt int 0 & info [ "holdout-every" ] ~docv:"N" ~doc)
 
-(* krylov / krylov+mfti: sparse MNA netlist in, Engine.Model out — the
-   certify / pack / serve stages downstream are strategy-blind. *)
-let run_engine_krylov ~path ~strategy ~width ~rank_tol ~seed ~certify_mode
-    ~flo ~fhi ~shifts ~krylov_order ~krylov_tol ~z0 ~pack_out =
-  let ok = function
-    | Ok x -> x
-    | Error e -> Linalg.Mfti_error.raise_error e
+let shifts_arg =
+  let doc =
+    "Initial log-spaced interpolation shifts for the krylov strategies."
   in
-  if not (is_netlist path) then
-    validation ~context:"engine"
-      (Printf.sprintf
-         "strategy krylov reduces a sparse MNA netlist but %s is not a \
-          .ckt file; generate one with `mfti gen pdn --grid RxC \
-          --netlist FILE`" path);
+  Arg.(value & opt int 8 & info [ "shifts" ] ~docv:"N" ~doc)
+
+let krylov_order_arg =
+  let doc = "Hard cap on the Krylov-reduced order." in
+  Arg.(value & opt int 240 & info [ "krylov-order" ] ~docv:"N" ~doc)
+
+let krylov_tol_arg =
+  let doc =
+    "Hold-out relative-error target for the adaptive shift rounds."
+  in
+  Arg.(value & opt float 1e-6 & info [ "krylov-tol" ] ~docv:"TOL" ~doc)
+
+let z0_arg =
+  let doc =
+    "Reference impedance (ohms) for the Z-to-S conversion of a reduced \
+     netlist model."
+  in
+  Arg.(value & opt float 50. & info [ "z0" ] ~docv:"OHMS" ~doc)
+
+let fit_out_arg =
+  let doc = "Write the fitted model as a packed artifact (.mfti)." in
+  Arg.(value & opt (some string) None & info [ "out"; "o" ] ~docv:"FILE" ~doc)
+
+let name_arg =
+  let doc = "Artifact name recorded in the header (default: input file)." in
+  Arg.(value & opt (some string) None & info [ "name" ] ~docv:"NAME" ~doc)
+
+let plot_arg =
+  let doc = "Write an SVG of the per-frequency relative fit error." in
+  Arg.(value & opt (some string) None & info [ "plot" ] ~docv:"FILE" ~doc)
+
+let symmetrize_arg =
+  let doc =
+    "Symmetrize the data ((S + S^T)/2) before fitting — noise reduction \
+     for reciprocal devices."
+  in
+  Arg.(value & flag & info [ "symmetrize" ] ~doc)
+
+let print_stages model =
+  List.iter
+    (fun (stage, dt) -> Printf.printf "stage %-9s %9.4f s\n" stage dt)
+    (Engine.Model.timings model)
+
+(* The engine options every strategy starts from. *)
+let engine_options ~rank_tol ~seed ~certify =
+  { Engine.default_options with
+    rank_rule = (if rank_tol = 0. then Svd_reduce.Gap else Tol rank_tol);
+    directions = Direction.Orthonormal seed;
+    certify }
+
+(* The engine's certify stage, for the models fitted outside it. *)
+let certify_model options ~freqs m =
+  match options.Engine.certify with
+  | Certify.Off -> m
+  | mode ->
+    ok
+      (Engine.Model.certify ~options:{ Certify.default_options with mode }
+         ~freqs m)
+
+(* One Touchstone strategy on a dataset, as `fit` and `compare` run it:
+   display name and model.  The block width follows the strategy. *)
+let fit_dense ~options ~width ~poles strategy dataset =
+  match strategy with
+  | `Vf ->
+    let m =
+      Vfit.Vf.fit_model
+        ~options:{ Vfit.Vf.default_options with n_poles = poles }
+        (Dataset.fit_samples dataset)
+    in
+    ("VF", certify_model options ~freqs:(Dataset.frequencies dataset) m)
+  | (`Mfti | `Mfti2 | `Vfti) as s ->
+    let name, strategy, weight =
+      match s with
+      | `Mfti -> ("MFTI", Engine.Direct, weight_of_width width)
+      | `Vfti -> ("VFTI", Engine.Vector, weight_of_width width)
+      | `Mfti2 ->
+        ( "MFTI-2", Engine.Recursive Engine.Incremental,
+          Tangential.Uniform (if width = 0 then 2 else width) )
+    in
+    ( name,
+      Engine.Model.of_fit
+        (ok (Engine.run ~options:{ options with weight } ~strategy dataset)) )
+
+(* krylov / krylov+mfti: sparse MNA netlist in, Engine.Model out — the
+   certify / pack / serve stages downstream are strategy-blind.  Returns
+   the model, the run's diagnostics and the final hold-out error. *)
+let fit_krylov ~options ~width ~flo ~fhi ~shifts ~krylov_order ~krylov_tol
+    ~z0 strategy path =
   let circuit = ok (Rf.Netlist.load path) in
   Printf.printf "netlist: %d nodes, %d states, %d ports\n%!"
     (Rf.Mna.num_nodes circuit) (Rf.Mna.num_states circuit)
@@ -423,26 +317,11 @@ let run_engine_krylov ~path ~strategy ~width ~rank_tol ~seed ~certify_mode
         match strategy with
         | `Krylov ->
           let kr = ok (Krylov.reduce ~options:koptions sys) in
-          let m =
-            match certify_mode with
-            | Certify.Off -> kr.Krylov.model
-            | mode ->
-              ok
-                (Engine.Model.certify
-                   ~options:{ Certify.default_options with mode }
-                   ~freqs:(Sampling.logspace flo fhi 64) kr.Krylov.model)
-          in
-          (m, kr)
-        | `KrylovMfti ->
-          let fit_options =
-            { Engine.default_options with
-              weight =
-                (if width = 0 then Tangential.Full
-                 else Tangential.Uniform width);
-              rank_rule = rank_rule_of_tol rank_tol;
-              directions = Direction.Orthonormal seed;
-              certify = certify_mode }
-          in
+          ( certify_model options ~freqs:(Sampling.logspace flo fhi 64)
+              kr.Krylov.model,
+            kr )
+        | `Krylov_mfti ->
+          let fit_options = { options with weight = weight_of_width width } in
           ok (Krylov.fit_mfti ~options:koptions ~fit_options sys))
   in
   List.iter
@@ -455,90 +334,65 @@ let run_engine_krylov ~path ~strategy ~width ~rank_tol ~seed ~certify_mode
   Array.iteri
     (fun i e -> Printf.printf "round %d: hold-out err %.3e\n" (i + 1) e)
     kr.Krylov.history;
-  (match strategy with
-   | `KrylovMfti ->
-     List.iter
-       (fun (stage, dt) -> Printf.printf "stage %-9s %9.4f s\n" stage dt)
-       (Engine.Model.timings model)
-   | `Krylov -> ());
+  (match strategy with `Krylov_mfti -> print_stages model | `Krylov -> ());
+  let h = kr.Krylov.history in
+  let n = Array.length h in
+  (model, diag, if n > 0 then h.(n - 1) else Float.nan)
+
+let print_retained model =
   Printf.printf "retained order: %d; stable: %b; real: %b\n"
     (Engine.Model.rank model) (Engine.Model.stable model)
-    (Engine.Model.is_real model);
-  print_certificate (Engine.Model.certificate model);
-  print_diagnostics diag;
-  (match pack_out with
-   | None -> ()
-   | Some out ->
-     let h = kr.Krylov.history in
-     let fit_err =
-       if Array.length h > 0 then h.(Array.length h - 1) else Float.nan
-     in
-     pack_artifact ~path ~fit_err ~out model);
-  0
+    (Engine.Model.is_real model)
 
-let run_engine path policy strategy width rank_tol seed batch threshold
-    max_iterations probe holdout_every certify_mode flo fhi
-    shifts krylov_order krylov_tol z0 pack_out =
-  guarded @@ fun () ->
-  Option.iter check_destination pack_out;
-  match strategy with
-  | (`Krylov | `KrylovMfti) as strategy ->
-    run_engine_krylov ~path ~strategy ~width ~rank_tol ~seed ~certify_mode
-      ~flo ~fhi ~shifts ~krylov_order ~krylov_tol ~z0 ~pack_out
-  | (`Direct | `Vector | `Incremental | `Batch) as strategy ->
-  if is_netlist path then
-    validation ~context:"engine"
-      "netlist (.ckt) input needs --strategy krylov or krylov+mfti; the \
-       dense strategies fit sampled Touchstone data";
-  let data = load ~policy ~certify:certify_mode path in
+let print_passivity model =
+  match Rf.Passivity.check (Engine.Model.descriptor model) with
+  | Rf.Passivity.Passive -> Printf.printf "passivity: passive\n"
+  | Rf.Passivity.Feedthrough_violation sd ->
+    Printf.printf
+      "passivity: VIOLATED at infinite frequency (sigma D = %.4f)\n" sd
+  | Rf.Passivity.Violations fs ->
+    Printf.printf
+      "passivity: sigma_max(S) crosses 1 at %d frequencies (first %.4g Hz)\n"
+      (List.length fs) (List.hd fs)
+  | exception Invalid_argument msg ->
+    Printf.printf "passivity: not checkable (%s)\n" msg
+
+let write_plot file ~name model samples =
+  let errs = Engine.Model.err_vector model samples in
+  let points = Array.mapi (fun i e -> (samples.(i).Sampling.freq, e)) errs in
+  Plot.Svg.write_file file
+    ~title:(name ^ " fit: per-frequency relative error")
+    ~xlabel:"frequency (Hz)" ~ylabel:"|H - S| / |S|" ~xaxis:Plot.Svg.Log
+    ~yaxis:Plot.Svg.Log
+    [ { Plot.Svg.label = name; points } ];
+  Printf.printf "wrote error plot -> %s\n" file
+
+(* The Touchstone strategies: read (with lenient recovery reported),
+   hold out, trim, symmetrize, fit, and print the report.  Returns the
+   model, its diagnostics and its error on the dataset: the hold-out
+   error when samples are held out, else the fit error. *)
+let fit_touchstone ~options ~width ~poles ~policy ~holdout_every ~symmetrize
+    ~plot strategy path =
+  let load_diag = Linalg.Diag.create () in
+  let data =
+    Linalg.Diag.using load_diag (fun () ->
+        load ~policy ~certify:options.Engine.certify path)
+  in
+  List.iter
+    (fun (ev : Linalg.Diag.event) ->
+      Printf.eprintf "input recovery [%s]: %s\n" ev.Linalg.Diag.site
+        ev.Linalg.Diag.detail)
+    (Linalg.Diag.events load_diag);
   let dataset = Dataset.of_samples data.Rf.Touchstone.samples in
   let dataset =
     if holdout_every > 0 then
-      match Dataset.partition ~every:holdout_every dataset with
-      | Ok d -> d
-      | Error e -> Linalg.Mfti_error.raise_error e
+      ok (Dataset.partition ~every:holdout_every dataset)
     else dataset
   in
   let dataset = Dataset.trim_even dataset in
-  let samples = Dataset.fit_samples dataset in
-  let strategy =
-    match strategy with
-    | `Direct -> Engine.Direct
-    | `Vector -> Engine.Vector
-    | `Incremental -> Engine.Recursive Engine.Incremental
-    | `Batch -> Engine.Recursive Engine.Batch
-  in
-  let base =
-    match strategy with
-    | Engine.Recursive _ -> Engine.default_recursive_options
-    | Engine.Direct | Engine.Vector -> Engine.default_options
-  in
-  let options =
-    { base with
-      weight =
-        (match strategy with
-         | Engine.Recursive _ ->
-           Tangential.Uniform (if width = 0 then 2 else width)
-         | Engine.Direct | Engine.Vector -> weight_of_width width);
-      rank_rule = rank_rule_of_tol rank_tol;
-      directions = Direction.Orthonormal seed;
-      batch; threshold; max_iterations;
-      probe = (if probe > 0 then Some probe else None);
-      certify = certify_mode }
-  in
-  let ok = function
-    | Ok x -> x
-    | Error e -> Linalg.Mfti_error.raise_error e
-  in
-  let st = ok (Engine.ingest ~options ~strategy dataset) in
-  ok (Engine.assemble st);
-  ok (Engine.realify st);
-  ok (Engine.reduce st);
-  ok (Engine.certify st);
-  let m = ok (Engine.model st) in
-  List.iter
-    (fun (stage, dt) -> Printf.printf "stage %-9s %9.4f s\n" stage dt)
-    (Engine.Model.timings m);
+  let dataset = if symmetrize then Dataset.symmetrize dataset else dataset in
+  let name, m = fit_dense ~options ~width ~poles strategy dataset in
+  print_stages m;
   (match Engine.Model.stats m with
    | Some s when s.Engine.Model.iterations > 0 ->
      Printf.printf "units: %d/%d in %d iterations\n"
@@ -547,31 +401,88 @@ let run_engine path policy strategy width rank_tol seed batch threshold
    | _ -> ());
   let report_samples =
     if Dataset.holdout_size dataset > 0 then Dataset.holdout_samples dataset
-    else samples
+    else Dataset.fit_samples dataset
   in
-  Printf.printf "%s\n"
-    (Engine.Model.report ~name:"engine" m report_samples);
-  Printf.printf "retained order: %d; stable: %b; real: %b\n"
-    (Engine.Model.rank m) (Engine.Model.stable m) (Engine.Model.is_real m);
-  print_certificate (Engine.Model.certificate m);
-  print_diagnostics (Engine.Model.diagnostics m);
-  (match pack_out with
-   | None -> ()
-   | Some out ->
-     pack_artifact ~path ~fit_err:(Engine.Model.err m report_samples) ~out m);
+  Printf.printf "%s\n" (Engine.Model.report ~name m report_samples);
+  print_retained m;
+  if data.Rf.Touchstone.parameter = Rf.Touchstone.S then print_passivity m;
+  Option.iter
+    (fun file -> write_plot file ~name m (Dataset.fit_samples dataset))
+    plot;
+  (m, Engine.Model.diagnostics m,
+   Dataset.err (Engine.Model.descriptor m) dataset)
+
+let run_fit path policy strategy width rank_tol seed certify poles batch
+    threshold max_iterations probe holdout_every flo fhi shifts krylov_order
+    krylov_tol z0 out name plot symmetrize =
+  guarded @@ fun () ->
+  Option.iter check_destination out;
+  let netlist = Filename.check_suffix path ".ckt" in
+  let options =
+    { (engine_options ~rank_tol ~seed ~certify) with
+      batch; threshold; max_iterations;
+      probe = (if probe > 0 then Some probe else None) }
+  in
+  let strategy =
+    match strategy with
+    | Some s -> s
+    | None -> if netlist then `Krylov else `Mfti
+  in
+  let model, diagnostics, fit_err =
+    match strategy with
+    | (`Krylov | `Krylov_mfti) as strategy ->
+      if not netlist then
+        validation ~context:"fit"
+          (Printf.sprintf
+             "strategy krylov reduces a sparse MNA netlist but %s is not a \
+              .ckt file; generate one with `mfti gen pdn --grid RxC \
+              --netlist FILE`" path);
+      let m, diag, err =
+        fit_krylov ~options ~width ~flo ~fhi ~shifts ~krylov_order
+          ~krylov_tol ~z0 strategy path
+      in
+      print_retained m;
+      (m, diag, err)
+    | (`Mfti | `Mfti2 | `Vfti | `Vf) as strategy ->
+      if netlist then
+        validation ~context:"fit"
+          "netlist (.ckt) input needs --strategy krylov or krylov+mfti; the \
+           dense strategies fit sampled Touchstone data";
+      fit_touchstone ~options ~width ~poles ~policy ~holdout_every
+        ~symmetrize ~plot strategy path
+  in
+  Option.iter
+    (fun c ->
+      Printf.printf "certificate: %s\n" (Certify.Certificate.to_string c))
+    (Engine.Model.certificate model);
+  Printf.eprintf "diagnostics: %s\n%!" (Linalg.Diag.summary diagnostics);
+  Option.iter
+    (fun out ->
+      let name =
+        match name with Some n -> n | None -> Filename.basename path
+      in
+      Serve.Artifact.save out (Serve.Artifact.v ~name ~fit_err model);
+      Printf.printf
+        "packed %s -> %s (order %d, %dx%d ports, ERR %.3e, %d bytes)\n" name
+        out (Engine.Model.order model) (Engine.Model.outputs model)
+        (Engine.Model.inputs model) fit_err (Unix.stat out).Unix.st_size)
+    out;
   0
 
-let engine_cmd =
+let fit_cmd =
   let info =
-    Cmd.info "engine"
-      ~doc:"Run the staged fitting engine with per-stage timings."
+    Cmd.info "fit"
+      ~doc:
+        "Fit a macromodel to sampled data or reduce a netlist, with \
+         per-stage timings, and optionally write the packed artifact."
   in
   Cmd.v info
-    Term.(const run_engine $ engine_input_arg $ policy_arg $ strategy_arg
-          $ width_arg $ rank_tol_arg $ seed_arg $ batch_arg $ threshold_arg
-          $ max_iterations_arg $ probe_arg $ holdout_arg $ certify_arg
+    Term.(const run_fit $ input_arg $ policy_arg $ strategy_arg $ width_arg
+          $ rank_tol_arg $ seed_arg $ certify_arg $ poles_arg $ batch_arg
+          $ threshold_arg $ max_iterations_arg $ probe_arg $ holdout_arg
           $ flo_arg $ fhi_arg $ shifts_arg $ krylov_order_arg
-          $ krylov_tol_arg $ z0_arg $ engine_pack_arg)
+          $ krylov_tol_arg $ z0_arg $ fit_out_arg $ name_arg $ plot_arg
+          $ symmetrize_arg)
 
 (* ------------------------------------------------------------------ *)
 (* gen *)
@@ -624,7 +535,7 @@ let netlist_arg =
   let doc =
     "Write the PDN as an MNA netlist (.ckt) instead of (or in addition \
      to) sampling it; feed the file to \
-     $(b,mfti engine --strategy krylov)."
+     $(b,mfti fit)."
   in
   Arg.(value & opt (some string) None & info [ "netlist" ] ~docv:"FILE" ~doc)
 
@@ -771,32 +682,27 @@ let gen_cmd =
 let run_compare path rank_tol seed =
   guarded @@ fun () ->
   let data = load path in
-  let samples = Tangential.trim_even data.Rf.Touchstone.samples in
-  let rank_rule = rank_rule_of_tol rank_tol in
-  let directions = Direction.Orthonormal seed in
+  let dataset =
+    Dataset.trim_even (Dataset.of_samples data.Rf.Touchstone.samples)
+  in
+  let options = engine_options ~rank_tol ~seed ~certify:Certify.Off in
   Printf.printf "%-22s %8s %10s %12s\n" "algorithm" "order" "time(s)" "ERR";
-  let row name f =
-    let t0 = Sys.time () in
-    let order, err = f () in
-    Printf.printf "%-22s %8d %10.3f %12.3e\n%!" name order (Sys.time () -. t0) err
+  (* time(s) sums the fit's own stage timings: wall time, whatever the
+     domain count *)
+  let row label ?(width = 0) strategy =
+    let _, m = fit_dense ~options ~width ~poles:50 strategy dataset in
+    let seconds =
+      List.fold_left (fun acc (_, dt) -> acc +. dt) 0. (Engine.Model.timings m)
+    in
+    Printf.printf "%-22s %8d %10.3f %12.3e\n%!" label (Engine.Model.rank m)
+      seconds
+      (Engine.Model.err m (Dataset.fit_samples dataset))
   in
-  let engine name strategy base =
-    row name (fun () ->
-        let options = { base with Engine.rank_rule; directions } in
-        let r = Engine.fit ~options ~strategy samples in
-        (r.Engine.rank, Metrics.err r.Engine.model samples))
-  in
-  engine "VFTI" Engine.Vector Engine.default_options;
-  engine "MFTI-1 (t=2)" Engine.Direct
-    { Engine.default_options with weight = Tangential.Uniform 2 };
-  engine "MFTI-1 (full)" Engine.Direct Engine.default_options;
-  engine "MFTI-2 (recursive)" (Engine.Recursive Engine.Incremental)
-    Engine.default_recursive_options;
-  row "VF (n=50)" (fun () ->
-      let model, _ =
-        Vfit.Vf.fit ~options:{ Vfit.Vf.default_options with n_poles = 50 } samples
-      in
-      (Vfit.Vf.order model, Vfit.Vf.err model samples));
+  row "VFTI" `Vfti;
+  row "MFTI-1 (t=2)" ~width:2 `Mfti;
+  row "MFTI-1 (full)" `Mfti;
+  row "MFTI-2 (recursive)" `Mfti2;
+  row "VF (n=50)" `Vf;
   0
 
 let compare_cmd =
@@ -825,72 +731,6 @@ let run_info path =
 let info_cmd =
   let info = Cmd.info "info" ~doc:"Summarize a Touchstone file." in
   Cmd.v info Term.(const run_info $ touchstone_arg)
-
-(* ------------------------------------------------------------------ *)
-(* pack: fit and persist a binary model artifact *)
-
-let pack_out_arg =
-  let doc = "Output artifact file (.mfti)." in
-  Arg.(required & opt (some string) None & info [ "out"; "o" ] ~docv:"FILE" ~doc)
-
-let pack_name_arg =
-  let doc = "Artifact name recorded in the header (default: input file)." in
-  Arg.(value & opt (some string) None & info [ "name" ] ~docv:"NAME" ~doc)
-
-(* Fit with the same algorithm switch as `fit`, returning the unified
-   model wrapper plus the samples it was fitted on. *)
-let fit_to_model ~algorithm ~width ~rank_tol ~seed ~poles ~certify samples =
-  match algorithm with
-  | `Vf ->
-    let m =
-      Vfit.Vf.fit_model
-        ~options:{ Vfit.Vf.default_options with n_poles = poles } samples
-    in
-    (match certify with
-     | Certify.Off -> m
-     | mode ->
-       (match
-          Engine.Model.certify
-            ~options:{ Certify.default_options with mode }
-            ~freqs:(sample_freqs samples) m
-        with
-        | Ok m -> m
-        | Error e -> Linalg.Mfti_error.raise_error e))
-  | (`Mfti | `Vfti | `Mfti2) as alg ->
-    let _, strategy, options =
-      loewner_setup ~width ~rank_tol ~seed ~certify alg
-    in
-    Engine.Model.of_fit (Engine.fit ~options ~strategy samples)
-
-let run_pack path policy algorithm width rank_tol seed poles out name
-    certify =
-  guarded @@ fun () ->
-  check_destination out;
-  let data = load ~policy ~certify path in
-  let samples = Tangential.trim_even data.Rf.Touchstone.samples in
-  let model =
-    fit_to_model ~algorithm ~width ~rank_tol ~seed ~poles ~certify samples
-  in
-  let fit_err = Engine.Model.err model samples in
-  let name = match name with Some n -> n | None -> Filename.basename path in
-  let artifact = Serve.Artifact.v ~name ~fit_err model in
-  Serve.Artifact.save out artifact;
-  let bytes = (Unix.stat out).Unix.st_size in
-  Printf.printf "packed %s -> %s (order %d, %dx%d ports, ERR %.3e, %d bytes)\n"
-    name out (Engine.Model.order model) (Engine.Model.outputs model)
-    (Engine.Model.inputs model) fit_err bytes;
-  print_certificate (Engine.Model.certificate model);
-  0
-
-let pack_cmd =
-  let info =
-    Cmd.info "pack"
-      ~doc:"Fit a macromodel and write a binary artifact (.mfti)."
-  in
-  Cmd.v info
-    Term.(const run_pack $ touchstone_arg $ policy_arg $ algorithm_arg
-          $ width_arg $ rank_tol_arg $ seed_arg $ poles_arg $ pack_out_arg
-          $ pack_name_arg $ certify_arg)
 
 (* ------------------------------------------------------------------ *)
 (* inspect: decode an artifact header (checksum-verified by load) *)
@@ -1212,15 +1052,14 @@ let model_id_arg =
   in
   Arg.(value & opt (some string) None & info [ "model-id" ] ~docv:"ID" ~doc)
 
-let stream_fail message =
-  Linalg.Mfti_error.raise_error
-    (Linalg.Mfti_error.Validation { context = "fit-stream"; message })
+let stream_fail message = validation ~context:"fit-stream" message
 
 (* Connect to a server address (HOST:PORT or Unix socket path) with
-   capped exponential backoff.  Giving up is a typed diagnostic naming
-   the attempt count, never a raw Unix error. *)
-let connect_with_retry ?(attempts = 5) ?(base_ms = 100) ?(cap_ms = 2_000)
-    ~fail addr_s =
+   capped exponential backoff: 5 attempts, 100 ms doubling to 2 s.
+   Giving up is a typed diagnostic naming the attempt count, never a
+   raw Unix error. *)
+let connect_with_retry addr_s =
+  let attempts = 5 and cap_ms = 2_000 in
   let addr =
     match Serve.Listener.parse_addr addr_s with
     | a -> a
@@ -1228,11 +1067,15 @@ let connect_with_retry ?(attempts = 5) ?(base_ms = 100) ?(cap_ms = 2_000)
   in
   let rec go n delay_ms =
     let timeout_s = float_of_int cap_ms /. 1000. in
-    match Serve.Listener.connect addr ~timeout_s with
-    | Ok fd -> fd
+    match
+      Serve.Listener.dial addr ~timeout_s
+        ~max_bytes:Serve.Supervisor.default_config.max_line_bytes
+        ~binary:false
+    with
+    | Ok peer -> peer
     | Error msg ->
       if n >= attempts then
-        fail
+        stream_fail
           (Printf.sprintf
              "gave up connecting to %s after %d attempts (capped \
               exponential backoff): %s"
@@ -1242,7 +1085,7 @@ let connect_with_retry ?(attempts = 5) ?(base_ms = 100) ?(cap_ms = 2_000)
         go (n + 1) (Stdlib.min cap_ms (delay_ms * 2))
       end
   in
-  go 1 base_ms
+  go 1 100
 
 let sample_json (s : Sampling.sample) =
   let p, m = Linalg.Cmat.dims s.Sampling.s in
@@ -1258,33 +1101,38 @@ let sample_json (s : Sampling.sample) =
                         [ Serve.Sjson.Num z.Linalg.Cx.re;
                           Serve.Sjson.Num z.Linalg.Cx.im ])))) ) ]
 
-let stream_request oc ic req =
-  output_string oc (Serve.Sjson.to_string req);
-  output_char oc '\n';
-  flush oc;
-  match input_line ic with
-  | exception End_of_file -> stream_fail "server closed the connection"
-  | line ->
-    let resp =
-      match Serve.Sjson.parse line with
-      | resp -> resp
-      | exception Serve.Sjson.Parse_error m ->
-        stream_fail ("unparseable server response: " ^ m)
+(* One JSON round trip; the wait for the reply is unbounded, as a
+   streaming refit may take long. *)
+let stream_request peer req =
+  let line =
+    match
+      Serve.Listener.call peer ~deadline:infinity (Serve.Sjson.to_string req)
+    with
+    | `Reply (Serve.Frame.Json_text line) -> line
+    | `Reply (Serve.Frame.Grid_body _) ->
+      stream_fail "server answered with a binary frame"
+    | `Timeout -> stream_fail "server timed out"
+    | `Failed m -> stream_fail ("server connection failed: " ^ m)
+  in
+  let resp =
+    match Serve.Sjson.parse line with
+    | resp -> resp
+    | exception Serve.Sjson.Parse_error m ->
+      stream_fail ("unparseable server response: " ^ m)
+  in
+  match Serve.Sjson.member "ok" resp with
+  | Some (Serve.Sjson.Bool true) -> resp
+  | _ ->
+    let detail =
+      match Serve.Sjson.member "error" resp with
+      | Some err ->
+        (match (Serve.Sjson.member "kind" err,
+                Serve.Sjson.member "message" err) with
+         | Some (Serve.Sjson.Str k), Some (Serve.Sjson.Str m) -> k ^ ": " ^ m
+         | _ -> line)
+      | None -> line
     in
-    (match Serve.Sjson.member "ok" resp with
-     | Some (Serve.Sjson.Bool true) -> resp
-     | _ ->
-       let detail =
-         match Serve.Sjson.member "error" resp with
-         | Some err ->
-           (match (Serve.Sjson.member "kind" err,
-                   Serve.Sjson.member "message" err) with
-            | Some (Serve.Sjson.Str k), Some (Serve.Sjson.Str m) ->
-              k ^ ": " ^ m
-            | _ -> line)
-         | None -> line
-       in
-       stream_fail ("server refused: " ^ detail))
+    stream_fail ("server refused: " ^ detail)
 
 let jstr resp name =
   match Serve.Sjson.member name resp with
@@ -1316,15 +1164,9 @@ let run_fit_stream path policy socket batches holdout_every width rank_tol
     | Some id -> id
     | None -> Filename.remove_extension (Filename.basename path)
   in
-  let sock = connect_with_retry ~fail:stream_fail socket in
-  let ic = Unix.in_channel_of_descr sock in
-  let oc = Unix.out_channel_of_descr sock in
-  Fun.protect
-    ~finally:(fun () ->
-      (try close_out oc with Sys_error _ -> ());
-      (try close_in ic with Sys_error _ -> ()))
-  @@ fun () ->
-  let request = stream_request oc ic in
+  let peer = connect_with_retry socket in
+  Fun.protect ~finally:(fun () -> Serve.Listener.hang_up peer) @@ fun () ->
+  let request = stream_request peer in
   let open_fields =
     [ ("op", Serve.Sjson.Str "fit-open");
       ( "ports",
@@ -1452,5 +1294,5 @@ let () =
   exit
     (Cmd.eval'
        (Cmd.group info
-          [ fit_cmd; engine_cmd; gen_cmd; compare_cmd; info_cmd; pack_cmd;
-            inspect_cmd; serve_cmd; route_cmd; fit_stream_cmd ]))
+          [ fit_cmd; gen_cmd; compare_cmd; info_cmd; inspect_cmd; serve_cmd;
+            route_cmd; fit_stream_cmd ]))

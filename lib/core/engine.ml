@@ -639,7 +639,6 @@ module Model = struct
   let poles m = Statespace.Poles.finite_poles m.descriptor
   let stable m = Statespace.Poles.is_stable m.descriptor
   let is_real m = Statespace.Descriptor.is_real m.descriptor
-  let save path m = Statespace.Descriptor.save path m.descriptor
   let err m samples = Metrics.err m.descriptor samples
   let err_vector m samples = Metrics.err_vector m.descriptor samples
   let max_err m samples = Metrics.max_err m.descriptor samples

@@ -186,7 +186,6 @@ module Model : sig
   val poles : t -> Linalg.Cx.t array
   val stable : t -> bool
   val is_real : t -> bool
-  val save : string -> t -> unit
 
   val err : t -> Statespace.Sampling.sample array -> float
   val err_vector : t -> Statespace.Sampling.sample array -> float array

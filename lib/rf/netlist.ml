@@ -13,7 +13,7 @@ open Linalg
 
    Elements stamp in file order (mutual-inductance branch numbering
    follows it), ports gain indices in file order.  This is how `gen`
-   hands 100k-node grids to `engine` without synthesizing a multi-GB
+   hands 100k-node grids to `fit` without synthesizing a multi-GB
    Touchstone sweep first. *)
 
 let magic = "# mfti-netlist v1"

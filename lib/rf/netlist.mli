@@ -6,7 +6,7 @@
     branch numbering and port indices round-trip exactly.
 
     This is how [gen --grid] hands a 100k-node plane grid to
-    [engine --strategy krylov] without synthesizing a dense Touchstone
+    [fit --strategy krylov] without synthesizing a dense Touchstone
     sweep of the full system first. *)
 
 (** Write a circuit; values are printed round-trip exact ([%.17g]). *)

@@ -302,72 +302,6 @@ let to_proper ?(rtol = 1e-11) sys =
     end
   end
 
-let save path sys =
-  let oc = open_out path in
-  let p = outputs sys and m = inputs sys and n = order sys in
-  Printf.fprintf oc "mfti-descriptor-v1\n%d %d %d\n" n m p;
-  let dump name mat =
-    Printf.fprintf oc "%s\n" name;
-    let rows, cols = Cmat.dims mat in
-    for i = 0 to rows - 1 do
-      for jcol = 0 to cols - 1 do
-        let z = Cmat.get mat i jcol in
-        if jcol > 0 then output_char oc ' ';
-        Printf.fprintf oc "%.17g %.17g" z.Cx.re z.Cx.im
-      done;
-      output_char oc '\n'
-    done
-  in
-  dump "E" sys.e;
-  dump "A" sys.a;
-  dump "B" sys.b;
-  dump "C" sys.c;
-  dump "D" sys.d;
-  close_out oc
-
-let load path =
-  let ic = open_in path in
-  let fail fmt = Printf.ksprintf (fun s -> close_in ic; failwith (path ^ ": " ^ s)) fmt in
-  let line () = try input_line ic with End_of_file -> fail "unexpected end of file" in
-  if String.trim (line ()) <> "mfti-descriptor-v1" then fail "bad header";
-  let n, m, p =
-    match String.split_on_char ' ' (String.trim (line ())) with
-    | [ a; b; c ] ->
-      (try (int_of_string a, int_of_string b, int_of_string c)
-       with _ -> fail "bad dimensions")
-    | _ -> fail "bad dimension line"
-  in
-  let read_matrix name rows cols =
-    if String.trim (line ()) <> name then fail "expected matrix %s" name;
-    Cmat.init rows cols (fun _ _ -> Cx.zero) |> fun mat ->
-    for i = 0 to rows - 1 do
-      let toks =
-        String.split_on_char ' ' (String.trim (line ()))
-        |> List.filter (fun s -> s <> "")
-      in
-      if List.length toks <> 2 * cols then
-        fail "matrix %s row %d: expected %d numbers" name i (2 * cols);
-      List.iteri
-        (fun k tok ->
-          match float_of_string_opt tok with
-          | None -> fail "matrix %s row %d: bad number %S" name i tok
-          | Some v ->
-            let jcol = k / 2 in
-            let z = Cmat.get mat i jcol in
-            if k land 1 = 0 then Cmat.set mat i jcol { z with Cx.re = v }
-            else Cmat.set mat i jcol { z with Cx.im = v })
-        toks
-    done;
-    mat
-  in
-  let e = read_matrix "E" n n in
-  let a = read_matrix "A" n n in
-  let b = read_matrix "B" n m in
-  let c = read_matrix "C" p n in
-  let d = read_matrix "D" p m in
-  close_in ic;
-  create ~e ~a ~b ~c ~d
-
 let pp ppf sys =
   Format.fprintf ppf "descriptor system: order %d, %d inputs, %d outputs%s"
     (order sys) (inputs sys) (outputs sys)

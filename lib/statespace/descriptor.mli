@@ -97,12 +97,3 @@ val is_real : t -> bool
 val to_proper : ?rtol:float -> t -> t
 
 val pp : Format.formatter -> t -> unit
-
-(** [save path sys] writes the model as a plain-text file (dimensions,
-    then E, A, B, C, D entries as "re im" pairs, row-major) — a stable
-    interchange format that diffs cleanly and loads anywhere. *)
-val save : string -> t -> unit
-
-(** [load path] reads a model written by {!save}.  Raises [Failure] with
-    a location message on malformed input. *)
-val load : string -> t

@@ -4,10 +4,14 @@
     poles just across the imaginary axis.  The standard repair — the
     state-space analogue of vector fitting's pole flipping — reflects
     every unstable eigenvalue into the left half-plane through a modal
-    (eigenvector) transformation, leaving the stable modes bit-exact.
-    The transfer function changes only by the reflected modes'
-    contributions, which for near-axis noise poles is below the noise
-    floor.
+    (eigenvector) transformation.  It keeps the stable eigenvalues,
+    every residue and each reflected term's magnitude
+    [|r / (jw - lambda)|] (only the sign of [Re lambda] changes), but
+    not that term's phase, so H moves by as much as the reflected modes
+    contribute.  On fitted models that is often far above the noise
+    floor: reflection took Table 1's t=2 MFTI models from ERR 0.12 to
+    3.1 (Test 1) and 0.15 to 2.7 (Test 2), and the fit-touchstone
+    benchmark's noisy board from 0.005 to 0.894.
 
     Requires a diagonalizable proper part; singular-[E] models go
     through {!Descriptor.to_proper} first. *)

@@ -56,14 +56,14 @@ let test_fit () =
 
 let test_fit_save_and_plot () =
   let tmp = Filename.get_temp_dir_name () in
-  let model = Filename.concat tmp "mfti_cli_model.txt" in
+  let model = Filename.concat tmp "mfti_cli_model_sym.mfti" in
   let plot = Filename.concat tmp "mfti_cli_err.svg" in
   let code, text =
-    run (Printf.sprintf "fit %s --symmetrize --save-model %s --plot %s"
+    run (Printf.sprintf "fit %s --symmetrize --out %s --plot %s"
            workload model plot)
   in
   Alcotest.(check int) "exit code" 0 code;
-  check_contains "save" "saved model" text;
+  check_contains "save" "packed mfti_cli_test.s2p ->" text;
   check_contains "plot" "wrote error plot" text;
   Alcotest.(check bool) "model file" true (Sys.file_exists model);
   Alcotest.(check bool) "plot file" true (Sys.file_exists plot);
@@ -71,9 +71,12 @@ let test_fit_save_and_plot () =
   Sys.remove plot
 
 let test_fit_vf () =
-  let code, text = run (Printf.sprintf "fit %s --algorithm vf --poles 21" workload) in
+  let code, text = run (Printf.sprintf "fit %s --strategy vf --poles 21" workload) in
   Alcotest.(check int) "exit code" 0 code;
-  check_contains "vf fit" "VF: order 21" text
+  (* the report line gives the realization's order (poles x inputs);
+     the retained order is the pole count *)
+  check_contains "vf fit" "VF: order 42" text;
+  check_contains "vf fit" "retained order: 21" text
 
 let test_compare () =
   let code, text = run (Printf.sprintf "compare %s" workload) in
@@ -123,13 +126,16 @@ let test_lenient_recovers () =
   check_contains "diagnostics line" "diagnostics:" text;
   Sys.remove dirty
 
-(* pack -> inspect -> serve: the full artifact lifecycle over the CLI *)
+(* fit --out -> inspect -> serve: the full artifact lifecycle over the CLI *)
 let artifact_path =
   Filename.concat (Filename.get_temp_dir_name ()) "mfti_cli_model.mfti"
 
+let netlist_path =
+  Filename.concat (Filename.get_temp_dir_name ()) "mfti_cli_grid.ckt"
+
 let test_pack () =
   let code, text =
-    run (Printf.sprintf "pack %s --out %s --name ladder" workload artifact_path)
+    run (Printf.sprintf "fit %s --out %s --name ladder" workload artifact_path)
   in
   Alcotest.(check int) "exit code" 0 code;
   check_contains "pack" "packed ladder ->" text;
@@ -137,7 +143,7 @@ let test_pack () =
   Alcotest.(check bool) "artifact exists" true (Sys.file_exists artifact_path)
 
 (* packing into a directory that does not exist is a usage error that
-   names the path, for pack and for engine --pack alike *)
+   names the path, for every strategy *)
 let test_pack_missing_dir () =
   let out =
     Filename.concat
@@ -155,9 +161,10 @@ let test_pack_missing_dir () =
           Alcotest.(check bool)
             (Printf.sprintf "%s prints no %S" cmd stage)
             false (contains ~needle:stage text))
-        [ "diagnostics:"; "stage "; "engine:"; "packed " ])
-    [ Printf.sprintf "pack %s --out" workload;
-      Printf.sprintf "engine %s --strategy direct --pack" workload ]
+        [ "diagnostics:"; "stage "; "MFTI:"; "VF:"; "netlist:"; "packed " ])
+    [ Printf.sprintf "fit %s --out" workload;
+      Printf.sprintf "fit %s --strategy vf --out" workload;
+      Printf.sprintf "fit %s --out" netlist_path ]
 
 let test_inspect () =
   let code, text = run (Printf.sprintf "inspect %s" artifact_path) in
@@ -188,7 +195,7 @@ let test_serve_stdio () =
   let root = Filename.concat (Filename.get_temp_dir_name ()) "mfti_cli_root" in
   (try Unix.mkdir root 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
   let model = Filename.concat root "ladder.mfti" in
-  let code, _ = run (Printf.sprintf "pack %s --out %s" workload model) in
+  let code, _ = run (Printf.sprintf "fit %s --out %s" workload model) in
   Alcotest.(check int) "pack for serving" 0 code;
   let requests =
     Filename.concat (Filename.get_temp_dir_name ()) "mfti_cli_requests"
@@ -217,10 +224,7 @@ let test_serve_stdio () =
   check_contains "typed error kind" "\"kind\": \"validation\"" text;
   check_contains "shutdown ack" "\"op\": \"shutdown\"" text
 
-(* gen --netlist -> engine --strategy krylov: the sparse pipeline *)
-let netlist_path =
-  Filename.concat (Filename.get_temp_dir_name ()) "mfti_cli_grid.ckt"
-
+(* gen --netlist -> fit --strategy krylov: the sparse pipeline *)
 let test_gen_netlist () =
   let code, text =
     run (Printf.sprintf "gen pdn --grid 10x10 --ports 2 --netlist %s"
@@ -249,7 +253,7 @@ let test_engine_krylov () =
   let code, text =
     run
       (Printf.sprintf
-         "engine %s --strategy krylov --f-lo 1e6 --f-hi 1e9 --shifts 4 \
+         "fit %s --strategy krylov --f-lo 1e6 --f-hi 1e9 --shifts 4 \
           --krylov-order 96"
          netlist_path)
   in
@@ -266,14 +270,14 @@ let test_engine_krylov_mfti_pack () =
   let code, text =
     run
       (Printf.sprintf
-         "engine %s --strategy krylov+mfti --f-lo 1e6 --f-hi 1e9 \
-          --shifts 4 --krylov-order 96 --certify --pack %s"
+         "fit %s --strategy krylov+mfti --f-lo 1e6 --f-hi 1e9 \
+          --shifts 4 --krylov-order 96 --certify --out %s"
          netlist_path packed)
   in
   Alcotest.(check int) "exit code" 0 code;
   check_contains "mfti stage ran" "stage reduce" text;
   check_contains "certified" "certificate:" text;
-  check_contains "packed" "packed mfti_cli_grid ->" text;
+  check_contains "packed" "packed mfti_cli_grid.ckt ->" text;
   Alcotest.(check bool) "artifact exists" true (Sys.file_exists packed);
   let code, text = run (Printf.sprintf "inspect %s" packed) in
   Alcotest.(check int) "inspect exit code" 0 code;
@@ -281,14 +285,131 @@ let test_engine_krylov_mfti_pack () =
   Sys.remove packed
 
 let test_engine_strategy_mismatch () =
-  let code, text = run (Printf.sprintf "engine %s" netlist_path) in
+  let code, text =
+    run (Printf.sprintf "fit %s --strategy mfti2" netlist_path)
+  in
   Alcotest.(check int) "dense on netlist exits 64" 64 code;
   check_contains "mismatch" "needs --strategy krylov" text;
   let code, text =
-    run (Printf.sprintf "engine %s --strategy krylov" workload)
+    run (Printf.sprintf "fit %s --strategy krylov" workload)
   in
   Alcotest.(check int) "krylov on touchstone exits 64" 64 code;
   check_contains "mismatch" "not a" text
+
+(* a netlist with no --strategy runs the Krylov reduction *)
+let test_fit_netlist_default () =
+  let code, text =
+    run
+      (Printf.sprintf
+         "fit %s --f-lo 1e6 --f-hi 1e9 --shifts 4 --krylov-order 96"
+         netlist_path)
+  in
+  Alcotest.(check int) "exit code" 0 code;
+  check_contains "reduction ran" "krylov: order" text;
+  check_contains "adaptive rounds" "round 1: hold-out err" text
+
+(* the text after [key] up to the next [stop], from the first [key] *)
+let field ~key ~stop text =
+  let kl = String.length key and tl = String.length text in
+  let rec find i =
+    if i + kl > tl then Alcotest.failf "no %S in output:\n%s" key text
+    else if String.sub text i kl = key then i + kl
+    else find (i + 1)
+  in
+  let i = find 0 in
+  let j = try String.index_from text i stop with Not_found -> tl in
+  String.trim (String.sub text i (j - i))
+
+(* --out records the input's basename as the artifact name, whatever
+   the strategy *)
+let test_fit_out_name () =
+  let out =
+    Filename.concat (Filename.get_temp_dir_name ()) "mfti_cli_named.mfti"
+  in
+  List.iter
+    (fun (args, expected) ->
+      let code, text = run (Printf.sprintf "%s --out %s" args out) in
+      Alcotest.(check int) (args ^ " exits 0") 0 code;
+      check_contains args ("packed " ^ expected ^ " ->") text;
+      let code, text = run (Printf.sprintf "inspect %s" out) in
+      Alcotest.(check int) "inspect exits 0" 0 code;
+      Alcotest.(check string) (args ^ " artifact name") expected
+        (field ~key:"name: " ~stop:'\n' text);
+      Sys.remove out)
+    [ (Printf.sprintf "fit %s" workload, Filename.basename workload);
+      (Printf.sprintf "fit %s --strategy vf --poles 12" workload,
+       Filename.basename workload);
+      (Printf.sprintf
+         "fit %s --strategy krylov --f-lo 1e6 --f-hi 1e9 --shifts 4 \
+          --krylov-order 96" netlist_path,
+       Filename.basename netlist_path) ]
+
+(* with samples held out, the packed fit error is the printed hold-out
+   ERR *)
+let test_fit_holdout_err () =
+  let out =
+    Filename.concat (Filename.get_temp_dir_name ()) "mfti_cli_held.mfti"
+  in
+  let code, text =
+    run (Printf.sprintf "fit %s --holdout-every 4 --out %s" workload out)
+  in
+  Alcotest.(check int) "exit code" 0 code;
+  (* 40 samples, every 4th held out *)
+  check_contains "report on the hold-out set" "over 10 samples" text;
+  let report = field ~key:"MFTI: order" ~stop:'\n' text in
+  let printed = field ~key:"ERR " ~stop:',' report in
+  let code, info = run (Printf.sprintf "inspect %s" out) in
+  Alcotest.(check int) "inspect exits 0" 0 code;
+  Alcotest.(check string) "packed fit_err = hold-out ERR" printed
+    (field ~key:"fit error: " ~stop:'\n' info);
+  Sys.remove out
+
+(* the retired commands and options are usage errors *)
+let test_retired_commands () =
+  List.iter
+    (fun args ->
+      let code, _ = run args in
+      Alcotest.(check int) (args ^ " exits 124") 124 code)
+    [ Printf.sprintf "engine %s" workload;
+      Printf.sprintf "pack %s --out /tmp/mfti_cli_retired.mfti" workload;
+      Printf.sprintf "fit %s --save-model /tmp/mfti_cli_retired.txt" workload;
+      Printf.sprintf "fit %s --algorithm mfti" workload;
+      Printf.sprintf "fit %s --strategy direct" workload ]
+
+(* a server that accepts and then hangs up without answering: fit-stream
+   exits with a typed diagnostic *)
+let test_fit_stream_server_closes () =
+  let sock =
+    Filename.concat (Filename.get_temp_dir_name ()) "mfti_cli_closer.sock"
+  in
+  (try Unix.unlink sock with Unix.Unix_error _ -> ());
+  let listener = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind listener (Unix.ADDR_UNIX sock);
+  Unix.listen listener 1;
+  match Unix.fork () with
+  | 0 ->
+    (* read the first request line, then hang up *)
+    let conn, _ = Unix.accept listener in
+    let buf = Bytes.create 4096 in
+    let rec until_newline () =
+      match Unix.read conn buf 0 (Bytes.length buf) with
+      | 0 -> ()
+      | k ->
+        if not (Bytes.contains (Bytes.sub buf 0 k) '\n') then until_newline ()
+    in
+    (try until_newline () with Unix.Unix_error _ -> ());
+    Unix.close conn;
+    Unix._exit 0
+  | pid ->
+    Unix.close listener;
+    let code, text =
+      run (Printf.sprintf "fit-stream %s --socket %s" workload sock)
+    in
+    ignore (Unix.waitpid [] pid);
+    Unix.unlink sock;
+    Alcotest.(check int) "exits 64" 64 code;
+    check_contains "diagnostic" "invalid input (fit-stream)" text;
+    check_contains "diagnostic" "connection closed mid-response" text
 
 (* fit-stream to an address nobody serves: retries with backoff, then a
    typed diagnostic, never a raw Unix error *)
@@ -337,16 +458,16 @@ let test_certify_needs_s () =
           check_contains what "needs S-parameter data" text;
           check_contains what "Z-parameter data" text)
         [ Printf.sprintf "fit %s";
-          (fun f -> Printf.sprintf "pack %s --out %s" f packed);
-          Printf.sprintf "engine %s --strategy direct";
+          (fun f -> Printf.sprintf "fit %s --out %s" f packed);
+          Printf.sprintf "fit %s --strategy mfti";
           (fun f -> Printf.sprintf "fit-stream %s --socket %s" f sock) ])
     [ "check"; "repair" ];
   Alcotest.(check bool) "nothing packed" false (Sys.file_exists packed);
   let code, text = run (Printf.sprintf "fit %s --certify off" zfile) in
   Alcotest.(check int) "fit --certify off exits 0" 0 code;
   check_contains "fit" "MFTI: order" text;
-  let code, _ = run (Printf.sprintf "engine %s --strategy direct" zfile) in
-  Alcotest.(check int) "engine without --certify exits 0" 0 code;
+  let code, _ = run (Printf.sprintf "fit %s --strategy mfti" zfile) in
+  Alcotest.(check int) "mfti without --certify exits 0" 0 code;
   Sys.remove zfile
 
 (* a malformed MFTI_DOMAINS is a usage error with the usual diagnostic,
@@ -376,7 +497,7 @@ let test_bad_rank_tol () =
           in
           Alcotest.(check int) (cmd ^ " --rank-tol " ^ v ^ " exits 64") 64 code;
           check_contains "diagnostic" "rank tolerance must be in (0, 1)" text)
-        [ "fit"; "engine --strategy direct" ])
+        [ "fit"; "fit --strategy mfti" ])
     [ "nan"; "inf"; "1.5"; "-0.5" ]
 
 let test_bad_threshold () =
@@ -385,7 +506,7 @@ let test_bad_threshold () =
       let code, text =
         run
           (Printf.sprintf
-             "engine %s --strategy incremental --threshold=%s --max-iterations 3"
+             "fit %s --strategy mfti2 --threshold=%s --max-iterations 3"
              workload v)
       in
       Alcotest.(check int) ("--threshold " ^ v ^ " exits 64") 64 code;
@@ -401,6 +522,7 @@ let () =
   Alcotest.run "cli"
     [ ("mfti_cli",
        [ Alcotest.test_case "gen" `Quick test_gen;
+         Alcotest.test_case "gen netlist" `Quick test_gen_netlist;
          Alcotest.test_case "info" `Quick test_info;
          Alcotest.test_case "fit" `Quick test_fit;
          Alcotest.test_case "fit vf" `Quick test_fit_vf;
@@ -415,13 +537,20 @@ let () =
          Alcotest.test_case "inspect" `Quick test_inspect;
          Alcotest.test_case "inspect corrupt" `Quick test_inspect_corrupt;
          Alcotest.test_case "serve over stdio" `Quick test_serve_stdio;
-         Alcotest.test_case "gen netlist" `Quick test_gen_netlist;
          Alcotest.test_case "gen refusals" `Quick test_gen_refusals;
          Alcotest.test_case "engine krylov" `Quick test_engine_krylov;
          Alcotest.test_case "engine krylov+mfti pack" `Quick
            test_engine_krylov_mfti_pack;
          Alcotest.test_case "engine strategy mismatch" `Quick
            test_engine_strategy_mismatch;
+         Alcotest.test_case "fit netlist defaults to krylov" `Quick
+           test_fit_netlist_default;
+         Alcotest.test_case "fit --out records the input name" `Quick
+           test_fit_out_name;
+         Alcotest.test_case "fit --out records the hold-out ERR" `Quick
+           test_fit_holdout_err;
+         Alcotest.test_case "retired commands are usage errors" `Quick
+           test_retired_commands;
          Alcotest.test_case "diagnostics reported" `Quick
            test_diagnostics_reported;
          Alcotest.test_case "bad MFTI_DOMAINS" `Quick test_bad_domains;
@@ -430,4 +559,6 @@ let () =
          Alcotest.test_case "certify needs S-parameters" `Quick
            test_certify_needs_s;
          Alcotest.test_case "fit-stream gives up connecting" `Quick
-           test_fit_stream_gives_up ]) ]
+           test_fit_stream_gives_up;
+         Alcotest.test_case "fit-stream server closes" `Quick
+           test_fit_stream_server_closes ]) ]

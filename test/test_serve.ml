@@ -247,7 +247,7 @@ let test_compiled_defective_fault () =
 
 (* Direct-mode models: the fault-forced random system, and the 4-port
    PDN fit from a 100-point Touchstone round trip (what `gen pdn` then
-   `pack` produce), whose nearly singular E fails the pole-residue
+   `fit --out` produce), whose nearly singular E fails the pole-residue
    probe. *)
 let pdn_fit =
   lazy

@@ -190,32 +190,6 @@ let test_symmetrize () =
     (Cmat.norm_fro (Cmat.sub sym (Cmat.transpose sym)));
   check_close "off-diagonal average" 3. (Cmat.get sym 0 1).Cx.re
 
-let test_save_load_round_trip () =
-  let sys = Random_sys.generate { Random_sys.default_spec with order = 9; seed = 44 } in
-  let path = Filename.concat (Filename.get_temp_dir_name ()) "mfti_model_test.txt" in
-  Descriptor.save path sys;
-  let back = Descriptor.load path in
-  Sys.remove path;
-  Alcotest.(check int) "order" (Descriptor.order sys) (Descriptor.order back);
-  List.iter
-    (fun f ->
-      let h1 = Descriptor.eval_freq sys f and h2 = Descriptor.eval_freq back f in
-      check_small ~tol:1e-12 "transfer preserved"
-        (Cmat.norm_fro (Cmat.sub h1 h2)))
-    [ 100.; 1e4 ];
-  Alcotest.(check bool) "exact matrices" true
-    (Cmat.equal ~tol:0. sys.Descriptor.a back.Descriptor.a)
-
-let test_load_rejects_garbage () =
-  let path = Filename.concat (Filename.get_temp_dir_name ()) "mfti_bad_model.txt" in
-  let oc = open_out path in
-  output_string oc "not a model\n";
-  close_out oc;
-  (match Descriptor.load path with
-   | exception Failure _ -> ()
-   | _ -> Alcotest.fail "garbage accepted");
-  Sys.remove path
-
 (* ------------------------------------------------------------------ *)
 (* Random_sys *)
 
@@ -626,9 +600,6 @@ let () =
          Alcotest.test_case "port_dims errors" `Quick test_port_dims_errors;
          Alcotest.test_case "interpolate" `Quick test_interpolate;
          Alcotest.test_case "symmetrize" `Quick test_symmetrize ]);
-      ("model io",
-       [ Alcotest.test_case "save/load round trip" `Quick test_save_load_round_trip;
-         Alcotest.test_case "rejects garbage" `Quick test_load_rejects_garbage ]);
       ("random_sys",
        [ Alcotest.test_case "shape" `Quick test_random_sys_shape;
          Alcotest.test_case "stability" `Quick test_random_sys_stable;
